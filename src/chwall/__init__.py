@@ -15,12 +15,10 @@ from .grid import (
     build_grid,
     h_inner,
     h_norm,
-    laplace_beltrami,
-    laplacian,
     load_field,
-    normal_derivative,
     save_field,
 )
+from .kernels import laplace_beltrami, laplacian, normal_derivative
 from .operators import (
     NormReport,
     WentzellOperator,

@@ -21,7 +21,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import energy_value, stationary_residual
+from .energy import energy_hessian, energy_value, stationary_residual
 from .grid import PairField, _as_values
 from .operators import v_norm
 
@@ -79,14 +79,9 @@ def assemble_linearized(grid, pot, psi, v=None, alpha=1.0, beta=1.0,
     """
     base = _as_values(psi)
     vals = base + _as_values(v) if v is not None else base
-    forms = grid.forms
-    K = forms.k_grad + beta * sp.diags(forms.bdry_mass)
-    if grid.mode.value == "strip2d" and alpha != 0.0:
-        K = K + alpha * forms.k_par
-    K = (K + sp.diags(forms.bulk_mass * pot.f_prime(vals))).tocsr()
     linop = LinearizedOperator(
         grid=grid,
-        K=K,
+        K=energy_hessian(grid, pot, vals, alpha, beta),
         h_weights=grid.h_weights(1.0),
         base_point=psi if isinstance(psi, PairField) else PairField(grid, base),
         perturbation=v if (v is None or isinstance(v, PairField)) else PairField(grid, _as_values(v)),
@@ -314,7 +309,7 @@ def ls_probe(grid, op, pot, traj, psi, window=0.5, min_samples=5,
         gap = energy_value(grid, pot, snap, op.alpha, op.beta) - e_psi
         if gap <= gap_floor:
             continue
-        bulk, bdry = stationary_residual(grid, pot, snap)
+        bulk, bdry = stationary_residual(grid, pot, snap, op.alpha, op.beta)
         lhs = bulk + bdry
         if lhs <= 0.0:
             continue

@@ -20,7 +20,7 @@ from .analysis import ls_probe, rate_fit, spectrum, assemble_linearized
 from .config import ConfigError, config_hash, parse_config, serialize_config
 from .energy import EnergyReport, make_potential
 from .evolution import EvolutionAbort, StepperConfig, TrajectoryRecord, evolve
-from .grid import PairField, build_grid, load_field, save_field
+from .grid import GridMode, PairField, build_grid, load_field, save_field
 from .operators import assemble_wentzell, x_norm
 from .stationary import (
     find_equilibrium,
@@ -106,7 +106,7 @@ def make_initial(grid, cfg):
     if cfg.initial_kind == "constant":
         return PairField.constant(grid, cfg.initial_mean)
     if cfg.initial_kind == "cosine":
-        if grid.mode.value == "strip2d":
+        if grid.mode is GridMode.STRIP2D:
             prof = np.cos(2.0 * np.pi * x / grid.Lx)
         else:
             prof = np.cos(np.pi * y / grid.Ly)
@@ -117,7 +117,7 @@ def make_initial(grid, cfg):
     u = np.zeros(grid.n_nodes)
     for l in range(0, m + 1):
         ymode = np.cos(np.pi * l * y / grid.Ly)
-        if grid.mode.value == "strip2d":
+        if grid.mode is GridMode.STRIP2D:
             for k in range(0, m + 1):
                 if k == 0 and l == 0:
                     continue

@@ -5,11 +5,13 @@ The total free energy is
     E(u) = int_bulk ( |grad u|^2 / 2 + F(u) ) dx
          + int_wall ( alpha |grad_par u|^2 / 2 + beta u^2 / 2 ) dS
 
-evaluated with the same discrete forms the operator module assembles, so
-that the chemical potential returned here is the exact gradient of this
-exact discrete E in the (1/b-weighted) product inner product.  Interior
-rows of the gradient read -Lap(u) + f(u); wall rows read
-b*(-alpha*Lap_par(u) + normal_flux(u) + beta*u) in their discrete form.
+with the assembled quadratic forms of ``grid.forms``: its quadratic part is
+u.(K_lin u)/2 with K_lin = ``grid.forms.k_lin(alpha, beta)``, and its
+Hessian is K_lin + diag(bulk_mass f'(u)).  The chemical potential returned
+here is the exact gradient of this exact discrete E in the (1/b-weighted)
+product inner product.  Interior rows of the gradient read -Lap(u) + f(u);
+wall rows read b*(-alpha*Lap_par(u) + normal_flux(u) + beta*u) in their
+discrete form.
 """
 
 import warnings
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import kernels
-from .grid import GridMode, PairField, _as_values
+from .grid import PairField, _as_values
 from .operators import grad_form
 
 
@@ -163,17 +165,6 @@ class EnergyReport:
         return ",".join(f"{v:.17g}" for v in vals)
 
 
-def _surface_energy_parts(grid, vals, alpha, beta):
-    tr = vals[grid.bdry_idx]
-    m = float(np.dot(grid.bdry_weights, tr * tr))
-    if grid.mode is GridMode.INTERVAL1D:
-        par = 0.0
-    else:
-        t2 = tr.reshape(2, grid.nx)
-        par = kernels.par_form(t2, t2, grid.hx)
-    return 0.5 * alpha * par + 0.5 * beta * m
-
-
 def state_report(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     """(EnergyReport, chemical potential) for one state.
 
@@ -184,16 +175,15 @@ def state_report(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     vals = _as_values(u)
     e_bulk = 0.5 * grad_form(grid, vals, vals)
     e_bulk += float(np.dot(grid.bulk_weights, pot.F(vals)))
-    e_surf = _surface_energy_parts(grid, vals, alpha, beta)
+    forms = grid.forms
+    e_surf = 0.5 * alpha * float(vals @ (forms.k_par @ vals))
+    e_surf += 0.5 * beta * float(vals @ (forms.bdry_mass * vals))
     mu = chemical_potential(grid, pot, u, alpha=alpha, beta=beta, b=b)
     dis = dissipation(grid, mu, b=b, c=c)
     mass_bulk = float(np.dot(grid.bulk_weights, vals))
     mass_total = mass_bulk + float(np.dot(grid.bdry_weights, vals[grid.bdry_idx]))
     flux = -float(np.dot(grid.bdry_weights, mu.values[grid.bdry_idx]))
-    if (alpha, beta, b) == (1.0, 1.0, 1.0):
-        bulk_res, bdry_res = _residual_norms(grid, mu)
-    else:
-        bulk_res, bdry_res = stationary_residual(grid, pot, u)
+    bulk_res, bdry_res = _residual_norms(grid, mu, b)
     report = EnergyReport(
         e_bulk=e_bulk,
         e_surf=e_surf,
@@ -217,21 +207,27 @@ def energy(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
 def energy_value(grid, pot, u, alpha=1.0, beta=1.0):
     """Just E(u); the cheap path used inside steppers and minimizers."""
     vals = _as_values(u)
-    e = 0.5 * grad_form(grid, vals, vals)
-    e += float(np.dot(grid.bulk_weights, pot.F(vals)))
-    return e + _surface_energy_parts(grid, vals, alpha, beta)
+    e = 0.5 * float(vals @ (grid.forms.k_lin(alpha, beta) @ vals))
+    return e + float(np.dot(grid.bulk_weights, pot.F(vals)))
 
 
 def energy_gradient_raw(grid, pot, u, alpha=1.0, beta=1.0):
     """Euclidean gradient of the discrete energy (before mass weighting)."""
     vals = _as_values(u)
     forms = grid.forms
-    g = forms.k_grad @ vals
-    if alpha != 0.0 and grid.mode is GridMode.STRIP2D:
-        g = g + alpha * (forms.k_par @ vals)
-    g = g + beta * (forms.bdry_mass * vals)
-    g = g + forms.bulk_mass * pot.f(vals)
-    return g
+    return forms.k_lin(alpha, beta) @ vals + forms.bulk_mass * pot.f(vals)
+
+
+def energy_hessian(grid, pot, u, alpha=1.0, beta=1.0):
+    """The energy Hessian K_lin + diag(bulk_mass f'(u)) as a sparse matrix.
+
+    Bulk rows read -Lap + f'(u) and wall rows the discrete trace operator,
+    all in the Euclidean pairing (divide by the product-space weights to
+    get the linearized chemical potential).
+    """
+    forms = grid.forms
+    curvature = forms.bulk_mass * pot.f_prime(_as_values(u))
+    return (forms.k_lin(alpha, beta) + sp.diags(curvature)).tocsr()
 
 
 def chemical_potential(grid, pot, u, alpha=1.0, beta=1.0, b=1.0):
@@ -246,32 +242,31 @@ def chemical_potential(grid, pot, u, alpha=1.0, beta=1.0, b=1.0):
     return PairField(grid, g / grid.h_weights(b))
 
 
-def _residual_norms(grid, mu):
+def _residual_norms(grid, mu, b=1.0):
+    """(bulk, wall) L2 norms of mu, the wall rows without their factor b."""
     bulk = np.sqrt(max(float(np.dot(grid.bulk_weights, mu.values ** 2)), 0.0))
-    tr = mu.values[grid.bdry_idx]
+    tr = mu.values[grid.bdry_idx] / b
     bdry = np.sqrt(max(float(np.dot(grid.bdry_weights, tr * tr)), 0.0))
     return bulk, bdry
 
 
-def stationary_residual(grid, pot, u):
-    """(bulk, wall) L2 residuals of the stationary system, normalized constants.
+def stationary_residual(grid, pot, u, alpha=1.0, beta=1.0):
+    """(bulk, wall) L2 residuals of the stationary system.
 
     These are the two terms on the left of the energy-gap inequality: the
-    bulk norm of -Lap(u) + f(u) and the wall norm of
-    -Lap_par(u) + normal_flux(u) + u, both in the scheme's discrete form
-    (so an exact discrete critical point reports exactly zero).
+    bulk norm of -Lap(u) + f(u) and the wall norm of the trace law
+    -alpha Lap_par(u) + normal_flux(u) + beta u, both in the scheme's
+    discrete form (so an exact discrete critical point of the energy with
+    these constants reports exactly zero).
     """
-    mu = chemical_potential(grid, pot, u, alpha=1.0, beta=1.0, b=1.0)
+    mu = chemical_potential(grid, pot, u, alpha=alpha, beta=beta, b=1.0)
     return _residual_norms(grid, mu)
 
 
 def dissipation(grid, mu, b=1.0, c=1.0):
     """Energy dissipation rate of a chemical potential field.
 
-    Equals the operator form a(mu, mu) when b = c = 1.
+    Equals the operator form a(mu, mu) with the same b, c.
     """
     vals = _as_values(mu)
-    tr = vals[grid.bdry_idx]
-    return grad_form(grid, vals, vals) + (c / b) * float(
-        np.dot(grid.bdry_weights, tr * tr)
-    )
+    return float(vals @ (grid.forms.k_lin(0.0, c / b) @ vals))

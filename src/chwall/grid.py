@@ -14,13 +14,11 @@ wall y=0, j=1..ny-2 are interior rows at y=(j-1/2)*hy with hy=Ly/(ny-2),
 and j=ny-1 is the wall y=Ly.  For the interval, the index is j directly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-
-from . import kernels
 
 
 class GridMode(Enum):
@@ -44,6 +42,24 @@ class GridForms:
     k_par: sp.csr_matrix
     bulk_mass: np.ndarray
     bdry_mass: np.ndarray
+    _k_lin: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def k_lin(self, alpha=1.0, beta=1.0):
+        """k_grad + alpha k_par + beta diag(bdry_mass), memoized per (alpha, beta).
+
+        The quadratic part of the free energy with surface constants alpha,
+        beta: u.(k_lin(alpha, beta) u) is twice the energy of a field with
+        F = 0.  With alpha = 0 and beta = c/b it is the form of the elliptic
+        operator.  The returned matrix is shared; callers must not modify it.
+        """
+        key = (float(alpha), float(beta))
+        K = self._k_lin.get(key)
+        if K is None:
+            K = self.k_grad + beta * sp.diags(self.bdry_mass)
+            if alpha != 0.0:
+                K = K + alpha * self.k_par
+            K = self._k_lin[key] = K.tocsr()
+        return K
 
 
 class StripGrid:
@@ -318,44 +334,6 @@ def h_inner(grid, u, v, b=1.0):
 
 def h_norm(grid, u, b=1.0):
     return np.sqrt(max(h_inner(grid, u, u, b=b), 0.0))
-
-
-def laplacian(grid, u):
-    """Pointwise finite-difference Laplacian at every node.
-
-    Interior rows use centered stencils that are exact on quadratics
-    (including the wall-adjacent rows, where the spacing is non-uniform);
-    wall rows carry the one-sided value, used only where a formula
-    explicitly needs the bulk Laplacian on the boundary.
-    """
-    vals = _as_values(u)
-    if grid.mode is GridMode.STRIP2D:
-        out = kernels.lap_strip(vals.reshape(grid.ny, grid.nx), grid.hx, grid.hy)
-        return out.reshape(-1)
-    return kernels.lap_interval(vals, grid.hy)
-
-
-def laplace_beltrami(grid, trace):
-    """Surface Laplacian along each wall; identically zero for the interval."""
-    tr = np.asarray(trace, dtype=float)
-    if grid.mode is GridMode.INTERVAL1D:
-        return np.zeros_like(tr)
-    return kernels.beltrami(tr.reshape(2, grid.nx), grid.hx).reshape(-1)
-
-
-def normal_derivative(grid, u):
-    """Outward normal derivative on the walls, 3-point one-sided stencil.
-
-    Second order; exact for fields quadratic in y.  Returned in trace
-    layout (bottom wall first).
-    """
-    vals = _as_values(u)
-    if grid.mode is GridMode.STRIP2D:
-        out = kernels.normal_derivative_strip(
-            vals.reshape(grid.ny, grid.nx), grid.hy
-        )
-        return out.reshape(-1)
-    return kernels.normal_derivative_interval(vals, grid.hy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,291 +1,69 @@
-"""Hot numeric kernels: finite-difference stencils and quadrature forms.
+"""Pointwise finite-difference stencils on the grid's node layout.
 
-Two interchangeable backends are provided for every kernel: a pure-numpy
-implementation and a numba ``@njit`` one.  Selection happens once at import
-time from the ``CHWALL_KERNELS`` environment variable:
+Fields are read as ``(ny, nx)`` arrays with row 0 the wall at y=0 and row
+ny-1 the wall at y=Ly (the interval is the single column nx=1); interior
+rows sit at cell centers, so the wall-to-first-row gap is hy/2.  The x
+direction is periodic.
 
-* ``numba``  -- require numba, fail loudly if it is missing,
-* ``numpy``  -- force the vectorized fallback,
-* unset / ``auto`` -- use numba when importable, numpy otherwise.
-
-All kernels operate on plain float64 arrays.  2-D fields are shaped
-``(ny, nx)`` with row 0 the wall at y=0 and row ny-1 the wall at y=Ly;
-interior rows sit at cell centers, so the wall-to-first-row gap is hy/2.
-The x direction is periodic.
-
-Both backends compute the same sums; they may differ by a few ulp due to
-summation order.  ``IMPLEMENTATIONS`` exposes both for tests/benchmarks.
+These are diagnostics and test oracles.  Everything energetic (energy,
+chemical potential, dissipation, norms) goes through the assembled
+quadratic forms in ``grid.forms`` instead; on uniform interior rows the
+chemical potential agrees with ``-laplacian(u) + f(u)`` to rounding.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("CHWALL_KERNELS", "auto").lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"CHWALL_KERNELS must be 'numba', 'numpy' or 'auto', got {_requested!r}"
-    )
-
-HAVE_NUMBA = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise ImportError("CHWALL_KERNELS=numba but numba is not importable")
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+from .grid import GridMode, _as_values
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+def _periodic_second_difference(rows, hx):
+    """Second difference along x of each row of a (k, nx) array."""
+    return (np.roll(rows, -1, axis=1) - 2.0 * rows + np.roll(rows, 1, axis=1)) / (hx * hx)
 
-def _lap_strip_np(u, hx, hy):
-    """Pointwise Laplacian on the strip; quadratic-exact near-wall rows.
 
-    Wall rows carry the one-sided value (parabola through the wall node and
-    the two nearest interior rows), used only where a formula explicitly
-    needs the bulk Laplacian on the boundary.
+def laplacian(grid, u):
+    """Pointwise finite-difference Laplacian at every node.
+
+    Interior rows use centered stencils that are exact on quadratics
+    (including the wall-adjacent rows, where the spacing is non-uniform);
+    wall rows carry the one-sided value (the parabola through the wall node
+    and the two nearest interior rows), used only where a formula
+    explicitly needs the bulk Laplacian on the boundary.
     """
-    ny, nx = u.shape
-    out = np.empty_like(u)
-    # periodic second difference in x, all rows
-    out[:] = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / (hx * hx)
-    ihy2 = 1.0 / (hy * hy)
+    v = _as_values(u).reshape(grid.ny, grid.nx)
+    out = np.zeros_like(v)
+    if grid.mode is GridMode.STRIP2D:
+        out += _periodic_second_difference(v, grid.hx)
+    ihy2 = 1.0 / (grid.hy * grid.hy)
     # uniform interior rows
-    if ny > 4:
-        out[2:-2] += (u[3:-1] - 2.0 * u[2:-2] + u[1:-3]) * ihy2
-    # first/last interior rows: neighbors at distances hy/2 (wall) and hy
-    c_lo = (8.0 * u[0] - 12.0 * u[1] + 4.0 * u[2]) * (ihy2 / 3.0)
-    c_hi = (8.0 * u[-1] - 12.0 * u[-2] + 4.0 * u[-3]) * (ihy2 / 3.0)
+    out[2:-2] += (v[3:-1] - 2.0 * v[2:-2] + v[1:-3]) * ihy2
+    # first/last interior rows: neighbors at distances hy/2 (wall) and hy;
+    # the wall rows take the same parabola's constant curvature
+    c_lo = (8.0 * v[0] - 12.0 * v[1] + 4.0 * v[2]) * (ihy2 / 3.0)
+    c_hi = (8.0 * v[-1] - 12.0 * v[-2] + 4.0 * v[-3]) * (ihy2 / 3.0)
+    out[0] += c_lo
     out[1] += c_lo
     out[-2] += c_hi
-    # one-sided wall rows (same parabola, constant curvature)
-    out[0] += c_lo
     out[-1] += c_hi
-    return out
+    return out.reshape(-1)
 
 
-def _lap_interval_np(u, hy):
-    n = u.shape[0]
-    out = np.zeros_like(u)
-    ihy2 = 1.0 / (hy * hy)
-    if n > 4:
-        out[2:-2] = (u[3:-1] - 2.0 * u[2:-2] + u[1:-3]) * ihy2
-    c_lo = (8.0 * u[0] - 12.0 * u[1] + 4.0 * u[2]) * (ihy2 / 3.0)
-    c_hi = (8.0 * u[-1] - 12.0 * u[-2] + 4.0 * u[-3]) * (ihy2 / 3.0)
-    out[1] = c_lo
-    out[-2] = c_hi
-    out[0] = c_lo
-    out[-1] = c_hi
-    return out
+def laplace_beltrami(grid, trace):
+    """Surface Laplacian along each wall; identically zero for the interval."""
+    tr = np.asarray(trace, dtype=float)
+    if grid.mode is GridMode.INTERVAL1D:
+        return np.zeros_like(tr)
+    return _periodic_second_difference(tr.reshape(2, grid.nx), grid.hx).reshape(-1)
 
 
-def _beltrami_np(tr, hx):
-    """Periodic second difference along each wall row of a (nw, nx) array."""
-    return (np.roll(tr, -1, axis=1) - 2.0 * tr + np.roll(tr, 1, axis=1)) / (hx * hx)
+def normal_derivative(grid, u):
+    """Outward normal derivative on the walls, 3-point one-sided stencil.
 
-
-def _normal_derivative_strip_np(u, hy):
-    """Outward normal derivative at both walls, 3-point one-sided stencil."""
-    c = 1.0 / (3.0 * hy)
-    bottom = (8.0 * u[0] - 9.0 * u[1] + u[2]) * c
-    top = (8.0 * u[-1] - 9.0 * u[-2] + u[-3]) * c
-    return np.stack((bottom, top))
-
-
-def _normal_derivative_interval_np(u, hy):
-    c = 1.0 / (3.0 * hy)
-    return np.array([
-        (8.0 * u[0] - 9.0 * u[1] + u[2]) * c,
-        (8.0 * u[-1] - 9.0 * u[-2] + u[-3]) * c,
-    ])
-
-
-def _grad_form_strip_np(u, v, hx, hy):
-    """Discrete bulk Dirichlet form: sum over grid edges of w_e (Du)(Dv)."""
-    cx = hy / hx
-    cy = hx / hy
-    dux = np.roll(u, -1, axis=1) - u
-    dvx = np.roll(v, -1, axis=1) - v
-    s = cx * float(np.sum(dux[1:-1] * dvx[1:-1]))
-    duy = u[1:] - u[:-1]
-    dvy = v[1:] - v[:-1]
-    prod = duy * dvy
-    s += cy * float(np.sum(prod[1:-1]))
-    s += 2.0 * cy * (float(np.sum(prod[0])) + float(np.sum(prod[-1])))
-    return s
-
-
-def _grad_form_interval_np(u, v, hy):
-    du = u[1:] - u[:-1]
-    dv = v[1:] - v[:-1]
-    c = 1.0 / hy
-    s = c * float(np.sum(du[1:-1] * dv[1:-1]))
-    s += 2.0 * c * (du[0] * dv[0] + du[-1] * dv[-1])
-    return s
-
-
-def _par_form_np(tr_u, tr_v, hx):
-    """Discrete surface Dirichlet form along periodic wall rows."""
-    du = np.roll(tr_u, -1, axis=1) - tr_u
-    dv = np.roll(tr_v, -1, axis=1) - tr_v
-    return float(np.sum(du * dv)) / hx
-
-
-_NUMPY_IMPLS = {
-    "lap_strip": _lap_strip_np,
-    "lap_interval": _lap_interval_np,
-    "beltrami": _beltrami_np,
-    "normal_derivative_strip": _normal_derivative_strip_np,
-    "normal_derivative_interval": _normal_derivative_interval_np,
-    "grad_form_strip": _grad_form_strip_np,
-    "grad_form_interval": _grad_form_interval_np,
-    "par_form": _par_form_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _lap_strip_nb(u, hx, hy):
-        ny, nx = u.shape
-        out = np.empty((ny, nx))
-        ihx2 = 1.0 / (hx * hx)
-        ihy2 = 1.0 / (hy * hy)
-        for j in range(ny):
-            for i in range(nx):
-                ip = i + 1 if i + 1 < nx else 0
-                im = i - 1 if i > 0 else nx - 1
-                out[j, i] = (u[j, ip] - 2.0 * u[j, i] + u[j, im]) * ihx2
-        for i in range(nx):
-            c_lo = (8.0 * u[0, i] - 12.0 * u[1, i] + 4.0 * u[2, i]) * ihy2 / 3.0
-            c_hi = (
-                8.0 * u[ny - 1, i] - 12.0 * u[ny - 2, i] + 4.0 * u[ny - 3, i]
-            ) * ihy2 / 3.0
-            out[0, i] += c_lo
-            out[1, i] += c_lo
-            out[ny - 2, i] += c_hi
-            out[ny - 1, i] += c_hi
-            for j in range(2, ny - 2):
-                out[j, i] += (u[j + 1, i] - 2.0 * u[j, i] + u[j - 1, i]) * ihy2
-        return out
-
-    @_njit(cache=True)
-    def _lap_interval_nb(u, hy):
-        n = u.shape[0]
-        out = np.zeros(n)
-        ihy2 = 1.0 / (hy * hy)
-        c_lo = (8.0 * u[0] - 12.0 * u[1] + 4.0 * u[2]) * ihy2 / 3.0
-        c_hi = (8.0 * u[n - 1] - 12.0 * u[n - 2] + 4.0 * u[n - 3]) * ihy2 / 3.0
-        out[0] = c_lo
-        out[1] = c_lo
-        out[n - 2] = c_hi
-        out[n - 1] = c_hi
-        for j in range(2, n - 2):
-            out[j] = (u[j + 1] - 2.0 * u[j] + u[j - 1]) * ihy2
-        return out
-
-    @_njit(cache=True)
-    def _beltrami_nb(tr, hx):
-        nw, nx = tr.shape
-        out = np.empty((nw, nx))
-        ihx2 = 1.0 / (hx * hx)
-        for w in range(nw):
-            for i in range(nx):
-                ip = i + 1 if i + 1 < nx else 0
-                im = i - 1 if i > 0 else nx - 1
-                out[w, i] = (tr[w, ip] - 2.0 * tr[w, i] + tr[w, im]) * ihx2
-        return out
-
-    @_njit(cache=True)
-    def _normal_derivative_strip_nb(u, hy):
-        ny, nx = u.shape
-        out = np.empty((2, nx))
-        c = 1.0 / (3.0 * hy)
-        for i in range(nx):
-            out[0, i] = (8.0 * u[0, i] - 9.0 * u[1, i] + u[2, i]) * c
-            out[1, i] = (8.0 * u[ny - 1, i] - 9.0 * u[ny - 2, i] + u[ny - 3, i]) * c
-        return out
-
-    @_njit(cache=True)
-    def _normal_derivative_interval_nb(u, hy):
-        n = u.shape[0]
-        out = np.empty(2)
-        c = 1.0 / (3.0 * hy)
-        out[0] = (8.0 * u[0] - 9.0 * u[1] + u[2]) * c
-        out[1] = (8.0 * u[n - 1] - 9.0 * u[n - 2] + u[n - 3]) * c
-        return out
-
-    @_njit(cache=True)
-    def _grad_form_strip_nb(u, v, hx, hy):
-        ny, nx = u.shape
-        cx = hy / hx
-        cy = hx / hy
-        s = 0.0
-        for j in range(1, ny - 1):
-            for i in range(nx):
-                ip = i + 1 if i + 1 < nx else 0
-                s += cx * (u[j, ip] - u[j, i]) * (v[j, ip] - v[j, i])
-        for i in range(nx):
-            s += 2.0 * cy * (u[1, i] - u[0, i]) * (v[1, i] - v[0, i])
-            s += 2.0 * cy * (u[ny - 1, i] - u[ny - 2, i]) * (v[ny - 1, i] - v[ny - 2, i])
-            for j in range(1, ny - 2):
-                s += cy * (u[j + 1, i] - u[j, i]) * (v[j + 1, i] - v[j, i])
-        return s
-
-    @_njit(cache=True)
-    def _grad_form_interval_nb(u, v, hy):
-        n = u.shape[0]
-        c = 1.0 / hy
-        s = 2.0 * c * (u[1] - u[0]) * (v[1] - v[0])
-        s += 2.0 * c * (u[n - 1] - u[n - 2]) * (v[n - 1] - v[n - 2])
-        for j in range(1, n - 2):
-            s += c * (u[j + 1] - u[j]) * (v[j + 1] - v[j])
-        return s
-
-    @_njit(cache=True)
-    def _par_form_nb(tr_u, tr_v, hx):
-        nw, nx = tr_u.shape
-        s = 0.0
-        for w in range(nw):
-            for i in range(nx):
-                ip = i + 1 if i + 1 < nx else 0
-                s += (tr_u[w, ip] - tr_u[w, i]) * (tr_v[w, ip] - tr_v[w, i])
-        return s / hx
-
-    _NUMBA_IMPLS = {
-        "lap_strip": _lap_strip_nb,
-        "lap_interval": _lap_interval_nb,
-        "beltrami": _beltrami_nb,
-        "normal_derivative_strip": _normal_derivative_strip_nb,
-        "normal_derivative_interval": _normal_derivative_interval_nb,
-        "grad_form_strip": _grad_form_strip_nb,
-        "grad_form_interval": _grad_form_interval_nb,
-        "par_form": _par_form_nb,
-    }
-else:
-    _NUMBA_IMPLS = {}
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPLS}
-if HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = _NUMBA_IMPLS
-
-_active = IMPLEMENTATIONS[BACKEND]
-
-lap_strip = _active["lap_strip"]
-lap_interval = _active["lap_interval"]
-beltrami = _active["beltrami"]
-normal_derivative_strip = _active["normal_derivative_strip"]
-normal_derivative_interval = _active["normal_derivative_interval"]
-grad_form_strip = _active["grad_form_strip"]
-grad_form_interval = _active["grad_form_interval"]
-par_form = _active["par_form"]
+    Second order; exact for fields quadratic in y.  Returned in trace
+    layout (bottom wall first).
+    """
+    v = _as_values(u).reshape(grid.ny, grid.nx)
+    c = 1.0 / (3.0 * grid.hy)
+    bottom = (8.0 * v[0] - 9.0 * v[1] + v[2]) * c
+    top = (8.0 * v[-1] - 9.0 * v[-2] + v[-3]) * c
+    return np.concatenate((bottom, top))

@@ -7,8 +7,8 @@ the diagonal of the product-space inner product (surface part scaled by 1/b).
 Discrete self-adjointness  <A u, v>_H = a(u,v) = <u, A v>_H  therefore holds
 to rounding, which is what makes the discrete energy law exact downstream.
 
-Pointwise stencils (grid.laplacian, grid.normal_derivative) exist separately
-for diagnostics; everything energetic goes through the forms.
+Every quadratic form here is a matrix from ``grid.forms``; the pointwise
+stencils in ``chwall.kernels`` exist separately for diagnostics.
 """
 
 import os
@@ -18,8 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import kernels
-from .grid import GridMode, PairField, _as_values, h_inner
+from .grid import PairField, _as_values, h_inner
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ class WentzellOperator:
         self.c = float(c)
         self.alpha = float(alpha)
         self.beta = float(beta)
-        forms = grid.forms
-        self.K_A = (forms.k_grad + (c / b) * sp.diags(forms.bdry_mass)).tocsr()
+        # a(u, v) is the energy's quadratic form with alpha = 0, beta = c/b
+        self.K_A = grid.forms.k_lin(0.0, c / b)
         self.mass_weights = grid.h_weights(b)
         self._lu = None
         self._lambda_min = None
@@ -147,38 +146,24 @@ def x_norm_via_form(op, v):
     return np.sqrt(max(op.a_form(w, w), 0.0))
 
 
-def _surface_forms(grid, u, v):
-    """(surface Dirichlet form, surface mass form) for fields u, v."""
-    uv, vv = _as_values(u), _as_values(v)
-    tru, trv = uv[grid.bdry_idx], vv[grid.bdry_idx]
-    m = float(np.dot(grid.bdry_weights, tru * trv))
-    if grid.mode is GridMode.INTERVAL1D:
-        return 0.0, m
-    par = kernels.par_form(tru.reshape(2, grid.nx), trv.reshape(2, grid.nx), grid.hx)
-    return par, m
-
-
 def grad_form(grid, u, v):
-    """Discrete bulk Dirichlet form via the fused kernels."""
-    uv, vv = _as_values(u), _as_values(v)
-    if grid.mode is GridMode.STRIP2D:
-        return kernels.grad_form_strip(
-            uv.reshape(grid.ny, grid.nx), vv.reshape(grid.ny, grid.nx),
-            grid.hx, grid.hy,
-        )
-    return kernels.grad_form_interval(uv, vv, grid.hy)
+    """Discrete bulk Dirichlet form: sum over grid edges of w_e (Du)(Dv)."""
+    return float(_as_values(u) @ (grid.forms.k_grad @ _as_values(v)))
+
+
+def _quadratic_norm(K, u):
+    vals = _as_values(u)
+    return np.sqrt(max(float(vals @ (K @ vals)), 0.0))
 
 
 def v_norm(grid, u):
     """Energy-space norm: bulk gradient plus surface gradient and mass."""
-    par, m = _surface_forms(grid, u, u)
-    return np.sqrt(max(grad_form(grid, u, u) + par + m, 0.0))
+    return _quadratic_norm(grid.forms.k_lin(1.0, 1.0), u)
 
 
 def h1_equiv_norm(grid, u):
     """Equivalent H1 norm: bulk gradient plus surface mass only."""
-    _, m = _surface_forms(grid, u, u)
-    return np.sqrt(max(grad_form(grid, u, u) + m, 0.0))
+    return _quadratic_norm(grid.forms.k_lin(0.0, 1.0), u)
 
 
 def norm_report(op, u):

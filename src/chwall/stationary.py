@@ -16,7 +16,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import minimize as _lbfgs
 
-from .energy import energy_gradient_raw, energy_value, stationary_residual
+from .energy import (
+    energy_gradient_raw,
+    energy_hessian,
+    energy_value,
+    stationary_residual,
+)
 from .grid import PairField, _as_values, load_field, save_field
 from .operators import x_norm
 
@@ -55,17 +60,9 @@ def _mu_h_norm(grid, g_raw):
     return float(np.sqrt(np.sum(g_raw * g_raw / w)))
 
 
-def _hessian_matrix(grid, pot, vals, alpha, beta):
-    forms = grid.forms
-    K = forms.k_grad + beta * sp.diags(forms.bdry_mass)
-    if grid.mode.value == "strip2d" and alpha != 0.0:
-        K = K + alpha * forms.k_par
-    return (K + sp.diags(forms.bulk_mass * pot.f_prime(vals))).tocsr()
-
-
 def _most_negative_direction(grid, pot, vals, alpha, beta):
     """Smallest eigenpair of the energy Hessian in the weighted metric."""
-    K = _hessian_matrix(grid, pot, vals, alpha, beta)
+    K = energy_hessian(grid, pot, vals, alpha, beta)
     w = grid.h_weights(1.0)
     rw = 1.0 / np.sqrt(w)
     A_t = sp.diags(rw) @ K @ sp.diags(rw)
@@ -173,7 +170,7 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
     converged = res <= tol
     kernel_dim = None
     while not converged and iters < max_iter:
-        K = _hessian_matrix(grid, pot, x, alpha, beta)
+        K = energy_hessian(grid, pot, x, alpha, beta)
         try:
             delta = spla.splu(K.tocsc()).solve(-g)
         except RuntimeError:
@@ -190,7 +187,7 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
         converged = res <= tol
         if res > 1e3 * (hist[0] + 1.0):
             break  # diverging; caller should descend first
-    bulk_res, bdry_res = stationary_residual(grid, pot, PairField(grid, x))
+    bulk_res, bdry_res = stationary_residual(grid, pot, x, alpha, beta)
     return EquilibriumSolution(
         psi=PairField(grid, x),
         energy=energy_value(grid, pot, x, alpha, beta),

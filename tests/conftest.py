@@ -41,7 +41,7 @@ def dense_form_matrices(grid):
         mat[a, b] -= c
         mat[b, a] -= c
 
-    if grid.mode.value == "strip2d":
+    if grid.mode is cw.GridMode.STRIP2D:
         cx = grid.hy / grid.hx
         cy = grid.hx / grid.hy
         for j in range(1, ny - 1):

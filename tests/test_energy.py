@@ -169,3 +169,40 @@ def test_energy_report_csv_row(unit_grid, pot):
     row = rep.csv_row(0.5)
     assert row.startswith("0.5,")
     assert len(row.split(",")) == len(rep.CSV_COLUMNS.split(","))
+
+
+def test_chemical_potential_matches_stencils(pot):
+    # uniform interior rows are -Lap(u) + f(u) to rounding; wall rows carry
+    # b times the trace law, to first order in h (the half-cell flux)
+    alpha, beta, b = 2.0, 3.0, 2.0
+    wall_errs, hs = [], []
+    for n in (16, 32, 64, 128):
+        g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
+        u = np.cos(2 * np.pi * g.x) * np.cos(np.pi * g.y) + g.y
+        mu = chemical_potential(g, pot, u, alpha=alpha, beta=beta, b=b).values
+        rows = slice(2 * g.nx, (g.ny - 2) * g.nx)
+        expected = -cw.laplacian(g, u)[rows] + pot.f(u[rows])
+        assert np.max(np.abs(mu[rows] - expected)) <= 1e-11 * np.max(np.abs(expected))
+        tr = u[g.bdry_idx]
+        law = -alpha * cw.laplace_beltrami(g, tr) + cw.normal_derivative(g, u) + beta * tr
+        wall_errs.append(np.max(np.abs(mu[g.bdry_idx] / b - law)))
+        hs.append(g.hy)
+    slope = np.polyfit(np.log(hs), np.log(wall_errs), 1)[0]
+    assert 0.9 <= slope <= 1.1
+
+
+def test_residuals_at_configured_constants(pot):
+    # an equilibrium of the alpha=2, beta=3 energy is not one at unit
+    # constants, so a residual taken at unit constants reads O(1) there
+    g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
+    alpha, beta = 2.0, 3.0
+    u0 = PairField(g, 0.8 * np.cos(2 * np.pi * g.x / g.Lx))
+    sol = cw.find_equilibrium(g, pot, u0, tol=1e-10, alpha=alpha, beta=beta)
+    assert sol.converged
+    assert sol.bulk_res <= 1e-10 and sol.bdry_res <= 1e-10
+    bulk, bdry = stationary_residual(g, pot, sol.psi, alpha=alpha, beta=beta)
+    assert bulk <= 1e-10 and bdry <= 1e-10
+    assert stationary_residual(g, pot, sol.psi)[1] > 1.0
+    for b in (1.0, 2.0):
+        rep = energy(g, pot, sol.psi, alpha=alpha, beta=beta, b=b)
+        assert rep.bulk_res <= 1e-10 and rep.bdry_res <= 1e-10

@@ -266,3 +266,37 @@ def test_auto_stabilization_covers_range(pot):
     S = auto_stabilization(pot, -1.5, 2.0)
     s = np.linspace(-1.5, 2.0, 1001)
     assert S >= np.max(np.abs(pot.f_prime(s))) - 1e-9
+
+
+def test_last_step_reuses_factorization(pot, monkeypatch):
+    # the last step of n steps of dt is a full dt, whatever rounding the
+    # accumulated time carries, so one (dt, S) factorization serves the run
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    g = cw.build_grid("interval1d", Ly=1.0, ny=6)
+    cfg = StepperConfig(dt=1e-3, stabilization_S=2.0, series_stride=10 ** 6)
+    u0 = PairField(g, 0.1 * np.cos(np.pi * g.y))
+    for n in range(1, 401):
+        calls.clear()
+        rec = evolve(g, cw.assemble_wentzell(g), pot, u0, cfg, n * cfg.dt)
+        assert len(calls) == 1, f"{len(calls)} factorizations for {n} steps"
+        assert len(rec.times) == 2
+
+
+def test_energy_evaluated_once_per_step(problem, monkeypatch):
+    import chwall.evolution as evo
+
+    g, op, pot = problem
+    calls = []
+    energy_value = evo.energy_value
+    monkeypatch.setattr(
+        evo, "energy_value", lambda *a: calls.append(1) or energy_value(*a)
+    )
+    n = 40
+    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    rec = evolve(g, op, pot, u0, StepperConfig(dt=1e-3), n * 1e-3)
+    assert len(rec.times) == n + 1
+    assert len(calls) <= n + 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import chwall as cw
-from chwall.grid import PairField, h_inner, laplace_beltrami, laplacian, normal_derivative
+from chwall import PairField, h_inner, laplace_beltrami, laplacian, normal_derivative
 from chwall.operators import (
     apply_A,
     h1_equiv_norm,
