@@ -204,7 +204,10 @@ def cmd_simulate(config_path):
                     title="distance to reference equilibrium",
                     xlabel="t", ylabel="log10 |U-psi|_X", ylog=True,
                 )
-        write_manifest(out, cfg, {"aborted": aborted, "abort_reason": reason}, t0)
+        write_manifest(out, cfg, {
+            "aborted": aborted, "abort_reason": reason,
+            "factorizations": rec.factorizations, "shifts": rec.shifts,
+        }, t0)
     if aborted:
         print(f"guard abort: {reason}", file=sys.stderr)
         return EXIT_GUARD

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -155,7 +156,24 @@ def parse_config(path):
     return cfg
 
 
+_FINITE = {
+    "grid": ("Lx", "Ly"),
+    "constants": ("b", "c", "alpha", "beta"),
+    "stepper": ("dt", "t_end", "dt_min"),
+}
+
+
 def validate_config(cfg):
+    for section, names in _FINITE.items():
+        for name in names:
+            val = getattr(cfg, name)
+            if not math.isfinite(val):
+                raise ConfigError(f"{section}.{name} = {val}: must be finite")
+    S = cfg.stabilization_S
+    if S is not None and not (math.isfinite(S) and S >= 0):
+        raise ConfigError(
+            f"stepper.stabilization_S = {S}: must be finite and non-negative"
+        )
     for name in ("b", "c", "alpha", "beta"):
         val = getattr(cfg, name)
         if val <= 0:

@@ -13,13 +13,19 @@ The stabilized system solved each step is
         = W u_old + dt K_A W^-1 (S M_bulk u_old - M_bulk f(u_old))
 
 with W the product-space mass, K_A the wall-coupled stiffness, K_lin the
-linear part of the energy Hessian and M_bulk the lumped bulk mass.  The
-matrix is assembled and factorized once per (dt, S) and reused.  Newton's
-Jacobian is the same matrix with the full energy Hessian in place of
-K_lin + S M_bulk.
+linear part of the energy Hessian and M_bulk the lumped bulk mass.  Any
+shift S >= max |f'| over the states met keeps the scheme energy-stable, so
+the automatic shift is that sampled bound rounded up onto the fixed ladder
+2^(k/4): it changes only when the state range pushes the bound past a rung.
+The matrix is assembled and factorized once per (dt, S) and kept in a
+cache that belongs to the run (``evolve``, or one ``step_*`` call), never
+to the operator; a run therefore factorizes again only when the energy
+guard halves dt or S climbs a rung.  Newton's Jacobian is the same matrix
+with the full energy Hessian in place of K_lin + S M_bulk.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,6 +86,8 @@ class TrajectoryRecord:
     x_dist_to_ref: list | None = None
     v_dist_to_ref: list | None = None
     snapshots: list = field(default_factory=list)
+    factorizations: int = 0  # step-system factorizations made by the run (splu calls)
+    shifts: list = field(default_factory=list)  # distinct S rungs, in order
     aborted: bool = False
     abort_reason: str = ""
 
@@ -87,43 +95,88 @@ class TrajectoryRecord:
         return self.snapshots[-1][1] if self.snapshots else None
 
 
+# the automatic shift is rounded up onto the rungs 2^(k / RUNGS_PER_OCTAVE)
+RUNGS_PER_OCTAVE = 4
+# sample nodes on [0, 1] for the sampled max |f'|
+_SAMPLE_NODES = np.linspace(0.0, 1.0, 257)
+
+
+def _rung_above(bound):
+    """The lowest rung 2^(k/4) that is >= bound; 0 and non-finite pass through."""
+    if not 0.0 < bound < np.inf:
+        return bound
+    n = RUNGS_PER_OCTAVE
+    k = math.ceil(n * math.log2(bound))
+    # log2 rounds: step to the lowest rung that is not below the bound
+    while 2.0 ** (k / n) < bound:
+        k += 1
+    while 2.0 ** ((k - 1) / n) >= bound:
+        k -= 1
+    return 2.0 ** (k / n)
+
+
 def auto_stabilization(pot, lo, hi):
-    """Sampled max |f'| over [lo, hi]; the sufficient shift for decay."""
+    """Sampled max |f'| over [lo, hi], rounded up onto the ladder 2^(k/4).
+
+    The sampled bound is the sufficient shift for decay; the returned rung is
+    at least that bound and at most 2^(1/4) times it (0 stays 0), so the
+    shift of a run changes only when its state range crosses a rung.
+    """
     if not np.isfinite(lo) or not np.isfinite(hi):
         raise ValueError("state range is not finite")
-    s = np.linspace(lo - 1e-12, hi + 1e-12, 257)
-    return float(np.max(np.abs(pot.f_prime(s))))
+    lo, hi = lo - 1e-12, hi + 1e-12
+    s = lo + (hi - lo) * _SAMPLE_NODES
+    return _rung_above(float(np.max(np.abs(pot.f_prime(s)))))
 
 
-def _implicit_matrix(op, dt, B):
+def _shift(pot, cfg, lo, hi):
+    """The stabilization shift of a step over states in [lo, hi]; None for Newton."""
+    if cfg.scheme != "semi_implicit":
+        return None
+    if cfg.stabilization_S is not None:
+        return cfg.stabilization_S
+    return auto_stabilization(pot, lo, hi)
+
+
+class _StepFactors(dict):
+    """One run's semi-implicit factorizations keyed by (dt, S).
+
+    ``made`` counts every step-system factorization of the run, Newton's
+    Jacobians (one per iteration, never reused) included.
+    """
+
+    made = 0
+
+
+def _implicit_matrix(op, dt, B, factors):
     """W + dt K_A W^-1 B, factorized: the linear system of one implicit step."""
     W = op.mass_weights
     M = sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
+    factors.made += 1
     return spla.splu(M.tocsc())
 
 
-def _semi_system(grid, op, dt, S):
-    cache = op._step_cache
-    key = (dt, S)
-    if key not in cache:
+def _semi_system(grid, op, dt, S, factors):
+    lu = factors.get((dt, S))
+    if lu is None:
+        # S only climbs the ladder during a run: lower rungs are not used again
+        for key in [key for key in factors if key[1] != S]:
+            del factors[key]
         forms = grid.forms
         B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
-        if len(cache) > 16:
-            for k in list(cache)[:-4]:
-                del cache[k]
-        cache[key] = _implicit_matrix(op, dt, B)
-    return cache[key]
+        lu = factors[(dt, S)] = _implicit_matrix(op, dt, B, factors)
+    return lu
 
 
-def _semi_step_once(grid, op, pot, u_vals, dt, S):
-    lu = _semi_system(grid, op, dt, S)
+def _semi_step_once(grid, op, pot, u_vals, dt, S, factors):
+    lu = _semi_system(grid, op, dt, S, factors)
     m_bulk = grid.forms.bulk_mass
     W = op.mass_weights
     lagged = S * (m_bulk * u_vals) - m_bulk * pot.f(u_vals)
     return lu.solve(W * u_vals + dt * (op.K_A @ (lagged / W)))
 
 
-def _newton_step_once(grid, op, pot, u_old, dt, cfg):
+def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
     W = op.mass_weights
     u = u_old.copy()
     for _ in range(cfg.newton_max_iter):
@@ -134,7 +187,7 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg):
             return u
         H = energy_hessian(grid, pot, u, op.alpha, op.beta)
         try:
-            delta = _implicit_matrix(op, dt, H).solve(-R)
+            delta = _implicit_matrix(op, dt, H, factors).solve(-R)
         except RuntimeError as exc:
             raise NewtonSingular(f"singular Jacobian in implicit step: {exc}")
         if not np.all(np.isfinite(delta)):
@@ -143,13 +196,13 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg):
     raise _RetryHalved  # no convergence at this dt
 
 
-def _advance(grid, op, pot, u_vals, dt, cfg, S, e_old):
+def _advance(grid, op, pot, u_vals, dt, cfg, S, e_old, factors):
     """Advance exactly dt, honoring the energy guard by recursive halving."""
     try:
         if cfg.scheme == "semi_implicit":
-            u_new = _semi_step_once(grid, op, pot, u_vals, dt, S)
+            u_new = _semi_step_once(grid, op, pot, u_vals, dt, S, factors)
         elif cfg.scheme == "newton":
-            u_new = _newton_step_once(grid, op, pot, u_vals, dt, cfg)
+            u_new = _newton_step_once(grid, op, pot, u_vals, dt, cfg, factors)
         else:
             raise ValueError(f"unknown scheme {cfg.scheme!r}")
     except _RetryHalved:
@@ -164,39 +217,28 @@ def _advance(grid, op, pot, u_vals, dt, cfg, S, e_old):
             f"energy guard exhausted: retry step {dt / 2.0:.3e} fell below "
             f"dt_min={cfg.dt_min:.3e}"
         )
-    u_half, e_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, e_old)
-    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, e_half)
+    u_half, e_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, e_old, factors)
+    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, e_half, factors)
 
 
-def _prepare_S(pot, cfg, u_vals):
-    if cfg.stabilization_S is not None:
-        return cfg.stabilization_S
-    return auto_stabilization(pot, float(np.min(u_vals)), float(np.max(u_vals)))
+def _step(grid, op, pot, u_n, cfg, scheme):
+    """One energy-guarded step of length cfg.dt with its own factorizations."""
+    cfg = replace(cfg, scheme=scheme)
+    vals = _as_values(u_n)
+    S = _shift(pot, cfg, float(np.min(vals)), float(np.max(vals)))
+    e_old = energy_value(grid, pot, vals, op.alpha, op.beta)
+    out, _ = _advance(grid, op, pot, vals, cfg.dt, cfg, S, e_old, _StepFactors())
+    return PairField(grid, out)
 
 
 def step_semi_implicit(grid, op, pot, u_n, cfg):
     """One energy-guarded stabilized semi-implicit step of length cfg.dt."""
-    vals = _as_values(u_n)
-    S = _prepare_S(pot, cfg, vals)
-    e_old = energy_value(grid, pot, vals, op.alpha, op.beta)
-    cfg_semi = cfg if cfg.scheme == "semi_implicit" else _with_scheme(cfg, "semi_implicit")
-    out, _ = _advance(grid, op, pot, vals, cfg.dt, cfg_semi, S, e_old)
-    return PairField(grid, out)
+    return _step(grid, op, pot, u_n, cfg, "semi_implicit")
 
 
 def step_newton(grid, op, pot, u_n, cfg):
     """One energy-guarded fully implicit step of length cfg.dt."""
-    vals = _as_values(u_n)
-    e_old = energy_value(grid, pot, vals, op.alpha, op.beta)
-    cfg_newton = cfg if cfg.scheme == "newton" else _with_scheme(cfg, "newton")
-    out, _ = _advance(grid, op, pot, vals, cfg.dt, cfg_newton, 0.0, e_old)
-    return PairField(grid, out)
-
-
-def _with_scheme(cfg, scheme):
-    from dataclasses import replace
-
-    return replace(cfg, scheme=scheme)
+    return _step(grid, op, pot, u_n, cfg, "newton")
 
 
 def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
@@ -240,6 +282,7 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
     step_idx = 0
     eps_t = 1e-6 * cfg.dt  # sub-resolution remainders are time-grid residue
     e = energy_value(grid, pot, u, op.alpha, op.beta)
+    factors = _StepFactors()
     try:
         while t < t_end - eps_t:
             # a remainder that differs from dt only by the rounding of the
@@ -248,12 +291,10 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
             dt = cfg.dt if remainder > cfg.dt - eps_t else remainder
             lo = min(lo, float(np.min(u)))
             hi = max(hi, float(np.max(u)))
-            S = cfg.stabilization_S
-            if S is None and cfg.scheme == "semi_implicit":
-                S = auto_stabilization(pot, lo, hi)
-            elif S is None:
-                S = 0.0
-            u, e = _advance(grid, op, pot, u, dt, cfg, S, e)
+            S = _shift(pot, cfg, lo, hi)
+            if S is not None and rec.shifts[-1:] != [S]:
+                rec.shifts.append(S)
+            u, e = _advance(grid, op, pot, u, dt, cfg, S, e, factors)
             t += dt
             step_idx += 1
             if step_idx % cfg.series_stride == 0 or t >= t_end - eps_t:
@@ -267,11 +308,13 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
             if cfg.snapshot_stride and step_idx % cfg.snapshot_stride == 0:
                 rec.snapshots.append((t, PairField(grid, u.copy())))
     except (GuardAbort, NewtonSingular) as exc:
+        rec.factorizations = factors.made
         rec.aborted = True
         rec.abort_reason = str(exc)
         rec.snapshots.append((t, PairField(grid, u.copy())))
         raise EvolutionAbort(str(exc), rec, PairField(grid, u.copy()))
 
+    rec.factorizations = factors.made
     if not rec.snapshots or rec.snapshots[-1][0] < t - 1e-15:
         rec.snapshots.append((t, PairField(grid, u.copy())))
     return rec

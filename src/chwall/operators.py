@@ -39,9 +39,11 @@ class WentzellOperator:
     (steppers, solvers) get the full constant set from one object.  All
     four default to 1, the normalization used everywhere in practice.
 
-    Immutable after assembly; concurrent read-only solves against the
-    cached factorization are permitted (contract -- callers must not
-    mutate the operator).
+    Immutable after assembly: it caches only its own factorization of K_A
+    and lambda_min, and concurrent read-only solves against that
+    factorization are permitted (contract -- callers must not mutate the
+    operator).  The time steppers' factorizations of their step matrices
+    belong to each run, not to the operator.
     """
 
     def __init__(self, grid, b=1.0, c=1.0, alpha=1.0, beta=1.0):
@@ -58,7 +60,6 @@ class WentzellOperator:
         self.mass_weights = grid.h_weights(b)
         self._lu = None
         self._lambda_min = None
-        self._step_cache = {}
         if os.environ.get("CHWALL_DEBUG"):
             lam = self.lambda_min()
             if lam <= 0:

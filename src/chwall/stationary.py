@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import minimize as _lbfgs
 
 from .energy import (
     energy_gradient_raw,
@@ -89,6 +88,9 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
     iterate has energy no greater than the previous one, so
     E(result) <= E(u_init) always.
     """
+    # scipy.optimize costs a quarter second to import; only this solver needs it
+    from scipy.optimize import minimize
+
     x = _as_values(u_init).copy()
 
     def fun(v):
@@ -113,7 +115,7 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
                 break
             x = kicked
             escapes += 1
-        res = _lbfgs(
+        res = minimize(
             fun, x, jac=jac, method="L-BFGS-B",
             options={"maxiter": chunk, "ftol": 1e-300, "gtol": 1e-300},
         )

@@ -82,6 +82,39 @@ def test_config_rejects_negative_constant(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("dt = 1e-3", "dt = nan"),
+    ("t_end = 0.02", "t_end = inf"),
+    ("t_end = 0.02", "t_end = 0.02\ndt_min = nan"),
+    ("Lx = 1.0", "Lx = nan"),
+    ("Ly = 1.0", "Ly = inf"),
+    ("b = 1.0", "b = nan"),
+    ("c = 1.0", "c = inf"),
+    ("alpha = 1.0", "alpha = nan"),
+    ("beta = 1.0", "beta = -inf"),
+])
+def test_config_rejects_non_finite(tmp_path, line, bad):
+    text = BASE_CONFIG.format(out=tmp_path).replace(line, bad, 1)
+    with pytest.raises(ConfigError, match=f"{bad.splitlines()[-1]}: must be finite"):
+        parse_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+def test_config_rejects_bad_stabilization(tmp_path, value):
+    text = BASE_CONFIG.format(out=tmp_path).replace(
+        "t_end = 0.02", f"t_end = 0.02\nstabilization_S = {value}"
+    )
+    with pytest.raises(ConfigError, match="stabilization_S"):
+        parse_config(write_config(tmp_path, text))
+
+
+def test_cli_rejects_non_finite_dt(tmp_path, capsys):
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace("dt = 1e-3", "dt = nan")
+    assert main(["simulate", write_config(tmp_path, text)]) == 2
+    assert "stepper.dt" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_rejects_unknown_key(tmp_path):
     path = write_config(
         tmp_path, BASE_CONFIG.format(out=tmp_path) + "\n[grid2]\nzz = 1\n"
@@ -130,6 +163,9 @@ def test_cli_simulate_artifacts_and_manifest(tmp_path):
         h = hashlib.sha256((out / rel).read_bytes()).hexdigest()
         assert h == digest
     assert manifest["aborted"] is False
+    # a cosine run with automatic S stays on one shift rung: one factorization
+    assert manifest["factorizations"] == 1
+    assert len(manifest["shifts"]) == 1
     assert (out / "energy.svg").exists()
     assert len(list((out / "snapshots").glob("*.csv"))) >= 2
 

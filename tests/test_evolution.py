@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chwall as cw
 from chwall.energy import chemical_potential, dissipation, energy_value
@@ -266,6 +270,96 @@ def test_auto_stabilization_covers_range(pot):
     S = auto_stabilization(pot, -1.5, 2.0)
     s = np.linspace(-1.5, 2.0, 1001)
     assert S >= np.max(np.abs(pot.f_prime(s))) - 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(0.0, 10.0),
+    wider=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+)
+def test_auto_stabilization_ladder(pot, lo, width, wider):
+    hi = lo + width
+    S = auto_stabilization(pot, lo, hi)
+    bound = float(np.max(np.abs(pot.f_prime(np.linspace(lo - 1e-12, hi + 1e-12, 257)))))
+    assert bound * (1 - 1e-12) <= S <= 2.0 ** 0.25 * bound * (1 + 1e-12)
+    k = round(4 * math.log2(S))
+    assert S == 2.0 ** (k / 4)
+    # widening the state range never lowers the shift
+    assert auto_stabilization(pot, lo - wider[0], hi + wider[1]) >= S
+
+
+@given(k=st.integers(-400, 400), rel=st.floats(0.0, 1.0))
+def test_rung_above_rounds_up_within_one_rung(k, rel):
+    from chwall.evolution import _rung_above
+
+    rung = 2.0 ** (k / 4)
+    assert _rung_above(rung) == rung  # a bound on a rung stays there
+    bound = rung * 2.0 ** (rel / 4)
+    S = _rung_above(bound)
+    assert bound <= S <= 2.0 ** 0.25 * bound * (1 + 1e-15)
+    assert _rung_above(0.0) == 0.0
+
+
+def test_automatic_shift_stays_on_few_rungs(pot, monkeypatch):
+    # phase separation widens the state range every step; the shift ladder
+    # keeps the factorizations to one per rung instead of one per step
+    import scipy.sparse.linalg as spla
+
+    from chwall.cli import make_initial
+    from chwall.config import RunConfig
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=16, ny=16)
+    op = cw.assemble_wentzell(g)
+    u0 = make_initial(g, RunConfig(initial_kind="random_fourier",
+                                   initial_amplitude=0.05, seed=3))
+    cfg = StepperConfig(dt=1e-2, series_stride=10 ** 6)
+    rec = evolve(g, op, pot, u0, cfg, 3000 * cfg.dt)
+    assert np.ptp(rec.final_state().values) > 10 * np.ptp(u0.values)
+    assert len(calls) <= 6
+    assert rec.factorizations == len(calls)
+    assert rec.shifts == sorted(set(rec.shifts))
+    assert len(rec.shifts) <= len(calls)
+
+
+def test_evolve_leaves_no_step_cache_on_operator(problem):
+    g, op, pot = problem
+    before = dict(vars(op))
+    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    evolve(g, op, pot, u0, StepperConfig(dt=1e-3), 0.01)
+    step_semi_implicit(g, op, pot, u0, StepperConfig(dt=1e-3))
+    assert not hasattr(op, "_step_cache")
+    assert vars(op).keys() == before.keys()
+    assert all(vars(op)[k] is v for k, v in before.items())
+
+
+def test_guard_halving_records_its_factorizations(pot, monkeypatch):
+    # an unstabilized step far too long for its state is rejected and redone
+    # in halves; each new dt costs one factorization, and the record says so
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
+    op = cw.assemble_wentzell(g)
+    u0 = PairField(g, 2.0 * np.random.default_rng(1).standard_normal(g.n_nodes))
+    runs = {}
+    for guard in (False, True):
+        calls.clear()
+        cfg = StepperConfig(dt=0.1, stabilization_S=0.0, energy_guard=guard,
+                            series_stride=10 ** 6)
+        rec = evolve(g, op, pot, u0, cfg, cfg.dt)
+        assert rec.factorizations == len(calls)
+        assert rec.shifts == [0.0]
+        runs[guard] = rec
+    assert runs[False].factorizations == 1
+    assert runs[False].reports[-1].e_total > runs[False].reports[0].e_total
+    assert runs[True].factorizations > 1
+    assert runs[True].reports[-1].e_total < runs[True].reports[0].e_total
 
 
 def test_last_step_reuses_factorization(pot, monkeypatch):

@@ -166,3 +166,18 @@ def test_equilibrium_files_roundtrip(tmp_path, small_strip, pot):
     assert meta["method"] == "newton_only"
     assert float(meta["energy"]) == pytest.approx(sol.energy)
     assert meta["converged"] == "1"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the energy minimizer needs scipy.optimize, which is slow to import
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, chwall.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
