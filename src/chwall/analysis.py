@@ -17,15 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import energy_hessian, energy_value, stationary_residual
 from .grid import PairField, _as_values
 from .operators import v_norm
-
-DENSE_EIG_LIMIT = 4096
 
 
 @dataclass
@@ -53,14 +50,6 @@ class LinearizedOperator:
             coeffs = self.augmentation @ (self.h_weights * vals)
             out = out + self.augmentation.T @ coeffs
         return PairField(self.grid, out)
-
-    def as_matrix(self):
-        """The operator as applied (W^-1 K, plus any projector), sparse."""
-        mat = (sp.diags(1.0 / self.h_weights) @ self.K).tocsr()
-        if self.augmentation is not None and self.augmentation.shape[0]:
-            u = self.augmentation.T * self.h_weights[:, None]
-            mat = mat + sp.csr_matrix(self.augmentation.T @ u.T)
-        return mat
 
     def symmetry_residual(self):
         diff = (self.K - self.K.T).tocoo()
@@ -98,10 +87,13 @@ def assemble_linearized(grid, pot, psi, v=None, alpha=1.0, beta=1.0,
 class SpectralReport:
     """Smallest part of the spectrum in the weighted inner product.
 
-    kernel_basis rows are H-orthonormal fields spanning the numerical
-    kernel; eigenvalues are ascending.  For dense solves (dimension at
-    most 4096) the counts refer to the full spectrum, otherwise to the
-    computed window.
+    eigenvalues (ascending) is the union of the k smallest-algebraic and
+    the k smallest-magnitude eigenvalues.  n_negative and kernel_dim count
+    the full spectrum at every size: eigenvalues below -tol, and those
+    within tol of zero, where tol = kernel_tol * max_abs_eig is relative
+    to max|lambda|.  kernel_basis rows are H-orthonormal fields spanning
+    the numerical kernel.  For a projector-augmented operator the report
+    is derived from the bare one (see spectrum).
     """
 
     eigenvalues: np.ndarray
@@ -110,72 +102,134 @@ class SpectralReport:
     n_negative: int
     max_abs_eig: float
     kernel_tol: float
-    dense: bool
+
+
+def weighted_symmetric(K, w):
+    """(W^-1/2 K W^-1/2, W^-1/2): the H-symmetric form of the pencil (K, W)."""
+    rw = 1.0 / np.sqrt(w)
+    return (sp.diags(rw) @ K @ sp.diags(rw)).tocsr(), rw
+
+
+def _start_vector(n):
+    """Fixed generic Lanczos start vector, so reruns are bit-identical.
+
+    Not ones: at an x-invariant state ones is orthogonal to every mode
+    with x-dependence (both copies of each double +-k Fourier eigenvalue,
+    the checkerboard modes at the top), which Lanczos then reaches only
+    through rounding, if at all.
+    """
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def lowest_eigenpairs(At, k):
+    """The k lowest eigenpairs of the sparse symmetric At, ascending.
+
+    Shift-invert Lanczos (ARPACK) about a shift strictly below the
+    Gershgorin floor: At - sigma I is positive definite and the lowest
+    eigenvalues are the largest of its inverse.
+    """
+    d = At.diagonal()
+    radius = np.asarray(abs(At).sum(axis=1)).ravel() - np.abs(d)
+    floor, top = float(np.min(d - radius)), float(np.max(d + radius))
+    sigma = floor - 1e-3 * (top - floor)
+    lam, vec = spla.eigsh(At, k=k, sigma=sigma, which="LM",
+                          v0=_start_vector(At.shape[0]))
+    order = np.argsort(lam, kind="stable")
+    return lam[order], vec[:, order]
+
+
+def count_below(At, s):
+    """Number of eigenvalues of the sparse symmetric At below s.
+
+    Sylvester's law of inertia: the signs of the pivots of a symmetric
+    LDL^T factorization of At - s I.  SuperLU in symmetric mode without
+    pivoting gives P (At - s I) P^T = L U with U = D L^T; a factorization
+    that left the diagonal (perm_r != perm_c) has no such reading and
+    raises.
+    """
+    lu = spla.splu((At - s * sp.identity(At.shape[0])).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError(f"inertia of At - {s:.3e} I: the factorization pivoted")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _reported(lam, k):
+    """Union, by index, of the k smallest-algebraic and k smallest-magnitude."""
+    keep = np.union1d(np.arange(k), np.argsort(np.abs(lam), kind="stable")[:k])
+    return np.sort(lam[keep])
 
 
 def spectrum(linop, k=6, kernel_tol=1e-8):
-    """Lowest eigenpairs of the pencil (K, W).
+    """Lowest part of the spectrum of the pencil (K, W), at any size.
 
-    Dense path (dimension <= 4096): full spectrum, reported eigenvalues are
-    the union of the k smallest-algebraic and k smallest-magnitude ones.
-    Sparse path: shift-invert iterations; reports the k smallest-algebraic
-    eigenvalues, with the near-zero window probed separately for the
-    kernel.  Deterministic start vectors in both cases.
+    A plain Lanczos run gives lambda_max and a shift-invert run the k
+    lowest eigenpairs; max_abs_eig = max(lambda_max, -lambda_min) and
+    tol = kernel_tol * max_abs_eig.  n_negative and kernel_dim come from
+    the inertia of At + tol I and At - tol I, never from a window.  When
+    n_negative + max(k, kernel_dim) exceeds k, one more shift-invert run
+    widens the window to that size; the reported eigenvalues and the
+    kernel basis come from the window, and a window whose counts disagree
+    with the inertia raises RuntimeError.
+
+    A projector-augmented operator (kernel basis rows B, H-orthonormal)
+    acts as the bare one plus B^T B W, so its spectrum is the bare
+    spectrum with each kernel eigenvalue replaced by 1.  Its report is
+    derived from the bare one, whose window is widened by rank B; the
+    projector must span the bare kernel.
     """
     n = linop.grid.n_nodes
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
     w = linop.h_weights
-    rw = 1.0 / np.sqrt(w)
-    At = (sp.diags(rw) @ linop.K @ sp.diags(rw)).tocsr()
-    if linop.augmentation is not None and linop.augmentation.shape[0]:
-        if n > DENSE_EIG_LIMIT:
-            raise NotImplementedError(
-                "spectrum of the projector-augmented operator needs the "
-                f"dense path (dimension {n} > {DENSE_EIG_LIMIT})"
-            )
-        B = linop.augmentation * np.sqrt(w)[None, :]
-        At = sp.csr_matrix(At.toarray() + B.T @ B)
-    if n <= DENSE_EIG_LIMIT:
-        lam, vec = la.eigh(At.toarray())
-        max_abs = float(np.max(np.abs(lam)))
-        tol_abs = kernel_tol * max_abs
-        kernel_mask = np.abs(lam) <= tol_abs
-        n_negative = int(np.sum(lam < -tol_abs))
-        order = np.argsort(np.abs(lam))
-        keep = np.unique(np.concatenate([np.arange(min(k, n)), order[: min(k, n)]]))
-        eigs = np.sort(lam[keep])
-        basis = (rw[None, :] * vec[:, kernel_mask].T).copy()
-        dense = True
-    else:
-        max_abs = float(np.abs(At).sum(axis=1).max())  # Gershgorin bound
-        tol_abs = kernel_tol * max_abs
-        sigma_lo = float(At.diagonal().min()) - max_abs
-        lam_sa, _ = spla.eigsh(At, k=k, sigma=sigma_lo, which="LM",
-                               v0=np.ones(n))
-        # shift slightly off zero so the factorization cannot hit an exact
-        # kernel; eigenvalues nearest the shift are still those nearest zero
-        lam_lm, vec_lm = spla.eigsh(At, k=k, sigma=-10.0 * tol_abs, which="LM",
-                                    v0=np.ones(n))
-        # kernel vectors come from the shift-invert-near-zero set only; the
-        # smallest-algebraic set would duplicate them up to solver noise
-        kernel_mask = np.abs(lam_lm) <= tol_abs
-        basis = (rw[None, :] * vec_lm[:, kernel_mask].T).copy()
-        eigs = np.sort(lam_sa)
-        n_negative = int(np.sum(eigs < -tol_abs))
-        dense = False
-    if basis.shape[0] > 1:
+    At, rw = weighted_symmetric(linop.K, w)
+    aug = linop.augmentation
+    n_aug = 0 if aug is None else aug.shape[0]
+    lam_top, vec_top = spla.eigsh(At, k=1, which="LA", v0=_start_vector(n))
+    lam, vec = lowest_eigenpairs(At, min(k, n - 1))
+    max_abs = max(float(lam_top[0]), -float(lam[0]))
+    tol = kernel_tol * max_abs
+    n_negative = count_below(At, -tol)
+    kernel_dim = count_below(At, tol) - n_negative
+    window = n_negative + max(k, kernel_dim) + n_aug
+    if window > lam.size:
+        lam, vec = lowest_eigenpairs(At, min(window, n - 1))
+        if window >= n:  # ARPACK stops one short of the whole spectrum
+            lam = np.append(lam, lam_top)
+            vec = np.hstack([vec, vec_top])
+    neg = lam < -tol
+    ker = np.abs(lam) <= tol
+    if np.count_nonzero(neg) != n_negative or np.count_nonzero(ker) != kernel_dim:
+        raise RuntimeError(
+            f"Lanczos window ({np.count_nonzero(neg)} negative, "
+            f"{np.count_nonzero(ker)} kernel) disagrees with the inertia "
+            f"({n_negative} negative, {kernel_dim} kernel)"
+        )
+    basis = (rw[None, :] * vec[:, ker].T).copy()
+    if kernel_dim > 1:
         # multiple kernel vectors: enforce H-orthonormality exactly
         q, _ = np.linalg.qr((np.sqrt(w)[None, :] * basis).T)
         basis = (q.T * rw[None, :]).copy()
+    if n_aug:
+        overlap = aug @ (w[:, None] * basis.T)
+        if n_aug != kernel_dim or not np.allclose(overlap @ overlap.T,
+                                                  np.eye(n_aug), atol=1e-6):
+            raise ValueError("the projector does not span the kernel of the "
+                             "bare operator at this kernel_tol")
+        lam = np.sort(np.append(lam[~ker], np.ones(kernel_dim)))
+        max_abs = max(max_abs, 1.0)
+        if np.any(np.abs(lam) <= kernel_tol * max_abs):
+            raise RuntimeError("the lifted spectrum has eigenvalues within the "
+                               "rescaled kernel tolerance")
+        kernel_dim, basis = 0, np.zeros((0, n))
     return SpectralReport(
-        eigenvalues=np.asarray(eigs, dtype=float),
-        kernel_dim=int(basis.shape[0]),
+        eigenvalues=_reported(lam, k),
+        kernel_dim=kernel_dim,
         kernel_basis=basis,
         n_negative=n_negative,
         max_abs_eig=max_abs,
         kernel_tol=kernel_tol,
-        dense=dense,
     )
 
 
@@ -360,9 +414,11 @@ class RateReport:
     bound_required_q: float
     bound_ok: bool
     monotone_ok: bool
+    theta_source: str  # "fitted" (probe), "fallback" (probe inconclusive) or "given"
 
 
-def rate_fit(traj, theta, fit_tol=0.1, monotone_tol=1e-6, t_min=None):
+def rate_fit(traj, theta, fit_tol=0.1, monotone_tol=1e-6, t_min=None,
+             theta_source="given"):
     """Fit algebraic C(1+t)^-q and exponential C e^(-gamma t) decay models.
 
     The selected model is the one with smaller RMS residual in log space
@@ -411,4 +467,5 @@ def rate_fit(traj, theta, fit_tol=0.1, monotone_tol=1e-6, t_min=None):
         bound_required_q=required,
         bound_ok=bool(bound_ok),
         monotone_ok=monotone_ok,
+        theta_source=theta_source,
     )

@@ -342,9 +342,14 @@ def cmd_analyze(run_dir, psi_prefix):
             fh.write(f"{t:.17g},{gap:.17g},{lhs:.17g}\n")
     warn = False
     if probe.insufficient:
-        print(f"warning: exponent probe inconclusive: {probe.note}", file=sys.stderr)
+        # the bound check still needs some exponent; the fallback only
+        # affects the reported required q, never the fitted rates
+        theta, theta_source = 0.25, "fallback"
+        print(f"warning: exponent probe inconclusive: {probe.note}; the rate "
+              f"bound uses the fallback theta = {theta}", file=sys.stderr)
         warn = True
     else:
+        theta, theta_source = probe.fitted_theta, "fitted"
         gaps = [s[1] for s in probe.samples]
         lhss = [s[2] for s in probe.samples]
         svgplot.scatter_plot(
@@ -368,12 +373,10 @@ def cmd_analyze(run_dir, psi_prefix):
             rate_rec = None
     else:
         rate_rec = rec
-    # without a usable probe the bound check still needs some exponent;
-    # 0.25 only affects the reported required q, never the fitted rates
-    theta = probe.fitted_theta if not probe.insufficient else 0.25
     try:
         rrep = rate_fit(rate_rec, theta, fit_tol=cfg.fit_tol,
-                        t_min=cfg.rate_fit_t_min) if rate_rec else None
+                        t_min=cfg.rate_fit_t_min,
+                        theta_source=theta_source) if rate_rec else None
     except ValueError as exc:
         print(f"warning: rate fit skipped: {exc}", file=sys.stderr)
         rrep = None

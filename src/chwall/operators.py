@@ -175,11 +175,3 @@ def norm_report(op, u):
         x_norm=x_norm(op, u),
         h1_equiv_norm=h1_equiv_norm(g, u),
     )
-
-
-def self_adjointness_residual(op):
-    """Relative asymmetry of W*A; zero to rounding by construction."""
-    K = op.K_A
-    diff = (K - K.T).tocoo()
-    num = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-    return num / np.max(np.abs(K.data))

@@ -12,9 +12,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .analysis import (
+    assemble_linearized,
+    lowest_eigenpairs,
+    spectrum,
+    weighted_symmetric,
+)
 from .energy import (
     energy_gradient_raw,
     energy_hessian,
@@ -61,22 +66,12 @@ def _mu_h_norm(grid, g_raw):
 
 def _most_negative_direction(grid, pot, vals, alpha, beta):
     """Smallest eigenpair of the energy Hessian in the weighted metric."""
-    K = energy_hessian(grid, pot, vals, alpha, beta)
     w = grid.h_weights(1.0)
-    rw = 1.0 / np.sqrt(w)
-    A_t = sp.diags(rw) @ K @ sp.diags(rw)
-    n = grid.n_nodes
-    if n <= 4096:
-        import scipy.linalg as la
-
-        lam, vec = la.eigh(A_t.toarray(), subset_by_index=[0, 0])
-        lam0, v0 = float(lam[0]), vec[:, 0]
-    else:
-        lam, vec = spla.eigsh(A_t, k=1, which="SA", v0=np.ones(n))
-        lam0, v0 = float(lam[0]), vec[:, 0]
-    phi = rw * v0
+    A_t, rw = weighted_symmetric(energy_hessian(grid, pot, vals, alpha, beta), w)
+    lam, vec = lowest_eigenpairs(A_t, 1)
+    phi = rw * vec[:, 0]
     phi /= np.sqrt(float(np.sum(w * phi * phi)))
-    return lam0, phi
+    return float(lam[0]), phi
 
 
 def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
@@ -204,8 +199,6 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
 
 
 def _numerical_kernel_dim(grid, pot, vals, alpha, beta):
-    from .analysis import assemble_linearized, spectrum
-
     linop = assemble_linearized(
         grid, pot, PairField(grid, vals), None, alpha=alpha, beta=beta
     )

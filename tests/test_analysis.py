@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import chwall as cw
 from chwall.analysis import (
@@ -16,7 +19,7 @@ from chwall.analysis import (
 )
 from chwall.evolution import StepperConfig, TrajectoryRecord, evolve
 from chwall.grid import PairField
-from chwall.stationary import newton_refine
+from chwall.stationary import _most_negative_direction, newton_refine
 
 from conftest import dense_form_matrices
 
@@ -92,31 +95,123 @@ def test_saddle_detected_on_tall_strip(pot):
     assert rep.eigenvalues[0] < 0 and rep.n_negative >= 1
 
 
-def test_spectrum_sparse_path_matches_dense(grid12, pot, monkeypatch):
+def _dense_report(linop, k, kernel_tol=1e-8):
+    """Full dense spectrum of (K, W): the oracle for the sparse path."""
+    At = (sp.diags(1.0 / np.sqrt(linop.h_weights)) @ linop.K
+          @ sp.diags(1.0 / np.sqrt(linop.h_weights))).toarray()
+    lam = la.eigvalsh(At)
+    max_abs = float(np.max(np.abs(lam)))
+    tol = kernel_tol * max_abs
+    keep = np.union1d(np.arange(k), np.argsort(np.abs(lam), kind="stable")[:k])
+    return (np.sort(lam[keep]), int(np.sum(lam < -tol)),
+            int(np.sum(np.abs(lam) <= tol)), max_abs)
+
+
+def _assert_matches_dense(rep, linop, k):
+    eigs, n_negative, kernel_dim, max_abs = _dense_report(linop, k)
+    assert rep.n_negative == n_negative
+    assert rep.kernel_dim == kernel_dim
+    assert rep.max_abs_eig == pytest.approx(max_abs, rel=1e-10)
+    assert rep.eigenvalues.shape == eigs.shape
+    assert np.max(np.abs(rep.eigenvalues - eigs)) <= 1e-8 * max_abs
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    nx=st.integers(6, 24),
+    ny=st.integers(6, 24),
+    L=st.sampled_from([1.0, 8.0, 20.0]),
+    alpha=st.floats(0.0, 3.0),
+    beta=st.floats(0.0, 3.0),
+    amplitude=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 6),
+)
+# x-invariant state with a double eigenvalue at the edge of the window
+@example(nx=10, ny=17, L=1.0, alpha=1.25, beta=2.0, amplitude=0.0, seed=0, k=6)
+def test_spectrum_matches_dense_oracle_on_random_strips(nx, ny, L, alpha, beta,
+                                                        amplitude, seed, k):
+    g = cw.build_grid("strip2d", Lx=L, Ly=L, nx=nx, ny=ny)
+    u = amplitude * np.random.default_rng(seed).standard_normal(g.n_nodes)
+    linop = assemble_linearized(g, cw.double_well(), PairField(g, u), None,
+                                alpha=alpha, beta=beta)
+    _assert_matches_dense(spectrum(linop, k=k), linop, k)
+
+
+def test_spectrum_counts_saddle_beyond_k(pot):
+    # 33 negative eigenvalues, far more than k; the +-k Fourier modes are
+    # genuinely double, and both copies must be reported
+    g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=24, ny=24)
+    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
+    rep = spectrum(linop, k=6)
+    assert rep.n_negative == 33
+    _assert_matches_dense(rep, linop, 6)
+    gaps = np.diff(rep.eigenvalues)
+    assert np.any(gaps <= 1e-10 * rep.max_abs_eig)
+
+
+def test_spectrum_on_tiny_interval_covers_whole_spectrum(pot):
+    # k equals the dimension, one more than a Lanczos run can deliver
+    g = cw.build_grid("interval1d", Ly=1.0, ny=4)
+    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
+    rep = spectrum(linop, k=4)
+    assert rep.eigenvalues.size == 4
+    _assert_matches_dense(rep, linop, 4)
+
+
+def test_augmented_spectrum_beyond_old_dense_size(pot):
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=72, ny=72)
+    assert g.n_nodes > 4096
+    forms = g.forms
+    K0 = (forms.k_grad + forms.k_par + sp.diags(forms.bdry_mass)).tocsc()
+    # largest mu of M_bulk phi = mu K0 phi is 1/nu1, K0 positive definite
+    mu, _ = spla.eigsh(sp.diags(forms.bulk_mass).tocsc(), k=1, M=K0, which="LA",
+                       v0=np.ones(g.n_nodes))
+    tuned = cw.polynomial_potential([1.0, 0.0, -1.0 / mu[0], 0.0])
+    bare = spectrum(assemble_linearized(g, tuned, PairField.zeros(g), None), k=6)
+    assert bare.kernel_dim == 1
+    aug = assemble_linearized(g, tuned, PairField.zeros(g), None,
+                              augment_kernel=True)
+    rep = spectrum(aug, k=6)
+    assert rep.kernel_dim == 0
+    assert np.min(np.abs(rep.eigenvalues)) == 1.0
+
+
+def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(la, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    g, _, linop, _ = kernel_problem
+    assert spectrum(linop, k=6).kernel_dim == 1
+    tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
+    lam0, _ = _most_negative_direction(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0)
+    assert lam0 < 0
+
+
+def test_most_negative_direction_matches_dense(pot):
+    g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
+    lam0, phi = _most_negative_direction(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
+    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
+    w = g.h_weights()
+    rw = 1.0 / np.sqrt(w)
+    lam, vec = la.eigh((sp.diags(rw) @ linop.K @ sp.diags(rw)).toarray())
+    assert abs(lam0 - lam[0]) <= 1e-10 * abs(lam[0])
+    ref = rw * vec[:, 0]
+    ref /= np.sqrt(np.sum(w * ref * ref))
+    assert min(np.max(np.abs(phi - ref)), np.max(np.abs(phi + ref))) <= 1e-8
+
+
+def test_spectrum_raises_when_window_disagrees_with_inertia(grid12, pot,
+                                                            monkeypatch):
     import chwall.analysis as an
 
     linop = assemble_linearized(grid12, pot, PairField.zeros(grid12), None)
-    dense = spectrum(linop, k=5)
-    monkeypatch.setattr(an, "DENSE_EIG_LIMIT", 100)
-    sparse_rep = an.spectrum(linop, k=5)
-    assert not sparse_rep.dense
-    scale = 1 + abs(dense.eigenvalues[0])
-    assert np.max(np.abs(sparse_rep.eigenvalues[:5] - dense.eigenvalues[:5])) <= 1e-8 * scale
-    assert sparse_rep.kernel_dim == 0
-
-
-def test_spectrum_sparse_path_detects_kernel(kernel_problem, monkeypatch):
-    import chwall.analysis as an
-
-    g, _, linop, _ = kernel_problem
-    monkeypatch.setattr(an, "DENSE_EIG_LIMIT", 100)
-    rep = an.spectrum(linop, k=6)
-    assert not rep.dense
-    assert rep.kernel_dim == 1
-    w = g.h_weights()
-    phi = rep.kernel_basis[0]
-    lphi = linop.apply(phi)
-    assert np.sqrt(np.sum(w * lphi.values ** 2)) <= 10 * rep.kernel_tol * rep.max_abs_eig
+    true_count = an.count_below
+    monkeypatch.setattr(an, "count_below", lambda At, s: true_count(At, s) + 1)
+    with pytest.raises(RuntimeError, match="inertia"):
+        spectrum(linop, k=5)
 
 
 def test_engineered_kernel_detected(kernel_problem):

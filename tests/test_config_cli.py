@@ -237,6 +237,30 @@ def test_cli_analyze_insufficient_is_warning_not_error(tmp_path, capsys):
     assert (sim_out / "analysis" / "spectral_report.txt").exists()
 
 
+def test_cli_analyze_reports_fallback_theta(tmp_path, capsys):
+    # a probe window too small to hold any sample leaves theta unfitted; the
+    # rate report must say that its bound used the fallback exponent
+    eq_out = tmp_path / "eq"
+    eq_text = BASE_CONFIG.format(out=eq_out).replace(
+        "kind = cosine", "kind = constant"
+    ).replace("mean = 0.05", "mean = 0.0")
+    assert main(["equilibrium", write_config(tmp_path, eq_text, "e.ini")]) == 0
+    sim_out = tmp_path / "sim"
+    sim_text = BASE_CONFIG.format(out=sim_out).replace(
+        "mean = 0.05", "mean = 0.0"
+    ).replace("dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 10.0") + (
+        f"\n[analysis]\nprobe_window = 1e-12\n"
+        f"\n[reference]\npsi_path = {eq_out / 'equilibrium'}\n"
+    )
+    assert main(["simulate", write_config(tmp_path, sim_text, "s.ini")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(sim_out), str(eq_out / "equilibrium")]) == 0
+    assert "fallback theta" in capsys.readouterr().err
+    rate = json.loads((sim_out / "analysis" / "rate_report.txt").read_text())
+    assert rate["theta_source"] == "fallback"
+    assert rate["theta"] == 0.25
+
+
 def test_cli_equilibrium_escapes_saddle_on_tall_strip(tmp_path):
     # zero start is a saddle on the 8x8 strip; the pipeline must not report it
     text = BASE_CONFIG.format(out=tmp_path / "eq8")

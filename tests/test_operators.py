@@ -211,7 +211,10 @@ def test_debug_mode_checks_positivity():
         "import chwall as cw; "
         "cw.assemble_wentzell(cw.build_grid('strip2d', Lx=1, Ly=1, nx=6, ny=6))"
     )
-    env = dict(os.environ, CHWALL_DEBUG="1")
+    # the child finds chwall where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(cw.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, CHWALL_DEBUG="1", PYTHONPATH=path)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
