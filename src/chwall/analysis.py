@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import energy_hessian, energy_value, stationary_residual
+from .energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
 from .grid import PairField, _as_values
 from .operators import v_norm
 
@@ -360,10 +360,11 @@ def ls_probe(grid, op, pot, traj, psi, window=0.5, min_samples=5,
         diff = _as_values(snap) - psi_vals
         if v_norm(grid, diff) > window:
             continue
-        gap = energy_value(grid, pot, snap, op.alpha, op.beta) - e_psi
+        e, g = energy_and_gradient(grid, pot, snap, op.alpha, op.beta)
+        gap = e - e_psi
         if gap <= gap_floor:
             continue
-        bulk, bdry = stationary_residual(grid, pot, snap, op.alpha, op.beta)
+        bulk, bdry = residual_norms(grid, g)
         lhs = bulk + bdry
         if lhs <= 0.0:
             continue

@@ -186,7 +186,7 @@ def cmd_simulate(config_path):
         snapdir = os.path.join(out, "snapshots")
         os.makedirs(snapdir, exist_ok=True)
         for i, (t, snap) in enumerate(rec.snapshots):
-            save_field(snap, os.path.join(snapdir, f"snap_{i:06d}_t{t:.6f}.csv"))
+            save_field(snap, os.path.join(snapdir, f"snap_{i:06d}_t{t!r}.csv"))
         if rec.snapshots:
             save_field(rec.snapshots[-1][1], os.path.join(out, "final_state.csv"))
         if cfg.plots:

@@ -159,7 +159,8 @@ def parse_config(path):
 _FINITE = {
     "grid": ("Lx", "Ly"),
     "constants": ("b", "c", "alpha", "beta"),
-    "stepper": ("dt", "t_end", "dt_min"),
+    "stepper": ("dt", "t_end", "dt_min", "newton_tol"),
+    "analysis": ("probe_window", "kernel_tol", "rate_fit_t_min", "fit_tol"),
 }
 
 
@@ -167,7 +168,7 @@ def validate_config(cfg):
     for section, names in _FINITE.items():
         for name in names:
             val = getattr(cfg, name)
-            if not math.isfinite(val):
+            if val is not None and not math.isfinite(val):
                 raise ConfigError(f"{section}.{name} = {val}: must be finite")
     S = cfg.stabilization_S
     if S is not None and not (math.isfinite(S) and S >= 0):

@@ -14,6 +14,7 @@ wall rows read b*(-alpha*Lap_par(u) + normal_flux(u) + beta*u) in their
 discrete form.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import PairField, _as_values
-from .operators import grad_form
 
 
 class PotentialKind(Enum):
@@ -131,12 +131,6 @@ def make_potential(kind, coeffs=None):
     return polynomial_potential(coeffs)
 
 
-def energy_lower_bound_constant(grid, pot):
-    """C_f = |bulk| * min F over the sampled band; E >= v_norm^2/2 + C_f."""
-    s = np.linspace(-pot.tail_hi, pot.tail_hi, 4001)
-    return grid.area * float(np.min(pot.F(s)))
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """One row of the run diagnostics ledger."""
@@ -165,57 +159,72 @@ class EnergyReport:
         return ",".join(f"{v:.17g}" for v in vals)
 
 
-def state_report(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
-    """(EnergyReport, chemical potential) for one state.
+def energy_and_gradient(grid, pot, u, alpha=1.0, beta=1.0):
+    """(E, g): the energy of a state and its Euclidean gradient.
 
-    The dissipation, flux and residual entries are derived from the
-    chemical potential of the same state, so a single call yields one
-    complete ledger row; the chemical potential is returned for reuse.
+    Both come from one product Ku = K_lin u: E = u.Ku/2 + sum w F(u) and
+    g = Ku + M_bulk f(u).  Every other energetic quantity of the state is
+    derived from this pair: mu = g/W, the residual norms, the flux and the
+    dissipation (``state_report``).
     """
     vals = _as_values(u)
-    e_bulk = 0.5 * grad_form(grid, vals, vals)
-    e_bulk += float(np.dot(grid.bulk_weights, pot.F(vals)))
+    forms = grid.forms
+    Ku = forms.k_lin(alpha, beta) @ vals
+    e = 0.5 * float(vals @ Ku) + float(np.dot(grid.bulk_weights, pot.F(vals)))
+    return e, Ku + forms.bulk_mass * pot.f(vals)
+
+
+def energy_value(grid, pot, u, alpha=1.0, beta=1.0):
+    """Just E(u)."""
+    return energy_and_gradient(grid, pot, u, alpha, beta)[0]
+
+
+def residual_norms(grid, g):
+    """(bulk, wall) L2 norms of the stationary residual, from the gradient g.
+
+    The bulk rows of mu = g/W and the wall rows of mu/b do not depend on b:
+    bulk^2 = sum g^2/w_bulk over the bulk nodes and wall^2 = sum g^2/w_wall
+    over the wall nodes.  At b = 1 they are the two parts of |mu|_H, which
+    is therefore hypot(bulk, wall).
+    """
+    r = g / grid.h_weights(1.0)
+    tr = r[grid.bdry_idx]
+    bulk = math.sqrt(float(np.dot(grid.bulk_weights, r * r)))
+    return bulk, math.sqrt(float(np.dot(grid.bdry_weights, tr * tr)))
+
+
+def state_report(grid, u, evaluation, alpha=1.0, beta=1.0, b=1.0, c=1.0):
+    """The ledger row of a state from its evaluation (E, g).
+
+    Adds only two sparse products to the one behind (E, g): the surface
+    gradient k_par u for the surface energy (the bulk energy is E minus
+    it) and K_A mu for the dissipation.
+    """
+    vals = _as_values(u)
+    e, g = evaluation
     forms = grid.forms
     e_surf = 0.5 * alpha * float(vals @ (forms.k_par @ vals))
     e_surf += 0.5 * beta * float(vals @ (forms.bdry_mass * vals))
-    mu = chemical_potential(grid, pot, u, alpha=alpha, beta=beta, b=b)
-    dis = dissipation(grid, mu, b=b, c=c)
+    mu = g / grid.h_weights(b)
     mass_bulk = float(np.dot(grid.bulk_weights, vals))
-    mass_total = mass_bulk + float(np.dot(grid.bdry_weights, vals[grid.bdry_idx]))
-    flux = -float(np.dot(grid.bdry_weights, mu.values[grid.bdry_idx]))
-    bulk_res, bdry_res = _residual_norms(grid, mu, b)
-    report = EnergyReport(
-        e_bulk=e_bulk,
+    bulk_res, bdry_res = residual_norms(grid, g)
+    return EnergyReport(
+        e_bulk=e - e_surf,
         e_surf=e_surf,
-        e_total=e_bulk + e_surf,
-        dissipation=dis,
+        e_total=e,
+        dissipation=dissipation(grid, mu, b=b, c=c),
         mass_bulk=mass_bulk,
-        mass_total=mass_total,
-        flux=flux,
+        mass_total=mass_bulk + float(np.dot(grid.bdry_weights, vals[grid.bdry_idx])),
+        flux=-float(np.dot(grid.bdry_weights, mu[grid.bdry_idx])),
         bulk_res=bulk_res,
         bdry_res=bdry_res,
     )
-    return report, mu
 
 
 def energy(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     """Full energy/mass/dissipation report for a state."""
-    report, _ = state_report(grid, pot, u, alpha=alpha, beta=beta, b=b, c=c)
-    return report
-
-
-def energy_value(grid, pot, u, alpha=1.0, beta=1.0):
-    """Just E(u); the cheap path used inside steppers and minimizers."""
-    vals = _as_values(u)
-    e = 0.5 * float(vals @ (grid.forms.k_lin(alpha, beta) @ vals))
-    return e + float(np.dot(grid.bulk_weights, pot.F(vals)))
-
-
-def energy_gradient_raw(grid, pot, u, alpha=1.0, beta=1.0):
-    """Euclidean gradient of the discrete energy (before mass weighting)."""
-    vals = _as_values(u)
-    forms = grid.forms
-    return forms.k_lin(alpha, beta) @ vals + forms.bulk_mass * pot.f(vals)
+    evaluation = energy_and_gradient(grid, pot, u, alpha, beta)
+    return state_report(grid, u, evaluation, alpha=alpha, beta=beta, b=b, c=c)
 
 
 def energy_hessian(grid, pot, u, alpha=1.0, beta=1.0):
@@ -238,16 +247,7 @@ def chemical_potential(grid, pot, u, alpha=1.0, beta=1.0, b=1.0):
     i.e. the trace relation of the permeable-wall model.  For every
     direction W, <mu, W>_H equals the directional derivative of E.
     """
-    g = energy_gradient_raw(grid, pot, u, alpha=alpha, beta=beta)
-    return PairField(grid, g / grid.h_weights(b))
-
-
-def _residual_norms(grid, mu, b=1.0):
-    """(bulk, wall) L2 norms of mu, the wall rows without their factor b."""
-    bulk = np.sqrt(max(float(np.dot(grid.bulk_weights, mu.values ** 2)), 0.0))
-    tr = mu.values[grid.bdry_idx] / b
-    bdry = np.sqrt(max(float(np.dot(grid.bdry_weights, tr * tr)), 0.0))
-    return bulk, bdry
+    return PairField(grid, energy_and_gradient(grid, pot, u, alpha, beta)[1] / grid.h_weights(b))
 
 
 def stationary_residual(grid, pot, u, alpha=1.0, beta=1.0):
@@ -259,8 +259,7 @@ def stationary_residual(grid, pot, u, alpha=1.0, beta=1.0):
     discrete form (so an exact discrete critical point of the energy with
     these constants reports exactly zero).
     """
-    mu = chemical_potential(grid, pot, u, alpha=alpha, beta=beta, b=1.0)
-    return _residual_norms(grid, mu)
+    return residual_norms(grid, energy_and_gradient(grid, pot, u, alpha, beta)[1])
 
 
 def dissipation(grid, mu, b=1.0, c=1.0):

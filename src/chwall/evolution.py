@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import energy_gradient_raw, energy_hessian, energy_value, state_report
+from .energy import energy_and_gradient, energy_hessian, energy_value, state_report
 from .grid import PairField, _as_values
 from .operators import v_norm, x_norm
 
@@ -177,14 +177,15 @@ def _semi_step_once(grid, op, pot, u_vals, dt, S, factors):
 
 
 def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
+    """The implicit step's state and its evaluation (E, g)."""
     W = op.mass_weights
     u = u_old.copy()
     for _ in range(cfg.newton_max_iter):
-        g = energy_gradient_raw(grid, pot, u, op.alpha, op.beta)
-        R = W * (u - u_old) + dt * (op.K_A @ (g / W))
+        evaluation = energy_and_gradient(grid, pot, u, op.alpha, op.beta)
+        R = W * (u - u_old) + dt * (op.K_A @ (evaluation[1] / W))
         rnorm = np.sqrt(float(np.sum(R * R / W)))
         if rnorm <= cfg.newton_tol:
-            return u
+            return u, evaluation
         H = energy_hessian(grid, pot, u, op.alpha, op.beta)
         try:
             delta = _implicit_matrix(op, dt, H, factors).solve(-R)
@@ -197,28 +198,32 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
 
 
 def _advance(grid, op, pot, u_vals, dt, cfg, S, e_old, factors):
-    """Advance exactly dt, honoring the energy guard by recursive halving."""
+    """Advance exactly dt, honoring the energy guard by recursive halving.
+
+    Returns the new state with its evaluation (E, g), shared by guard and row.
+    """
     try:
         if cfg.scheme == "semi_implicit":
             u_new = _semi_step_once(grid, op, pot, u_vals, dt, S, factors)
+            evaluation = energy_and_gradient(grid, pot, u_new, op.alpha, op.beta)
         elif cfg.scheme == "newton":
-            u_new = _newton_step_once(grid, op, pot, u_vals, dt, cfg, factors)
+            u_new, evaluation = _newton_step_once(grid, op, pot, u_vals, dt, cfg, factors)
         else:
             raise ValueError(f"unknown scheme {cfg.scheme!r}")
     except _RetryHalved:
-        u_new = None
-    if u_new is not None:
-        e_new = energy_value(grid, pot, u_new, op.alpha, op.beta)
-        if not cfg.energy_guard or e_new <= e_old + 1e-12 * (1.0 + abs(e_old)):
-            return u_new, e_new
+        evaluation = None
+    if evaluation is not None and (
+        not cfg.energy_guard or evaluation[0] <= e_old + 1e-12 * (1.0 + abs(e_old))
+    ):
+        return u_new, evaluation
     # reject: redo as two guarded half steps
     if dt / 2.0 < cfg.dt_min:
         raise GuardAbort(
             f"energy guard exhausted: retry step {dt / 2.0:.3e} fell below "
             f"dt_min={cfg.dt_min:.3e}"
         )
-    u_half, e_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, e_old, factors)
-    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, e_half, factors)
+    u_half, ev_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, e_old, factors)
+    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half[0], factors)
 
 
 def _step(grid, op, pot, u_n, cfg, scheme):
@@ -261,27 +266,25 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
     t = 0.0
     lo, hi = float(np.min(u)), float(np.max(u))
 
-    def record_row(t_now, u_vals):
-        U = PairField(grid, u_vals.copy())
-        report, _ = state_report(
-            grid, pot, U, alpha=op.alpha, beta=op.beta, b=op.b, c=op.c
+    def record_row(t_now, u_vals, evaluation):
+        report = state_report(
+            grid, u_vals, evaluation, alpha=op.alpha, beta=op.beta, b=op.b, c=op.c
         )
         rec.times.append(t_now)
         rec.reports.append(report)
         rec.ut_xnorm.append(np.sqrt(max(report.dissipation, 0.0)))
         if ref is not None:
-            diff = U - ref
+            diff = PairField(grid, u_vals) - ref
             rec.x_dist_to_ref.append(x_norm(op, diff))
             rec.v_dist_to_ref.append(v_norm(grid, diff))
-        return U
 
-    record_row(0.0, u)
+    evaluation = energy_and_gradient(grid, pot, u, op.alpha, op.beta)
+    record_row(0.0, u, evaluation)
     if cfg.snapshot_stride:
         rec.snapshots.append((0.0, PairField(grid, u.copy())))
 
     step_idx = 0
     eps_t = 1e-6 * cfg.dt  # sub-resolution remainders are time-grid residue
-    e = energy_value(grid, pot, u, op.alpha, op.beta)
     factors = _StepFactors()
     try:
         while t < t_end - eps_t:
@@ -294,13 +297,13 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
             S = _shift(pot, cfg, lo, hi)
             if S is not None and rec.shifts[-1:] != [S]:
                 rec.shifts.append(S)
-            u, e = _advance(grid, op, pot, u, dt, cfg, S, e, factors)
+            u, evaluation = _advance(grid, op, pot, u, dt, cfg, S, evaluation[0], factors)
             t += dt
             step_idx += 1
             if step_idx % cfg.series_stride == 0 or t >= t_end - eps_t:
                 prev_report = rec.reports[-1]
                 prev_t = rec.times[-1]
-                record_row(t, u)
+                record_row(t, u, evaluation)
                 new_report = rec.reports[-1]
                 dmass = (new_report.mass_total - prev_report.mass_total) / (t - prev_t)
                 outflow = -(op.c / op.b) * prev_report.flux

@@ -136,6 +136,7 @@ class StripGrid:
             else np.ones(2)
         )
         self._forms = None
+        self._h_weights = {}
 
     @property
     def area(self):
@@ -146,9 +147,15 @@ class StripGrid:
         return 2.0 * self.Lx if self.mode is GridMode.STRIP2D else 2.0
 
     def h_weights(self, b=1.0):
-        """Diagonal of the product-space inner product, boundary part scaled 1/b."""
-        w = self.bulk_weights.copy()
-        w[self.bdry_idx] += self.bdry_weights / b
+        """Diagonal of the product-space inner product, boundary part scaled 1/b.
+
+        Memoized per b: the returned array is shared and read-only."""
+        w = self._h_weights.get(b)
+        if w is None:
+            w = self.bulk_weights.copy()
+            w[self.bdry_idx] += self.bdry_weights / b
+            w.setflags(write=False)
+            self._h_weights[b] = w
         return w
 
     @property
@@ -346,18 +353,16 @@ FIELD_HEADER = "# mode,Lx,Ly,nx,ny"
 def save_field(field, path):
     """Write a field snapshot as CSV with a grid-identifying header."""
     g = field.grid
-    vals = field.values
+    k = np.arange(g.n_nodes)
+    columns = zip((k % g.nx).tolist(), (k // g.nx).tolist(), g.x.tolist(),
+                  g.y.tolist(), field.values.tolist(), g.on_gamma.astype(int).tolist())
     with open(path, "w") as fh:
-        fh.write(FIELD_HEADER + "\n")
-        fh.write(f"# {g.mode.value},{g.Lx:.17g},{g.Ly:.17g},{g.nx},{g.ny}\n")
-        fh.write("i,j,x,y,u,on_gamma\n")
-        for k in range(g.n_nodes):
-            i = k % g.nx
-            j = k // g.nx
-            fh.write(
-                f"{i},{j},{g.x[k]:.17g},{g.y[k]:.17g},{vals[k]:.17g},"
-                f"{int(g.on_gamma[k])}\n"
-            )
+        fh.write(
+            f"{FIELD_HEADER}\n# {g.mode.value},{g.Lx:.17g},{g.Ly:.17g},{g.nx},{g.ny}\n"
+            "i,j,x,y,u,on_gamma\n"
+            + "".join(f"{i},{j},{x:.17g},{y:.17g},{u:.17g},{w}\n"
+                      for i, j, x, y, u, w in columns)
+        )
 
 
 def load_field(path, grid=None):

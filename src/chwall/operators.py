@@ -7,8 +7,10 @@ the diagonal of the product-space inner product (surface part scaled by 1/b).
 Discrete self-adjointness  <A u, v>_H = a(u,v) = <u, A v>_H  therefore holds
 to rounding, which is what makes the discrete energy law exact downstream.
 
-Every quadratic form here is a matrix from ``grid.forms``; the pointwise
-stencils in ``chwall.kernels`` exist separately for diagnostics.
+Every quadratic form here is a matrix from ``grid.forms``.  The energy of a
+state and its gradient are evaluated together, from one product with
+K_lin, by ``energy.energy_and_gradient``; the pointwise stencils in
+``chwall.kernels`` serve the tests only.
 """
 
 import os
@@ -145,11 +147,6 @@ def x_norm_via_form(op, v):
     """Second route for the same norm: sqrt(a(w, w)) with w = A^-1 v."""
     w = solve_Ainv(op, v)
     return np.sqrt(max(op.a_form(w, w), 0.0))
-
-
-def grad_form(grid, u, v):
-    """Discrete bulk Dirichlet form: sum over grid edges of w_e (Du)(Dv)."""
-    return float(_as_values(u) @ (grid.forms.k_grad @ _as_values(v)))
 
 
 def _quadratic_norm(K, u):

@@ -8,6 +8,7 @@ start has zero gradient and plain descent would sit still), followed by a
 full Newton iteration on mu(U) = 0 with the energy Hessian as Jacobian.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,10 +22,9 @@ from .analysis import (
     weighted_symmetric,
 )
 from .energy import (
-    energy_gradient_raw,
+    energy_and_gradient,
     energy_hessian,
-    energy_value,
-    stationary_residual,
+    residual_norms,
 )
 from .grid import PairField, _as_values, load_field, save_field
 from .operators import x_norm
@@ -58,12 +58,6 @@ class EquilibriumSolution:
     kernel_dim: int | None = None
 
 
-def _mu_h_norm(grid, g_raw):
-    # |mu|_H with mu = g/W collapses to sqrt(sum g^2 / W)
-    w = grid.h_weights(1.0)
-    return float(np.sqrt(np.sum(g_raw * g_raw / w)))
-
-
 def _most_negative_direction(grid, pot, vals, alpha, beta):
     """Smallest eigenpair of the energy Hessian in the weighted metric."""
     w = grid.h_weights(1.0)
@@ -86,41 +80,39 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
     # scipy.optimize costs a quarter second to import; only this solver needs it
     from scipy.optimize import minimize
 
+    def evaluate(v):
+        return energy_and_gradient(grid, pot, v, alpha, beta)
+
     x = _as_values(u_init).copy()
-
-    def fun(v):
-        return energy_value(grid, pot, v, alpha, beta)
-
-    def jac(v):
-        return energy_gradient_raw(grid, pot, v, alpha, beta)
-
+    e, g = evaluate(x)
     total_iters = 0
     escapes = 0
     stalls = 0
     for _ in range(max_outer):
-        gn = _mu_h_norm(grid, jac(x))
+        gn = math.hypot(*residual_norms(grid, g))
         if gn <= tol:
             if not escape_saddles:
                 break
             lam0, phi = _most_negative_direction(grid, pot, x, alpha, beta)
             if lam0 >= -1e-10 * (1.0 + abs(lam0)):
                 break  # genuine (local) minimum
-            kicked = _kick_off_saddle(fun, x, phi)
+            kicked = _kick_off_saddle(evaluate, x, e, phi)
             if kicked is None:
                 break
-            x = kicked
+            x, (e, g) = kicked
             escapes += 1
+        elif stalls >= 2:
+            break  # line search cannot move; report unconverged
         res = minimize(
-            fun, x, jac=jac, method="L-BFGS-B",
+            evaluate, x, jac=True, method="L-BFGS-B",
             options={"maxiter": chunk, "ftol": 1e-300, "gtol": 1e-300},
         )
-        if res.fun <= fun(x):
+        if res.fun <= e:
             x = res.x
+            e, g = evaluate(x)
         total_iters += int(res.nit)
         stalls = stalls + 1 if int(res.nit) == 0 else 0
-        if stalls >= 2 and _mu_h_norm(grid, jac(x)) > tol:
-            break  # line search cannot move; report unconverged
-    gn = _mu_h_norm(grid, jac(x))
+    gn = math.hypot(*residual_norms(grid, g))
     return MinimizeResult(
         field=PairField(grid, x),
         converged=bool(gn <= tol),
@@ -130,17 +122,16 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
     )
 
 
-def _kick_off_saddle(fun, x, phi):
-    """Line search along the negative-curvature direction; None if no gain."""
-    e0 = fun(x)
+def _kick_off_saddle(evaluate, x, e0, phi):
+    """Line search along phi from x (energy e0): (state, (E, g)), or None if no gain."""
     best = None
     best_e = e0 - 1e-14 * (1.0 + abs(e0))
     for amp in (0.5, 0.2, 0.05, 0.01, 1e-3):
         for sgn in (1.0, -1.0):
             trial = x + sgn * amp * phi
-            e = fun(trial)
-            if e < best_e:
-                best, best_e = trial, e
+            evaluation = evaluate(trial)
+            if evaluation[0] < best_e:
+                best, best_e = (trial, evaluation), evaluation[0]
     return best
 
 
@@ -155,8 +146,9 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
     history is recorded so quadratic convergence can be checked.
     """
     x = _as_values(u_init).copy()
-    g = energy_gradient_raw(grid, pot, x, alpha, beta)
-    res = _mu_h_norm(grid, g)
+    e, g = energy_and_gradient(grid, pot, x, alpha, beta)
+    bulk_res, bdry_res = residual_norms(grid, g)
+    res = math.hypot(bulk_res, bdry_res)
     if res > basin_threshold:
         raise ValueError(
             f"newton_refine start residual {res:.3e} above basin threshold "
@@ -177,17 +169,17 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
             kernel_dim = _numerical_kernel_dim(grid, pot, x, alpha, beta)
             break
         x = x + delta
-        g = energy_gradient_raw(grid, pot, x, alpha, beta)
-        res = _mu_h_norm(grid, g)
+        e, g = energy_and_gradient(grid, pot, x, alpha, beta)
+        bulk_res, bdry_res = residual_norms(grid, g)
+        res = math.hypot(bulk_res, bdry_res)
         hist.append(res)
         iters += 1
         converged = res <= tol
         if res > 1e3 * (hist[0] + 1.0):
             break  # diverging; caller should descend first
-    bulk_res, bdry_res = stationary_residual(grid, pot, x, alpha, beta)
     return EquilibriumSolution(
         psi=PairField(grid, x),
-        energy=energy_value(grid, pot, x, alpha, beta),
+        energy=e,
         bulk_res=bulk_res,
         bdry_res=bdry_res,
         method=method,

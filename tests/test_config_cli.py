@@ -92,6 +92,12 @@ def test_config_rejects_negative_constant(tmp_path):
     ("c = 1.0", "c = inf"),
     ("alpha = 1.0", "alpha = nan"),
     ("beta = 1.0", "beta = -inf"),
+    ("t_end = 0.02", "t_end = 0.02\nnewton_tol = nan"),
+    ("seed = 7", "seed = 7\n[analysis]\nkernel_tol = nan"),
+    ("seed = 7", "seed = 7\n[analysis]\nkernel_tol = inf"),
+    ("seed = 7", "seed = 7\n[analysis]\nprobe_window = inf"),
+    ("seed = 7", "seed = 7\n[analysis]\nfit_tol = nan"),
+    ("seed = 7", "seed = 7\n[analysis]\nrate_fit_t_min = inf"),
 ])
 def test_config_rejects_non_finite(tmp_path, line, bad):
     text = BASE_CONFIG.format(out=tmp_path).replace(line, bad, 1)
@@ -113,6 +119,31 @@ def test_cli_rejects_non_finite_dt(tmp_path, capsys):
     assert main(["simulate", write_config(tmp_path, text)]) == 2
     assert "stepper.dt" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_rejects_non_finite_kernel_tol(tmp_path, capsys):
+    text = BASE_CONFIG.format(out=tmp_path / "o") + "\n[analysis]\nkernel_tol = inf\n"
+    assert main(["equilibrium", write_config(tmp_path, text)]) == 2
+    assert "analysis.kernel_tol" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_snapshot_times_are_stored_exactly(tmp_path):
+    # six snapshots at multiples of 3e-7: six decimals would read them back
+    # as 0, 0, 1e-6, 1e-6, 1e-6, 2e-6, the last one past t_end
+    from chwall.cli import _load_run
+
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace(
+        "dt = 1e-3\nt_end = 0.02", "dt = 3e-7\nt_end = 1.5e-6"
+    ).replace("snapshot_stride = 5", "snapshot_stride = 1\nplots = false")
+    assert main(["simulate", write_config(tmp_path, text)]) == 0
+    _, _, _, _, rec = _load_run(str(tmp_path / "o"))
+    times = [t for t, _ in rec.snapshots]
+    assert len(times) == 6
+    assert times == rec.times  # series.csv holds every row time exactly
+    assert times[1] == 3e-7
+    assert times[-1] == pytest.approx(1.5e-6, rel=1e-12)
+    assert times[-1] <= 1.5e-6 * (1 + 1e-12)
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -9,13 +9,11 @@ from chwall.energy import (
     dissipation,
     double_well,
     energy,
-    energy_lower_bound_constant,
     energy_value,
     polynomial_potential,
     stationary_residual,
 )
 from chwall.grid import PairField, h_inner
-from chwall.operators import v_norm
 
 
 # -- potential bundle ---------------------------------------------------------
@@ -142,15 +140,6 @@ def test_dissipation_examples(rng, unit_grid, unit_op, pot):
         mu = PairField(g, rng.standard_normal(g.n_nodes))
         a = unit_op.a_form(mu, mu)
         assert abs(dissipation(g, mu) - a) <= 1e-12 * (1 + abs(a))
-
-
-def test_energy_lower_bound(rng, unit_grid, pot):
-    g = unit_grid
-    c_f = energy_lower_bound_constant(g, pot)
-    for _ in range(20):
-        u = 2.0 * rng.standard_normal(g.n_nodes)
-        e = energy_value(g, pot, u)
-        assert e >= 0.5 * v_norm(g, u) ** 2 + c_f - 1e-10
 
 
 def test_mu_of_constant_field_structure(unit_grid, pot):

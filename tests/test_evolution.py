@@ -381,16 +381,53 @@ def test_last_step_reuses_factorization(pot, monkeypatch):
 
 
 def test_energy_evaluated_once_per_step(problem, monkeypatch):
+    # the guard and the ledger row of each accepted state share one evaluation
     import chwall.evolution as evo
 
     g, op, pot = problem
     calls = []
-    energy_value = evo.energy_value
+    evaluate = evo.energy_and_gradient
     monkeypatch.setattr(
-        evo, "energy_value", lambda *a: calls.append(1) or energy_value(*a)
+        evo, "energy_and_gradient", lambda *a: calls.append(1) or evaluate(*a)
     )
     n = 40
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
     rec = evolve(g, op, pot, u0, StepperConfig(dt=1e-3), n * 1e-3)
     assert len(rec.times) == n + 1
-    assert len(calls) <= n + 1
+    assert len(calls) == n + 1
+
+
+def test_rows_match_independent_recomputation(pot):
+    # at non-unit constants every row built from the shared evaluation
+    # matches the forms and the chemical potential taken one by one
+    alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
+    op = cw.assemble_wentzell(g, b=b, c=c, alpha=alpha, beta=beta)
+    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
+    cfg = StepperConfig(dt=1e-3, snapshot_stride=1)
+    rec = evolve(g, op, pot, u0, cfg, 0.01)
+    forms = g.forms
+
+    def close(x):
+        return pytest.approx(x, rel=1e-12)
+
+    assert len(rec.snapshots) == len(rec.reports) == 11
+    for (t, snap), t_row, rep in zip(rec.snapshots, rec.times, rec.reports):
+        assert t == t_row
+        u = snap.values
+        e_bulk = 0.5 * (u @ (forms.k_grad @ u)) + np.dot(g.bulk_weights, pot.F(u))
+        e_surf = 0.5 * alpha * (u @ (forms.k_par @ u))
+        e_surf += 0.5 * beta * np.dot(forms.bdry_mass, u * u)
+        mu = chemical_potential(g, pot, u, alpha=alpha, beta=beta, b=b)
+        trace_law = mu.values[g.bdry_idx] / b
+        bulk = math.sqrt(np.dot(g.bulk_weights, mu.values ** 2))
+        bdry = math.sqrt(np.dot(g.bdry_weights, trace_law ** 2))
+        mu_unit = chemical_potential(g, pot, u, alpha=alpha, beta=beta)
+        assert rep.e_bulk == close(e_bulk)
+        assert rep.e_surf == close(e_surf)
+        assert rep.e_total == close(e_bulk + e_surf)
+        assert rep.dissipation == close(op.a_form(mu, mu))
+        assert rep.flux == close(-np.dot(g.bdry_weights, mu.values[g.bdry_idx]))
+        assert rep.bulk_res == close(bulk)
+        assert rep.bdry_res == close(bdry)
+        assert rep.bulk_res ** 2 + rep.bdry_res ** 2 == close(h_norm(g, mu_unit) ** 2)

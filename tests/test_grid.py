@@ -136,6 +136,36 @@ def test_field_snapshot_roundtrip(tmp_path, rng):
         load_field(path, grid=other)
 
 
+STRIP_SNAPSHOT = """\
+# mode,Lx,Ly,nx,ny
+# strip2d,1,1,4,4
+i,j,x,y,u,on_gamma
+0,0,0,0,-0.5,1
+1,0,0.25,0,-0.40000000000000002,1
+2,0,0.5,0,-0.29999999999999999,1
+3,0,0.75,0,-0.19999999999999996,1
+0,1,0,0.25,-0.099999999999999978,0
+1,1,0.25,0.25,0,0
+2,1,0.5,0.25,0.10000000000000009,0
+3,1,0.75,0.25,0.20000000000000007,0
+0,2,0,0.75,0.30000000000000004,0
+1,2,0.25,0.75,0.40000000000000002,0
+2,2,0.5,0.75,0.5,0
+3,2,0.75,0.75,0.60000000000000009,0
+0,3,0,1,0.70000000000000018,1
+1,3,0.25,1,0.80000000000000004,1
+2,3,0.5,1,0.90000000000000013,1
+3,3,0.75,1,1,1
+"""
+
+
+def test_strip_snapshot_text_is_pinned(tmp_path):
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=4, ny=4)
+    path = tmp_path / "strip.csv"
+    save_field(PairField(g, 0.1 * np.arange(g.n_nodes) - 0.5), path)
+    assert path.read_text() == STRIP_SNAPSHOT
+
+
 def test_interval_snapshot_roundtrip(tmp_path, rng):
     g = cw.build_grid("interval1d", Ly=3.0, ny=9)
     f = PairField(g, rng.standard_normal(g.n_nodes))

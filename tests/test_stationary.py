@@ -48,6 +48,37 @@ def test_minimize_escapes_saddle_on_tall_strip(small_strip, tall_strip, pot):
     assert np.std(res.field.values) > 1e-3  # nonconstant profile
 
 
+def test_minimize_one_evaluation_per_lbfgs_point(tall_strip, pot, monkeypatch):
+    # L-BFGS-B gets one jac=True objective: each point it visits costs one
+    # evaluation, and no separate gradient routine exists to call
+    import scipy.optimize
+
+    import chwall.stationary as stationary
+
+    g, _ = tall_strip
+    calls = []
+    evaluate = stationary.energy_and_gradient
+    monkeypatch.setattr(
+        stationary, "energy_and_gradient", lambda *a: calls.append(1) or evaluate(*a)
+    )
+    inside, nfev = [], []
+    minimize = scipy.optimize.minimize
+
+    def counted(fun, x0, **kwargs):
+        assert kwargs["jac"] is True
+        before = len(calls)
+        res = minimize(fun, x0, **kwargs)
+        inside.append(len(calls) - before)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    res = minimize_energy(g, pot, PairField.zeros(g), tol=1e-6)
+    assert res.converged and res.escapes >= 1
+    assert sum(nfev) > 0
+    assert inside == nfev
+
+
 def test_minimize_descent_property(small_strip, pot, rng):
     g, _ = small_strip
     for _ in range(3):
