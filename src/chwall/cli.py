@@ -6,6 +6,7 @@ content-hashed into a manifest written last.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -36,22 +37,45 @@ EXIT_UNCONVERGED = 4
 
 
 class OutputLock:
-    """Exclusive lockfile: one writer per output directory."""
+    """Exclusive lockfile: one writer per output directory.
+
+    The lock holds the writer's PID.  A lock whose PID names no running
+    process was left by a run that died; it is replaced.  Any other lock,
+    including one whose PID cannot be read, refuses the run.
+    """
 
     def __init__(self, directory):
         self.path = os.path.join(directory, ".lock")
         self.fd = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked ({self.path} exists); "
-                "another run may be writing here"
-            )
+        for retry in (False, True):
+            try:
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retry or not self._stale():
+                    raise ConfigError(
+                        f"output directory is locked ({self.path} exists); "
+                        "another run may be writing here"
+                    )
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self.path)
         os.write(self.fd, str(os.getpid()).encode())
         return self
+
+    def _stale(self):
+        """True when the lock names a PID that no process has."""
+        try:
+            with open(self.path) as fh:
+                pid = int(fh.read())
+            if pid > 0:
+                os.kill(pid, 0)  # signal 0: an existence check, nothing is sent
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, OverflowError):
+            pass  # unreadable, or the process exists under another user
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:

@@ -1,27 +1,36 @@
 """Time stepping for the permeable-wall flow U_t = -A mu(U).
 
-Two schemes: a stabilized semi-implicit step (one reusable sparse solve per
+Two schemes: a stabilized semi-implicit step (one reusable linear solve per
 step; the nonlinearity is lagged with a convex-stabilization shift S) and a
 fully implicit backward-Euler step solved by Newton.  Both honor the energy
 guard: a step that raises the discrete energy beyond rounding is redone as
 two half steps, recursively, down to dt_min; the Lyapunov structure is never
 silently violated.
 
-The stabilized system solved each step is
+The stabilized step is
 
     (W + dt K_A W^-1 (K_lin + S M_bulk)) u_new
         = W u_old + dt K_A W^-1 (S M_bulk u_old - M_bulk f(u_old))
 
 with W the product-space mass, K_A the wall-coupled stiffness, K_lin the
-linear part of the energy Hessian and M_bulk the lumped bulk mass.  Any
-shift S >= max |f'| over the states met keeps the scheme energy-stable, so
-the automatic shift is that sampled bound rounded up onto the fixed ladder
-2^(k/4): it changes only when the state range pushes the bound past a rung.
-The matrix is assembled and factorized once per (dt, S) and kept in a
-cache that belongs to the run (``evolve``, or one ``step_*`` call), never
-to the operator; a run therefore factorizes again only when the energy
-guard halves dt or S climbs a rung.  Newton's Jacobian is the same matrix
-with the full energy Hessian in place of K_lin + S M_bulk.
+linear part of the energy Hessian and M_bulk the lumped bulk mass.  It is
+solved in its delta form
+
+    (W + dt K_A W^-1 (K_lin + S M_bulk)) (u_new - u_old) = -dt K_A W^-1 g_old,
+
+where g_old = K_lin u_old + M_bulk f(u_old) is the energy gradient that the
+evaluation of u_old (made for the energy guard) already holds, so a step
+evaluates f once.  Any shift S >= max |f'| over the states met keeps the
+scheme energy-stable, so the automatic shift is that sampled bound rounded
+up onto the fixed ladder 2^(k/4): it changes only when the state range
+pushes the bound past a rung.  The step matrix commutes with x-shifts; it
+is assembled and factorized by ``operators.factor_x_invariant`` once per
+(dt, S) and kept in a cache that belongs to the run (``evolve``, or one
+``step_*`` call), never to the operator; a run therefore factorizes again
+only when the energy guard halves dt or S climbs a rung.  Newton's Jacobian
+is the same matrix with the full energy Hessian in place of
+K_lin + S M_bulk; it varies in x through f'(u) and is factorized by sparse
+LU at every iteration.
 """
 
 import math
@@ -31,9 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import energy_and_gradient, energy_hessian, energy_value, state_report
+from .energy import energy_and_gradient, energy_hessian, state_report
 from .grid import PairField, _as_values
-from .operators import v_norm, x_norm
+from .operators import factor_x_invariant, v_norm, x_norm
 
 
 class GuardAbort(RuntimeError):
@@ -86,7 +95,7 @@ class TrajectoryRecord:
     x_dist_to_ref: list | None = None
     v_dist_to_ref: list | None = None
     snapshots: list = field(default_factory=list)
-    factorizations: int = 0  # step-system factorizations made by the run (splu calls)
+    factorizations: int = 0  # step-system factorizations made by the run
     shifts: list = field(default_factory=list)  # distinct S rungs, in order
     aborted: bool = False
     abort_reason: str = ""
@@ -141,19 +150,18 @@ def _shift(pot, cfg, lo, hi):
 class _StepFactors(dict):
     """One run's semi-implicit factorizations keyed by (dt, S).
 
-    ``made`` counts every step-system factorization of the run, Newton's
-    Jacobians (one per iteration, never reused) included.
+    The values are ``operators.factor_x_invariant`` band factors.  ``made``
+    counts every step-system factorization of the run: those band factors
+    and Newton's sparse LU Jacobians (one per iteration, never reused).
     """
 
     made = 0
 
 
-def _implicit_matrix(op, dt, B, factors):
-    """W + dt K_A W^-1 B, factorized: the linear system of one implicit step."""
+def _implicit_matrix(op, dt, B):
+    """W + dt K_A W^-1 B: the linear system of one implicit step."""
     W = op.mass_weights
-    M = sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
-    factors.made += 1
-    return spla.splu(M.tocsc())
+    return sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
 
 
 def _semi_system(grid, op, dt, S, factors):
@@ -164,16 +172,15 @@ def _semi_system(grid, op, dt, S, factors):
             del factors[key]
         forms = grid.forms
         B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
-        lu = factors[(dt, S)] = _implicit_matrix(op, dt, B, factors)
+        factors.made += 1
+        lu = factors[(dt, S)] = factor_x_invariant(grid, _implicit_matrix(op, dt, B))
     return lu
 
 
-def _semi_step_once(grid, op, pot, u_vals, dt, S, factors):
+def _semi_step_once(grid, op, u_vals, g_old, dt, S, factors):
+    """The delta form: u_new = u_old - dt M^-1 K_A W^-1 g_old."""
     lu = _semi_system(grid, op, dt, S, factors)
-    m_bulk = grid.forms.bulk_mass
-    W = op.mass_weights
-    lagged = S * (m_bulk * u_vals) - m_bulk * pot.f(u_vals)
-    return lu.solve(W * u_vals + dt * (op.K_A @ (lagged / W)))
+    return u_vals - lu.solve(dt * (op.K_A @ (g_old / op.mass_weights)))
 
 
 def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
@@ -187,8 +194,9 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
         if rnorm <= cfg.newton_tol:
             return u, evaluation
         H = energy_hessian(grid, pot, u, op.alpha, op.beta)
+        factors.made += 1
         try:
-            delta = _implicit_matrix(op, dt, H, factors).solve(-R)
+            delta = spla.splu(_implicit_matrix(op, dt, H).tocsc()).solve(-R)
         except RuntimeError as exc:
             raise NewtonSingular(f"singular Jacobian in implicit step: {exc}")
         if not np.all(np.isfinite(delta)):
@@ -197,14 +205,16 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
     raise _RetryHalved  # no convergence at this dt
 
 
-def _advance(grid, op, pot, u_vals, dt, cfg, S, e_old, factors):
+def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, factors):
     """Advance exactly dt, honoring the energy guard by recursive halving.
 
-    Returns the new state with its evaluation (E, g), shared by guard and row.
+    ev_old is the evaluation (E, g) of u_vals.  Returns the new state with
+    its evaluation, shared by guard, row and the next step.
     """
+    e_old = ev_old[0]
     try:
         if cfg.scheme == "semi_implicit":
-            u_new = _semi_step_once(grid, op, pot, u_vals, dt, S, factors)
+            u_new = _semi_step_once(grid, op, u_vals, ev_old[1], dt, S, factors)
             evaluation = energy_and_gradient(grid, pot, u_new, op.alpha, op.beta)
         elif cfg.scheme == "newton":
             u_new, evaluation = _newton_step_once(grid, op, pot, u_vals, dt, cfg, factors)
@@ -222,8 +232,8 @@ def _advance(grid, op, pot, u_vals, dt, cfg, S, e_old, factors):
             f"energy guard exhausted: retry step {dt / 2.0:.3e} fell below "
             f"dt_min={cfg.dt_min:.3e}"
         )
-    u_half, ev_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, e_old, factors)
-    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half[0], factors)
+    u_half, ev_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, ev_old, factors)
+    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half, factors)
 
 
 def _step(grid, op, pot, u_n, cfg, scheme):
@@ -231,8 +241,8 @@ def _step(grid, op, pot, u_n, cfg, scheme):
     cfg = replace(cfg, scheme=scheme)
     vals = _as_values(u_n)
     S = _shift(pot, cfg, float(np.min(vals)), float(np.max(vals)))
-    e_old = energy_value(grid, pot, vals, op.alpha, op.beta)
-    out, _ = _advance(grid, op, pot, vals, cfg.dt, cfg, S, e_old, _StepFactors())
+    ev_old = energy_and_gradient(grid, pot, vals, op.alpha, op.beta)
+    out, _ = _advance(grid, op, pot, vals, cfg.dt, cfg, S, ev_old, _StepFactors())
     return PairField(grid, out)
 
 
@@ -297,7 +307,7 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
             S = _shift(pot, cfg, lo, hi)
             if S is not None and rec.shifts[-1:] != [S]:
                 rec.shifts.append(S)
-            u, evaluation = _advance(grid, op, pot, u, dt, cfg, S, evaluation[0], factors)
+            u, evaluation = _advance(grid, op, pot, u, dt, cfg, S, evaluation, factors)
             t += dt
             step_idx += 1
             if step_idx % cfg.series_stride == 0 or t >= t_end - eps_t:

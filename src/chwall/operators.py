@@ -11,6 +11,10 @@ Every quadratic form here is a matrix from ``grid.forms``.  The energy of a
 state and its gradient are evaluated together, from one product with
 K_lin, by ``energy.energy_and_gradient``; the pointwise stencils in
 ``chwall.kernels`` serve the tests only.
+
+Matrices that commute with x-shifts of the periodic strip (K_A and the
+semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
+in x splits them into one pentadiagonal system in y per Fourier mode.
 """
 
 import os
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import PairField, _as_values, h_inner
 
@@ -33,6 +37,65 @@ class NormReport:
     h1_equiv_norm: float
 
 
+class XInvariantFactor:
+    """Band LU factors of an x-invariant matrix, one block per Fourier mode.
+
+    Block k of the band matrix is the ny x ny system of the x-Fourier mode
+    k = 0 .. nx//2; ``solve`` transforms a right-hand side along x, solves
+    the real and imaginary parts of every mode in one LAPACK call and
+    transforms back.
+    """
+
+    def __init__(self, nx, ny, lu, piv):
+        self.nx, self.ny = nx, ny
+        self._lu, self._piv = lu, piv
+
+    def solve(self, rhs):
+        nx, ny = self.nx, self.ny
+        modes = np.fft.rfft(np.reshape(rhs, (ny, nx)), axis=1).T.ravel()
+        x, info = dgbtrs(self._lu, 2, 2, np.column_stack((modes.real, modes.imag)),
+                         self._piv, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"band solve failed: LAPACK dgbtrs info={info}")
+        modes = (x[:, 0] + 1j * x[:, 1]).reshape(-1, ny).T
+        return np.fft.irfft(modes, n=nx, axis=1).ravel()
+
+
+def factor_x_invariant(grid, M):
+    """Factorize a sparse matrix on the grid that commutes with x-shifts.
+
+    Row j*nx of M holds the stencil of level j: an x-stencil for each of the
+    levels j - 2 .. j + 2 it couples to.  The stencils must be symmetric in
+    x, so their Fourier symbols are real and each x-mode is one real
+    pentadiagonal system in y.  All nx//2 + 1 of them are stacked into one
+    band matrix (kl = ku = 2) and factorized with one LAPACK dgbtrf call;
+    the interval (nx = 1) is the single mode.  Raises RuntimeError when a
+    mode system is singular.
+    """
+    nx, ny = grid.nx, grid.ny
+    rows = M.tocsr()[np.arange(ny) * nx].tocoo()
+    level = rows.col // nx
+    dj = level - rows.row
+    if np.any(np.abs(dj) > 2):
+        raise ValueError("matrix couples levels more than two apart in y")
+    stencil = np.zeros((ny, 5, nx))
+    np.add.at(stencil, (rows.row, dj + 2, rows.col - level * nx), rows.data)
+    symbol = np.fft.rfft(stencil, axis=2).real  # x-symmetric: imaginary part is 0
+    n = symbol.shape[2] * ny
+    ab = np.zeros((7, n), order="F")  # LAPACK band storage, kl rows kept free
+    for d in range(-2, 3):
+        # entry (p, p + d) of the stacked matrix, p = k*ny + j
+        diag = symbol[:, d + 2, :].T.ravel()
+        if d >= 0:
+            ab[4 - d, d:] = diag[: n - d]
+        else:
+            ab[4 - d, : n + d] = diag[-d:]
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+    if info != 0:
+        raise RuntimeError(f"singular x-invariant system: LAPACK dgbtrf info={info}")
+    return XInvariantFactor(nx, ny, lu, piv)
+
+
 class WentzellOperator:
     """Assembled elliptic operator A with factorization and inner product.
 
@@ -41,11 +104,13 @@ class WentzellOperator:
     (steppers, solvers) get the full constant set from one object.  All
     four default to 1, the normalization used everywhere in practice.
 
-    Immutable after assembly: it caches only its own factorization of K_A
-    and lambda_min, and concurrent read-only solves against that
-    factorization are permitted (contract -- callers must not mutate the
-    operator).  The time steppers' factorizations of their step matrices
-    belong to each run, not to the operator.
+    K_A commutes with x-shifts, so its factorization is the FFT-in-x band
+    LU of ``factor_x_invariant``, made on first use.  Immutable after
+    assembly: it caches only that factorization and lambda_min, and
+    concurrent read-only solves against the factorization are permitted
+    (contract -- callers must not mutate the operator).  The time steppers'
+    factorizations of their step matrices belong to each run, not to the
+    operator.
     """
 
     def __init__(self, grid, b=1.0, c=1.0, alpha=1.0, beta=1.0):
@@ -80,9 +145,9 @@ class WentzellOperator:
         return np.sqrt(max(self.h_inner(u, u), 0.0))
 
     def factorization(self):
+        """K_A factorized by ``factor_x_invariant``, made once and reused."""
         if self._lu is None:
-            # direct sparse LU, deterministic and reused across solves
-            self._lu = spla.splu(self.K_A.tocsc())
+            self._lu = factor_x_invariant(self.grid, self.K_A)
         return self._lu
 
     def lambda_min(self, tol=1e-12, max_iter=500):

@@ -213,12 +213,46 @@ def test_cli_determinism_bit_identical(tmp_path):
 
 
 def test_cli_output_lock(tmp_path, capsys):
+    # the lock names a running process (this one): the run is refused
     out = tmp_path / "locked"
     out.mkdir()
-    (out / ".lock").write_text("123")
+    (out / ".lock").write_text(str(os.getpid()))
     rc = main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out))])
     assert rc == 2
     assert "locked" in capsys.readouterr().err
+    assert (out / ".lock").read_text() == str(os.getpid())
+
+
+@pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "9" * 20])
+def test_cli_lock_without_valid_pid_is_kept(tmp_path, capsys, content):
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / ".lock").write_text(content)
+    rc = main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out))])
+    assert rc == 2
+    assert "locked" in capsys.readouterr().err
+
+
+def test_cli_stale_lock_is_replaced(tmp_path, monkeypatch):
+    # a lock whose PID names no process was left by a dead run; the
+    # existence probe is faked, so no process is signalled
+    import chwall.cli as cli
+
+    probed = []
+
+    def no_such_process(pid, sig):
+        probed.append((pid, sig))
+        raise ProcessLookupError(pid)
+
+    monkeypatch.setattr(cli.os, "kill", no_such_process)
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / ".lock").write_text("4194303")
+    rc = main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out))])
+    assert rc == 0
+    assert probed == [(4194303, 0)]
+    assert not (out / ".lock").exists()
+    assert (out / "series.csv").exists()
 
 
 def test_cli_equilibrium_and_classification(tmp_path, capsys):

@@ -301,17 +301,29 @@ def test_rung_above_rounds_up_within_one_rung(k, rel):
     assert _rung_above(0.0) == 0.0
 
 
-def test_automatic_shift_stays_on_few_rungs(pot, monkeypatch):
-    # phase separation widens the state range every step; the shift ladder
-    # keeps the factorizations to one per rung instead of one per step
+@pytest.fixture()
+def factorization_calls(monkeypatch):
+    """Count the band factorizations of step systems and every splu call."""
     import scipy.sparse.linalg as spla
 
+    import chwall.evolution as evo
+
+    calls = {"band": [], "splu": []}
+    band, splu = evo.factor_x_invariant, spla.splu
+    monkeypatch.setattr(evo, "factor_x_invariant",
+                        lambda *a: calls["band"].append(1) or band(*a))
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **k: calls["splu"].append(1) or splu(*a, **k))
+    return calls
+
+
+def test_automatic_shift_stays_on_few_rungs(pot, factorization_calls):
+    # phase separation widens the state range every step; the shift ladder
+    # keeps the factorizations to one per rung instead of one per step
     from chwall.cli import make_initial
     from chwall.config import RunConfig
 
-    calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=16, ny=16)
     op = cw.assemble_wentzell(g)
     u0 = make_initial(g, RunConfig(initial_kind="random_fourier",
@@ -323,6 +335,7 @@ def test_automatic_shift_stays_on_few_rungs(pot, monkeypatch):
     assert rec.factorizations == len(calls)
     assert rec.shifts == sorted(set(rec.shifts))
     assert len(rec.shifts) <= len(calls)
+    assert factorization_calls["splu"] == []  # the semi-implicit run uses no sparse LU
 
 
 def test_evolve_leaves_no_step_cache_on_operator(problem):
@@ -336,14 +349,10 @@ def test_evolve_leaves_no_step_cache_on_operator(problem):
     assert all(vars(op)[k] is v for k, v in before.items())
 
 
-def test_guard_halving_records_its_factorizations(pot, monkeypatch):
+def test_guard_halving_records_its_factorizations(pot, factorization_calls):
     # an unstabilized step far too long for its state is rejected and redone
     # in halves; each new dt costs one factorization, and the record says so
-    import scipy.sparse.linalg as spla
-
-    calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
     op = cw.assemble_wentzell(g)
     u0 = PairField(g, 2.0 * np.random.default_rng(1).standard_normal(g.n_nodes))
@@ -362,14 +371,10 @@ def test_guard_halving_records_its_factorizations(pot, monkeypatch):
     assert runs[True].reports[-1].e_total < runs[True].reports[0].e_total
 
 
-def test_last_step_reuses_factorization(pot, monkeypatch):
+def test_last_step_reuses_factorization(pot, factorization_calls):
     # the last step of n steps of dt is a full dt, whatever rounding the
     # accumulated time carries, so one (dt, S) factorization serves the run
-    import scipy.sparse.linalg as spla
-
-    calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    calls = factorization_calls["band"]
     g = cw.build_grid("interval1d", Ly=1.0, ny=6)
     cfg = StepperConfig(dt=1e-3, stabilization_S=2.0, series_stride=10 ** 6)
     u0 = PairField(g, 0.1 * np.cos(np.pi * g.y))
@@ -380,21 +385,60 @@ def test_last_step_reuses_factorization(pot, monkeypatch):
         assert len(rec.times) == 2
 
 
+def test_newton_counts_its_sparse_jacobians(problem, factorization_calls):
+    # Newton's Jacobian varies in x through f'(u): it stays on sparse LU, one
+    # factorization per iteration, and the record counts each of them
+    g, op, pot = problem
+    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1)
+    cfg = StepperConfig(scheme="newton", dt=1e-3, series_stride=10 ** 6)
+    rec = evolve(g, op, pot, u0, cfg, 3 * cfg.dt)
+    assert rec.factorizations == len(factorization_calls["splu"]) >= 3
+    assert factorization_calls["band"] == []
+
+
+def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
+    # every accepted step at non-unit constants satisfies the lagged step
+    # equation, assembled densely apart from the package
+    alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.3, nx=12, ny=11)
+    op = cw.assemble_wentzell(g, b=b, c=c, alpha=alpha, beta=beta)
+    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
+    dt = 1e-3
+    rec = evolve(g, op, pot, u0, StepperConfig(dt=dt, snapshot_stride=1), 10 * dt)
+    assert rec.factorizations == 1 and len(rec.shifts) == 1  # no halved step
+    S = rec.shifts[0]
+    K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
+    W = bulk_o + bdry_o / b
+    K_A = K_o + (c / b) * np.diag(bdry_o)
+    B = K_o + alpha * P_o + beta * np.diag(bdry_o) + S * np.diag(bulk_o)
+    M = np.diag(W) + dt * (K_A @ (B / W[:, None]))
+    assert len(rec.snapshots) == 11
+    for (_, old), (_, new) in zip(rec.snapshots, rec.snapshots[1:]):
+        u, v = old.values, new.values
+        rhs = W * u + dt * (K_A @ ((S * bulk_o * u - bulk_o * pot.f(u)) / W))
+        assert np.linalg.norm(M @ v - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
 def test_energy_evaluated_once_per_step(problem, monkeypatch):
-    # the guard and the ledger row of each accepted state share one evaluation
+    # the guard, the ledger row and the next step of each accepted state
+    # share one evaluation, so f is evaluated once per state
+    import dataclasses
+
     import chwall.evolution as evo
 
     g, op, pot = problem
-    calls = []
+    calls, f_calls = [], []
     evaluate = evo.energy_and_gradient
     monkeypatch.setattr(
         evo, "energy_and_gradient", lambda *a: calls.append(1) or evaluate(*a)
     )
+    counted = dataclasses.replace(pot, f=lambda s: f_calls.append(1) or pot.f(s))
     n = 40
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=1e-3), n * 1e-3)
+    rec = evolve(g, op, counted, u0, StepperConfig(dt=1e-3), n * 1e-3)
     assert len(rec.times) == n + 1
     assert len(calls) == n + 1
+    assert len(f_calls) == n + 1
 
 
 def test_rows_match_independent_recomputation(pot):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chwall as cw
 from chwall import PairField, h_inner, laplace_beltrami, laplacian, normal_derivative
 from chwall.operators import (
     apply_A,
+    factor_x_invariant,
     h1_equiv_norm,
     norm_report,
     solve_Ainv,
@@ -126,6 +131,55 @@ def test_solve_Ainv_matches_dense_lu(rng, unit_grid, unit_op):
         assert np.max(np.abs(got - expected)) <= 1e-10 * (1 + np.max(np.abs(expected)))
         back = apply_A(unit_op, got)
         assert unit_op.h_norm(back - PairField(g, rhs)) <= 1e-10 * unit_op.h_norm(rhs)
+
+
+_positive = st.floats(0.1, 10.0)
+
+
+@st.composite
+def _x_invariant_problems(draw):
+    """A grid (strip with odd or even nx, or interval), constants, dt and S."""
+    ny = draw(st.integers(4, 24))
+    Ly = draw(st.floats(0.5, 4.0))
+    if draw(st.booleans()):
+        grid = cw.build_grid("strip2d", Lx=draw(st.floats(0.5, 4.0)), Ly=Ly,
+                             nx=draw(st.integers(4, 24)), ny=ny)
+    else:
+        grid = cw.build_grid("interval1d", Ly=Ly, ny=ny)
+    b, c, alpha, beta = (draw(_positive) for _ in range(4))
+    dt = 10.0 ** draw(st.floats(-5.0, -1.0))
+    S = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    return grid, cw.assemble_wentzell(grid, b=b, c=c, alpha=alpha, beta=beta), dt, S
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_x_invariant_problems(), seed=st.integers(0, 2 ** 32 - 1))
+def test_x_invariant_factor_matches_sparse_lu(problem, seed):
+    # the FFT-in-x band path against splu on K_A and on the step matrix
+    grid, op, dt, S = problem
+    forms, W = grid.forms, op.mass_weights
+    B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
+    step = sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
+    rhs = np.random.default_rng(seed).standard_normal(grid.n_nodes)
+    for M in (op.K_A, step.tocsr()):
+        band = factor_x_invariant(grid, M).solve(rhs)
+        lu = spla.splu(M.tocsc()).solve(rhs)
+        res_band = np.linalg.norm(M @ band - rhs) / np.linalg.norm(rhs)
+        res_lu = np.linalg.norm(M @ lu - rhs) / np.linalg.norm(rhs)
+        assert res_band <= 1e-10
+        # LU can land exactly on rhs on tiny systems: floor its residual at eps
+        assert res_band <= 10.0 * max(res_lu, np.finfo(float).eps)
+        assert np.linalg.norm(band - lu) <= 1e-10 * np.linalg.norm(lu)
+
+
+def test_x_invariant_factor_rejects_singular_and_wide_matrices():
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=5)
+    wall_rows_zero = sp.diags(np.where(g.on_gamma, 0.0, 1.0), format="csr")
+    with pytest.raises(RuntimeError, match="singular"):
+        factor_x_invariant(g, wall_rows_zero)
+    far = sp.eye(g.n_nodes, k=3 * g.nx, format="csr") + sp.eye(g.n_nodes, format="csr")
+    with pytest.raises(ValueError, match="more than two apart"):
+        factor_x_invariant(g, far)
 
 
 def test_x_norm_examples_and_two_routes(rng, unit_grid, unit_op):
