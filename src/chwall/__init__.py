@@ -46,11 +46,8 @@ from .energy import (
 from .evolution import (
     EvolutionAbort,
     GuardAbort,
-    StepperConfig,
     TrajectoryRecord,
     evolve,
-    step_newton,
-    step_semi_implicit,
 )
 from .stationary import (
     EquilibriumSolution,

@@ -25,6 +25,18 @@ from .grid import PairField, _as_values
 from .operators import v_norm
 
 
+# solve_augmented: the largest relative kernel component of an in-range right
+# side, and the condition number above which it warns
+RANGE_TOL = 1e-8
+COND_WARN = 1e6
+# ls_probe: the fewest samples it fits, and the energy gap (relative to
+# 1 + |E(psi)|) at or below which a sample is rounding, not signal
+MIN_SAMPLES = 5
+GAP_FLOOR_REL = 1e-13
+# rate_fit: the relative growth of the distance that breaks monotonicity
+MONOTONE_TOL = 1e-6
+
+
 @dataclass
 class LinearizedOperator:
     """Weighted-symmetric realization of the linearization at a base state.
@@ -37,10 +49,6 @@ class LinearizedOperator:
     grid: object
     K: sp.csr_matrix
     h_weights: np.ndarray
-    base_point: PairField
-    perturbation: PairField | None
-    alpha: float
-    beta: float
     augmentation: np.ndarray | None = None
 
     def apply(self, h):
@@ -66,16 +74,13 @@ def assemble_linearized(grid, pot, psi, v=None, alpha=1.0, beta=1.0,
     bijective; at a kernel-free point the augmentation is empty and the
     operator is unchanged.
     """
-    base = _as_values(psi)
-    vals = base + _as_values(v) if v is not None else base
+    vals = _as_values(psi)
+    if v is not None:
+        vals = vals + _as_values(v)
     linop = LinearizedOperator(
         grid=grid,
         K=energy_hessian(grid, pot, vals, alpha, beta),
         h_weights=grid.h_weights(1.0),
-        base_point=psi if isinstance(psi, PairField) else PairField(grid, base),
-        perturbation=v if (v is None or isinstance(v, PairField)) else PairField(grid, _as_values(v)),
-        alpha=alpha,
-        beta=beta,
     )
     if augment_kernel:
         rep = spectrum(linop, k=min(6, grid.n_nodes), kernel_tol=kernel_tol)
@@ -254,12 +259,11 @@ class AugmentedSolveResult:
     kernel_dim: int
 
 
-def solve_augmented(linop, f_rhs, use_projection, kernel_report=None,
-                    range_tol=1e-8, cond_warn=1e6):
+def solve_augmented(linop, f_rhs, use_projection, kernel_report=None):
     """Solve L w = f (or the kernel-augmented system when a kernel exists).
 
     Without projection the right side must lie in the range: its kernel
-    component must vanish to range_tol relative.  With projection the
+    component must vanish to RANGE_TOL relative.  With projection the
     bijective augmented operator (kernel projector plus L) is solved
     instead.  The returned bound constant is |w|_H / |f|_H.  A warning is
     emitted when the solve is badly conditioned (an eigenvalue crossing
@@ -275,13 +279,13 @@ def solve_augmented(linop, f_rhs, use_projection, kernel_report=None,
     fn = np.sqrt(float(np.sum(w * f * f)))
     ker_part = project_kernel(rep, w, f)
     proj_res = np.sqrt(float(np.sum(w * ker_part * ker_part)))
-    if not use_projection and proj_res > range_tol * max(fn, 1e-300):
+    if not use_projection and proj_res > RANGE_TOL * max(fn, 1e-300):
         raise ValueError(
             f"rhs has kernel component {proj_res:.3e} (relative "
             f"{proj_res / max(fn, 1e-300):.3e}); not in the range of L"
         )
     finite = rep.eigenvalues[np.abs(rep.eigenvalues) > rep.kernel_tol * rep.max_abs_eig]
-    if finite.size and rep.max_abs_eig / np.min(np.abs(finite)) > cond_warn:
+    if finite.size and rep.max_abs_eig / np.min(np.abs(finite)) > COND_WARN:
         warnings.warn(
             f"augmented solve badly conditioned: |lambda|_min/max ratio "
             f"{np.min(np.abs(finite)) / rep.max_abs_eig:.3e}",
@@ -341,8 +345,7 @@ def fit_gap_exponent(gaps, lhss):
     return theta, float(intercept), rms
 
 
-def ls_probe(grid, op, pot, traj, psi, window=0.5, min_samples=5,
-             gap_floor=None):
+def ls_probe(grid, op, pot, traj, psi, window=0.5):
     """Probe the energy-gap inequality along a converging trajectory.
 
     Snapshots inside the energy-norm window around psi contribute a sample
@@ -353,8 +356,7 @@ def ls_probe(grid, op, pot, traj, psi, window=0.5, min_samples=5,
     """
     psi_vals = _as_values(psi)
     e_psi = energy_value(grid, pot, psi_vals, op.alpha, op.beta)
-    if gap_floor is None:
-        gap_floor = 1e-13 * (1.0 + abs(e_psi))
+    gap_floor = GAP_FLOOR_REL * (1.0 + abs(e_psi))
     samples = []
     for t, snap in traj.snapshots:
         diff = _as_values(snap) - psi_vals
@@ -369,7 +371,7 @@ def ls_probe(grid, op, pot, traj, psi, window=0.5, min_samples=5,
         if lhs <= 0.0:
             continue
         samples.append((t, gap, lhs))
-    if len(samples) < min_samples:
+    if len(samples) < MIN_SAMPLES:
         return LSProbeReport(
             samples=samples,
             fitted_theta=float("nan"),
@@ -378,7 +380,7 @@ def ls_probe(grid, op, pot, traj, psi, window=0.5, min_samples=5,
             valid_window=(float("nan"), float("nan")),
             inequality_violations=0,
             insufficient=True,
-            note=f"only {len(samples)} usable samples (need {min_samples})",
+            note=f"only {len(samples)} usable samples (need {MIN_SAMPLES})",
         )
     gaps = np.array([s[1] for s in samples])
     lhss = np.array([s[2] for s in samples])
@@ -418,8 +420,7 @@ class RateReport:
     theta_source: str  # "fitted" (probe), "fallback" (probe inconclusive) or "given"
 
 
-def rate_fit(traj, theta, fit_tol=0.1, monotone_tol=1e-6, t_min=None,
-             theta_source="given"):
+def rate_fit(traj, theta, fit_tol=0.1, t_min=None, theta_source="given"):
     """Fit algebraic C(1+t)^-q and exponential C e^(-gamma t) decay models.
 
     The selected model is the one with smaller RMS residual in log space
@@ -440,7 +441,7 @@ def rate_fit(traj, theta, fit_tol=0.1, monotone_tol=1e-6, t_min=None,
         raise ValueError(f"need at least 5 positive samples, got {times.size}")
     if (1.0 + times.max()) / (1.0 + times.min()) < 10.0:
         raise ValueError("distance series does not span a decade of time")
-    growth = np.diff(dist) > monotone_tol * dist[:-1]
+    growth = np.diff(dist) > MONOTONE_TOL * dist[:-1]
     monotone_ok = not bool(np.any(growth))
 
     ld = np.log(dist)

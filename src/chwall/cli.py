@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import ls_probe, rate_fit, spectrum, assemble_linearized
-from .config import ConfigError, config_hash, parse_config, serialize_config
+from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .energy import EnergyReport, make_potential
-from .evolution import EvolutionAbort, StepperConfig, TrajectoryRecord, evolve
+from .evolution import EvolutionAbort, TrajectoryRecord, evolve
 from .grid import GridMode, PairField, build_grid, load_field, save_field
 from .operators import assemble_wentzell, x_norm
 from .stationary import (
@@ -136,7 +136,10 @@ def make_initial(grid, cfg):
             prof = np.cos(np.pi * y / grid.Ly)
         return PairField(grid, cfg.initial_mean + cfg.initial_amplitude * prof)
     if cfg.initial_kind == "file":
-        return load_field(cfg.initial_path, grid=grid)
+        try:
+            return load_field(cfg.initial_path, grid=grid)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"initial.path: {exc}")
     m = cfg.initial_modes
     u = np.zeros(grid.n_nodes)
     for l in range(0, m + 1):
@@ -185,12 +188,6 @@ def cmd_simulate(config_path):
     ref = None
     if cfg.reference_path:
         ref, _ = load_equilibrium(cfg.reference_path, grid=grid)
-    scfg = StepperConfig(
-        scheme=cfg.scheme, dt=cfg.dt, stabilization_S=cfg.stabilization_S,
-        newton_tol=cfg.newton_tol, newton_max_iter=cfg.newton_max_iter,
-        energy_guard=cfg.energy_guard, dt_min=cfg.dt_min,
-        series_stride=cfg.series_stride, snapshot_stride=cfg.snapshot_stride,
-    )
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     t0 = time.time()
@@ -200,7 +197,7 @@ def cmd_simulate(config_path):
         aborted = False
         reason = ""
         try:
-            rec = evolve(grid, op, pot, u0, scfg, cfg.t_end, ref=ref)
+            rec = evolve(grid, op, pot, u0, cfg, ref=ref)
         except EvolutionAbort as exc:
             rec = exc.record
             aborted = True
@@ -289,23 +286,27 @@ def cmd_equilibrium(config_path, init_path=None):
 
 
 def _load_run(run_dir):
+    """The config, problem and trajectory of a finished run, as analyze reads it.
+
+    The trajectory holds the row times and reference distances (both from
+    diagnostics.csv) and the snapshots; the ledger columns of series.csv
+    are not read.
+    """
     cfg_path = os.path.join(run_dir, "config.ini")
     series_path = os.path.join(run_dir, "series.csv")
+    diag_path = os.path.join(run_dir, "diagnostics.csv")
     snapdir = os.path.join(run_dir, "snapshots")
-    missing = [p for p in (cfg_path, series_path) if not os.path.exists(p)]
+    missing = [p for p in (cfg_path, series_path, diag_path) if not os.path.exists(p)]
     if missing:
         raise ConfigError(f"run directory {run_dir} is missing: {missing}")
     cfg = parse_config(cfg_path)
     grid, pot, op = build_problem(cfg)
-    times, reports = [], []
     with open(series_path) as fh:
         header = fh.readline().strip()
-        if header != EnergyReport.CSV_COLUMNS:
-            raise ConfigError(f"unexpected series.csv header: {header}")
-        for line in fh:
-            vals = [float(p) for p in line.split(",")]
-            times.append(vals[0])
-            reports.append(EnergyReport(*vals[1:]))
+    if header != EnergyReport.CSV_COLUMNS:
+        raise ConfigError(f"unexpected series.csv header: {header}")
+    times, xs, vs = np.loadtxt(diag_path, delimiter=",", skiprows=1,
+                               usecols=(0, 3, 4), ndmin=2).T
     snapshots = []
     if os.path.isdir(snapdir):
         for name in sorted(os.listdir(snapdir)):
@@ -313,23 +314,10 @@ def _load_run(run_dir):
                 continue
             t = float(name.rsplit("_t", 1)[1][:-4])
             snapshots.append((t, load_field(os.path.join(snapdir, name), grid=grid)))
-    rec = TrajectoryRecord(times=times, reports=reports, snapshots=snapshots)
-    diag_path = os.path.join(run_dir, "diagnostics.csv")
-    if os.path.exists(diag_path):
-        xs, vs, uts, defects = [], [], [], []
-        with open(diag_path) as fh:
-            fh.readline()
-            for line in fh:
-                parts = line.split(",")
-                uts.append(float(parts[1]))
-                defects.append(float(parts[2]))
-                xs.append(float(parts[3]))
-                vs.append(float(parts[4]))
-        rec.ut_xnorm = uts
-        rec.ledger_defect = [d for d in defects if not math.isnan(d)]
-        if not all(math.isnan(v) for v in xs):
-            rec.x_dist_to_ref = xs
-            rec.v_dist_to_ref = vs
+    rec = TrajectoryRecord(times=times.tolist(), snapshots=snapshots)
+    if not np.all(np.isnan(xs)):
+        rec.x_dist_to_ref = xs.tolist()
+        rec.v_dist_to_ref = vs.tolist()
     return cfg, grid, pot, op, rec
 
 
@@ -464,8 +452,7 @@ def cmd_check(dump_operator=None):
           abs(dissipation(grid, mu) - op.a_form(mu, mu))
           <= 1e-12 * (1 + abs(op.a_form(mu, mu))))
     check("operator spectrum is positive", op.lambda_min() > 0)
-    scfg = StepperConfig(dt=1e-3)
-    rec = evolve(grid, op, pot, 0.2 * u, scfg, 0.02)
+    rec = evolve(grid, op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
     e = [r.e_total for r in rec.reports]
     check("discrete energy law over 20 steps",
           all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1)))

@@ -12,7 +12,8 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 
 
 class ConfigError(Exception):
@@ -91,7 +92,7 @@ _FILE_KEYS = {
     "reference_path": "psi_path",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _to_text(value):
@@ -109,30 +110,31 @@ def _to_text(value):
 def _from_text(name, text):
     ftype = _FIELD_TYPES[name]
     text = text.strip()
+    members = typing.get_args(ftype)
+    if type(None) in members:  # optional: "none" or empty, else the other member
+        if text.lower() in ("none", ""):
+            return None
+        (ftype,) = [m for m in members if m is not type(None)]
     try:
-        if ftype == "bool":
+        if ftype is bool:
             if text.lower() in ("true", "1", "yes", "on"):
                 return True
             if text.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if ftype == "int":
-            return int(text)
-        if ftype == "float":
-            return float(text)
-        if ftype == "float | None":
-            return None if text.lower() in ("none", "") else float(text)
-        if ftype == "tuple":
+        if ftype is tuple:
             if not text:
                 return ()
             return tuple(float(p) for p in text.split(","))
-        return text
+        return ftype(text)  # str, int or float
     except ValueError as exc:
         raise ConfigError(f"field {name}: {exc}")
 
 
 def parse_config(path):
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a "%" in a path is a character like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (Lx vs lx)
     try:
         with open(path) as fh:
@@ -160,6 +162,7 @@ _FINITE = {
     "grid": ("Lx", "Ly"),
     "constants": ("b", "c", "alpha", "beta"),
     "stepper": ("dt", "t_end", "dt_min", "newton_tol"),
+    "initial": ("initial_amplitude", "initial_mean"),
     "analysis": ("probe_window", "kernel_tol", "rate_fit_t_min", "fit_tol"),
 }
 
@@ -170,6 +173,8 @@ def validate_config(cfg):
             val = getattr(cfg, name)
             if val is not None and not math.isfinite(val):
                 raise ConfigError(f"{section}.{name} = {val}: must be finite")
+    if not all(math.isfinite(v) for v in cfg.potential_coeffs):
+        raise ConfigError(f"potential.coeffs = {cfg.potential_coeffs}: must be finite")
     S = cfg.stabilization_S
     if S is not None and not (math.isfinite(S) and S >= 0):
         raise ConfigError(

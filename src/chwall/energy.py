@@ -30,30 +30,30 @@ class PotentialKind(Enum):
     POLYNOMIAL_CUSTOM = "polynomial_custom"
 
 
+# the far-field band TAIL_LO <= |s| <= TAIL_HI of the dissipativity check
+TAIL_LO = 2.0
+TAIL_HI = 10.0
+
+
 @dataclass(frozen=True)
 class Potential:
-    """Analytic nonlinearity bundle (f, f', f'', F) with validation data.
+    """Analytic nonlinearity bundle (f, f', F) with validation data.
 
     dissipativity_margin is the sampled minimum of f' over the far-field
-    band |s| in [tail_lo, tail_hi]; it must be positive (the mixture has to
+    band TAIL_LO <= |s| <= TAIL_HI; it must be positive (the mixture has to
     push back at large concentration for the energy to be coercive).
-    growth_p is the polynomial growth exponent used by the advisory
-    subcritical-growth check.
     """
 
     f: callable
     f_prime: callable
-    f_double_prime: callable
     F: callable
     kind: PotentialKind
-    growth_p: float
     dissipativity_margin: float
-    tail_lo: float = 2.0
-    tail_hi: float = 10.0
 
 
-def _validate(f, f_prime, F, kind, growth_p, tail_lo, tail_hi):
-    s = np.linspace(-tail_hi, tail_hi, 4001)
+def _validate(f, f_prime, F, kind, growth_p):
+    """The dissipativity margin; growth_p feeds the advisory growth check."""
+    s = np.linspace(-TAIL_HI, TAIL_HI, 4001)
     # antiderivative / derivative consistency via central differences
     eps = 1e-5
     fd_F = (F(s + eps) - F(s - eps)) / (2 * eps)
@@ -65,14 +65,14 @@ def _validate(f, f_prime, F, kind, growth_p, tail_lo, tail_hi):
     if np.max(np.abs(fd_f - f_prime(s)) / scale) > 1e-6:
         raise ValueError(f"{kind.value}: f' does not match derivative of f")
     tail = np.concatenate([
-        np.linspace(tail_lo, tail_hi, 500),
-        np.linspace(-tail_hi, -tail_lo, 500),
+        np.linspace(TAIL_LO, TAIL_HI, 500),
+        np.linspace(-TAIL_HI, -TAIL_LO, 500),
     ])
     margin = float(np.min(f_prime(tail)))
     if margin <= 0:
         raise ValueError(
             f"{kind.value}: dissipativity violated, min f' = {margin:.3g} "
-            f"on {tail_lo} <= |s| <= {tail_hi}"
+            f"on {TAIL_LO} <= |s| <= {TAIL_HI}"
         )
     if growth_p >= 5:
         warnings.warn(
@@ -91,13 +91,12 @@ def double_well():
     """
     f = lambda s: s ** 3 - s
     fp = lambda s: 3.0 * s ** 2 - 1.0
-    fpp = lambda s: 6.0 * s
     F = lambda s: 0.25 * (s ** 2 - 1.0) ** 2
-    margin = _validate(f, fp, F, PotentialKind.DOUBLE_WELL, 3.0, 2.0, 10.0)
-    return Potential(f, fp, fpp, F, PotentialKind.DOUBLE_WELL, 3.0, margin)
+    margin = _validate(f, fp, F, PotentialKind.DOUBLE_WELL, 3.0)
+    return Potential(f, fp, F, PotentialKind.DOUBLE_WELL, margin)
 
 
-def polynomial_potential(coeffs, tail_lo=2.0, tail_hi=10.0):
+def polynomial_potential(coeffs):
     """Potential from polynomial f given highest-order-first coefficients.
 
     F is the antiderivative with F(0) = 0.  The dissipativity check
@@ -107,18 +106,12 @@ def polynomial_potential(coeffs, tail_lo=2.0, tail_hi=10.0):
     if cf.ndim != 1 or cf.size < 2:
         raise ValueError("need at least a linear polynomial for f")
     dcf = np.polyder(cf)
-    ddcf = np.polyder(dcf)
     Fcf = np.polyint(cf)
     f = lambda s: np.polyval(cf, s)
     fp = lambda s: np.polyval(dcf, s)
-    fpp = lambda s: np.polyval(ddcf, s)
     F = lambda s: np.polyval(Fcf, s)
-    p = float(cf.size - 1)
-    margin = _validate(f, fp, F, PotentialKind.POLYNOMIAL_CUSTOM, p, tail_lo, tail_hi)
-    return Potential(
-        f, fp, fpp, F, PotentialKind.POLYNOMIAL_CUSTOM, p, margin,
-        tail_lo, tail_hi,
-    )
+    margin = _validate(f, fp, F, PotentialKind.POLYNOMIAL_CUSTOM, float(cf.size - 1))
+    return Potential(f, fp, F, PotentialKind.POLYNOMIAL_CUSTOM, margin)
 
 
 def make_potential(kind, coeffs=None):

@@ -25,16 +25,16 @@ scheme energy-stable, so the automatic shift is that sampled bound rounded
 up onto the fixed ladder 2^(k/4): it changes only when the state range
 pushes the bound past a rung.  The step matrix commutes with x-shifts; it
 is assembled and factorized by ``operators.factor_x_invariant`` once per
-(dt, S) and kept in a cache that belongs to the run (``evolve``, or one
-``step_*`` call), never to the operator; a run therefore factorizes again
-only when the energy guard halves dt or S climbs a rung.  Newton's Jacobian
+(dt, S) and kept in a cache that belongs to the run (one ``evolve`` call),
+never to the operator; a run therefore factorizes again only when the
+energy guard halves dt or S climbs a rung.  Newton's Jacobian
 is the same matrix with the full energy Hessian in place of
 K_lin + S M_bulk; it varies in x through f'(u) and is factorized by sparse
 LU at every iteration.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,19 +64,6 @@ class EvolutionAbort(RuntimeError):
         super().__init__(message)
         self.record = record
         self.state = state
-
-
-@dataclass
-class StepperConfig:
-    scheme: str = "semi_implicit"  # or "newton"
-    dt: float = 1e-3
-    stabilization_S: float | None = None  # None: max |f'| over the state range
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
-    energy_guard: bool = True
-    dt_min: float = 1e-8
-    series_stride: int = 1
-    snapshot_stride: int = 0
 
 
 @dataclass
@@ -236,29 +223,13 @@ def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, factors):
     return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half, factors)
 
 
-def _step(grid, op, pot, u_n, cfg, scheme):
-    """One energy-guarded step of length cfg.dt with its own factorizations."""
-    cfg = replace(cfg, scheme=scheme)
-    vals = _as_values(u_n)
-    S = _shift(pot, cfg, float(np.min(vals)), float(np.max(vals)))
-    ev_old = energy_and_gradient(grid, pot, vals, op.alpha, op.beta)
-    out, _ = _advance(grid, op, pot, vals, cfg.dt, cfg, S, ev_old, _StepFactors())
-    return PairField(grid, out)
+def evolve(grid, op, pot, u0, cfg, ref=None):
+    """March to cfg.t_end recording the diagnostics ledger each stride.
 
-
-def step_semi_implicit(grid, op, pot, u_n, cfg):
-    """One energy-guarded stabilized semi-implicit step of length cfg.dt."""
-    return _step(grid, op, pot, u_n, cfg, "semi_implicit")
-
-
-def step_newton(grid, op, pot, u_n, cfg):
-    """One energy-guarded fully implicit step of length cfg.dt."""
-    return _step(grid, op, pot, u_n, cfg, "newton")
-
-
-def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
-    """March to t_end recording the diagnostics ledger each stride.
-
+    cfg is a ``config.RunConfig``; the run reads its stepper fields (scheme,
+    dt, t_end, stabilization_S, newton_tol, newton_max_iter, energy_guard,
+    dt_min) and its strides (series_stride, snapshot_stride).  One step is
+    the run with t_end = dt.
     Each row also records the flow speed |u_t|_X, taken from the exact
     identity u_t = -A mu as sqrt(a(mu, mu)), which is the row's dissipation.
     When a reference equilibrium is supplied, the distances |U - psi| in the
@@ -266,6 +237,7 @@ def evolve(grid, op, pot, u0, cfg, t_end, ref=None):
     On a guard abort the partial record and last valid state are attached
     to the raised EvolutionAbort.
     """
+    t_end = cfg.t_end
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     rec = TrajectoryRecord()

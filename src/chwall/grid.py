@@ -291,10 +291,6 @@ class PairField:
     def set_trace(self, tr):
         self.values[self.grid.bdry_idx] = tr
 
-    def values2d(self):
-        """(ny, nx) view for Strip2D stencils; (ny, 1) for the interval."""
-        return self.values.reshape(self.grid.ny, self.grid.nx)
-
     def copy(self):
         return PairField(self.grid, self.values.copy())
 
@@ -366,7 +362,11 @@ def save_field(field, path):
 
 
 def load_field(path, grid=None):
-    """Read a snapshot; rebuilds the grid from the header unless one is given."""
+    """Read a snapshot; rebuilds the grid from the header unless one is given.
+
+    Raises ValueError unless the body lists every node of the grid exactly
+    once (a truncated or duplicated file is refused, not half-filled).
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != FIELD_HEADER:
@@ -382,9 +382,22 @@ def load_field(path, grid=None):
             )
         g = grid or file_grid
         fh.readline()  # column header
-        vals = np.empty(g.n_nodes)
-        for line in fh:
-            parts = line.split(",")
-            k = int(parts[1]) * g.nx + int(parts[0])
-            vals[k] = float(parts[4])
+        try:
+            body = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 4), ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: unreadable snapshot row: {exc}")
+    i, j = body[:, 0], body[:, 1]
+    valid = ((i % 1 == 0) & (j % 1 == 0)
+             & (0 <= i) & (i < g.nx) & (0 <= j) & (j < g.ny))
+    k = (j[valid] * g.nx + i[valid]).astype(int)
+    counts = np.bincount(k, minlength=g.n_nodes)
+    if len(body) != g.n_nodes or np.any(counts != 1):
+        raise ValueError(
+            f"{path}: {np.count_nonzero(counts == 0)} of {g.n_nodes} nodes missing, "
+            f"{np.count_nonzero(counts > 1)} repeated, "
+            f"{np.count_nonzero(~valid)} rows off the grid; every node must "
+            "appear exactly once"
+        )
+    vals = np.empty(g.n_nodes)
+    vals[k] = body[:, 2]
     return PairField(g, vals)

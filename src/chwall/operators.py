@@ -96,6 +96,11 @@ def factor_x_invariant(grid, M):
     return XInvariantFactor(nx, ny, lu, piv)
 
 
+# lambda_min: relative tolerance and iteration cap of the inverse power iteration
+LAMBDA_MIN_TOL = 1e-12
+LAMBDA_MIN_MAX_ITER = 500
+
+
 class WentzellOperator:
     """Assembled elliptic operator A with factorization and inner product.
 
@@ -150,7 +155,7 @@ class WentzellOperator:
             self._lu = factor_x_invariant(self.grid, self.K_A)
         return self._lu
 
-    def lambda_min(self, tol=1e-12, max_iter=500):
+    def lambda_min(self):
         """Smallest eigenvalue of A in the weighted inner product.
 
         Inverse power iteration on K x = lambda W x through the cached
@@ -162,11 +167,11 @@ class WentzellOperator:
             v = np.ones(self.grid.n_nodes)
             v /= np.sqrt(v @ (w * v))
             lam = None
-            for _ in range(max_iter):
+            for _ in range(LAMBDA_MIN_MAX_ITER):
                 y = lu.solve(w * v)
                 y /= np.sqrt(y @ (w * y))
                 lam_new = float(y @ (self.K_A @ y))
-                if lam is not None and abs(lam_new - lam) <= tol * abs(lam_new):
+                if lam is not None and abs(lam_new - lam) <= LAMBDA_MIN_TOL * abs(lam_new):
                     lam = lam_new
                     break
                 lam = lam_new

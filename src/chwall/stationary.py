@@ -3,7 +3,7 @@
 A stationary state makes the chemical potential vanish identically, which
 is the discrete critical-point condition for the free energy.  The robust
 path is minimize-then-refine: limited-memory quasi-Newton descent on E
-(with an optional spectral kick off saddles, since an exactly critical
+(with a spectral kick off saddles, since an exactly critical
 start has zero gradient and plain descent would sit still), followed by a
 full Newton iteration on mu(U) = 0 with the energy Hessian as Jacobian.
 """
@@ -28,6 +28,17 @@ from .energy import (
 )
 from .grid import PairField, _as_values, load_field, save_field
 from .operators import x_norm
+
+
+# minimize_energy: at most MAX_OUTER L-BFGS runs of LBFGS_CHUNK iterations
+MAX_OUTER = 30
+LBFGS_CHUNK = 400
+# newton_refine: iteration cap
+NEWTON_MAX_ITER = 50
+# the gradient norm below which a start counts as inside a Newton basin
+BASIN_THRESHOLD = 1e-2
+# omega_limit: the largest weak-norm distance from the final state to its limit
+OMEGA_X_DIST_MAX = 0.5
 
 
 class SolveMethod(Enum):
@@ -68,8 +79,7 @@ def _most_negative_direction(grid, pot, vals, alpha, beta):
     return float(lam[0]), phi
 
 
-def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
-                    max_outer=30, chunk=400, escape_saddles=True):
+def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     """Descend the free energy until the gradient norm drops below tol.
 
     Returns a MinimizeResult; .converged is False when the iteration cap
@@ -88,11 +98,9 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
     total_iters = 0
     escapes = 0
     stalls = 0
-    for _ in range(max_outer):
+    for _ in range(MAX_OUTER):
         gn = math.hypot(*residual_norms(grid, g))
         if gn <= tol:
-            if not escape_saddles:
-                break
             lam0, phi = _most_negative_direction(grid, pot, x, alpha, beta)
             if lam0 >= -1e-10 * (1.0 + abs(lam0)):
                 break  # genuine (local) minimum
@@ -105,7 +113,7 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
             break  # line search cannot move; report unconverged
         res = minimize(
             evaluate, x, jac=True, method="L-BFGS-B",
-            options={"maxiter": chunk, "ftol": 1e-300, "gtol": 1e-300},
+            options={"maxiter": LBFGS_CHUNK, "ftol": 1e-300, "gtol": 1e-300},
         )
         if res.fun <= e:
             x = res.x
@@ -135,9 +143,8 @@ def _kick_off_saddle(evaluate, x, e0, phi):
     return best
 
 
-def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
-                  max_iter=50, alpha=1.0, beta=1.0,
-                  method=SolveMethod.NEWTON_ONLY):
+def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
+                  alpha=1.0, beta=1.0, method=SolveMethod.NEWTON_ONLY):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
@@ -158,7 +165,7 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=1e-2,
     iters = 0
     converged = res <= tol
     kernel_dim = None
-    while not converged and iters < max_iter:
+    while not converged and iters < NEWTON_MAX_ITER:
         K = energy_hessian(grid, pot, x, alpha, beta)
         try:
             delta = spla.splu(K.tocsc()).solve(-g)
@@ -198,8 +205,7 @@ def _numerical_kernel_dim(grid, pot, vals, alpha, beta):
     return rep.kernel_dim
 
 
-def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
-                     basin_threshold=1e-2):
+def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     """Minimize-then-refine pipeline; the robust path from generic data.
 
     The descent phase always runs: for a start already inside a Newton
@@ -208,7 +214,7 @@ def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
     curvature) escape to a lower state instead of being reported as the
     equilibrium.
     """
-    mr = minimize_energy(grid, pot, u_init, tol=max(tol, basin_threshold / 10),
+    mr = minimize_energy(grid, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10),
                          alpha=alpha, beta=beta)
     method = (
         SolveMethod.MINIMIZE_THEN_NEWTON
@@ -216,12 +222,12 @@ def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0,
         else SolveMethod.NEWTON_ONLY
     )
     sol = newton_refine(grid, pot, mr.field, tol=tol, alpha=alpha, beta=beta,
-                        basin_threshold=max(basin_threshold, 10 * tol),
+                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol),
                         method=method)
     return sol
 
 
-def omega_limit(grid, op, pot, traj_final, tol=1e-8, x_dist_max=0.5):
+def omega_limit(grid, op, pot, traj_final, tol=1e-8):
     """Identify the equilibrium a long trajectory has settled onto.
 
     Refines the final state by Newton and checks that the starting point
@@ -238,7 +244,7 @@ def omega_limit(grid, op, pot, traj_final, tol=1e-8, x_dist_max=0.5):
             f"trajectory not yet near an equilibrium ({exc}); run longer"
         )
     dist = x_norm(op, traj_final - sol.psi)
-    if not sol.converged or dist > x_dist_max:
+    if not sol.converged or dist > OMEGA_X_DIST_MAX:
         raise RuntimeError(
             f"omega-limit identification failed: final state is {dist:.3e} "
             f"away from the refined equilibrium in the weak norm; run longer"

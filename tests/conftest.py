@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import chwall as cw
+from chwall.evolution import evolve
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +25,11 @@ def unit_op(unit_grid):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def one_step(grid, op, pot, u, cfg):
+    """One energy-guarded step of length cfg.dt: a run with t_end = dt."""
+    return evolve(grid, op, pot, u, replace(cfg, t_end=cfg.dt)).final_state()
 
 
 def dense_form_matrices(grid):

@@ -13,12 +13,15 @@ import pytest
 
 import chwall as cw
 from chwall.analysis import fit_gap_exponent, ls_probe, rate_fit
-from chwall.cli import _load_run, main
+from chwall.cli import main
+from chwall.config import RunConfig, parse_config
 from chwall.energy import chemical_potential, dissipation, energy_value
-from chwall.evolution import StepperConfig, TrajectoryRecord, evolve, step_semi_implicit
+from chwall.evolution import TrajectoryRecord, evolve
 from chwall.grid import PairField, h_inner, h_norm
 from chwall.operators import apply_A, solve_Ainv, x_norm, x_norm_via_form
 from chwall.stationary import minimize_energy, newton_refine, omega_limit
+
+from conftest import one_step
 
 REFERENCE_CONFIG = """\
 [grid]
@@ -51,6 +54,13 @@ seed = 2024
 """
 
 
+def read_columns(path):
+    """The named columns of a run's CSV file, as arrays."""
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")
+    return dict(zip(names, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
+
+
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """The reference run, produced via the CLI; returns (run_dir, wall_time)."""
@@ -71,15 +81,14 @@ def convergence_run(pot):
     op = cw.assemble_wentzell(g)
     psi = newton_refine(g, pot, PairField.zeros(g), tol=1e-13).psi
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    cfg = StepperConfig(dt=2e-3, series_stride=5, snapshot_stride=100)
-    rec = evolve(g, op, pot, u0, cfg, 70.0, ref=psi)
+    cfg = RunConfig(dt=2e-3, t_end=70.0, series_stride=5, snapshot_stride=100)
+    rec = evolve(g, op, pot, u0, cfg, ref=psi)
     return g, op, rec, psi
 
 
 def test_criterion_1_discrete_energy_law(reference_run):
     run_dir, wall = reference_run
-    _, _, _, _, rec = _load_run(str(run_dir))
-    e = [r.e_total for r in rec.reports]
+    e = read_columns(run_dir / "series.csv")["e_total"].tolist()
     assert len(e) == 10_001  # initial row + one per step
     violations = sum(
         1 for i in range(len(e) - 1)
@@ -97,13 +106,13 @@ def test_criterion_2_dissipation_consistency(pot):
     u_raw = PairField(
         g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * np.cos(np.pi * g.y) + 0.1
     )
-    rec = evolve(g, op, pot, u_raw, StepperConfig(dt=5e-4, series_stride=100), 0.5)
+    rec = evolve(g, op, pot, u_raw, RunConfig(dt=5e-4, t_end=0.5, series_stride=100))
     u0 = rec.final_state()
     d0 = dissipation(g, chemical_potential(g, pot, u0))
     dts = [4e-3, 2e-3, 1e-3]
     defects = []
     for dt in dts:
-        u1 = step_semi_implicit(g, op, pot, u0, StepperConfig(dt=dt))
+        u1 = one_step(g, op, pot, u0, RunConfig(dt=dt))
         de = (energy_value(g, pot, u1.values) - energy_value(g, pot, u0.values)) / dt
         defects.append(abs(de + d0))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
@@ -248,9 +257,10 @@ def test_criterion_8_rate_bound(convergence_run, pot):
 
 def test_criterion_9_mass_flux_ledger(reference_run, pot):
     run_dir, _ = reference_run
-    cfg, g, _, op, rec = _load_run(str(run_dir))
-    defect = np.abs(np.asarray(rec.ledger_defect))
-    scale = np.maximum(1.0, np.asarray(rec.ut_xnorm[:-1]))
+    cfg = parse_config(run_dir / "config.ini")
+    diag = read_columns(run_dir / "diagnostics.csv")
+    defect = np.abs(diag["ledger_defect"][1:])  # row k closes interval k - 1
+    scale = np.maximum(1.0, diag["ut_xnorm"][:-1])
     bound = 10.0 * cfg.dt * scale
     assert defect.shape == scale.shape
     assert np.all(defect <= bound)
@@ -258,7 +268,7 @@ def test_criterion_9_mass_flux_ledger(reference_run, pot):
     g16 = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     op16 = cw.assemble_wentzell(g16)
     rec1 = evolve(g16, op16, pot, PairField.constant(g16, 1.0),
-                  StepperConfig(dt=1e-3), 0.3)
+                  RunConfig(dt=1e-3, t_end=0.3))
     mass = [r.mass_total for r in rec1.reports]
     assert all(f < 0 for f in [r.flux for r in rec1.reports][:-1])
     assert all(m2 < m1 for m1, m2 in zip(mass, mass[1:]))

@@ -17,7 +17,8 @@ from chwall.analysis import (
     solve_augmented,
     spectrum,
 )
-from chwall.evolution import StepperConfig, TrajectoryRecord, evolve
+from chwall.config import RunConfig
+from chwall.evolution import TrajectoryRecord, evolve
 from chwall.grid import PairField
 from chwall.stationary import _most_negative_direction, newton_refine
 
@@ -324,7 +325,7 @@ def test_fit_exponent_exact_synthetic():
 def test_ls_probe_insufficient_on_stationary_trajectory(unit_grid, unit_op, pot):
     g = unit_grid
     rec = evolve(g, unit_op, pot, PairField.zeros(g),
-                 StepperConfig(dt=1e-2, snapshot_stride=2), 0.1)
+                 RunConfig(dt=1e-2, t_end=0.1, snapshot_stride=2))
     rep = ls_probe(g, unit_op, pot, rec, PairField.zeros(g))
     assert rep.insufficient
     assert rep.inequality_violations == 0
@@ -336,8 +337,8 @@ def converging_run(pot):
     op = cw.assemble_wentzell(g)
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
     psi = newton_refine(g, pot, PairField.zeros(g), tol=1e-12).psi
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=2e-3, series_stride=5,
-                                               snapshot_stride=50), 40.0,
+    rec = evolve(g, op, pot, u0, RunConfig(dt=2e-3, t_end=40.0, series_stride=5,
+                                           snapshot_stride=50),
                  ref=psi)
     return g, op, rec, psi
 

@@ -3,16 +3,21 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chwall as cw
 from chwall.cli import main
 from chwall.config import (
+    _FILE_KEYS,
+    _LAYOUT,
     ConfigError,
     RunConfig,
     config_hash,
     parse_config,
     serialize_config,
 )
+from chwall.grid import PairField
 
 
 BASE_CONFIG = """\
@@ -63,6 +68,110 @@ def test_config_roundtrip(tmp_path):
     cfg2 = parse_config(path2)
     assert cfg == cfg2
     assert config_hash(cfg) == config_hash(cfg2)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# no whitespace (stripped) and no "#" or ";" (inline comments)
+_PATH = st.text(alphabet="abcxyz0123456789_-./%", min_size=1, max_size=16)
+
+
+@st.composite
+def run_configs(draw):
+    """Random configs that pass validation."""
+    kind = draw(st.sampled_from(["double_well", "polynomial_custom"]))
+    initial = draw(st.sampled_from(["constant", "cosine", "random_fourier", "file"]))
+    return RunConfig(
+        mode=draw(st.sampled_from(["strip2d", "interval1d"])),
+        Lx=draw(_POSITIVE), Ly=draw(_POSITIVE),
+        nx=draw(st.integers(4, 10 ** 6)), ny=draw(st.integers(4, 10 ** 6)),
+        potential_kind=kind,
+        potential_coeffs=tuple(draw(st.lists(
+            _FINITE, min_size=int(kind == "polynomial_custom"), max_size=5))),
+        b=draw(_POSITIVE), c=draw(_POSITIVE),
+        alpha=draw(_POSITIVE), beta=draw(_POSITIVE),
+        scheme=draw(st.sampled_from(["semi_implicit", "newton"])),
+        dt=draw(_POSITIVE), t_end=draw(_POSITIVE), dt_min=draw(_POSITIVE),
+        stabilization_S=draw(st.none() | st.floats(0.0, allow_infinity=False)),
+        newton_tol=draw(_FINITE), newton_max_iter=draw(st.integers(1, 10 ** 6)),
+        energy_guard=draw(st.booleans()),
+        initial_kind=initial,
+        initial_amplitude=draw(_FINITE), initial_mean=draw(_FINITE),
+        initial_modes=draw(st.integers(0, 100)),
+        initial_path=draw(_PATH if initial == "file" else st.just("") | _PATH),
+        output_dir=draw(_PATH),
+        series_stride=draw(st.integers(1, 10 ** 9)),
+        snapshot_stride=draw(st.integers(0, 10 ** 9)),
+        plots=draw(st.booleans()),
+        probe_window=draw(_POSITIVE), kernel_tol=draw(_POSITIVE),
+        rate_fit_t_min=draw(st.none() | _FINITE), fit_tol=draw(_FINITE),
+        reference_path=draw(st.just("") | _PATH),
+        seed=draw(st.integers(0, 2 ** 63)),
+    )
+
+
+_SECTION = {name: section for section, names in _LAYOUT.items() for name in names}
+
+
+def config_entry(name, text):
+    """A config file that sets the one field name to text."""
+    return f"[{_SECTION[name]}]\n{_FILE_KEYS.get(name, name)} = {text}\n"
+
+
+_NOT_TEXT = sorted(name for name, value in vars(RunConfig()).items()
+                   if not isinstance(value, str))
+
+_OUT_OF_RANGE = {
+    "Lx": st.floats(max_value=0.0) | st.just("nan"),
+    "Ly": st.floats(max_value=0.0) | st.just("inf"),
+    "nx": st.integers(max_value=3),
+    "ny": st.integers(max_value=3),
+    "b": st.floats(max_value=0.0), "c": st.floats(max_value=0.0),
+    "alpha": st.floats(max_value=0.0), "beta": st.floats(max_value=0.0),
+    "dt": st.floats(max_value=0.0), "t_end": st.floats(max_value=0.0),
+    "dt_min": st.floats(max_value=0.0),
+    "stabilization_S": st.floats(max_value=0.0, exclude_max=True) | st.just("nan"),
+    "newton_tol": st.sampled_from(["nan", "inf", "-inf"]),
+    "initial_amplitude": st.sampled_from(["nan", "inf"]),
+    "initial_mean": st.sampled_from(["nan", "-inf"]),
+    "potential_coeffs": st.sampled_from(["1,nan", "inf,0", "1,0,-inf"]),
+    "series_stride": st.integers(max_value=0),
+    "snapshot_stride": st.integers(max_value=-1),
+    "probe_window": st.floats(max_value=0.0), "kernel_tol": st.floats(max_value=0.0),
+    "rate_fit_t_min": st.sampled_from(["nan", "inf"]),
+    "fit_tol": st.sampled_from(["nan", "-inf"]),
+    "mode": st.sampled_from(["strip3d", "Strip2D", "none"]),
+    "scheme": st.sampled_from(["implicit", "euler"]),
+    "potential_kind": st.sampled_from(["quartic", "none"]),
+    "initial_kind": st.sampled_from(["zeros", "sine"]),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=run_configs())
+def test_config_serialize_parse_roundtrip(tmp_path, cfg):
+    path = write_config(tmp_path, serialize_config(cfg))
+    assert parse_config(path) == cfg
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(_NOT_TEXT),
+       junk=st.text(alphabet="xzqwk!?", min_size=1, max_size=8))
+def test_config_rejects_unparsable_values(tmp_path, name, junk):
+    with pytest.raises(ConfigError, match=f"field {name}"):
+        parse_config(write_config(tmp_path, config_entry(name, junk)))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), name=st.sampled_from(sorted(_OUT_OF_RANGE)))
+def test_config_rejects_out_of_range_values(tmp_path, data, name):
+    value = data.draw(_OUT_OF_RANGE[name])
+    text = repr(value) if isinstance(value, float) else str(value)
+    with pytest.raises(ConfigError):
+        parse_config(write_config(tmp_path, config_entry(name, text)))
 
 
 def test_config_defaults_and_types(tmp_path):
@@ -140,10 +249,27 @@ def test_snapshot_times_are_stored_exactly(tmp_path):
     _, _, _, _, rec = _load_run(str(tmp_path / "o"))
     times = [t for t, _ in rec.snapshots]
     assert len(times) == 6
-    assert times == rec.times  # series.csv holds every row time exactly
+    assert times == rec.times  # the run's CSV rows hold every time exactly
     assert times[1] == 3e-7
     assert times[-1] == pytest.approx(1.5e-6, rel=1e-12)
     assert times[-1] <= 1.5e-6 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("cut", [20, None])
+def test_cli_refuses_bad_initial_file(tmp_path, capsys, cut):
+    # a snapshot cut short, or no file at all, stops the run before its
+    # output directory exists
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
+    init = tmp_path / "init.csv"
+    if cut is not None:
+        cw.save_field(PairField.constant(g, 0.1), init)
+        init.write_text("".join(init.read_text().splitlines(keepends=True)[:-cut]))
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace(
+        "kind = cosine", f"kind = file\npath = {init}"
+    )
+    assert main(["simulate", write_config(tmp_path, text)]) == 2
+    assert "initial.path" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,19 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chwall as cw
+from chwall.config import RunConfig
 from chwall.energy import chemical_potential, dissipation, energy_value
-from chwall.evolution import (
-    EvolutionAbort,
-    StepperConfig,
-    auto_stabilization,
-    evolve,
-    step_newton,
-    step_semi_implicit,
-)
+from chwall.evolution import EvolutionAbort, auto_stabilization, evolve
 from chwall.grid import PairField, h_norm
 from chwall.operators import apply_A, x_norm
 
-from conftest import dense_form_matrices
+from conftest import dense_form_matrices, one_step
 
 
 def relaxed_state(grid, op, pot, t_relax=0.5):
@@ -29,7 +24,7 @@ def relaxed_state(grid, op, pot, t_relax=0.5):
         + 0.1 * np.cos(np.pi * grid.y / grid.Ly)
         + 0.1,
     )
-    rec = evolve(grid, op, pot, u0, StepperConfig(dt=5e-4, series_stride=100), t_relax)
+    rec = evolve(grid, op, pot, u0, RunConfig(dt=5e-4, t_end=t_relax, series_stride=100))
     return rec.final_state()
 
 
@@ -42,8 +37,8 @@ def problem():
 def test_zero_is_fixed_point_of_both_steppers(problem):
     g, op, pot = problem
     z = PairField.zeros(g)
-    for step in (step_semi_implicit, step_newton):
-        out = step(g, op, pot, z, StepperConfig(dt=0.01))
+    for scheme in ("semi_implicit", "newton"):
+        out = one_step(g, op, pot, z, RunConfig(scheme=scheme, dt=0.01))
         assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -54,7 +49,7 @@ def test_unit_field_single_step_dense_oracle(pot):
     one = PairField.constant(g, 1.0)
     dt = 0.01
     S = auto_stabilization(pot, 1.0, 1.0)
-    out = step_semi_implicit(g, op, pot, one, StepperConfig(dt=dt, stabilization_S=S))
+    out = one_step(g, op, pot, one, RunConfig(dt=dt, stabilization_S=S))
 
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
     W = bulk_o + bdry_o  # unit constants
@@ -79,7 +74,7 @@ def test_dissipation_consistency_dt_slope(problem):
     dts = [4e-3, 2e-3, 1e-3]
     defects = []
     for dt in dts:
-        u1 = step_semi_implicit(g, op, pot, u0, StepperConfig(dt=dt))
+        u1 = one_step(g, op, pot, u0, RunConfig(dt=dt))
         de = (energy_value(g, pot, u1.values) - energy_value(g, pot, u0.values)) / dt
         defects.append(abs(de + d0))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
@@ -92,9 +87,9 @@ def test_schemes_agree_to_first_order(problem):
     dts = [4e-4, 2e-4, 1e-4]
     diffs = []
     for dt in dts:
-        cfg = StepperConfig(dt=dt, newton_tol=1e-13)
-        us = step_semi_implicit(g, op, pot, u0, cfg)
-        un = step_newton(g, op, pot, u0, cfg)
+        cfg = RunConfig(dt=dt, newton_tol=1e-13)
+        us = one_step(g, op, pot, u0, cfg)
+        un = one_step(g, op, pot, u0, replace(cfg, scheme="newton"))
         diffs.append(h_norm(g, us - un))
     slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
     assert slope >= 1.0
@@ -102,23 +97,23 @@ def test_schemes_agree_to_first_order(problem):
 
 def test_newton_step_zero_converges_immediately(problem):
     g, op, pot = problem
-    out = step_newton(g, op, pot, PairField.zeros(g), StepperConfig(dt=0.5))
+    out = one_step(g, op, pot, PairField.zeros(g), RunConfig(scheme="newton", dt=0.5))
     assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_newton_large_dt_monotone_energy(problem, rng):
     g, op, pot = problem
     u = PairField(g, 0.5 * rng.standard_normal(g.n_nodes))
-    cfg = StepperConfig(dt=1.0, scheme="newton", newton_tol=1e-11)
+    cfg = RunConfig(dt=1.0, scheme="newton", newton_tol=1e-11)
     e0 = energy_value(g, pot, u.values)
-    u1 = step_newton(g, op, pot, u, cfg)
+    u1 = one_step(g, op, pot, u, cfg)
     e1 = energy_value(g, pot, u1.values)
     assert e1 <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_evolve_constant_zero_trajectory(problem):
     g, op, pot = problem
-    rec = evolve(g, op, pot, PairField.zeros(g), StepperConfig(dt=1e-3), 0.05)
+    rec = evolve(g, op, pot, PairField.zeros(g), RunConfig(dt=1e-3, t_end=0.05))
     for rep in rec.reports:
         assert abs(rep.e_total - 0.25) <= 1e-12
     assert all(t2 > t1 for t1, t2 in zip(rec.times, rec.times[1:]))
@@ -127,8 +122,8 @@ def test_evolve_constant_zero_trajectory(problem):
 def test_evolve_energy_monotone_and_residual_decay(problem):
     g, op, pot = problem
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    cfg = StepperConfig(dt=2e-3, series_stride=5)
-    rec = evolve(g, op, pot, u0, cfg, 8.0)
+    cfg = RunConfig(dt=2e-3, t_end=8.0, series_stride=5)
+    rec = evolve(g, op, pot, u0, cfg)
     e = [r.e_total for r in rec.reports]
     assert all(
         e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1)
@@ -144,8 +139,8 @@ def test_evolve_energy_monotone_and_residual_decay(problem):
 
 def test_evolve_mass_ledger_from_unit_field(problem):
     g, op, pot = problem
-    cfg = StepperConfig(dt=1e-3)
-    rec = evolve(g, op, pot, PairField.constant(g, 1.0), cfg, 0.3)
+    cfg = RunConfig(dt=1e-3, t_end=0.3)
+    rec = evolve(g, op, pot, PairField.constant(g, 1.0), cfg)
     mass = [r.mass_total for r in rec.reports]
     fluxes = [r.flux for r in rec.reports]
     # wall potential stays positive for this run and mass strictly leaves
@@ -170,7 +165,7 @@ def test_evolve_records_reference_distances(problem):
     g, op, pot = problem
     u0 = PairField(g, 0.05 * np.cos(2 * np.pi * g.x))
     psi = PairField.zeros(g)
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=1e-3, snapshot_stride=20), 0.1, ref=psi)
+    rec = evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.1, snapshot_stride=20), ref=psi)
     assert rec.x_dist_to_ref is not None and len(rec.x_dist_to_ref) == len(rec.times)
     assert rec.v_dist_to_ref[0] > rec.v_dist_to_ref[-1]
     assert rec.snapshots[-1][0] == pytest.approx(0.1)
@@ -202,24 +197,23 @@ def saddle_start(pot):
 def test_energy_guard_rejects_and_halves(saddle_start, pot):
     g, op, u0 = saddle_start
     e0 = energy_value(g, pot, u0.values)
-    raw = step_newton(
+    raw = one_step(
         g, op, pot, u0,
-        StepperConfig(scheme="newton", dt=50.0, energy_guard=False,
-                      newton_tol=1e-12),
+        RunConfig(scheme="newton", dt=50.0, energy_guard=False, newton_tol=1e-12),
     )
     assert energy_value(g, pot, raw.values) > e0  # unguarded step misbehaves
-    guarded = step_newton(
+    guarded = one_step(
         g, op, pot, u0,
-        StepperConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6),
+        RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6),
     )
     assert energy_value(g, pot, guarded.values) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_energy_guard_exhaustion_aborts_with_state(saddle_start, pot):
     g, op, u0 = saddle_start
-    cfg = StepperConfig(scheme="newton", dt=50.0, dt_min=30.0, newton_tol=1e-12)
+    cfg = RunConfig(scheme="newton", dt=50.0, t_end=100.0, dt_min=30.0, newton_tol=1e-12)
     with pytest.raises(EvolutionAbort) as exc_info:
-        evolve(g, op, pot, u0, cfg, 100.0)
+        evolve(g, op, pot, u0, cfg)
     rec = exc_info.value.record
     assert rec.aborted and "dt_min" in rec.abort_reason
     assert exc_info.value.state is not None
@@ -229,16 +223,16 @@ def test_newton_divergence_falls_back_to_halved_dt(problem, rng):
     g, op, pot = problem
     u0 = PairField(g, 2.0 * rng.standard_normal(g.n_nodes))
     # two iterations cannot converge at dt=8; halving makes the budget enough
-    cfg = StepperConfig(scheme="newton", dt=8.0, newton_max_iter=8,
-                        newton_tol=1e-10, dt_min=1e-4)
-    out = step_newton(g, op, pot, u0, cfg)
+    cfg = RunConfig(scheme="newton", dt=8.0, newton_max_iter=8,
+                    newton_tol=1e-10, dt_min=1e-4)
+    out = one_step(g, op, pot, u0, cfg)
     e0 = energy_value(g, pot, u0.values)
     assert energy_value(g, pot, out.values) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_equilibrium_fixed_under_evolve(problem):
     g, op, pot = problem
-    rec = evolve(g, op, pot, PairField.zeros(g), StepperConfig(dt=0.1), 1.0)
+    rec = evolve(g, op, pot, PairField.zeros(g), RunConfig(dt=0.1, t_end=1.0))
     assert np.max(np.abs(rec.final_state().values)) == 0.0
 
 
@@ -247,7 +241,7 @@ def test_general_constants_energy_law(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
     op = cw.assemble_wentzell(g, b=2.0, c=0.5, alpha=0.7, beta=1.5)
     u0 = PairField(g, 0.2 * np.cos(2 * np.pi * g.x) + 0.1)
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=1e-3), 0.5)
+    rec = evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.5))
     e = [r.e_total for r in rec.reports]
     assert all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1))
     # dissipation column carries the (c/b)-weighted wall term
@@ -261,7 +255,7 @@ def test_interval_mode_energy_law(pot):
     g = cw.build_grid("interval1d", Ly=1.0, ny=24)
     op = cw.assemble_wentzell(g)
     u0 = PairField(g, 0.1 * np.cos(np.pi * g.y) + 0.02)
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=1e-3), 1.0)
+    rec = evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=1.0))
     e = [r.e_total for r in rec.reports]
     assert all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1))
 
@@ -321,15 +315,14 @@ def test_automatic_shift_stays_on_few_rungs(pot, factorization_calls):
     # phase separation widens the state range every step; the shift ladder
     # keeps the factorizations to one per rung instead of one per step
     from chwall.cli import make_initial
-    from chwall.config import RunConfig
 
     calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=16, ny=16)
     op = cw.assemble_wentzell(g)
     u0 = make_initial(g, RunConfig(initial_kind="random_fourier",
                                    initial_amplitude=0.05, seed=3))
-    cfg = StepperConfig(dt=1e-2, series_stride=10 ** 6)
-    rec = evolve(g, op, pot, u0, cfg, 3000 * cfg.dt)
+    cfg = RunConfig(dt=1e-2, t_end=3000 * 1e-2, series_stride=10 ** 6)
+    rec = evolve(g, op, pot, u0, cfg)
     assert np.ptp(rec.final_state().values) > 10 * np.ptp(u0.values)
     assert len(calls) <= 6
     assert rec.factorizations == len(calls)
@@ -342,8 +335,8 @@ def test_evolve_leaves_no_step_cache_on_operator(problem):
     g, op, pot = problem
     before = dict(vars(op))
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    evolve(g, op, pot, u0, StepperConfig(dt=1e-3), 0.01)
-    step_semi_implicit(g, op, pot, u0, StepperConfig(dt=1e-3))
+    evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.01))
+    one_step(g, op, pot, u0, RunConfig(dt=1e-3))
     assert not hasattr(op, "_step_cache")
     assert vars(op).keys() == before.keys()
     assert all(vars(op)[k] is v for k, v in before.items())
@@ -359,9 +352,9 @@ def test_guard_halving_records_its_factorizations(pot, factorization_calls):
     runs = {}
     for guard in (False, True):
         calls.clear()
-        cfg = StepperConfig(dt=0.1, stabilization_S=0.0, energy_guard=guard,
-                            series_stride=10 ** 6)
-        rec = evolve(g, op, pot, u0, cfg, cfg.dt)
+        cfg = RunConfig(dt=0.1, t_end=0.1, stabilization_S=0.0, energy_guard=guard,
+                        series_stride=10 ** 6)
+        rec = evolve(g, op, pot, u0, cfg)
         assert rec.factorizations == len(calls)
         assert rec.shifts == [0.0]
         runs[guard] = rec
@@ -376,11 +369,11 @@ def test_last_step_reuses_factorization(pot, factorization_calls):
     # accumulated time carries, so one (dt, S) factorization serves the run
     calls = factorization_calls["band"]
     g = cw.build_grid("interval1d", Ly=1.0, ny=6)
-    cfg = StepperConfig(dt=1e-3, stabilization_S=2.0, series_stride=10 ** 6)
+    cfg = RunConfig(dt=1e-3, stabilization_S=2.0, series_stride=10 ** 6)
     u0 = PairField(g, 0.1 * np.cos(np.pi * g.y))
     for n in range(1, 401):
         calls.clear()
-        rec = evolve(g, cw.assemble_wentzell(g), pot, u0, cfg, n * cfg.dt)
+        rec = evolve(g, cw.assemble_wentzell(g), pot, u0, replace(cfg, t_end=n * cfg.dt))
         assert len(calls) == 1, f"{len(calls)} factorizations for {n} steps"
         assert len(rec.times) == 2
 
@@ -390,8 +383,8 @@ def test_newton_counts_its_sparse_jacobians(problem, factorization_calls):
     # factorization per iteration, and the record counts each of them
     g, op, pot = problem
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1)
-    cfg = StepperConfig(scheme="newton", dt=1e-3, series_stride=10 ** 6)
-    rec = evolve(g, op, pot, u0, cfg, 3 * cfg.dt)
+    cfg = RunConfig(scheme="newton", dt=1e-3, t_end=3 * 1e-3, series_stride=10 ** 6)
+    rec = evolve(g, op, pot, u0, cfg)
     assert rec.factorizations == len(factorization_calls["splu"]) >= 3
     assert factorization_calls["band"] == []
 
@@ -404,7 +397,7 @@ def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
     op = cw.assemble_wentzell(g, b=b, c=c, alpha=alpha, beta=beta)
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
     dt = 1e-3
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=dt, snapshot_stride=1), 10 * dt)
+    rec = evolve(g, op, pot, u0, RunConfig(dt=dt, t_end=10 * dt, snapshot_stride=1))
     assert rec.factorizations == 1 and len(rec.shifts) == 1  # no halved step
     S = rec.shifts[0]
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
@@ -435,7 +428,7 @@ def test_energy_evaluated_once_per_step(problem, monkeypatch):
     counted = dataclasses.replace(pot, f=lambda s: f_calls.append(1) or pot.f(s))
     n = 40
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    rec = evolve(g, op, counted, u0, StepperConfig(dt=1e-3), n * 1e-3)
+    rec = evolve(g, op, counted, u0, RunConfig(dt=1e-3, t_end=n * 1e-3))
     assert len(rec.times) == n + 1
     assert len(calls) == n + 1
     assert len(f_calls) == n + 1
@@ -448,8 +441,8 @@ def test_rows_match_independent_recomputation(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
     op = cw.assemble_wentzell(g, b=b, c=c, alpha=alpha, beta=beta)
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
-    cfg = StepperConfig(dt=1e-3, snapshot_stride=1)
-    rec = evolve(g, op, pot, u0, cfg, 0.01)
+    cfg = RunConfig(dt=1e-3, t_end=0.01, snapshot_stride=1)
+    rec = evolve(g, op, pot, u0, cfg)
     forms = g.forms
 
     def close(x):

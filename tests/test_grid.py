@@ -175,6 +175,42 @@ def test_interval_snapshot_roundtrip(tmp_path, rng):
     assert np.array_equal(loaded.values, f.values)
 
 
+@pytest.fixture()
+def snapshot_file(tmp_path, rng):
+    """An 8x8 strip snapshot on disk: (path, its lines)."""
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
+    path = tmp_path / "snap.csv"
+    save_field(PairField(g, rng.standard_normal(g.n_nodes)), path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_load_field_refuses_truncated_snapshot(snapshot_file):
+    path, lines = snapshot_file
+    path.write_text("".join(lines[:-20]))
+    with pytest.raises(ValueError, match=r"snap\.csv: 20 of 64 nodes missing"):
+        load_field(path)
+    path.write_text("".join(lines[:3]))  # header only
+    with pytest.raises(ValueError, match="64 of 64 nodes missing"):
+        load_field(path)
+    path.write_text("".join(lines[:-1]) + lines[-1][:5])  # cut inside a row
+    with pytest.raises(ValueError, match=r"snap\.csv"):
+        load_field(path)
+
+
+def test_load_field_refuses_repeated_or_foreign_rows(snapshot_file):
+    path, lines = snapshot_file
+    head, body = lines[:3], lines[3:]
+    path.write_text("".join(head + body[:-1] + body[:1]))  # first row in place of last
+    with pytest.raises(ValueError, match="1 of 64 nodes missing, 1 repeated"):
+        load_field(path)
+    path.write_text("".join(lines + body[5:6]))  # one row twice, none missing
+    with pytest.raises(ValueError, match="0 of 64 nodes missing, 1 repeated"):
+        load_field(path)
+    path.write_text("".join(head + body[:-1]) + "8" + body[-1][1:])  # i = nx
+    with pytest.raises(ValueError, match="1 rows off the grid"):
+        load_field(path)
+
+
 def test_h_norm_positive(rng, unit_grid):
     u = rng.standard_normal(unit_grid.n_nodes)
     assert h_norm(unit_grid, u) > 0

@@ -3,7 +3,8 @@ import pytest
 
 import chwall as cw
 from chwall.energy import energy_value, stationary_residual
-from chwall.evolution import StepperConfig, evolve
+from chwall.config import RunConfig
+from chwall.evolution import evolve
 from chwall.grid import PairField, h_norm
 from chwall.operators import v_norm
 from chwall.stationary import (
@@ -84,7 +85,7 @@ def test_minimize_descent_property(small_strip, pot, rng):
     for _ in range(3):
         u0 = PairField(g, 0.8 * rng.standard_normal(g.n_nodes))
         e0 = energy_value(g, pot, u0.values)
-        res = minimize_energy(g, pot, u0, tol=1e-7, max_outer=10)
+        res = minimize_energy(g, pot, u0, tol=1e-7)
         assert energy_value(g, pot, res.field.values) <= e0 + 1e-12 * (1 + abs(e0))
 
 
@@ -145,7 +146,7 @@ def test_critical_point_equivalence(tall_strip, pot):
 def test_omega_limit_identifies_equilibrium(small_strip, pot):
     g, op = small_strip
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    rec = evolve(g, op, pot, u0, StepperConfig(dt=2e-3, series_stride=20), 12.0)
+    rec = evolve(g, op, pot, u0, RunConfig(dt=2e-3, t_end=12.0, series_stride=20))
     sol = omega_limit(g, op, pot, rec.final_state(), tol=1e-9)
     assert sol.method is SolveMethod.TRAJECTORY_LIMIT
     assert sol.bulk_res + sol.bdry_res <= 1e-8
@@ -155,11 +156,11 @@ def test_omega_limit_identifies_equilibrium(small_strip, pot):
 
 def test_omega_limit_twin_runs_agree(small_strip, pot):
     g, op = small_strip
-    cfg = StepperConfig(dt=2e-3, series_stride=50)
+    cfg = RunConfig(dt=2e-3, t_end=12.0, series_stride=50)
     sols = []
     for amp, mean in ((0.1, 0.05), (0.07, -0.03)):
         u0 = PairField(g, amp * np.cos(2 * np.pi * g.x) + mean)
-        rec = evolve(g, op, pot, u0, cfg, 12.0)
+        rec = evolve(g, op, pot, u0, cfg)
         sols.append(omega_limit(g, op, pot, rec.final_state(), tol=1e-10))
     diff = v_norm(g, sols[0].psi - sols[1].psi)
     assert diff <= 1e-6
