@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 
@@ -123,6 +124,14 @@ def build_problem(cfg):
     return grid, pot, op
 
 
+def _load_input(name, load, path, grid):
+    """load(path, grid=grid) for a file the user named; a bad file is a config error."""
+    try:
+        return load(path, grid=grid)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}")
+
+
 def make_initial(grid, cfg):
     """Seeded initial data; the random kind superposes low-wavenumber modes."""
     rng = np.random.default_rng(cfg.seed)
@@ -136,10 +145,7 @@ def make_initial(grid, cfg):
             prof = np.cos(np.pi * y / grid.Ly)
         return PairField(grid, cfg.initial_mean + cfg.initial_amplitude * prof)
     if cfg.initial_kind == "file":
-        try:
-            return load_field(cfg.initial_path, grid=grid)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"initial.path: {exc}")
+        return _load_input("initial.path", load_field, cfg.initial_path, grid)
     m = cfg.initial_modes
     u = np.zeros(grid.n_nodes)
     for l in range(0, m + 1):
@@ -187,7 +193,8 @@ def cmd_simulate(config_path):
     u0 = make_initial(grid, cfg)
     ref = None
     if cfg.reference_path:
-        ref, _ = load_equilibrium(cfg.reference_path, grid=grid)
+        ref, _ = _load_input("reference.psi_path", load_equilibrium,
+                             cfg.reference_path, grid)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     t0 = time.time()
@@ -207,9 +214,10 @@ def cmd_simulate(config_path):
         snapdir = os.path.join(out, "snapshots")
         os.makedirs(snapdir, exist_ok=True)
         for i, (t, snap) in enumerate(rec.snapshots):
-            save_field(snap, os.path.join(snapdir, f"snap_{i:06d}_t{t!r}.csv"))
-        if rec.snapshots:
-            save_field(rec.snapshots[-1][1], os.path.join(out, "final_state.csv"))
+            snap_path = os.path.join(snapdir, f"snap_{i:06d}_t{t!r}.csv")
+            save_field(snap, snap_path)
+        # evolve ends every record, aborted or not, with its final state
+        shutil.copyfile(snap_path, os.path.join(out, "final_state.csv"))
         if cfg.plots:
             e = [r.e_total for r in rec.reports]
             d = [r.dissipation for r in rec.reports]
@@ -249,7 +257,7 @@ def cmd_equilibrium(config_path, init_path=None):
     cfg = parse_config(config_path)
     grid, pot, op = build_problem(cfg)
     if init_path:
-        u0 = load_field(init_path, grid=grid)
+        u0 = _load_input("--init", load_field, init_path, grid)
     else:
         u0 = make_initial(grid, cfg)
     out = cfg.output_dir
@@ -335,7 +343,7 @@ def _report_text(obj):
 
 def cmd_analyze(run_dir, psi_prefix):
     cfg, grid, pot, op, rec = _load_run(run_dir)
-    psi, _ = load_equilibrium(psi_prefix, grid=grid)
+    psi, _ = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
     out = os.path.join(run_dir, "analysis")
     os.makedirs(out, exist_ok=True)
 

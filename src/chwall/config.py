@@ -167,7 +167,28 @@ _FINITE = {
 }
 
 
+def _reads_back(text):
+    """True when a value written as ``key = text`` parses back to text.
+
+    The parser strips surrounding whitespace, ends a value at a line break
+    and cuts it at an inline comment: a "#" or ";" that starts the value or
+    follows whitespace.
+    """
+    return (text == text.strip() and "\n" not in text and "\r" not in text
+            and not any(ch in "#;" and (i == 0 or text[i - 1].isspace())
+                        for i, ch in enumerate(text)))
+
+
 def validate_config(cfg):
+    for section, names in _LAYOUT.items():
+        for name in names:
+            val = getattr(cfg, name)
+            if isinstance(val, str) and not _reads_back(val):
+                raise ConfigError(
+                    f"{section}.{_FILE_KEYS.get(name, name)} = {val!r}: a config "
+                    "file cannot hold surrounding whitespace, a line break, or "
+                    "a '#' or ';' at the start or after whitespace"
+                )
     for section, names in _FINITE.items():
         for name in names:
             val = getattr(cfg, name)
@@ -212,6 +233,12 @@ def validate_config(cfg):
 
 
 def serialize_config(cfg):
+    """The canonical text of a config, which parse_config reads back unchanged.
+
+    Raises ConfigError for a config that ``validate_config`` refuses; that
+    includes every string value the parser would cut or change.
+    """
+    validate_config(cfg)
     out = io.StringIO()
     for section, names in _LAYOUT.items():
         out.write(f"[{section}]\n")

@@ -187,11 +187,13 @@ def residual_norms(grid, g):
 
 
 def state_report(grid, u, evaluation, alpha=1.0, beta=1.0, b=1.0, c=1.0):
-    """The ledger row of a state from its evaluation (E, g).
+    """(row, K_A mu): the ledger row of a state from its evaluation (E, g).
 
     Adds only two sparse products to the one behind (E, g): the surface
     gradient k_par u for the surface energy (the bulk energy is E minus
-    it) and K_A mu for the dissipation.
+    it) and K_A mu for the dissipation mu.K_A mu, with K_A = k_lin(0, c/b)
+    the stiffness of the wall operator.  K_A mu is returned too, since a
+    semi-implicit step from this state needs the same product.
     """
     vals = _as_values(u)
     e, g = evaluation
@@ -199,25 +201,26 @@ def state_report(grid, u, evaluation, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     e_surf = 0.5 * alpha * float(vals @ (forms.k_par @ vals))
     e_surf += 0.5 * beta * float(vals @ (forms.bdry_mass * vals))
     mu = g / grid.h_weights(b)
+    kmu = forms.k_lin(0.0, c / b) @ mu
     mass_bulk = float(np.dot(grid.bulk_weights, vals))
     bulk_res, bdry_res = residual_norms(grid, g)
     return EnergyReport(
         e_bulk=e - e_surf,
         e_surf=e_surf,
         e_total=e,
-        dissipation=dissipation(grid, mu, b=b, c=c),
+        dissipation=float(mu @ kmu),
         mass_bulk=mass_bulk,
         mass_total=mass_bulk + float(np.dot(grid.bdry_weights, vals[grid.bdry_idx])),
         flux=-float(np.dot(grid.bdry_weights, mu[grid.bdry_idx])),
         bulk_res=bulk_res,
         bdry_res=bdry_res,
-    )
+    ), kmu
 
 
 def energy(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     """Full energy/mass/dissipation report for a state."""
     evaluation = energy_and_gradient(grid, pot, u, alpha, beta)
-    return state_report(grid, u, evaluation, alpha=alpha, beta=beta, b=b, c=c)
+    return state_report(grid, u, evaluation, alpha=alpha, beta=beta, b=b, c=c)[0]
 
 
 def energy_hessian(grid, pot, u, alpha=1.0, beta=1.0):

@@ -20,10 +20,12 @@ solved in its delta form
 
 where g_old = K_lin u_old + M_bulk f(u_old) is the energy gradient that the
 evaluation of u_old (made for the energy guard) already holds, so a step
-evaluates f once.  Any shift S >= max |f'| over the states met keeps the
-scheme energy-stable, so the automatic shift is that sampled bound rounded
-up onto the fixed ladder 2^(k/4): it changes only when the state range
-pushes the bound past a rung.  The step matrix commutes with x-shifts; it
+evaluates f once; when u_old has a ledger row, the row's dissipation has
+already formed K_A W^-1 g_old = K_A mu, and the step reuses it.  Any shift
+S >= max |f'| over the states met keeps the scheme energy-stable, so the
+automatic shift is that sampled bound rounded up onto the fixed ladder
+2^(k/4): it changes only when the state range pushes the bound past a
+rung.  The step matrix commutes with x-shifts; it
 is assembled and factorized by ``operators.factor_x_invariant`` once per
 (dt, S) and kept in a cache that belongs to the run (one ``evolve`` call),
 never to the operator; a run therefore factorizes again only when the
@@ -164,10 +166,15 @@ def _semi_system(grid, op, dt, S, factors):
     return lu
 
 
-def _semi_step_once(grid, op, u_vals, g_old, dt, S, factors):
-    """The delta form: u_new = u_old - dt M^-1 K_A W^-1 g_old."""
+def _semi_step_once(grid, op, u_vals, g_old, kmu_old, dt, S, factors):
+    """The delta form: u_new = u_old - dt M^-1 K_A W^-1 g_old.
+
+    kmu_old is K_A W^-1 g_old when the row of u_old has formed it, else None.
+    """
     lu = _semi_system(grid, op, dt, S, factors)
-    return u_vals - lu.solve(dt * (op.K_A @ (g_old / op.mass_weights)))
+    if kmu_old is None:
+        kmu_old = op.K_A @ (g_old / op.mass_weights)
+    return u_vals - lu.solve(dt * kmu_old)
 
 
 def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
@@ -192,16 +199,17 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
     raise _RetryHalved  # no convergence at this dt
 
 
-def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, factors):
+def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
     """Advance exactly dt, honoring the energy guard by recursive halving.
 
-    ev_old is the evaluation (E, g) of u_vals.  Returns the new state with
+    ev_old is the evaluation (E, g) of u_vals and kmu_old its K_A mu, or
+    None when u_vals has no row that formed it.  Returns the new state with
     its evaluation, shared by guard, row and the next step.
     """
     e_old = ev_old[0]
     try:
         if cfg.scheme == "semi_implicit":
-            u_new = _semi_step_once(grid, op, u_vals, ev_old[1], dt, S, factors)
+            u_new = _semi_step_once(grid, op, u_vals, ev_old[1], kmu_old, dt, S, factors)
             evaluation = energy_and_gradient(grid, pot, u_new, op.alpha, op.beta)
         elif cfg.scheme == "newton":
             u_new, evaluation = _newton_step_once(grid, op, pot, u_vals, dt, cfg, factors)
@@ -219,8 +227,9 @@ def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, factors):
             f"energy guard exhausted: retry step {dt / 2.0:.3e} fell below "
             f"dt_min={cfg.dt_min:.3e}"
         )
-    u_half, ev_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, ev_old, factors)
-    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half, factors)
+    u_half, ev_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, ev_old,
+                               kmu_old, factors)
+    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half, None, factors)
 
 
 def evolve(grid, op, pot, u0, cfg, ref=None):
@@ -249,7 +258,8 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
     lo, hi = float(np.min(u)), float(np.max(u))
 
     def record_row(t_now, u_vals, evaluation):
-        report = state_report(
+        """Append the row of a state; returns its K_A mu for the next step."""
+        report, kmu = state_report(
             grid, u_vals, evaluation, alpha=op.alpha, beta=op.beta, b=op.b, c=op.c
         )
         rec.times.append(t_now)
@@ -259,9 +269,10 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
             diff = PairField(grid, u_vals) - ref
             rec.x_dist_to_ref.append(x_norm(op, diff))
             rec.v_dist_to_ref.append(v_norm(grid, diff))
+        return kmu
 
     evaluation = energy_and_gradient(grid, pot, u, op.alpha, op.beta)
-    record_row(0.0, u, evaluation)
+    kmu = record_row(0.0, u, evaluation)
     if cfg.snapshot_stride:
         rec.snapshots.append((0.0, PairField(grid, u.copy())))
 
@@ -279,13 +290,14 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
             S = _shift(pot, cfg, lo, hi)
             if S is not None and rec.shifts[-1:] != [S]:
                 rec.shifts.append(S)
-            u, evaluation = _advance(grid, op, pot, u, dt, cfg, S, evaluation, factors)
+            u, evaluation = _advance(grid, op, pot, u, dt, cfg, S, evaluation, kmu, factors)
+            kmu = None
             t += dt
             step_idx += 1
             if step_idx % cfg.series_stride == 0 or t >= t_end - eps_t:
                 prev_report = rec.reports[-1]
                 prev_t = rec.times[-1]
-                record_row(t, u, evaluation)
+                kmu = record_row(t, u, evaluation)
                 new_report = rec.reports[-1]
                 dmass = (new_report.mass_total - prev_report.mass_total) / (t - prev_t)
                 outflow = -(op.c / op.b) * prev_report.flux

@@ -137,6 +137,7 @@ class StripGrid:
         )
         self._forms = None
         self._h_weights = {}
+        self._snapshot_template = None
 
     @property
     def area(self):
@@ -163,6 +164,17 @@ class StripGrid:
         if self._forms is None:
             self._forms = _assemble_forms(self)
         return self._forms
+
+    @property
+    def snapshot_template(self):
+        """The text of a snapshot with %.17g in place of each u, made once.
+
+        Every column but u depends on the grid alone, so ``save_field``
+        formats only the field values into this shared string.
+        """
+        if self._snapshot_template is None:
+            self._snapshot_template = _snapshot_template(self)
+        return self._snapshot_template
 
     def params(self):
         return (self.mode, self.Lx, self.Ly, self.nx, self.ny)
@@ -346,19 +358,24 @@ def h_norm(grid, u, b=1.0):
 FIELD_HEADER = "# mode,Lx,Ly,nx,ny"
 
 
+def _snapshot_template(grid):
+    """Header, column line and one row per node, u left as a %.17g slot."""
+    nx = grid.nx
+    xs = [f"{x:.17g}" for x in grid.x[:nx].tolist()]
+    ys = [f"{y:.17g}" for y in grid.y[::nx].tolist()]
+    flags = grid.on_gamma.astype(int).tolist()
+    return (
+        f"{FIELD_HEADER}\n# {grid.mode.value},{grid.Lx:.17g},{grid.Ly:.17g},"
+        f"{nx},{grid.ny}\ni,j,x,y,u,on_gamma\n"
+        + "".join(f"{i},{j},{xs[i]},{ys[j]},%.17g,{flags[j * nx + i]}\n"
+                  for j in range(grid.ny) for i in range(nx))
+    )
+
+
 def save_field(field, path):
     """Write a field snapshot as CSV with a grid-identifying header."""
-    g = field.grid
-    k = np.arange(g.n_nodes)
-    columns = zip((k % g.nx).tolist(), (k // g.nx).tolist(), g.x.tolist(),
-                  g.y.tolist(), field.values.tolist(), g.on_gamma.astype(int).tolist())
     with open(path, "w") as fh:
-        fh.write(
-            f"{FIELD_HEADER}\n# {g.mode.value},{g.Lx:.17g},{g.Ly:.17g},{g.nx},{g.ny}\n"
-            "i,j,x,y,u,on_gamma\n"
-            + "".join(f"{i},{j},{x:.17g},{y:.17g},{u:.17g},{w}\n"
-                      for i, j, x, y, u, w in columns)
-        )
+        fh.write(field.grid.snapshot_template % tuple(field.values.tolist()))
 
 
 def load_field(path, grid=None):

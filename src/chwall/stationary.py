@@ -90,8 +90,21 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     # scipy.optimize costs a quarter second to import; only this solver needs it
     from scipy.optimize import minimize
 
+    last = [None, None]  # the point evaluated last and its (E, g)
+
     def evaluate(v):
-        return energy_and_gradient(grid, pot, v, alpha, beta)
+        last[:] = v.copy(), energy_and_gradient(grid, pot, v, alpha, beta)
+        return last[1]
+
+    def evaluation_at(v):
+        return last[1] if np.array_equal(v, last[0]) else evaluate(v)
+
+    # scipy's own stopping tests are off (ftol = gtol = 1e-300): a chunk ends
+    # at the loop's tolerance, checked on each accepted iterate, or at its cap
+    def stop_when_converged(intermediate_result):
+        g_acc = evaluation_at(intermediate_result.x)[1]
+        if math.hypot(*residual_norms(grid, g_acc)) <= tol:
+            raise StopIteration
 
     x = _as_values(u_init).copy()
     e, g = evaluate(x)
@@ -112,12 +125,12 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
         elif stalls >= 2:
             break  # line search cannot move; report unconverged
         res = minimize(
-            evaluate, x, jac=True, method="L-BFGS-B",
+            evaluate, x, jac=True, method="L-BFGS-B", callback=stop_when_converged,
             options={"maxiter": LBFGS_CHUNK, "ftol": 1e-300, "gtol": 1e-300},
         )
         if res.fun <= e:
             x = res.x
-            e, g = evaluate(x)
+            e, g = evaluation_at(x)
         total_iters += int(res.nit)
         stalls = stalls + 1 if int(res.nit) == 0 else 0
     gn = math.hypot(*residual_norms(grid, g))

@@ -72,8 +72,9 @@ def test_config_roundtrip(tmp_path):
 
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# no whitespace (stripped) and no "#" or ";" (inline comments)
-_PATH = st.text(alphabet="abcxyz0123456789_-./%", min_size=1, max_size=16)
+# includes what the parser strips or cuts: whitespace, line breaks and the
+# inline comment marks "#" and ";"
+_PATH = st.text(alphabet="abcxyz0123456789_-./% \t\n\r#;", min_size=1, max_size=16)
 
 
 @st.composite
@@ -151,8 +152,26 @@ _OUT_OF_RANGE = {
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=run_configs())
 def test_config_serialize_parse_roundtrip(tmp_path, cfg):
-    path = write_config(tmp_path, serialize_config(cfg))
-    assert parse_config(path) == cfg
+    # a config is either written so that it reads back unchanged, or refused
+    try:
+        text = serialize_config(cfg)
+    except ConfigError as exc:
+        assert "config file cannot hold" in str(exc)
+        return
+    assert parse_config(write_config(tmp_path, text)) == cfg
+
+
+@pytest.mark.parametrize("path", ["runs/a #1", "a ;b", "#a", ";", " a", "a\t",
+                                  "a\nb", "a\rb"])
+def test_serialize_refuses_text_the_parser_would_change(path):
+    with pytest.raises(ConfigError, match="io.output_dir"):
+        serialize_config(RunConfig(output_dir=path))
+
+
+@pytest.mark.parametrize("path", ["runs/a#1", "a;b#c", "50%", "a b", ""])
+def test_serialize_keeps_text_the_parser_reads_back(tmp_path, path):
+    cfg = RunConfig(output_dir=path)
+    assert parse_config(write_config(tmp_path, serialize_config(cfg))) == cfg
 
 
 @settings(max_examples=60, deadline=None,
@@ -324,7 +343,9 @@ def test_cli_simulate_artifacts_and_manifest(tmp_path):
     assert manifest["factorizations"] == 1
     assert len(manifest["shifts"]) == 1
     assert (out / "energy.svg").exists()
-    assert len(list((out / "snapshots").glob("*.csv"))) >= 2
+    snaps = sorted((out / "snapshots").glob("*.csv"))
+    assert len(snaps) >= 2
+    assert (out / "final_state.csv").read_bytes() == snaps[-1].read_bytes()
 
 
 def test_cli_determinism_bit_identical(tmp_path):
@@ -499,6 +520,22 @@ def test_cli_analyze_missing_artifacts(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_cli_equilibrium_missing_init_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "eq"))
+    assert main(["equilibrium", cfg, "--init", str(tmp_path / "nope.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --init" in err and "nope.csv" in err
+
+
+def test_cli_analyze_missing_equilibrium(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out))]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out), str(tmp_path / "nope")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: psi_prefix" in err and "nope" in err
+
+
 def test_cli_check_passes(tmp_path, capsys):
     dump = tmp_path / "A.txt"
     rc = main(["check", "--dump-operator", str(dump)])
@@ -517,6 +554,8 @@ def test_cli_guard_abort_exit_code(tmp_path, capsys):
     assert (tmp_path / "ab" / "series.csv").exists()
     manifest = json.loads((tmp_path / "ab" / "manifest.json").read_text())
     assert manifest["aborted"] is True
+    snaps = sorted((tmp_path / "ab" / "snapshots").glob("*.csv"))
+    assert (tmp_path / "ab" / "final_state.csv").read_bytes() == snaps[-1].read_bytes()
 
 
 def test_make_initial_kinds(tmp_path):

@@ -468,3 +468,19 @@ def test_rows_match_independent_recomputation(pot):
         assert rep.bulk_res == close(bulk)
         assert rep.bdry_res == close(bdry)
         assert rep.bulk_res ** 2 + rep.bdry_res ** 2 == close(h_norm(g, mu_unit) ** 2)
+
+
+def test_row_stride_leaves_states_unchanged(pot):
+    # a step takes K_A mu from its state's row when the state has one and
+    # forms it otherwise; at non-unit constants both must give the same bits
+    b, c = 2.0, 0.5
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
+    op = cw.assemble_wentzell(g, b=b, c=c, alpha=0.7, beta=1.5)
+    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
+    every, some = (evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.012, series_stride=s,
+                                                    snapshot_stride=1))
+                   for s in (1, 5))
+    assert len(every.snapshots) == len(some.snapshots) == 13
+    for (t_a, u_a), (t_b, u_b) in zip(every.snapshots, some.snapshots):
+        assert t_a == t_b and np.array_equal(u_a.values, u_b.values)
+    assert some.reports == [every.reports[k] for k in (0, 5, 10, 12)]

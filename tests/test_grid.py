@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chwall as cw
-from chwall.grid import GridMode, PairField, h_inner, h_norm, load_field, save_field
+import chwall.grid as grid_module
+from chwall.grid import (
+    FIELD_HEADER,
+    GridMode,
+    PairField,
+    h_inner,
+    h_norm,
+    load_field,
+    save_field,
+)
 
 
 def test_unit_strip_measures():
@@ -164,6 +175,51 @@ def test_strip_snapshot_text_is_pinned(tmp_path):
     path = tmp_path / "strip.csv"
     save_field(PairField(g, 0.1 * np.arange(g.n_nodes) - 0.5), path)
     assert path.read_text() == STRIP_SNAPSHOT
+
+
+def snapshot_oracle(field):
+    """The snapshot text formatted node by node, every column (test oracle)."""
+    g = field.grid
+    rows = [f"{FIELD_HEADER}\n# {g.mode.value},{g.Lx:.17g},{g.Ly:.17g},{g.nx},{g.ny}\n"
+            "i,j,x,y,u,on_gamma\n"]
+    for k, (x, y, u, w) in enumerate(zip(g.x.tolist(), g.y.tolist(),
+                                         field.values.tolist(), g.on_gamma.tolist())):
+        rows.append(f"{k % g.nx},{k // g.nx},{x:.17g},{y:.17g},{u:.17g},{int(w)}\n")
+    return "".join(rows)
+
+
+_LENGTHS = st.sampled_from([1.0, 0.3, 2.5, 1e-3, 7.0 / 3.0, 1e5])
+_GRIDS = st.one_of(
+    st.builds(lambda Lx, Ly, nx, ny: cw.build_grid("strip2d", Lx=Lx, Ly=Ly, nx=nx, ny=ny),
+              _LENGTHS, _LENGTHS, st.integers(4, 9), st.integers(4, 9)),
+    st.builds(lambda Ly, ny: cw.build_grid("interval1d", Ly=Ly, ny=ny),
+              _LENGTHS, st.integers(4, 12)),
+)
+_VALUES = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e308, 0.1])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), g=_GRIDS)
+def test_snapshot_bytes_match_per_node_formatting(tmp_path, data, g):
+    values = data.draw(st.lists(_VALUES, min_size=g.n_nodes, max_size=g.n_nodes))
+    field = PairField(g, values)
+    path = tmp_path / "f.csv"
+    save_field(field, path)
+    assert path.read_bytes() == snapshot_oracle(field).encode()
+
+
+def test_snapshot_template_is_built_once_per_grid(tmp_path, monkeypatch):
+    built = []
+    make = grid_module._snapshot_template
+    monkeypatch.setattr(grid_module, "_snapshot_template",
+                        lambda g: built.append(g) or make(g))
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=5)
+    for k in range(2):
+        save_field(PairField.constant(g, k), tmp_path / f"{k}.csv")
+    assert built == [g]
+    assert np.array_equal(load_field(tmp_path / "1.csv").values, np.ones(g.n_nodes))
 
 
 def test_interval_snapshot_roundtrip(tmp_path, rng):

@@ -80,6 +80,16 @@ def test_minimize_one_evaluation_per_lbfgs_point(tall_strip, pot, monkeypatch):
     assert inside == nfev
 
 
+def test_minimize_stops_at_its_tolerance(tall_strip, pot, rng):
+    # L-BFGS stops on the first accepted iterate that meets tol, so a looser
+    # tol takes fewer iterations
+    g, _ = tall_strip
+    u0 = PairField(g, 0.8 * rng.standard_normal(g.n_nodes))
+    runs = [minimize_energy(g, pot, u0, tol=tol) for tol in (1e-2, 1e-4, 1e-6)]
+    assert all(r.converged for r in runs)
+    assert runs[0].iterations < runs[1].iterations < runs[2].iterations
+
+
 def test_minimize_descent_property(small_strip, pot, rng):
     g, _ = small_strip
     for _ in range(3):
