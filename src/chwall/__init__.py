@@ -20,12 +20,10 @@ from .grid import (
 )
 from .kernels import laplace_beltrami, laplacian, normal_derivative
 from .operators import (
-    NormReport,
     WentzellOperator,
     apply_A,
     assemble_wentzell,
     h1_equiv_norm,
-    norm_report,
     solve_Ainv,
     v_norm,
     x_norm,
@@ -41,7 +39,6 @@ from .energy import (
     energy,
     make_potential,
     polynomial_potential,
-    stationary_residual,
 )
 from .evolution import (
     EvolutionAbort,
@@ -59,13 +56,10 @@ from .stationary import (
 )
 from .analysis import (
     LSProbeReport,
-    LinearizedOperator,
     RateReport,
     SpectralReport,
-    assemble_linearized,
     fit_gap_exponent,
     ls_probe,
     rate_fit,
-    solve_augmented,
     spectrum,
 )

@@ -1,91 +1,35 @@
-"""Linearization, spectra, solvability and the energy-gap exponent probe.
+"""Spectra of the linearization, and the energy-gap exponent probe.
 
-The linearized operator at a stationary state psi (optionally displaced by a
-perturbation v) acts as -Lap(h) + f'(psi+v) h on bulk rows while the wall
-rows impose the discrete trace condition -Lap_par(h) + normal_flux(h) + h.
-It is represented weakly, exactly like the elliptic operator: a symmetric
-matrix K paired with the diagonal product-space weights W, so weighted
-self-adjointness holds to rounding and spectra are computed from the
-symmetric pencil (K, W).
+The linearization at a stationary state psi is the energy Hessian of
+``energy.energy_hessian``: it acts as -Lap(h) + f'(psi) h on bulk rows while
+the wall rows impose the discrete trace condition
+-Lap_par(h) + normal_flux(h) + h.  Like the elliptic operator it is a
+symmetric matrix paired with the diagonal product-space weights W, so
+weighted self-adjointness holds to rounding and spectra are computed from
+the symmetric pencil (Hessian, W).
 
 The probe fits the exponent theta in  residual >= |E(u) - E(psi)|^(1-theta)
 from trajectory samples by regressing log(residual) on log(gap); near a
 nondegenerate minimum the slope is 1/2, i.e. theta = 1/2.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
-from .grid import PairField, _as_values
+from .energy import energy_and_gradient, energy_value, residual_norms
+from .grid import _as_values
 from .operators import v_norm
 
 
-# solve_augmented: the largest relative kernel component of an in-range right
-# side, and the condition number above which it warns
-RANGE_TOL = 1e-8
-COND_WARN = 1e6
 # ls_probe: the fewest samples it fits, and the energy gap (relative to
 # 1 + |E(psi)|) at or below which a sample is rounding, not signal
 MIN_SAMPLES = 5
 GAP_FLOOR_REL = 1e-13
 # rate_fit: the relative growth of the distance that breaks monotonicity
 MONOTONE_TOL = 1e-6
-
-
-@dataclass
-class LinearizedOperator:
-    """Weighted-symmetric realization of the linearization at a base state.
-
-    When augmentation is set, the operator represents the kernel projector
-    plus the bare linearization (the bijective variant used for the
-    bounded-inverse solves); the projector's basis rows are H-orthonormal.
-    """
-
-    grid: object
-    K: sp.csr_matrix
-    h_weights: np.ndarray
-    augmentation: np.ndarray | None = None
-
-    def apply(self, h):
-        vals = _as_values(h)
-        out = (self.K @ vals) / self.h_weights
-        if self.augmentation is not None and self.augmentation.shape[0]:
-            coeffs = self.augmentation @ (self.h_weights * vals)
-            out = out + self.augmentation.T @ coeffs
-        return PairField(self.grid, out)
-
-    def symmetry_residual(self):
-        diff = (self.K - self.K.T).tocoo()
-        num = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-        return num / np.max(np.abs(self.K.data))
-
-
-def assemble_linearized(grid, pot, psi, v=None, alpha=1.0, beta=1.0,
-                        augment_kernel=False, kernel_tol=1e-8):
-    """Assemble the linearization at psi + v (v defaults to zero).
-
-    With augment_kernel the numerical kernel of the bare operator is
-    computed and its H-orthogonal projector added, making the operator
-    bijective; at a kernel-free point the augmentation is empty and the
-    operator is unchanged.
-    """
-    vals = _as_values(psi)
-    if v is not None:
-        vals = vals + _as_values(v)
-    linop = LinearizedOperator(
-        grid=grid,
-        K=energy_hessian(grid, pot, vals, alpha, beta),
-        h_weights=grid.h_weights(1.0),
-    )
-    if augment_kernel:
-        rep = spectrum(linop, k=min(6, grid.n_nodes), kernel_tol=kernel_tol)
-        linop.augmentation = rep.kernel_basis
-    return linop
 
 
 @dataclass
@@ -97,8 +41,7 @@ class SpectralReport:
     the full spectrum at every size: eigenvalues below -tol, and those
     within tol of zero, where tol = kernel_tol * max_abs_eig is relative
     to max|lambda|.  kernel_basis rows are H-orthonormal fields spanning
-    the numerical kernel.  For a projector-augmented operator the report
-    is derived from the bare one (see spectrum).
+    the numerical kernel.
     """
 
     eigenvalues: np.ndarray
@@ -166,38 +109,31 @@ def _reported(lam, k):
     return np.sort(lam[keep])
 
 
-def spectrum(linop, k=6, kernel_tol=1e-8):
-    """Lowest part of the spectrum of the pencil (K, W), at any size.
+def spectrum(grid, H, k=6, kernel_tol=1e-8):
+    """Lowest part of the spectrum of the pencil (H, W), at any size.
 
-    A plain Lanczos run gives lambda_max and a shift-invert run the k
-    lowest eigenpairs; max_abs_eig = max(lambda_max, -lambda_min) and
-    tol = kernel_tol * max_abs_eig.  n_negative and kernel_dim come from
-    the inertia of At + tol I and At - tol I, never from a window.  When
-    n_negative + max(k, kernel_dim) exceeds k, one more shift-invert run
-    widens the window to that size; the reported eigenvalues and the
-    kernel basis come from the window, and a window whose counts disagree
-    with the inertia raises RuntimeError.
-
-    A projector-augmented operator (kernel basis rows B, H-orthonormal)
-    acts as the bare one plus B^T B W, so its spectrum is the bare
-    spectrum with each kernel eigenvalue replaced by 1.  Its report is
-    derived from the bare one, whose window is widened by rank B; the
-    projector must span the bare kernel.
+    H is the energy Hessian (``energy.energy_hessian``) and W the metric
+    ``grid.h_weights(1.0)``.  A plain Lanczos run gives lambda_max and a
+    shift-invert run the k lowest eigenpairs; max_abs_eig =
+    max(lambda_max, -lambda_min) and tol = kernel_tol * max_abs_eig.
+    n_negative and kernel_dim come from the inertia of At + tol I and
+    At - tol I, never from a window.  When n_negative + max(k, kernel_dim)
+    exceeds k, one more shift-invert run widens the window to that size;
+    the reported eigenvalues and the kernel basis come from the window, and
+    a window whose counts disagree with the inertia raises RuntimeError.
     """
-    n = linop.grid.n_nodes
+    n = grid.n_nodes
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
-    w = linop.h_weights
-    At, rw = weighted_symmetric(linop.K, w)
-    aug = linop.augmentation
-    n_aug = 0 if aug is None else aug.shape[0]
+    w = grid.h_weights(1.0)
+    At, rw = weighted_symmetric(H, w)
     lam_top, vec_top = spla.eigsh(At, k=1, which="LA", v0=_start_vector(n))
     lam, vec = lowest_eigenpairs(At, min(k, n - 1))
     max_abs = max(float(lam_top[0]), -float(lam[0]))
     tol = kernel_tol * max_abs
     n_negative = count_below(At, -tol)
     kernel_dim = count_below(At, tol) - n_negative
-    window = n_negative + max(k, kernel_dim) + n_aug
+    window = n_negative + max(k, kernel_dim)
     if window > lam.size:
         lam, vec = lowest_eigenpairs(At, min(window, n - 1))
         if window >= n:  # ARPACK stops one short of the whole spectrum
@@ -216,18 +152,6 @@ def spectrum(linop, k=6, kernel_tol=1e-8):
         # multiple kernel vectors: enforce H-orthonormality exactly
         q, _ = np.linalg.qr((np.sqrt(w)[None, :] * basis).T)
         basis = (q.T * rw[None, :]).copy()
-    if n_aug:
-        overlap = aug @ (w[:, None] * basis.T)
-        if n_aug != kernel_dim or not np.allclose(overlap @ overlap.T,
-                                                  np.eye(n_aug), atol=1e-6):
-            raise ValueError("the projector does not span the kernel of the "
-                             "bare operator at this kernel_tol")
-        lam = np.sort(np.append(lam[~ker], np.ones(kernel_dim)))
-        max_abs = max(max_abs, 1.0)
-        if np.any(np.abs(lam) <= kernel_tol * max_abs):
-            raise RuntimeError("the lifted spectrum has eigenvalues within the "
-                               "rescaled kernel tolerance")
-        kernel_dim, basis = 0, np.zeros((0, n))
     return SpectralReport(
         eigenvalues=_reported(lam, k),
         kernel_dim=kernel_dim,
@@ -235,83 +159,6 @@ def spectrum(linop, k=6, kernel_tol=1e-8):
         n_negative=n_negative,
         max_abs_eig=max_abs,
         kernel_tol=kernel_tol,
-    )
-
-
-def project_kernel(rep, w, u):
-    """H-orthogonal projection onto the numerical kernel."""
-    vals = _as_values(u)
-    if rep.kernel_dim == 0:
-        return np.zeros_like(vals)
-    coeffs = rep.kernel_basis @ (w * vals)
-    return rep.kernel_basis.T @ coeffs
-
-
-def project_range(rep, w, u):
-    return _as_values(u) - project_kernel(rep, w, u)
-
-
-@dataclass
-class AugmentedSolveResult:
-    w: PairField
-    c_bound: float
-    projected_residual: float
-    kernel_dim: int
-
-
-def solve_augmented(linop, f_rhs, use_projection, kernel_report=None):
-    """Solve L w = f (or the kernel-augmented system when a kernel exists).
-
-    Without projection the right side must lie in the range: its kernel
-    component must vanish to RANGE_TOL relative.  With projection the
-    bijective augmented operator (kernel projector plus L) is solved
-    instead.  The returned bound constant is |w|_H / |f|_H.  A warning is
-    emitted when the solve is badly conditioned (an eigenvalue crossing
-    zero, e.g. for large perturbations of the base state).
-
-    Pass the bare operator: the projector is applied here from the kernel
-    report, not from any augmentation stored on the operator itself.
-    """
-    grid = linop.grid
-    w = linop.h_weights
-    rep = kernel_report or spectrum(linop, k=min(6, grid.n_nodes))
-    f = _as_values(f_rhs)
-    fn = np.sqrt(float(np.sum(w * f * f)))
-    ker_part = project_kernel(rep, w, f)
-    proj_res = np.sqrt(float(np.sum(w * ker_part * ker_part)))
-    if not use_projection and proj_res > RANGE_TOL * max(fn, 1e-300):
-        raise ValueError(
-            f"rhs has kernel component {proj_res:.3e} (relative "
-            f"{proj_res / max(fn, 1e-300):.3e}); not in the range of L"
-        )
-    finite = rep.eigenvalues[np.abs(rep.eigenvalues) > rep.kernel_tol * rep.max_abs_eig]
-    if finite.size and rep.max_abs_eig / np.min(np.abs(finite)) > COND_WARN:
-        warnings.warn(
-            f"augmented solve badly conditioned: |lambda|_min/max ratio "
-            f"{np.min(np.abs(finite)) / rep.max_abs_eig:.3e}",
-            RuntimeWarning,
-        )
-    rhs = w * f
-    if rep.kernel_dim == 0:
-        x = spla.splu(linop.K.tocsc()).solve(rhs)
-    else:
-        U = (w[:, None] * rep.kernel_basis.T)  # n x m
-        m = rep.kernel_dim
-        M = sp.bmat(
-            [[linop.K, sp.csc_matrix(U)],
-             [sp.csc_matrix(U.T), -sp.identity(m, format="csc")]],
-            format="csc",
-        )
-        sol = spla.splu(M).solve(np.concatenate([rhs, np.zeros(m)]))
-        x = sol[: grid.n_nodes]
-    if not use_projection and rep.kernel_dim > 0:
-        x = project_range(rep, w, x)
-    xn = np.sqrt(float(np.sum(w * x * x)))
-    return AugmentedSolveResult(
-        w=PairField(grid, x),
-        c_bound=xn / max(fn, 1e-300),
-        projected_residual=proj_res,
-        kernel_dim=rep.kernel_dim,
     )
 
 

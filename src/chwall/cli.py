@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import ls_probe, rate_fit, spectrum, assemble_linearized
+from .analysis import ls_probe, rate_fit, spectrum
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
-from .energy import EnergyReport, make_potential
+from .energy import EnergyReport, energy_hessian, make_potential
 from .evolution import EvolutionAbort, TrajectoryRecord, evolve
 from .grid import GridMode, PairField, build_grid, load_field, save_field
 from .operators import assemble_wentzell, x_norm
@@ -268,9 +268,8 @@ def cmd_equilibrium(config_path, init_path=None):
             fh.write(serialize_config(cfg))
         sol = find_equilibrium(grid, pot, u0, alpha=cfg.alpha, beta=cfg.beta)
         save_equilibrium(sol, os.path.join(out, "equilibrium"))
-        linop = assemble_linearized(grid, pot, sol.psi, None,
-                                    alpha=cfg.alpha, beta=cfg.beta)
-        rep = spectrum(linop, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
+        H = energy_hessian(grid, pot, sol.psi, cfg.alpha, cfg.beta)
+        rep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
         kind = classify_equilibrium(rep)
         lam0 = rep.eigenvalues[0] if rep.eigenvalues.size else float("nan")
         line = (
@@ -347,8 +346,8 @@ def cmd_analyze(run_dir, psi_prefix):
     out = os.path.join(run_dir, "analysis")
     os.makedirs(out, exist_ok=True)
 
-    linop = assemble_linearized(grid, pot, psi, None, alpha=cfg.alpha, beta=cfg.beta)
-    srep = spectrum(linop, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
+    H = energy_hessian(grid, pot, psi, cfg.alpha, cfg.beta)
+    srep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
     with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
         fh.write(_report_text(srep) + "\n")
         fh.write(f'"classification": "{classify_equilibrium(srep)}"\n')

@@ -218,6 +218,10 @@ def validate_config(cfg):
         raise ConfigError("stepper.dt, stepper.t_end and stepper.dt_min must be positive")
     if cfg.scheme not in ("semi_implicit", "newton"):
         raise ConfigError(f"stepper.scheme must be semi_implicit or newton, got {cfg.scheme!r}")
+    if cfg.newton_max_iter < 1:
+        raise ConfigError(f"stepper.newton_max_iter = {cfg.newton_max_iter}: must be >= 1")
+    if cfg.newton_tol <= 0:
+        raise ConfigError(f"stepper.newton_tol = {cfg.newton_tol}: must be positive")
     if cfg.potential_kind not in ("double_well", "polynomial_custom"):
         raise ConfigError(f"potential.kind unknown: {cfg.potential_kind!r}")
     if cfg.potential_kind == "polynomial_custom" and not cfg.potential_coeffs:
@@ -226,6 +230,10 @@ def validate_config(cfg):
         raise ConfigError(f"initial.kind unknown: {cfg.initial_kind!r}")
     if cfg.initial_kind == "file" and not cfg.initial_path:
         raise ConfigError("initial.path required for initial.kind = file")
+    if cfg.initial_modes < 1:
+        raise ConfigError(f"initial.modes = {cfg.initial_modes}: must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"run.seed = {cfg.seed}: must be >= 0")
     if cfg.series_stride < 1 or cfg.snapshot_stride < 0:
         raise ConfigError("io.series_stride must be >= 1 and io.snapshot_stride >= 0")
     if cfg.probe_window <= 0 or cfg.kernel_tol <= 0:

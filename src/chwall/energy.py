@@ -246,18 +246,6 @@ def chemical_potential(grid, pot, u, alpha=1.0, beta=1.0, b=1.0):
     return PairField(grid, energy_and_gradient(grid, pot, u, alpha, beta)[1] / grid.h_weights(b))
 
 
-def stationary_residual(grid, pot, u, alpha=1.0, beta=1.0):
-    """(bulk, wall) L2 residuals of the stationary system.
-
-    These are the two terms on the left of the energy-gap inequality: the
-    bulk norm of -Lap(u) + f(u) and the wall norm of the trace law
-    -alpha Lap_par(u) + normal_flux(u) + beta u, both in the scheme's
-    discrete form (so an exact discrete critical point of the energy with
-    these constants reports exactly zero).
-    """
-    return residual_norms(grid, energy_and_gradient(grid, pot, u, alpha, beta)[1])
-
-
 def dissipation(grid, mu, b=1.0, c=1.0):
     """Energy dissipation rate of a chemical potential field.
 

@@ -60,12 +60,15 @@ class _RetryHalved(Exception):
 
 
 class EvolutionAbort(RuntimeError):
-    """Carries the partial trajectory and last valid state of an aborted run."""
+    """Carries the partial trajectory of an aborted run.
 
-    def __init__(self, message, record, state):
+    The message is the abort reason; the record ends with the last valid
+    state (``record.final_state()``).
+    """
+
+    def __init__(self, message, record):
         super().__init__(message)
         self.record = record
-        self.state = state
 
 
 @dataclass
@@ -86,8 +89,6 @@ class TrajectoryRecord:
     snapshots: list = field(default_factory=list)
     factorizations: int = 0  # step-system factorizations made by the run
     shifts: list = field(default_factory=list)  # distinct S rungs, in order
-    aborted: bool = False
-    abort_reason: str = ""
 
     def final_state(self):
         return self.snapshots[-1][1] if self.snapshots else None
@@ -243,8 +244,8 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
     identity u_t = -A mu as sqrt(a(mu, mu)), which is the row's dissipation.
     When a reference equilibrium is supplied, the distances |U - psi| in the
     weak and energy norms are recorded too.
-    On a guard abort the partial record and last valid state are attached
-    to the raised EvolutionAbort.
+    On a guard abort the partial record, ending with the last valid state,
+    is attached to the raised EvolutionAbort.
     """
     t_end = cfg.t_end
     if t_end <= 0:
@@ -306,10 +307,8 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
                 rec.snapshots.append((t, PairField(grid, u.copy())))
     except (GuardAbort, NewtonSingular) as exc:
         rec.factorizations = factors.made
-        rec.aborted = True
-        rec.abort_reason = str(exc)
         rec.snapshots.append((t, PairField(grid, u.copy())))
-        raise EvolutionAbort(str(exc), rec, PairField(grid, u.copy()))
+        raise EvolutionAbort(str(exc), rec)
 
     rec.factorizations = factors.made
     if not rec.snapshots or rec.snapshots[-1][0] < t - 1e-15:

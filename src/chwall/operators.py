@@ -18,23 +18,12 @@ in x splits them into one pentadiagonal system in y per Fourier mode.
 """
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import PairField, _as_values, h_inner
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """The four norms used throughout the diagnostics."""
-
-    h_norm: float
-    v_norm: float
-    x_norm: float
-    h1_equiv_norm: float
 
 
 class XInvariantFactor:
@@ -233,12 +222,3 @@ def h1_equiv_norm(grid, u):
     """Equivalent H1 norm: bulk gradient plus surface mass only."""
     return _quadratic_norm(grid.forms.k_lin(0.0, 1.0), u)
 
-
-def norm_report(op, u):
-    g = op.grid
-    return NormReport(
-        h_norm=op.h_norm(u),
-        v_norm=v_norm(g, u),
-        x_norm=x_norm(op, u),
-        h1_equiv_norm=h1_equiv_norm(g, u),
-    )

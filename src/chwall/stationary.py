@@ -15,12 +15,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .analysis import (
-    assemble_linearized,
-    lowest_eigenpairs,
-    spectrum,
-    weighted_symmetric,
-)
+from .analysis import lowest_eigenpairs, spectrum, weighted_symmetric
 from .energy import (
     energy_and_gradient,
     energy_hessian,
@@ -211,11 +206,7 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
 
 
 def _numerical_kernel_dim(grid, pot, vals, alpha, beta):
-    linop = assemble_linearized(
-        grid, pot, PairField(grid, vals), None, alpha=alpha, beta=beta
-    )
-    rep = spectrum(linop, k=6)
-    return rep.kernel_dim
+    return spectrum(grid, energy_hessian(grid, pot, vals, alpha, beta), k=6).kernel_dim
 
 
 def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):

@@ -15,7 +15,7 @@ import chwall as cw
 from chwall.analysis import fit_gap_exponent, ls_probe, rate_fit
 from chwall.cli import main
 from chwall.config import RunConfig, parse_config
-from chwall.energy import chemical_potential, dissipation, energy_value
+from chwall.energy import chemical_potential, dissipation, energy_hessian, energy_value
 from chwall.evolution import TrajectoryRecord, evolve
 from chwall.grid import PairField, h_inner, h_norm
 from chwall.operators import apply_A, solve_Ainv, x_norm, x_norm_via_form
@@ -157,8 +157,8 @@ def test_criterion_4_operator_structure(pot):
     assert worst_sym <= 1e-12
     psi = PairField(g, 0.5 * rng.standard_normal(g.n_nodes))
     vv = PairField(g, 0.2 * rng.standard_normal(g.n_nodes))
-    linop = cw.assemble_linearized(g, pot, psi, vv)
-    assert linop.symmetry_residual() <= 1e-12
+    H = energy_hessian(g, pot, psi + vv)
+    assert abs(H - H.T).max() / abs(H).max() <= 1e-12
     K = op.K_A.toarray()
     worst_inv = 0.0
     worst_xn = 0.0

@@ -7,17 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chwall as cw
-from chwall.analysis import (
-    assemble_linearized,
-    fit_gap_exponent,
-    ls_probe,
-    project_kernel,
-    project_range,
-    rate_fit,
-    solve_augmented,
-    spectrum,
-)
+from chwall.analysis import fit_gap_exponent, ls_probe, rate_fit, spectrum
 from chwall.config import RunConfig
+from chwall.energy import energy_hessian
 from chwall.evolution import TrajectoryRecord, evolve
 from chwall.grid import PairField
 from chwall.stationary import _most_negative_direction, newton_refine
@@ -43,37 +35,35 @@ def kernel_problem(grid12):
     mu_eigs = la.eigh(np.diag(forms.bulk_mass), K0, eigvals_only=True)
     nu1 = 1.0 / mu_eigs[-1]
     pot = cw.polynomial_potential([1.0, 0.0, -nu1, 0.0])
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
-    return g, pot, linop, nu1
+    return g, pot, energy_hessian(g, pot, PairField.zeros(g))
 
 
 def test_linearized_at_zero_matches_shifted_operator(grid12, pot):
     g = grid12
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
+    H = energy_hessian(g, pot, PairField.zeros(g))
     # interior rows: -Lap - 1 (f'(0) = -1); wall rows: the trace condition
-    one = np.ones(g.n_nodes)
-    out = linop.apply(one)
-    assert np.max(np.abs(out.values[g.interior_idx] + 1.0)) <= 1e-12
-    assert linop.symmetry_residual() <= 1e-12
+    out = H @ np.ones(g.n_nodes) / g.h_weights()
+    assert np.max(np.abs(out[g.interior_idx] + 1.0)) <= 1e-12
+    assert abs(H - H.T).max() / abs(H).max() <= 1e-12
 
 
 def test_linearized_matches_dense_oracle(grid12, pot, rng):
     g = grid12
     psi = PairField(g, 0.4 * rng.standard_normal(g.n_nodes))
     v = PairField(g, 0.1 * rng.standard_normal(g.n_nodes))
-    linop = assemble_linearized(g, pot, psi, v)
+    H = energy_hessian(g, pot, psi + v)
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
     dense = K_o + P_o + np.diag(bdry_o) + np.diag(bulk_o * pot.f_prime(psi.values + v.values))
-    assert np.max(np.abs(linop.K.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert np.max(np.abs(H.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_spectrum_matches_dense_oracle(grid12, pot):
     g = grid12
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
-    rep = spectrum(linop, k=5)
+    H = energy_hessian(g, pot, PairField.zeros(g))
+    rep = spectrum(g, H, k=5)
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
-    lam = la.eigvalsh((sp.diags(rw) @ linop.K @ sp.diags(rw)).toarray())
+    lam = la.eigvalsh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
     assert np.max(np.abs(rep.eigenvalues[:5] - lam[:5])) <= 1e-10 * (1 + abs(lam[0]))
     # unit strip: the zero state is a hyperbolic minimum
     assert rep.eigenvalues[0] > 0
@@ -84,23 +74,20 @@ def test_spectrum_shifted_convex_case(grid12):
     g = grid12
     # f' replaced by +1: strictly positive spectrum
     pot_convex = cw.polynomial_potential([1.0, 0.0, 1.0, 0.0])
-    linop = assemble_linearized(g, pot_convex, PairField.zeros(g), None)
-    rep = spectrum(linop, k=4)
+    rep = spectrum(g, energy_hessian(g, pot_convex, PairField.zeros(g)), k=4)
     assert np.all(rep.eigenvalues > 0)
 
 
 def test_saddle_detected_on_tall_strip(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
-    rep = spectrum(linop, k=4)
+    rep = spectrum(g, energy_hessian(g, pot, PairField.zeros(g)), k=4)
     assert rep.eigenvalues[0] < 0 and rep.n_negative >= 1
 
 
-def _dense_report(linop, k, kernel_tol=1e-8):
-    """Full dense spectrum of (K, W): the oracle for the sparse path."""
-    At = (sp.diags(1.0 / np.sqrt(linop.h_weights)) @ linop.K
-          @ sp.diags(1.0 / np.sqrt(linop.h_weights))).toarray()
-    lam = la.eigvalsh(At)
+def _dense_report(g, H, k, kernel_tol=1e-8):
+    """Full dense spectrum of (H, W): the oracle for the sparse path."""
+    rw = sp.diags(1.0 / np.sqrt(g.h_weights()))
+    lam = la.eigvalsh((rw @ H @ rw).toarray())
     max_abs = float(np.max(np.abs(lam)))
     tol = kernel_tol * max_abs
     keep = np.union1d(np.arange(k), np.argsort(np.abs(lam), kind="stable")[:k])
@@ -108,8 +95,8 @@ def _dense_report(linop, k, kernel_tol=1e-8):
             int(np.sum(np.abs(lam) <= tol)), max_abs)
 
 
-def _assert_matches_dense(rep, linop, k):
-    eigs, n_negative, kernel_dim, max_abs = _dense_report(linop, k)
+def _assert_matches_dense(rep, g, H, k):
+    eigs, n_negative, kernel_dim, max_abs = _dense_report(g, H, k)
     assert rep.n_negative == n_negative
     assert rep.kernel_dim == kernel_dim
     assert rep.max_abs_eig == pytest.approx(max_abs, rel=1e-10)
@@ -134,19 +121,18 @@ def test_spectrum_matches_dense_oracle_on_random_strips(nx, ny, L, alpha, beta,
                                                         amplitude, seed, k):
     g = cw.build_grid("strip2d", Lx=L, Ly=L, nx=nx, ny=ny)
     u = amplitude * np.random.default_rng(seed).standard_normal(g.n_nodes)
-    linop = assemble_linearized(g, cw.double_well(), PairField(g, u), None,
-                                alpha=alpha, beta=beta)
-    _assert_matches_dense(spectrum(linop, k=k), linop, k)
+    H = energy_hessian(g, cw.double_well(), u, alpha, beta)
+    _assert_matches_dense(spectrum(g, H, k=k), g, H, k)
 
 
 def test_spectrum_counts_saddle_beyond_k(pot):
     # 33 negative eigenvalues, far more than k; the +-k Fourier modes are
     # genuinely double, and both copies must be reported
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=24, ny=24)
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
-    rep = spectrum(linop, k=6)
+    H = energy_hessian(g, pot, PairField.zeros(g))
+    rep = spectrum(g, H, k=6)
     assert rep.n_negative == 33
-    _assert_matches_dense(rep, linop, 6)
+    _assert_matches_dense(rep, g, H, 6)
     gaps = np.diff(rep.eigenvalues)
     assert np.any(gaps <= 1e-10 * rep.max_abs_eig)
 
@@ -154,13 +140,13 @@ def test_spectrum_counts_saddle_beyond_k(pot):
 def test_spectrum_on_tiny_interval_covers_whole_spectrum(pot):
     # k equals the dimension, one more than a Lanczos run can deliver
     g = cw.build_grid("interval1d", Ly=1.0, ny=4)
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
-    rep = spectrum(linop, k=4)
+    H = energy_hessian(g, pot, PairField.zeros(g))
+    rep = spectrum(g, H, k=4)
     assert rep.eigenvalues.size == 4
-    _assert_matches_dense(rep, linop, 4)
+    _assert_matches_dense(rep, g, H, 4)
 
 
-def test_augmented_spectrum_beyond_old_dense_size(pot):
+def test_kernel_detected_beyond_old_dense_size(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=72, ny=72)
     assert g.n_nodes > 4096
     forms = g.forms
@@ -169,13 +155,7 @@ def test_augmented_spectrum_beyond_old_dense_size(pot):
     mu, _ = spla.eigsh(sp.diags(forms.bulk_mass).tocsc(), k=1, M=K0, which="LA",
                        v0=np.ones(g.n_nodes))
     tuned = cw.polynomial_potential([1.0, 0.0, -1.0 / mu[0], 0.0])
-    bare = spectrum(assemble_linearized(g, tuned, PairField.zeros(g), None), k=6)
-    assert bare.kernel_dim == 1
-    aug = assemble_linearized(g, tuned, PairField.zeros(g), None,
-                              augment_kernel=True)
-    rep = spectrum(aug, k=6)
-    assert rep.kernel_dim == 0
-    assert np.min(np.abs(rep.eigenvalues)) == 1.0
+    assert spectrum(g, energy_hessian(g, tuned, PairField.zeros(g)), k=6).kernel_dim == 1
 
 
 def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
@@ -184,8 +164,8 @@ def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
 
     monkeypatch.setattr(la, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    g, _, linop, _ = kernel_problem
-    assert spectrum(linop, k=6).kernel_dim == 1
+    g, _, H = kernel_problem
+    assert spectrum(g, H, k=6).kernel_dim == 1
     tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
     lam0, _ = _most_negative_direction(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0)
     assert lam0 < 0
@@ -194,10 +174,10 @@ def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
 def test_most_negative_direction_matches_dense(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
     lam0, phi = _most_negative_direction(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
+    H = energy_hessian(g, pot, PairField.zeros(g))
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
-    lam, vec = la.eigh((sp.diags(rw) @ linop.K @ sp.diags(rw)).toarray())
+    lam, vec = la.eigh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
     assert abs(lam0 - lam[0]) <= 1e-10 * abs(lam[0])
     ref = rw * vec[:, 0]
     ref /= np.sqrt(np.sum(w * ref * ref))
@@ -208,109 +188,22 @@ def test_spectrum_raises_when_window_disagrees_with_inertia(grid12, pot,
                                                             monkeypatch):
     import chwall.analysis as an
 
-    linop = assemble_linearized(grid12, pot, PairField.zeros(grid12), None)
+    H = energy_hessian(grid12, pot, PairField.zeros(grid12))
     true_count = an.count_below
     monkeypatch.setattr(an, "count_below", lambda At, s: true_count(At, s) + 1)
     with pytest.raises(RuntimeError, match="inertia"):
-        spectrum(linop, k=5)
+        spectrum(grid12, H, k=5)
 
 
 def test_engineered_kernel_detected(kernel_problem):
-    g, pot, linop, _ = kernel_problem
-    rep = spectrum(linop, k=6)
+    g, _, H = kernel_problem
+    rep = spectrum(g, H, k=6)
     assert rep.kernel_dim == 1
     phi = rep.kernel_basis[0]
     w = g.h_weights()
     assert abs(np.sum(w * phi * phi) - 1.0) <= 1e-10
-    lphi = linop.apply(phi)
-    assert np.sqrt(np.sum(w * lphi.values ** 2)) <= 10 * rep.kernel_tol * rep.max_abs_eig
-
-
-def test_projections_orthogonal_idempotent(kernel_problem, rng):
-    g, _, linop, _ = kernel_problem
-    rep = spectrum(linop, k=6)
-    w = g.h_weights()
-    u = rng.standard_normal(g.n_nodes)
-    pk = project_kernel(rep, w, u)
-    pr = project_range(rep, w, u)
-    assert np.max(np.abs(project_kernel(rep, w, pk) - pk)) <= 1e-10
-    assert np.max(np.abs(project_kernel(rep, w, pr))) <= 1e-10
-    assert np.max(np.abs(pk + pr - u)) <= 1e-12
-
-
-def test_augmented_spectrum_unchanged_without_kernel(grid12, pot):
-    # at a kernel-free point the projector adds nothing
-    g = grid12
-    linop = assemble_linearized(g, pot, PairField.zeros(g), None)
-    rep = spectrum(linop, k=4)
-    assert rep.kernel_dim == 0
-    aug = assemble_linearized(g, pot, PairField.zeros(g), None, augment_kernel=True)
-    rep_aug = spectrum(aug, k=4)
-    assert np.max(np.abs(rep_aug.eigenvalues - rep.eigenvalues)) <= 1e-10
-    res = solve_augmented(linop, np.ones(g.n_nodes), use_projection=True,
-                          kernel_report=rep)
-    direct = solve_augmented(linop, np.ones(g.n_nodes), use_projection=False,
-                             kernel_report=rep)
-    assert np.max(np.abs(res.w.values - direct.w.values)) <= 1e-12
-
-
-def test_augmented_operator_lifts_kernel(kernel_problem):
-    g, pot, _, _ = kernel_problem
-    aug = assemble_linearized(g, pot, PairField.zeros(g), None, augment_kernel=True)
-    assert aug.augmentation is not None and aug.augmentation.shape[0] == 1
-    rep = spectrum(aug, k=6)
-    # the zero eigenvalue is shifted to one by the projector
-    assert rep.kernel_dim == 0
-    assert np.min(np.abs(rep.eigenvalues)) > 0.1
-    phi = aug.augmentation[0]
-    out = aug.apply(phi)
-    # on the kernel the augmented operator acts as the identity
-    assert np.max(np.abs(out.values - phi)) <= 1e-8
-
-
-def test_solve_augmented_zero_rhs(kernel_problem):
-    g, _, linop, _ = kernel_problem
-    rep = spectrum(linop, k=6)
-    res = solve_augmented(linop, np.zeros(g.n_nodes), use_projection=True,
-                          kernel_report=rep)
-    assert np.max(np.abs(res.w.values)) <= 1e-12
-
-
-def test_solve_augmented_manufactured_recovery(kernel_problem, rng):
-    g, _, linop, _ = kernel_problem
-    rep = spectrum(linop, k=6)
-    w = g.h_weights()
-    w0 = project_range(rep, w, rng.standard_normal(g.n_nodes))
-    f_r = linop.apply(w0)
-    res = solve_augmented(linop, f_r, use_projection=False, kernel_report=rep)
-    assert np.max(np.abs(res.w.values - w0)) <= 1e-8 * (1 + np.max(np.abs(w0)))
-    assert res.c_bound > 0
-
-
-def test_solve_augmented_range_guard(kernel_problem, rng):
-    g, _, linop, _ = kernel_problem
-    rep = spectrum(linop, k=6)
-    w = g.h_weights()
-    w0 = project_range(rep, w, rng.standard_normal(g.n_nodes))
-    bad = linop.apply(w0).values + 0.1 * rep.kernel_basis[0]
-    with pytest.raises(ValueError, match="range"):
-        solve_augmented(linop, bad, use_projection=False, kernel_report=rep)
-    # with the projector the same rhs is solvable
-    res = solve_augmented(linop, bad, use_projection=True, kernel_report=rep)
-    recomposed = project_kernel(rep, w, res.w.values) + linop.apply(res.w.values).values
-    assert np.max(np.abs(recomposed - bad)) <= 1e-8
-
-
-def test_near_kernel_conditioning_warning(grid12, kernel_problem):
-    g = grid12
-    _, _, _, nu1 = kernel_problem
-    pot_near = cw.polynomial_potential([1.0, 0.0, -nu1 * (1.0 + 3e-4), 0.0])
-    linop = assemble_linearized(g, pot_near, PairField.zeros(g), None)
-    rep = spectrum(linop, k=6)
-    assert rep.kernel_dim == 0  # shifted off the crossing, but barely
-    with pytest.warns(RuntimeWarning, match="conditioned"):
-        solve_augmented(linop, np.ones(g.n_nodes), use_projection=True,
-                        kernel_report=rep)
+    lphi = H @ phi / w
+    assert np.sqrt(np.sum(w * lphi ** 2)) <= 10 * rep.kernel_tol * rep.max_abs_eig
 
 
 # -- exponent probe -----------------------------------------------------------

@@ -94,11 +94,11 @@ def run_configs(draw):
         scheme=draw(st.sampled_from(["semi_implicit", "newton"])),
         dt=draw(_POSITIVE), t_end=draw(_POSITIVE), dt_min=draw(_POSITIVE),
         stabilization_S=draw(st.none() | st.floats(0.0, allow_infinity=False)),
-        newton_tol=draw(_FINITE), newton_max_iter=draw(st.integers(1, 10 ** 6)),
+        newton_tol=draw(_POSITIVE), newton_max_iter=draw(st.integers(1, 10 ** 6)),
         energy_guard=draw(st.booleans()),
         initial_kind=initial,
         initial_amplitude=draw(_FINITE), initial_mean=draw(_FINITE),
-        initial_modes=draw(st.integers(0, 100)),
+        initial_modes=draw(st.integers(1, 100)),
         initial_path=draw(_PATH if initial == "file" else st.just("") | _PATH),
         output_dir=draw(_PATH),
         series_stride=draw(st.integers(1, 10 ** 9)),
@@ -132,7 +132,10 @@ _OUT_OF_RANGE = {
     "dt": st.floats(max_value=0.0), "t_end": st.floats(max_value=0.0),
     "dt_min": st.floats(max_value=0.0),
     "stabilization_S": st.floats(max_value=0.0, exclude_max=True) | st.just("nan"),
-    "newton_tol": st.sampled_from(["nan", "inf", "-inf"]),
+    "newton_tol": st.floats(max_value=0.0) | st.sampled_from(["nan", "inf"]),
+    "newton_max_iter": st.integers(max_value=0),
+    "initial_modes": st.integers(max_value=0),
+    "seed": st.integers(max_value=-1),
     "initial_amplitude": st.sampled_from(["nan", "inf"]),
     "initial_mean": st.sampled_from(["nan", "-inf"]),
     "potential_coeffs": st.sampled_from(["1,nan", "inf,0", "1,0,-inf"]),
@@ -239,6 +242,21 @@ def test_config_rejects_bad_stabilization(tmp_path, value):
         "t_end = 0.02", f"t_end = 0.02\nstabilization_S = {value}"
     )
     with pytest.raises(ConfigError, match="stabilization_S"):
+        parse_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("line, bad, name", [
+    ("t_end = 0.02", "t_end = 0.02\nscheme = newton\nnewton_max_iter = 0",
+     "stepper.newton_max_iter = 0"),
+    ("t_end = 0.02", "t_end = 0.02\nscheme = newton\nnewton_tol = 0",
+     "stepper.newton_tol = 0.0"),
+    ("kind = cosine", "kind = random_fourier\nmodes = 0", "initial.modes = 0"),
+    ("seed = 7", "seed = -1", "run.seed = -1"),
+], ids=["newton_max_iter", "newton_tol", "initial_modes", "seed"])
+def test_config_rejects_inadmissible_solver_and_initial_values(tmp_path, line, bad,
+                                                               name):
+    text = BASE_CONFIG.format(out=tmp_path).replace(line, bad, 1)
+    with pytest.raises(ConfigError, match=name):
         parse_config(write_config(tmp_path, text))
 
 

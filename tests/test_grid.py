@@ -246,8 +246,9 @@ def test_load_field_refuses_truncated_snapshot(snapshot_file):
     with pytest.raises(ValueError, match=r"snap\.csv: 20 of 64 nodes missing"):
         load_field(path)
     path.write_text("".join(lines[:3]))  # header only
-    with pytest.raises(ValueError, match="64 of 64 nodes missing"):
-        load_field(path)
+    with pytest.warns(UserWarning, match="input contained no data"):
+        with pytest.raises(ValueError, match="64 of 64 nodes missing"):
+            load_field(path)
     path.write_text("".join(lines[:-1]) + lines[-1][:5])  # cut inside a row
     with pytest.raises(ValueError, match=r"snap\.csv"):
         load_field(path)

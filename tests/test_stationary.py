@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import chwall as cw
-from chwall.energy import energy_value, stationary_residual
+from chwall.energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
 from chwall.config import RunConfig
 from chwall.evolution import evolve
 from chwall.grid import PairField, h_norm
@@ -148,7 +148,7 @@ def test_critical_point_equivalence(tall_strip, pot):
     g, _ = tall_strip
     rough = minimize_energy(g, pot, PairField.zeros(g), tol=1e-4)
     sol = newton_refine(g, pot, rough.field, tol=1e-10)
-    bulk, bdry = stationary_residual(g, pot, sol.psi)
+    bulk, bdry = residual_norms(g, energy_and_gradient(g, pot, sol.psi)[1])
     assert bulk + bdry <= 1e-9
     assert h_norm(g, cw.chemical_potential(g, pot, sol.psi).values) <= 1e-9
 
@@ -187,14 +187,13 @@ def test_interval_saddle_escape_and_classification(pot):
     # long interval: the zero state is a saddle; the pipeline escapes it
     # even with the surface operators degenerated to endpoint masses
     g = cw.build_grid("interval1d", Ly=8.0, ny=34)
-    lin0 = cw.assemble_linearized(g, pot, cw.PairField.zeros(g), None)
-    rep0 = cw.spectrum(lin0, k=3)
+    rep0 = cw.spectrum(g, energy_hessian(g, pot, cw.PairField.zeros(g)), k=3)
     assert rep0.eigenvalues[0] < 0
     sol = find_equilibrium(g, pot, cw.PairField.zeros(g), tol=1e-10)
     assert sol.converged
     assert sol.energy < 0.25 * g.area - 1e-3
     assert np.std(sol.psi.values) > 1e-3
-    rep = cw.spectrum(cw.assemble_linearized(g, pot, sol.psi, None), k=3)
+    rep = cw.spectrum(g, energy_hessian(g, pot, sol.psi), k=3)
     assert rep.eigenvalues[0] > 0  # the escaped state is a minimum
 
 
