@@ -23,7 +23,6 @@ from .operators import (
     WentzellOperator,
     apply_A,
     assemble_wentzell,
-    h1_equiv_norm,
     solve_Ainv,
     v_norm,
     x_norm,
@@ -52,7 +51,6 @@ from .stationary import (
     find_equilibrium,
     minimize_energy,
     newton_refine,
-    omega_limit,
 )
 from .analysis import (
     LSProbeReport,

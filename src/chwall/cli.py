@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import ls_probe, rate_fit, spectrum
+from .analysis import ls_probe, lowest_eigenpairs, rate_fit, spectrum, weighted_symmetric
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .energy import EnergyReport, energy_hessian, make_potential
 from .evolution import EvolutionAbort, TrajectoryRecord, evolve
@@ -297,7 +297,7 @@ def _load_run(run_dir):
 
     The trajectory holds the row times and reference distances (both from
     diagnostics.csv) and the snapshots; the ledger columns of series.csv
-    are not read.
+    are not read.  A malformed file is a config error that names it.
     """
     cfg_path = os.path.join(run_dir, "config.ini")
     series_path = os.path.join(run_dir, "series.csv")
@@ -312,19 +312,25 @@ def _load_run(run_dir):
         header = fh.readline().strip()
     if header != EnergyReport.CSV_COLUMNS:
         raise ConfigError(f"unexpected series.csv header: {header}")
-    times, xs, vs = np.loadtxt(diag_path, delimiter=",", skiprows=1,
-                               usecols=(0, 3, 4), ndmin=2).T
+    try:
+        times, xs = np.loadtxt(diag_path, delimiter=",", skiprows=1,
+                               usecols=(0, 3), ndmin=2).T
+    except ValueError as exc:
+        raise ConfigError(f"{diag_path}: {exc}")
     snapshots = []
     if os.path.isdir(snapdir):
         for name in sorted(os.listdir(snapdir)):
             if not name.endswith(".csv"):
                 continue
-            t = float(name.rsplit("_t", 1)[1][:-4])
-            snapshots.append((t, load_field(os.path.join(snapdir, name), grid=grid)))
+            path = os.path.join(snapdir, name)
+            try:
+                t = float(name.rsplit("_t", 1)[1][:-4])
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}: not a snapshot name snap_<i>_t<time>.csv")
+            snapshots.append((t, _load_input("snapshot", load_field, path, grid)))
     rec = TrajectoryRecord(times=times.tolist(), snapshots=snapshots)
     if not np.all(np.isnan(xs)):
         rec.x_dist_to_ref = xs.tolist()
-        rec.v_dist_to_ref = vs.tolist()
     return cfg, grid, pot, op, rec
 
 
@@ -458,7 +464,8 @@ def cmd_check(dump_operator=None):
     check("dissipation equals the operator form at unit constants",
           abs(dissipation(grid, mu) - op.a_form(mu, mu))
           <= 1e-12 * (1 + abs(op.a_form(mu, mu))))
-    check("operator spectrum is positive", op.lambda_min() > 0)
+    lam, _ = lowest_eigenpairs(weighted_symmetric(op.K_A, op.mass_weights)[0], 1)
+    check("operator spectrum is positive", lam[0] > 0)
     rec = evolve(grid, op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
     e = [r.e_total for r in rec.reports]
     check("discrete energy law over 20 steps",

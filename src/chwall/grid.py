@@ -389,9 +389,12 @@ def load_field(path, grid=None):
         if header != FIELD_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         meta = fh.readline().strip().lstrip("# ").split(",")
-        mode, Lx, Ly, nx, ny = (
-            meta[0], float(meta[1]), float(meta[2]), int(meta[3]), int(meta[4])
-        )
+        try:
+            mode, Lx, Ly, nx, ny = (
+                meta[0], float(meta[1]), float(meta[2]), int(meta[3]), int(meta[4])
+            )
+        except (IndexError, ValueError):
+            raise ValueError(f"{path}: unreadable grid line {','.join(meta)!r}")
         file_grid = build_grid(mode, Lx=Lx if Lx > 0 else None, Ly=Ly, nx=nx, ny=ny)
         if grid is not None and grid != file_grid:
             raise ValueError(

@@ -17,8 +17,6 @@ semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
 in x splits them into one pentadiagonal system in y per Fourier mode.
 """
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -85,11 +83,6 @@ def factor_x_invariant(grid, M):
     return XInvariantFactor(nx, ny, lu, piv)
 
 
-# lambda_min: relative tolerance and iteration cap of the inverse power iteration
-LAMBDA_MIN_TOL = 1e-12
-LAMBDA_MIN_MAX_ITER = 500
-
-
 class WentzellOperator:
     """Assembled elliptic operator A with factorization and inner product.
 
@@ -100,11 +93,10 @@ class WentzellOperator:
 
     K_A commutes with x-shifts, so its factorization is the FFT-in-x band
     LU of ``factor_x_invariant``, made on first use.  Immutable after
-    assembly: it caches only that factorization and lambda_min, and
-    concurrent read-only solves against the factorization are permitted
-    (contract -- callers must not mutate the operator).  The time steppers'
-    factorizations of their step matrices belong to each run, not to the
-    operator.
+    assembly: it caches only that factorization, and concurrent read-only
+    solves against it are permitted (contract -- callers must not mutate
+    the operator).  The time steppers' factorizations of their step
+    matrices belong to each run, not to the operator.
     """
 
     def __init__(self, grid, b=1.0, c=1.0, alpha=1.0, beta=1.0):
@@ -120,11 +112,6 @@ class WentzellOperator:
         self.K_A = grid.forms.k_lin(0.0, c / b)
         self.mass_weights = grid.h_weights(b)
         self._lu = None
-        self._lambda_min = None
-        if os.environ.get("CHWALL_DEBUG"):
-            lam = self.lambda_min()
-            if lam <= 0:
-                raise RuntimeError(f"operator not positive: lambda_min={lam}")
 
     # -- structure ---------------------------------------------------------
 
@@ -143,30 +130,6 @@ class WentzellOperator:
         if self._lu is None:
             self._lu = factor_x_invariant(self.grid, self.K_A)
         return self._lu
-
-    def lambda_min(self):
-        """Smallest eigenvalue of A in the weighted inner product.
-
-        Inverse power iteration on K x = lambda W x through the cached
-        factorization; deterministic start vector.
-        """
-        if self._lambda_min is None:
-            lu = self.factorization()
-            w = self.mass_weights
-            v = np.ones(self.grid.n_nodes)
-            v /= np.sqrt(v @ (w * v))
-            lam = None
-            for _ in range(LAMBDA_MIN_MAX_ITER):
-                y = lu.solve(w * v)
-                y /= np.sqrt(y @ (w * y))
-                lam_new = float(y @ (self.K_A @ y))
-                if lam is not None and abs(lam_new - lam) <= LAMBDA_MIN_TOL * abs(lam_new):
-                    lam = lam_new
-                    break
-                lam = lam_new
-                v = y
-            self._lambda_min = lam
-        return self._lambda_min
 
     def dump_matrix(self, path):
         """Export the operator (as applied, W^-1 K) in 'row col value' text."""
@@ -208,17 +171,7 @@ def x_norm_via_form(op, v):
     return np.sqrt(max(op.a_form(w, w), 0.0))
 
 
-def _quadratic_norm(K, u):
-    vals = _as_values(u)
-    return np.sqrt(max(float(vals @ (K @ vals)), 0.0))
-
-
 def v_norm(grid, u):
     """Energy-space norm: bulk gradient plus surface gradient and mass."""
-    return _quadratic_norm(grid.forms.k_lin(1.0, 1.0), u)
-
-
-def h1_equiv_norm(grid, u):
-    """Equivalent H1 norm: bulk gradient plus surface mass only."""
-    return _quadratic_norm(grid.forms.k_lin(0.0, 1.0), u)
-
+    vals = _as_values(u)
+    return np.sqrt(max(float(vals @ (grid.forms.k_lin(1.0, 1.0) @ vals)), 0.0))

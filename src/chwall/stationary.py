@@ -1,4 +1,4 @@
-"""Stationary states: energy minimization, Newton refinement, omega-limits.
+"""Stationary states: energy minimization, Newton refinement.
 
 A stationary state makes the chemical potential vanish identically, which
 is the discrete critical-point condition for the free energy.  The robust
@@ -22,7 +22,6 @@ from .energy import (
     residual_norms,
 )
 from .grid import PairField, _as_values, load_field, save_field
-from .operators import x_norm
 
 
 # minimize_energy: at most MAX_OUTER L-BFGS runs of LBFGS_CHUNK iterations
@@ -32,14 +31,11 @@ LBFGS_CHUNK = 400
 NEWTON_MAX_ITER = 50
 # the gradient norm below which a start counts as inside a Newton basin
 BASIN_THRESHOLD = 1e-2
-# omega_limit: the largest weak-norm distance from the final state to its limit
-OMEGA_X_DIST_MAX = 0.5
 
 
 class SolveMethod(Enum):
     MINIMIZE_THEN_NEWTON = "minimize_then_newton"
     NEWTON_ONLY = "newton_only"
-    TRAJECTORY_LIMIT = "trajectory_limit"
 
 
 @dataclass
@@ -228,31 +224,6 @@ def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     sol = newton_refine(grid, pot, mr.field, tol=tol, alpha=alpha, beta=beta,
                         basin_threshold=max(BASIN_THRESHOLD, 10 * tol),
                         method=method)
-    return sol
-
-
-def omega_limit(grid, op, pot, traj_final, tol=1e-8):
-    """Identify the equilibrium a long trajectory has settled onto.
-
-    Refines the final state by Newton and checks that the starting point
-    was already close in the weak norm; failure means the run was too
-    short, and the distance is reported to guide a longer one.
-    """
-    try:
-        sol = newton_refine(grid, pot, traj_final, tol=tol,
-                            basin_threshold=1e-1,
-                            alpha=op.alpha, beta=op.beta,
-                            method=SolveMethod.TRAJECTORY_LIMIT)
-    except ValueError as exc:
-        raise RuntimeError(
-            f"trajectory not yet near an equilibrium ({exc}); run longer"
-        )
-    dist = x_norm(op, traj_final - sol.psi)
-    if not sol.converged or dist > OMEGA_X_DIST_MAX:
-        raise RuntimeError(
-            f"omega-limit identification failed: final state is {dist:.3e} "
-            f"away from the refined equilibrium in the weak norm; run longer"
-        )
     return sol
 
 

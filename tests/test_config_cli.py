@@ -538,6 +538,36 @@ def test_cli_analyze_missing_artifacts(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def _stray_snapshot(run):
+    (run / "snapshots" / "notes.csv").write_text("notes\n")
+    return "notes.csv"
+
+
+def _truncated_snapshot(run):
+    snap = sorted((run / "snapshots").iterdir())[0]
+    snap.write_text("".join(snap.read_text().splitlines(keepends=True)[:-20]))
+    return snap.name
+
+
+def _non_numeric_diagnostics(run):
+    diag = run / "diagnostics.csv"
+    diag.write_text(diag.read_text() + "x,x,x,x,x\n")
+    return "diagnostics.csv"
+
+
+@pytest.mark.parametrize("spoil", [_stray_snapshot, _truncated_snapshot,
+                                   _non_numeric_diagnostics],
+                         ids=lambda spoil: spoil.__name__.lstrip("_"))
+def test_cli_analyze_malformed_run_is_config_error(tmp_path, capsys, spoil):
+    run = tmp_path / "sim"
+    assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=run))]) == 0
+    name = spoil(run)
+    capsys.readouterr()
+    assert main(["analyze", str(run), str(tmp_path / "nope")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+
+
 def test_cli_equilibrium_missing_init_file(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG.format(out=tmp_path / "eq"))
     assert main(["equilibrium", cfg, "--init", str(tmp_path / "nope.csv")]) == 2
@@ -560,6 +590,7 @@ def test_cli_check_passes(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+    assert "PASS  operator spectrum is positive" in out.splitlines()
     assert dump.exists()
 
 

@@ -252,6 +252,9 @@ def test_load_field_refuses_truncated_snapshot(snapshot_file):
     path.write_text("".join(lines[:-1]) + lines[-1][:5])  # cut inside a row
     with pytest.raises(ValueError, match=r"snap\.csv"):
         load_field(path)
+    path.write_text(lines[0] + lines[1][:6])  # cut inside the grid line
+    with pytest.raises(ValueError, match=r"snap\.csv: unreadable grid line"):
+        load_field(path)
 
 
 def test_load_field_refuses_repeated_or_foreign_rows(snapshot_file):

@@ -6,14 +6,13 @@ from chwall.energy import energy_and_gradient, energy_hessian, energy_value, res
 from chwall.config import RunConfig
 from chwall.evolution import evolve
 from chwall.grid import PairField, h_norm
-from chwall.operators import v_norm
+from chwall.operators import v_norm, x_norm
 from chwall.stationary import (
     SolveMethod,
     find_equilibrium,
     load_equilibrium,
     minimize_energy,
     newton_refine,
-    omega_limit,
     save_equilibrium,
 )
 
@@ -153,12 +152,19 @@ def test_critical_point_equivalence(tall_strip, pot):
     assert h_norm(g, cw.chemical_potential(g, pot, sol.psi).values) <= 1e-9
 
 
+def _trajectory_limit(g, op, pot, final, tol):
+    """Newton from a run's final state, which must already lie near its limit."""
+    sol = newton_refine(g, pot, final, tol=tol, basin_threshold=1e-1)
+    assert sol.converged
+    assert x_norm(op, final - sol.psi) <= 0.5
+    return sol
+
+
 def test_omega_limit_identifies_equilibrium(small_strip, pot):
     g, op = small_strip
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
     rec = evolve(g, op, pot, u0, RunConfig(dt=2e-3, t_end=12.0, series_stride=20))
-    sol = omega_limit(g, op, pot, rec.final_state(), tol=1e-9)
-    assert sol.method is SolveMethod.TRAJECTORY_LIMIT
+    sol = _trajectory_limit(g, op, pot, rec.final_state(), tol=1e-9)
     assert sol.bulk_res + sol.bdry_res <= 1e-8
     # the limit's energy is below every recorded trajectory energy
     assert all(sol.energy <= r.e_total + 1e-12 for r in rec.reports)
@@ -171,16 +177,9 @@ def test_omega_limit_twin_runs_agree(small_strip, pot):
     for amp, mean in ((0.1, 0.05), (0.07, -0.03)):
         u0 = PairField(g, amp * np.cos(2 * np.pi * g.x) + mean)
         rec = evolve(g, op, pot, u0, cfg)
-        sols.append(omega_limit(g, op, pot, rec.final_state(), tol=1e-10))
+        sols.append(_trajectory_limit(g, op, pot, rec.final_state(), tol=1e-10))
     diff = v_norm(g, sols[0].psi - sols[1].psi)
     assert diff <= 1e-6
-
-
-def test_omega_limit_rejects_short_run(small_strip, pot):
-    g, op = small_strip
-    u0 = PairField(g, 0.9 * np.cos(2 * np.pi * g.x))
-    with pytest.raises(RuntimeError, match="longer"):
-        omega_limit(g, op, pot, u0, tol=1e-9)
 
 
 def test_interval_saddle_escape_and_classification(pot):
