@@ -312,9 +312,12 @@ def _load_run(run_dir):
         header = fh.readline().strip()
     if header != EnergyReport.CSV_COLUMNS:
         raise ConfigError(f"unexpected series.csv header: {header}")
+    with open(diag_path) as fh:
+        rows = [row for row in fh.readlines()[1:] if row.strip()]
+    if not rows:
+        raise ConfigError(f"{diag_path}: no rows below the header")
     try:
-        times, xs = np.loadtxt(diag_path, delimiter=",", skiprows=1,
-                               usecols=(0, 3), ndmin=2).T
+        times, xs = np.loadtxt(rows, delimiter=",", usecols=(0, 3), ndmin=2).T
     except ValueError as exc:
         raise ConfigError(f"{diag_path}: {exc}")
     snapshots = []

@@ -2,31 +2,35 @@
 
 A stationary state makes the chemical potential vanish identically, which
 is the discrete critical-point condition for the free energy.  The robust
-path is minimize-then-refine: limited-memory quasi-Newton descent on E
-(with a spectral kick off saddles, since an exactly critical
-start has zero gradient and plain descent would sit still), followed by a
-full Newton iteration on mu(U) = 0 with the energy Hessian as Jacobian.
+path is minimize-then-refine: L-BFGS descent on E preconditioned by the
+band-factorized Hessian with frozen curvature (with a spectral kick off
+saddles, since an exactly critical start has zero gradient and plain
+descent would sit still), followed by a full Newton iteration on
+mu(U) = 0 with the energy Hessian as Jacobian.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .analysis import lowest_eigenpairs, spectrum, weighted_symmetric
-from .energy import (
-    energy_and_gradient,
-    energy_hessian,
-    residual_norms,
-)
+from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import PairField, _as_values, load_field, save_field
+from .operators import factor_x_invariant
 
 
-# minimize_energy: at most MAX_OUTER L-BFGS runs of LBFGS_CHUNK iterations
-MAX_OUTER = 30
-LBFGS_CHUNK = 400
+# minimize_energy: cap on steps plus saddle kicks, L-BFGS memory, the f'(u)
+# frozen in the preconditioner, Armijo constant and smallest step fraction
+MAX_STEPS = 12000
+LBFGS_MEMORY = 10
+PRECOND_S = 2.0
+ARMIJO_C1 = 1e-4
+ARMIJO_T_MIN = 1e-12
 # newton_refine: iteration cap
 NEWTON_MAX_ITER = 50
 # the gradient norm below which a start counts as inside a Newton basin
@@ -73,38 +77,25 @@ def _most_negative_direction(grid, pot, vals, alpha, beta):
 def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     """Descend the free energy until the gradient norm drops below tol.
 
-    Returns a MinimizeResult; .converged is False when the iteration cap
-    was reached first (the best iterate is still returned).  Every accepted
-    iterate has energy no greater than the previous one, so
-    E(result) <= E(u_init) always.
+    L-BFGS (Nocedal & Wright, Alg. 7.4) on H0 = P^-1, where P = K_lin +
+    PRECOND_S M_bulk is the Hessian with f'(u) frozen, band-factorized once
+    per call; the iteration count then does not grow with the mesh.  Armijo
+    backtracking accepts only steps that lower E, so E(result) <= E(u_init).
+    Returns a MinimizeResult; .converged is False when a line search cannot
+    descend or MAX_STEPS steps and kicks are used up first.
     """
-    # scipy.optimize costs a quarter second to import; only this solver needs it
-    from scipy.optimize import minimize
-
-    last = [None, None]  # the point evaluated last and its (E, g)
+    forms = grid.forms
+    P = factor_x_invariant(grid, forms.k_lin(alpha, beta) + PRECOND_S * sp.diags(forms.bulk_mass))
 
     def evaluate(v):
-        last[:] = v.copy(), energy_and_gradient(grid, pot, v, alpha, beta)
-        return last[1]
-
-    def evaluation_at(v):
-        return last[1] if np.array_equal(v, last[0]) else evaluate(v)
-
-    # scipy's own stopping tests are off (ftol = gtol = 1e-300): a chunk ends
-    # at the loop's tolerance, checked on each accepted iterate, or at its cap
-    def stop_when_converged(intermediate_result):
-        g_acc = evaluation_at(intermediate_result.x)[1]
-        if math.hypot(*residual_norms(grid, g_acc)) <= tol:
-            raise StopIteration
+        return energy_and_gradient(grid, pot, v, alpha, beta)
 
     x = _as_values(u_init).copy()
     e, g = evaluate(x)
-    total_iters = 0
-    escapes = 0
-    stalls = 0
-    for _ in range(MAX_OUTER):
-        gn = math.hypot(*residual_norms(grid, g))
-        if gn <= tol:
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y) of the latest steps
+    iterations = escapes = 0
+    while iterations + escapes < MAX_STEPS:
+        if math.hypot(*residual_norms(grid, g)) <= tol:
             lam0, phi = _most_negative_direction(grid, pot, x, alpha, beta)
             if lam0 >= -1e-10 * (1.0 + abs(lam0)):
                 break  # genuine (local) minimum
@@ -113,25 +104,33 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
                 break
             x, (e, g) = kicked
             escapes += 1
-        elif stalls >= 2:
-            break  # line search cannot move; report unconverged
-        res = minimize(
-            evaluate, x, jac=True, method="L-BFGS-B", callback=stop_when_converged,
-            options={"maxiter": LBFGS_CHUNK, "ftol": 1e-300, "gtol": 1e-300},
-        )
-        if res.fun <= e:
-            x = res.x
-            e, g = evaluation_at(x)
-        total_iters += int(res.nit)
-        stalls = stalls + 1 if int(res.nit) == 0 else 0
+            pairs.clear()
+            continue
+        # two-loop recursion: d = H g, H the L-BFGS inverse Hessian
+        q, coeffs = g.copy(), []
+        for s, y, rho in reversed(pairs):
+            coeffs.append(rho * (s @ q))
+            q -= coeffs[-1] * y
+        d = P.solve(q)
+        for (s, y, rho), a in zip(pairs, reversed(coeffs)):
+            d += (a - rho * (y @ d)) * s
+        slope, t = float(g @ d), 1.0
+        while slope > 0.0 and t > ARMIJO_T_MIN:
+            x_new = x - t * d
+            e_new, g_new = evaluate(x_new)
+            if e_new <= e - ARMIJO_C1 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no descent along -d; report unconverged
+        s, y = x_new - x, g_new - g
+        if s @ y > 0.0:
+            pairs.append((s, y, 1.0 / (s @ y)))
+        x, e, g = x_new, e_new, g_new
+        iterations += 1
     gn = math.hypot(*residual_norms(grid, g))
-    return MinimizeResult(
-        field=PairField(grid, x),
-        converged=bool(gn <= tol),
-        iterations=total_iters,
-        grad_norm=gn,
-        escapes=escapes,
-    )
+    return MinimizeResult(field=PairField(grid, x), converged=bool(gn <= tol),
+                          iterations=iterations, grad_norm=gn, escapes=escapes)
 
 
 def _kick_off_saddle(evaluate, x, e0, phi):
@@ -148,7 +147,7 @@ def _kick_off_saddle(evaluate, x, e0, phi):
 
 
 def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
-                  alpha=1.0, beta=1.0, method=SolveMethod.NEWTON_ONLY):
+                  alpha=1.0, beta=1.0):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
@@ -193,7 +192,7 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
         energy=e,
         bulk_res=bulk_res,
         bdry_res=bdry_res,
-        method=method,
+        method=SolveMethod.NEWTON_ONLY,
         newton_iters=iters,
         converged=converged,
         residual_history=hist,
@@ -216,14 +215,10 @@ def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     """
     mr = minimize_energy(grid, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10),
                          alpha=alpha, beta=beta)
-    method = (
-        SolveMethod.MINIMIZE_THEN_NEWTON
-        if (mr.iterations > 0 or mr.escapes > 0)
-        else SolveMethod.NEWTON_ONLY
-    )
     sol = newton_refine(grid, pot, mr.field, tol=tol, alpha=alpha, beta=beta,
-                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol),
-                        method=method)
+                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol))
+    if mr.iterations > 0 or mr.escapes > 0:
+        sol.method = SolveMethod.MINIMIZE_THEN_NEWTON
     return sol
 
 

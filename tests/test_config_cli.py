@@ -555,8 +555,16 @@ def _non_numeric_diagnostics(run):
     return "diagnostics.csv"
 
 
+def _header_only_diagnostics(run):
+    diag = run / "diagnostics.csv"
+    diag.write_text(diag.read_text().splitlines(keepends=True)[0])
+    return "diagnostics.csv"
+
+
+# "error": the refusal comes before numpy could warn about an empty input
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("spoil", [_stray_snapshot, _truncated_snapshot,
-                                   _non_numeric_diagnostics],
+                                   _non_numeric_diagnostics, _header_only_diagnostics],
                          ids=lambda spoil: spoil.__name__.lstrip("_"))
 def test_cli_analyze_malformed_run_is_config_error(tmp_path, capsys, spoil):
     run = tmp_path / "sim"

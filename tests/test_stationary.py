@@ -3,6 +3,7 @@ import pytest
 
 import chwall as cw
 from chwall.energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
+from chwall.cli import make_initial
 from chwall.config import RunConfig
 from chwall.evolution import evolve
 from chwall.grid import PairField, h_norm
@@ -49,34 +50,40 @@ def test_minimize_escapes_saddle_on_tall_strip(small_strip, tall_strip, pot):
 
 
 def test_minimize_one_evaluation_per_lbfgs_point(tall_strip, pot, monkeypatch):
-    # L-BFGS-B gets one jac=True objective: each point it visits costs one
-    # evaluation, and no separate gradient routine exists to call
-    import scipy.optimize
-
+    # the loop keeps (E, g) of the point it stands on: the line search, the
+    # accepted steps and the saddle kick never evaluate a point twice
     import chwall.stationary as stationary
 
     g, _ = tall_strip
-    calls = []
+    points = []
     evaluate = stationary.energy_and_gradient
-    monkeypatch.setattr(
-        stationary, "energy_and_gradient", lambda *a: calls.append(1) or evaluate(*a)
-    )
-    inside, nfev = [], []
-    minimize = scipy.optimize.minimize
 
-    def counted(fun, x0, **kwargs):
-        assert kwargs["jac"] is True
-        before = len(calls)
-        res = minimize(fun, x0, **kwargs)
-        inside.append(len(calls) - before)
-        nfev.append(res.nfev)
-        return res
+    def recorded(grid, pot, u, *args):
+        points.append(np.array(u, dtype=float).tobytes())
+        return evaluate(grid, pot, u, *args)
 
-    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    monkeypatch.setattr(stationary, "energy_and_gradient", recorded)
     res = minimize_energy(g, pot, PairField.zeros(g), tol=1e-6)
     assert res.converged and res.escapes >= 1
-    assert sum(nfev) > 0
-    assert inside == nfev
+    assert len(set(points)) == len(points)
+    assert 0 < res.iterations <= len(points)
+
+
+def test_minimize_iterations_do_not_grow_with_the_mesh(pot):
+    # the band-factorized preconditioner makes the count mesh-independent:
+    # 44 / 33 / 31 iterations here, where Euclidean L-BFGS-B took
+    # 133 / 379 / 1184
+    cfg = RunConfig(initial_kind="random_fourier", initial_amplitude=0.5, seed=7)
+    for n in (24, 48, 96):
+        g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=n, ny=n)
+        res = minimize_energy(g, pot, make_initial(g, cfg), tol=1e-3)
+        assert res.converged and res.iterations <= 50, (n, res.iterations)
+    # a wide strip near the uniform state, to a tight tolerance, which
+    # L-BFGS-B left unconverged at |g| = 1.1e-6
+    g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=96, ny=96)
+    cfg = RunConfig(initial_kind="random_fourier", initial_amplitude=0.05, seed=11)
+    res = minimize_energy(g, pot, make_initial(g, cfg), tol=1e-6)
+    assert res.converged, res.grad_norm
 
 
 def test_minimize_stops_at_its_tolerance(tall_strip, pot, rng):
@@ -209,7 +216,8 @@ def test_equilibrium_files_roundtrip(tmp_path, small_strip, pot):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the energy minimizer needs scipy.optimize, which is slow to import
+    # nothing in chwall needs scipy.optimize, which is slow to import: not the
+    # CLI, and not the stationary solve from a saddle start
     import os
     import subprocess
     import sys
@@ -217,7 +225,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, chwall.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, chwall, chwall.cli\n"
+        "g = chwall.build_grid('strip2d', Lx=8.0, Ly=8.0, nx=12, ny=12)\n"
+        "sol = chwall.find_equilibrium(g, chwall.double_well(), chwall.PairField.zeros(g))\n"
+        "print(sol.converged, sol.method.value, 'scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["True", "minimize_then_newton", "False"]
