@@ -35,7 +35,6 @@ from .energy import (
     chemical_potential,
     dissipation,
     double_well,
-    energy,
     make_potential,
     polynomial_potential,
 )

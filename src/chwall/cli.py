@@ -124,6 +124,14 @@ def build_problem(cfg):
     return grid, pot, op
 
 
+def _make_dir(path):
+    """Create a directory the run writes to; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}")
+
+
 def _load_input(name, load, path, grid):
     """load(path, grid=grid) for a file the user named; a bad file is a config error."""
     try:
@@ -196,7 +204,7 @@ def cmd_simulate(config_path):
         ref, _ = _load_input("reference.psi_path", load_equilibrium,
                              cfg.reference_path, grid)
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out)
     t0 = time.time()
     with OutputLock(out):
         with open(os.path.join(out, "config.ini"), "w") as fh:
@@ -212,7 +220,7 @@ def cmd_simulate(config_path):
         _write_series(os.path.join(out, "series.csv"), rec.times, rec.reports)
         _write_diagnostics(os.path.join(out, "diagnostics.csv"), rec)
         snapdir = os.path.join(out, "snapshots")
-        os.makedirs(snapdir, exist_ok=True)
+        _make_dir(snapdir)
         for i, (t, snap) in enumerate(rec.snapshots):
             snap_path = os.path.join(snapdir, f"snap_{i:06d}_t{t!r}.csv")
             save_field(snap, snap_path)
@@ -261,7 +269,7 @@ def cmd_equilibrium(config_path, init_path=None):
     else:
         u0 = make_initial(grid, cfg)
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out)
     t0 = time.time()
     with OutputLock(out):
         with open(os.path.join(out, "config.ini"), "w") as fh:
@@ -353,7 +361,7 @@ def cmd_analyze(run_dir, psi_prefix):
     cfg, grid, pot, op, rec = _load_run(run_dir)
     psi, _ = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
     out = os.path.join(run_dir, "analysis")
-    os.makedirs(out, exist_ok=True)
+    _make_dir(out)
 
     H = energy_hessian(grid, pot, psi, cfg.alpha, cfg.beta)
     srep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
@@ -378,15 +386,16 @@ def cmd_analyze(run_dir, psi_prefix):
         warn = True
     else:
         theta, theta_source = probe.fitted_theta, "fitted"
-        gaps = [s[1] for s in probe.samples]
-        lhss = [s[2] for s in probe.samples]
-        svgplot.scatter_plot(
-            os.path.join(out, "ls_scatter.svg"), gaps, lhss,
-            title=f"residual vs energy gap (theta={probe.fitted_theta:.3f})",
-            xlabel="log10 gap", ylabel="log10 residual", xlog=True, ylog=True,
-            fit=(1.0 - probe.fitted_theta,
-                 math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
-        )
+        if cfg.plots:
+            gaps = [s[1] for s in probe.samples]
+            lhss = [s[2] for s in probe.samples]
+            svgplot.scatter_plot(
+                os.path.join(out, "ls_scatter.svg"), gaps, lhss,
+                title=f"residual vs energy gap (theta={probe.fitted_theta:.3f})",
+                xlabel="log10 gap", ylabel="log10 residual", xlog=True, ylog=True,
+                fit=(1.0 - probe.fitted_theta,
+                     math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
+            )
 
     if rec.x_dist_to_ref is None:
         # recompute distances from the stored snapshots
@@ -412,12 +421,13 @@ def cmd_analyze(run_dir, psi_prefix):
     if rrep is not None:
         with open(os.path.join(out, "rate_report.txt"), "w") as fh:
             fh.write(_report_text(rrep) + "\n")
-        svgplot.line_plot(
-            os.path.join(out, "decay_fit.svg"), rate_rec.times,
-            {"|U-psi|_X": rate_rec.x_dist_to_ref},
-            title=f"decay ({rrep.model}: q={rrep.q:.3f}, gamma={rrep.gamma:.3f})",
-            xlabel="t", ylabel="log10 distance", ylog=True,
-        )
+        if cfg.plots:
+            svgplot.line_plot(
+                os.path.join(out, "decay_fit.svg"), rate_rec.times,
+                {"|U-psi|_X": rate_rec.x_dist_to_ref},
+                title=f"decay ({rrep.model}: q={rrep.q:.3f}, gamma={rrep.gamma:.3f})",
+                xlabel="t", ylabel="log10 distance", ylog=True,
+            )
     print(f"analyze: reports -> {out}" + (" (with warnings)" if warn else ""))
     return EXIT_OK
 
@@ -474,7 +484,10 @@ def cmd_check(dump_operator=None):
     check("discrete energy law over 20 steps",
           all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1)))
     if dump_operator:
-        op.dump_matrix(dump_operator)
+        try:
+            op.dump_matrix(dump_operator)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {dump_operator}: {exc.strerror}")
         print(f"operator dumped to {dump_operator}")
     return EXIT_OK if failures == 0 else EXIT_UNCONVERGED
 

@@ -217,12 +217,6 @@ def state_report(grid, u, evaluation, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     ), kmu
 
 
-def energy(grid, pot, u, alpha=1.0, beta=1.0, b=1.0, c=1.0):
-    """Full energy/mass/dissipation report for a state."""
-    evaluation = energy_and_gradient(grid, pot, u, alpha, beta)
-    return state_report(grid, u, evaluation, alpha=alpha, beta=beta, b=b, c=c)[0]
-
-
 def energy_hessian(grid, pot, u, alpha=1.0, beta=1.0):
     """The energy Hessian K_lin + diag(bulk_mass f'(u)) as a sparse matrix.
 

@@ -11,7 +11,9 @@ surface masses and wall fluxes come out with no O(h) contamination.
 
 Node ordering (stable across runs): flat index = j*nx + i, where j=0 is the
 wall y=0, j=1..ny-2 are interior rows at y=(j-1/2)*hy with hy=Ly/(ny-2),
-and j=ny-1 is the wall y=Ly.  For the interval, the index is j directly.
+and j=ny-1 is the wall y=Ly.  The interval is the strip's single column
+of unit width (nx=1, hx=1), so its index is j and every weight and form is
+the strip's formula.
 """
 
 from dataclasses import dataclass, field
@@ -77,7 +79,8 @@ class StripGrid:
         Node counts; ny includes the two wall rows.
     hx, hy : float
         Spacings. hy is the interior cell height Ly/(ny-2); the gap between
-        a wall and the first interior row is hy/2.
+        a wall and the first interior row is hy/2.  hx is Lx/nx on the
+        strip and 1 on the interval, its one column of unit width.
     bulk_weights : ndarray, shape (n_nodes,)
         Bulk quadrature weight per node; sums to the domain area exactly.
     bdry_weights : ndarray, shape (n_bdry,)
@@ -107,17 +110,17 @@ class StripGrid:
             self.nx = int(nx)
             self.hx = self.Lx / self.nx
         else:
+            # the interval is one column of unit width
             self.Lx = 0.0
             self.nx = 1
-            self.hx = 0.0
+            self.hx = 1.0
 
         self.n_nodes = self.nx * self.ny
         ys = np.empty(self.ny)
         ys[0] = 0.0
         ys[1:-1] = (np.arange(1, self.ny - 1) - 0.5) * self.hy
         ys[-1] = self.Ly
-        xs = np.arange(self.nx) * self.hx if mode is GridMode.STRIP2D else np.zeros(1)
-        self.x = np.tile(xs, self.ny)
+        self.x = np.tile(np.arange(self.nx) * self.hx, self.ny)
         self.y = np.repeat(ys, self.nx)
 
         self.bdry_idx = np.concatenate(
@@ -128,13 +131,8 @@ class StripGrid:
         self.on_gamma = on_wall
         self.interior_idx = np.nonzero(~on_wall)[0]
 
-        wb = self.hx * self.hy if mode is GridMode.STRIP2D else self.hy
-        self.bulk_weights = np.where(on_wall, 0.0, wb)
-        self.bdry_weights = (
-            np.full(2 * self.nx, self.hx)
-            if mode is GridMode.STRIP2D
-            else np.ones(2)
-        )
+        self.bulk_weights = np.where(on_wall, 0.0, self.hx * self.hy)
+        self.bdry_weights = np.full(2 * self.nx, self.hx)
         self._forms = None
         self._h_weights = {}
         self._snapshot_template = None
@@ -205,60 +203,40 @@ def build_grid(mode, Lx=None, Ly=None, nx=None, ny=None):
     return StripGrid(mode, 0.0, Ly, 1, ny)
 
 
+def _chain(n, edges):
+    """Stiffness of unit-weight edges (a, b) among n nodes; a self-loop adds 0."""
+    a, b = np.reshape(np.asarray(edges, dtype=int), (-1, 2)).T
+    ones = np.ones(a.size)
+    return sp.csr_matrix((np.r_[ones, ones, -ones, -ones],
+                          (np.r_[a, b, a, b], np.r_[a, b, b, a])), shape=(n, n))
+
+
 def _assemble_forms(grid):
-    n = grid.n_nodes
-    nx, ny = grid.nx, grid.ny
-    rows, cols, vals = [], [], []
+    """The forms as Kronecker products of a periodic x-chain and y-chains.
 
-    def add_edges(a, b, coeff):
-        rows.extend([a, b, a, b])
-        cols.extend([a, b, b, a])
-        vals.extend([coeff, coeff, -coeff, -coeff])
-
-    if grid.mode is GridMode.STRIP2D:
-        cx = grid.hy / grid.hx
-        cy = grid.hx / grid.hy
-        cols_i = np.arange(nx)
-        right = (cols_i + 1) % nx
-        for j in range(1, ny - 1):
-            base = j * nx
-            add_edges(base + cols_i, base + right, np.full(nx, cx))
-        # wall-adjacent half cells, then uniform interior edges
-        add_edges(cols_i, nx + cols_i, np.full(nx, 2.0 * cy))
-        add_edges((ny - 2) * nx + cols_i, (ny - 1) * nx + cols_i, np.full(nx, 2.0 * cy))
-        for j in range(1, ny - 2):
-            add_edges(j * nx + cols_i, (j + 1) * nx + cols_i, np.full(nx, cy))
-    else:
-        cy = 1.0 / grid.hy
-        add_edges(np.array([0]), np.array([1]), np.array([2.0 * cy]))
-        add_edges(np.array([ny - 2]), np.array([ny - 1]), np.array([2.0 * cy]))
-        for j in range(1, ny - 2):
-            add_edges(np.array([j]), np.array([j + 1]), np.array([cy]))
-
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
-    k_grad = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    if grid.mode is GridMode.STRIP2D:
-        prow, pcol, pval = [], [], []
-        cp = 1.0 / grid.hx
-        cols_i = np.arange(nx)
-        right = (cols_i + 1) % nx
-        for base in (0, (ny - 1) * nx):
-            a, b = base + cols_i, base + right
-            prow.extend([a, b, a, b])
-            pcol.extend([a, b, b, a])
-            pval.extend([np.full(nx, cp), np.full(nx, cp),
-                         np.full(nx, -cp), np.full(nx, -cp)])
-        prow = np.concatenate(prow)
-        pcol = np.concatenate(pcol)
-        pval = np.concatenate(pval)
-        k_par = sp.coo_matrix((pval, (prow, pcol)), shape=(n, n)).tocsr()
-    else:
-        k_par = sp.csr_matrix((n, n))
-
-    bdry_mass = np.zeros(n)
+    Interior rows couple along x with weight hy/hx; the wall-to-first-row
+    half cells couple with 2 hx/hy and the uniform interior edges with
+    hx/hy; each wall couples along x with weight 1/hx.  The interval's
+    single column has only the self-loop (0, 0), so its x-chain is zero.
+    """
+    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
+    i, j = np.arange(nx), np.arange(1, ny - 2)
+    kx = _chain(nx, np.c_[i, (i + 1) % nx])
+    ky_wall = _chain(ny, [(0, 1), (ny - 2, ny - 1)])
+    ky_inner = _chain(ny, np.c_[j, j + 1])
+    wall = np.zeros(ny)
+    wall[[0, -1]] = 1.0
+    eye = sp.identity(nx, format="csr")
+    k_grad = (sp.kron(sp.diags(1.0 - wall), (hy / hx) * kx)
+              + sp.kron((2.0 * (hx / hy)) * ky_wall, eye)
+              + sp.kron((hx / hy) * ky_inner, eye)).tocsr()
+    k_par = sp.kron(sp.diags(wall), kx / hx).tocsr()
+    # canonical CSR: no stored zeros (the self-loop, the zero diagonal
+    # weights) and sorted indices, which fix the order of later products
+    for K in (k_grad, k_par):
+        K.eliminate_zeros()
+        K.sort_indices()
+    bdry_mass = np.zeros(grid.n_nodes)
     bdry_mass[grid.bdry_idx] = grid.bdry_weights
     return GridForms(k_grad, k_par, grid.bulk_weights.copy(), bdry_mass)
 

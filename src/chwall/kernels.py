@@ -1,9 +1,10 @@
 """Pointwise finite-difference stencils on the grid's node layout.
 
 Fields are read as ``(ny, nx)`` arrays with row 0 the wall at y=0 and row
-ny-1 the wall at y=Ly (the interval is the single column nx=1); interior
-rows sit at cell centers, so the wall-to-first-row gap is hy/2.  The x
-direction is periodic.
+ny-1 the wall at y=Ly; interior rows sit at cell centers, so the
+wall-to-first-row gap is hy/2.  The x direction is periodic.  The interval
+is the single column nx=1 of unit width, whose periodic second difference
+is exactly 0, so the same stencils serve both geometries.
 
 These are diagnostics and test oracles.  Everything energetic (energy,
 chemical potential, dissipation, norms) goes through the assembled
@@ -13,7 +14,7 @@ chemical potential agrees with ``-laplacian(u) + f(u)`` to rounding.
 
 import numpy as np
 
-from .grid import GridMode, _as_values
+from .grid import _as_values
 
 
 def _periodic_second_difference(rows, hx):
@@ -31,9 +32,7 @@ def laplacian(grid, u):
     explicitly needs the bulk Laplacian on the boundary.
     """
     v = _as_values(u).reshape(grid.ny, grid.nx)
-    out = np.zeros_like(v)
-    if grid.mode is GridMode.STRIP2D:
-        out += _periodic_second_difference(v, grid.hx)
+    out = _periodic_second_difference(v, grid.hx)
     ihy2 = 1.0 / (grid.hy * grid.hy)
     # uniform interior rows
     out[2:-2] += (v[3:-1] - 2.0 * v[2:-2] + v[1:-3]) * ihy2
@@ -50,10 +49,8 @@ def laplacian(grid, u):
 
 def laplace_beltrami(grid, trace):
     """Surface Laplacian along each wall; identically zero for the interval."""
-    tr = np.asarray(trace, dtype=float)
-    if grid.mode is GridMode.INTERVAL1D:
-        return np.zeros_like(tr)
-    return _periodic_second_difference(tr.reshape(2, grid.nx), grid.hx).reshape(-1)
+    tr = np.asarray(trace, dtype=float).reshape(2, grid.nx)
+    return _periodic_second_difference(tr, grid.hx).reshape(-1)
 
 
 def normal_derivative(grid, u):

@@ -592,6 +592,59 @@ def test_cli_analyze_missing_equilibrium(tmp_path, capsys):
     assert "config error: psi_prefix" in err and "nope" in err
 
 
+def _run_pipeline(tmp_path, text):
+    """simulate, equilibrium from its final state, analyze; the three exit codes."""
+    sim, eq = tmp_path / "sim", tmp_path / "eq"
+    sim_cfg = write_config(tmp_path, text.format(out=sim), "s.ini")
+    eq_cfg = write_config(tmp_path, text.format(out=eq), "e.ini")
+    return (main(["simulate", sim_cfg]),
+            main(["equilibrium", eq_cfg, "--init", str(sim / "final_state.csv")]),
+            main(["analyze", str(sim), str(eq / "equilibrium")]))
+
+
+@pytest.mark.parametrize("plots", [False, True])
+def test_cli_analyze_plots_follow_config(tmp_path, capsys, plots):
+    # cosine data near the zero minimum: the probe and the rate fit succeed
+    text = BASE_CONFIG.replace("dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 10.0")
+    text = text.replace("snapshot_stride = 5",
+                        f"snapshot_stride = 10\nplots = {str(plots).lower()}")
+    assert _run_pipeline(tmp_path, text) == (0, 0, 0)
+    assert "warning" not in capsys.readouterr().err
+    analysis = tmp_path / "sim" / "analysis"
+    assert (analysis / "rate_report.txt").exists()
+    svgs = sorted(p.name for p in analysis.glob("*.svg"))
+    assert svgs == (["decay_fit.svg", "ls_scatter.svg"] if plots else [])
+
+
+def test_cli_interval_pipeline(tmp_path):
+    # the interval through every command, at constants other than 1
+    text = BASE_CONFIG.replace("mode = strip2d\nLx = 1.0\nLy = 1.0\nnx = 8\nny = 8",
+                               "mode = interval1d\nLy = 3.0\nny = 40")
+    text = text.replace("b = 1.0\nc = 1.0\nalpha = 1.0\nbeta = 1.0",
+                        "b = 1.5\nc = 0.7\nalpha = 2.0\nbeta = 0.4")
+    text = text.replace("dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 2.0")
+    assert "interval1d" in text and "alpha = 2.0" in text and "t_end = 2.0" in text
+    assert _run_pipeline(tmp_path, text) == (0, 0, 0)
+    assert (tmp_path / "sim" / "analysis" / "spectral_report.txt").exists()
+
+
+@pytest.mark.parametrize("where", ["existing_file", "under_a_file", "dump_operator"])
+def test_cli_uncreatable_output_path_is_config_error(tmp_path, capsys, where):
+    # main returns exit code 2 and names the path instead of raising OSError
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    if where == "dump_operator":
+        path = tmp_path / "missing" / "op.txt"
+        argv = ["check", "--dump-operator", str(path)]
+    else:
+        path = blocker if where == "existing_file" else blocker / "out"
+        argv = ["simulate", write_config(tmp_path, BASE_CONFIG.format(out=path))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: cannot" in err and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_cli_check_passes(tmp_path, capsys):
     dump = tmp_path / "A.txt"
     rc = main(["check", "--dump-operator", str(dump)])

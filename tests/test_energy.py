@@ -8,11 +8,11 @@ from chwall.energy import (
     chemical_potential,
     dissipation,
     double_well,
-    energy,
     energy_and_gradient,
     energy_value,
     polynomial_potential,
     residual_norms,
+    state_report,
 )
 from chwall.grid import PairField, h_inner
 
@@ -54,7 +54,8 @@ def test_supercritical_growth_warns():
 # -- energy and gradient ------------------------------------------------------
 
 def test_energy_of_zero_field(unit_grid, pot):
-    rep = energy(unit_grid, pot, PairField.zeros(unit_grid))
+    u = PairField.zeros(unit_grid)
+    rep = state_report(unit_grid, u, energy_and_gradient(unit_grid, pot, u))[0]
     assert abs(rep.e_bulk - 0.25) <= 1e-12
     assert rep.e_surf == 0.0
     assert abs(rep.e_total - 0.25) <= 1e-12
@@ -62,7 +63,8 @@ def test_energy_of_zero_field(unit_grid, pot):
 
 
 def test_energy_of_unit_field(unit_grid, pot):
-    rep = energy(unit_grid, pot, PairField.constant(unit_grid, 1.0))
+    u = PairField.constant(unit_grid, 1.0)
+    rep = state_report(unit_grid, u, energy_and_gradient(unit_grid, pot, u))[0]
     assert abs(rep.e_bulk) <= 1e-12
     assert abs(rep.e_surf - 1.0) <= 1e-12
     assert abs(rep.mass_total - 3.0) <= 1e-12
@@ -72,7 +74,7 @@ def test_energy_of_unit_field(unit_grid, pot):
 def test_energy_matches_fsum_oracle(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=2.0, nx=12, ny=14)
     u = np.tanh((g.y - 1.0) / 0.35)
-    rep = energy(g, pot, PairField(g, u))
+    rep = state_report(g, u, energy_and_gradient(g, pot, u))[0]
     # independent evaluation of the same discrete sums
     from conftest import dense_form_matrices
 
@@ -156,7 +158,8 @@ def test_mu_of_constant_field_structure(unit_grid, pot):
 
 
 def test_energy_report_csv_row(unit_grid, pot):
-    rep = energy(unit_grid, pot, PairField.zeros(unit_grid))
+    u = PairField.zeros(unit_grid)
+    rep = state_report(unit_grid, u, energy_and_gradient(unit_grid, pot, u))[0]
     row = rep.csv_row(0.5)
     assert row.startswith("0.5,")
     assert len(row.split(",")) == len(rep.CSV_COLUMNS.split(","))
@@ -195,5 +198,6 @@ def test_residuals_at_configured_constants(pot):
     assert bulk <= 1e-10 and bdry <= 1e-10
     assert residual_norms(g, energy_and_gradient(g, pot, sol.psi)[1])[1] > 1.0
     for b in (1.0, 2.0):
-        rep = energy(g, pot, sol.psi, alpha=alpha, beta=beta, b=b)
+        ev = energy_and_gradient(g, pot, sol.psi, alpha, beta)
+        rep = state_report(g, sol.psi, ev, alpha=alpha, beta=beta, b=b)[0]
         assert rep.bulk_res <= 1e-10 and rep.bdry_res <= 1e-10

@@ -102,14 +102,31 @@ def test_weighted_self_adjointness(rng, unit_grid, unit_op):
         assert abs(rhs - form) <= 1e-12 * (1 + abs(form))
 
 
-def test_operator_matches_dense_assembly_oracle(rng):
-    g = cw.build_grid("strip2d", Lx=1.3, Ly=0.7, nx=6, ny=6)
-    K_o, _, bdry_o, _ = dense_form_matrices(g)
-    op = cw.assemble_wentzell(g)
-    K_pkg = op.K_A.toarray()
-    K_dense = K_o + np.diag(bdry_o)
-    scale = np.max(np.abs(K_dense))
-    assert np.max(np.abs(K_pkg - K_dense)) <= 1e-12 * scale
+@st.composite
+def _grids(draw):
+    """A strip (Lx, Ly in [0.1, 30], nx, ny in [4, 16]) or an interval."""
+    Ly, ny = draw(st.floats(0.1, 30.0)), draw(st.integers(4, 16))
+    if draw(st.booleans()):
+        return cw.build_grid("strip2d", Lx=draw(st.floats(0.1, 30.0)), Ly=Ly,
+                             nx=draw(st.integers(4, 16)), ny=ny)
+    return cw.build_grid("interval1d", Ly=Ly, ny=ny)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=_grids())
+def test_operator_matches_dense_assembly_oracle(g):
+    # every entry of the Kronecker-assembled forms against the per-edge loops;
+    # no entry is a cancelling sum, so the bound is relative per entry
+    K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
+    forms = g.forms
+    for K, oracle in ((forms.k_grad, K_o), (forms.k_par, P_o),
+                      (cw.assemble_wentzell(g).K_A, K_o + np.diag(bdry_o))):
+        assert K.has_canonical_format
+        assert np.all(np.abs(K.toarray() - oracle) <= 1e-14 * np.abs(oracle))
+    assert np.array_equal(forms.bulk_mass, bulk_o)
+    assert np.array_equal(forms.bdry_mass, bdry_o)
+    assert abs(np.sum(forms.bulk_mass) - g.area) <= 1e-12 * g.area
+    assert abs(np.sum(forms.bdry_mass) - g.surface) <= 1e-12 * g.surface
 
 
 def test_solve_Ainv_trivial_and_constants(unit_grid, unit_op):
