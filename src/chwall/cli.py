@@ -358,76 +358,87 @@ def _report_text(obj):
 
 
 def cmd_analyze(run_dir, psi_prefix):
-    cfg, grid, pot, op, rec = _load_run(run_dir)
-    psi, _ = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
-    out = os.path.join(run_dir, "analysis")
-    _make_dir(out)
+    """The analysis reports of a finished run, under the run directory's lock.
 
-    H = energy_hessian(grid, pot, psi, cfg.alpha, cfg.beta)
-    srep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
-    with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
-        fh.write(_report_text(srep) + "\n")
-        fh.write(f'"classification": "{classify_equilibrium(srep)}"\n')
+    The lock is held from reading the run to writing ``analysis/`` and, last,
+    its manifest hashing every report there, so the analysis is refused
+    while another command writes into the directory.
+    """
+    t0 = time.time()
+    if not os.path.isdir(run_dir):
+        raise ConfigError(f"run directory {run_dir} does not exist")
+    with OutputLock(run_dir):
+        cfg, grid, pot, op, rec = _load_run(run_dir)
+        psi, _ = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
+        out = os.path.join(run_dir, "analysis")
+        _make_dir(out)
 
-    probe = ls_probe(grid, op, pot, rec, psi, window=cfg.probe_window)
-    with open(os.path.join(out, "ls_report.txt"), "w") as fh:
-        fh.write(_report_text(probe) + "\n")
-    with open(os.path.join(out, "ls_samples.csv"), "w") as fh:
-        fh.write("t,gap,lhs\n")
-        for t, gap, lhs in probe.samples:
-            fh.write(f"{t:.17g},{gap:.17g},{lhs:.17g}\n")
-    warn = False
-    if probe.insufficient:
-        # the bound check still needs some exponent; the fallback only
-        # affects the reported required q, never the fitted rates
-        theta, theta_source = 0.25, "fallback"
-        print(f"warning: exponent probe inconclusive: {probe.note}; the rate "
-              f"bound uses the fallback theta = {theta}", file=sys.stderr)
-        warn = True
-    else:
-        theta, theta_source = probe.fitted_theta, "fitted"
-        if cfg.plots:
-            gaps = [s[1] for s in probe.samples]
-            lhss = [s[2] for s in probe.samples]
-            svgplot.scatter_plot(
-                os.path.join(out, "ls_scatter.svg"), gaps, lhss,
-                title=f"residual vs energy gap (theta={probe.fitted_theta:.3f})",
-                xlabel="log10 gap", ylabel="log10 residual", xlog=True, ylog=True,
-                fit=(1.0 - probe.fitted_theta,
-                     math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
-            )
+        H = energy_hessian(grid, pot, psi, cfg.alpha, cfg.beta)
+        srep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
+        with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
+            fh.write(_report_text(srep) + "\n")
+            fh.write(f'"classification": "{classify_equilibrium(srep)}"\n')
 
-    if rec.x_dist_to_ref is None:
-        # recompute distances from the stored snapshots
-        if rec.snapshots:
-            rec_times, dists = [], []
-            for t, snap in rec.snapshots:
-                rec_times.append(t)
-                dists.append(x_norm(op, snap - psi))
-            rate_rec = TrajectoryRecord(times=rec_times)
-            rate_rec.x_dist_to_ref = dists
+        probe = ls_probe(grid, op, pot, rec, psi, window=cfg.probe_window)
+        with open(os.path.join(out, "ls_report.txt"), "w") as fh:
+            fh.write(_report_text(probe) + "\n")
+        with open(os.path.join(out, "ls_samples.csv"), "w") as fh:
+            fh.write("t,gap,lhs\n")
+            for t, gap, lhs in probe.samples:
+                fh.write(f"{t:.17g},{gap:.17g},{lhs:.17g}\n")
+        warn = False
+        if probe.insufficient:
+            # the bound check still needs some exponent; the fallback only
+            # affects the reported required q, never the fitted rates
+            theta, theta_source = 0.25, "fallback"
+            print(f"warning: exponent probe inconclusive: {probe.note}; the rate "
+                  f"bound uses the fallback theta = {theta}", file=sys.stderr)
+            warn = True
         else:
-            rate_rec = None
-    else:
-        rate_rec = rec
-    try:
-        rrep = rate_fit(rate_rec, theta, fit_tol=cfg.fit_tol,
-                        t_min=cfg.rate_fit_t_min,
-                        theta_source=theta_source) if rate_rec else None
-    except ValueError as exc:
-        print(f"warning: rate fit skipped: {exc}", file=sys.stderr)
-        rrep = None
-        warn = True
-    if rrep is not None:
-        with open(os.path.join(out, "rate_report.txt"), "w") as fh:
-            fh.write(_report_text(rrep) + "\n")
-        if cfg.plots:
-            svgplot.line_plot(
-                os.path.join(out, "decay_fit.svg"), rate_rec.times,
-                {"|U-psi|_X": rate_rec.x_dist_to_ref},
-                title=f"decay ({rrep.model}: q={rrep.q:.3f}, gamma={rrep.gamma:.3f})",
-                xlabel="t", ylabel="log10 distance", ylog=True,
-            )
+            theta, theta_source = probe.fitted_theta, "fitted"
+            if cfg.plots:
+                gaps = [s[1] for s in probe.samples]
+                lhss = [s[2] for s in probe.samples]
+                svgplot.scatter_plot(
+                    os.path.join(out, "ls_scatter.svg"), gaps, lhss,
+                    title=f"residual vs energy gap (theta={probe.fitted_theta:.3f})",
+                    xlabel="log10 gap", ylabel="log10 residual", xlog=True, ylog=True,
+                    fit=(1.0 - probe.fitted_theta,
+                         math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
+                )
+
+        if rec.x_dist_to_ref is None:
+            # recompute distances from the stored snapshots
+            if rec.snapshots:
+                rec_times, dists = [], []
+                for t, snap in rec.snapshots:
+                    rec_times.append(t)
+                    dists.append(x_norm(op, snap - psi))
+                rate_rec = TrajectoryRecord(times=rec_times)
+                rate_rec.x_dist_to_ref = dists
+            else:
+                rate_rec = None
+        else:
+            rate_rec = rec
+        try:
+            rrep = rate_fit(rate_rec, theta, fit_tol=cfg.fit_tol,
+                            t_min=cfg.rate_fit_t_min,
+                            theta_source=theta_source) if rate_rec else None
+        except ValueError as exc:
+            print(f"warning: rate fit skipped: {exc}", file=sys.stderr)
+            rrep = None
+            warn = True
+        if rrep is not None:
+            with open(os.path.join(out, "rate_report.txt"), "w") as fh:
+                fh.write(_report_text(rrep) + "\n")
+            if cfg.plots:
+                svgplot.line_plot(
+                    os.path.join(out, "decay_fit.svg"), rate_rec.times,
+                    {"|U-psi|_X": rate_rec.x_dist_to_ref},
+                    title=f"decay ({rrep.model}: q={rrep.q:.3f}, gamma={rrep.gamma:.3f})",
+                    xlabel="t", ylabel="log10 distance", ylog=True,
+                )
+        write_manifest(out, cfg, {"theta_source": theta_source, "warnings": warn}, t0)
     print(f"analyze: reports -> {out}" + (" (with warnings)" if warn else ""))
     return EXIT_OK
 

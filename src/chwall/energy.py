@@ -88,8 +88,15 @@ def double_well():
 
     Note F(0) = 1/4 with this closed form; the constant-zero field on the
     unit strip therefore has energy exactly 0.25.
+
+    The cubic is written with multiplications.  numpy evaluates ``s ** 2``
+    as a square but sends any other exponent to libm ``pow``, whose cost
+    depends on the sign of s: about 4 ns per element for s > 0 and over
+    100 ns for s < 0, against 1 ns for ``s * s * s``.  A phase-separating
+    field has both signs, so f, f' and F use no ``**`` with an exponent
+    other than 2.  The product is also exactly odd: f(-s) == -f(s).
     """
-    f = lambda s: s ** 3 - s
+    f = lambda s: s * s * s - s
     fp = lambda s: 3.0 * s ** 2 - 1.0
     F = lambda s: 0.25 * (s ** 2 - 1.0) ** 2
     margin = _validate(f, fp, F, PotentialKind.DOUBLE_WELL, 3.0)

@@ -19,7 +19,7 @@ in x splits them into one pentadiagonal system in y per Fourier mode.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, zgbtrs
 
 from .grid import PairField, _as_values, h_inner
 
@@ -28,24 +28,26 @@ class XInvariantFactor:
     """Band LU factors of an x-invariant matrix, one block per Fourier mode.
 
     Block k of the band matrix is the ny x ny system of the x-Fourier mode
-    k = 0 .. nx//2; ``solve`` transforms a right-hand side along x, solves
-    the real and imaginary parts of every mode in one LAPACK call and
-    transforms back.
+    k = 0 .. nx//2.  ``solve`` transforms a right-hand side along x, solves
+    every mode in one LAPACK zgbtrs call and transforms back.  The factor
+    from dgbtrf is real; it is kept as a complex Fortran copy so that the
+    complex mode vector is one right-hand side, with no split into real and
+    imaginary columns and no copies to rebuild it.
     """
 
     def __init__(self, nx, ny, lu, piv):
         self.nx, self.ny = nx, ny
-        self._lu, self._piv = lu, piv
+        self._lu = np.asfortranarray(lu, dtype=complex)
+        self._piv = piv
 
     def solve(self, rhs):
         nx, ny = self.nx, self.ny
-        modes = np.fft.rfft(np.reshape(rhs, (ny, nx)), axis=1).T.ravel()
-        x, info = dgbtrs(self._lu, 2, 2, np.column_stack((modes.real, modes.imag)),
-                         self._piv, overwrite_b=1)
+        # mode-major: entry k*ny + j is mode k of level j
+        modes = np.fft.rfft(np.reshape(rhs, (ny, nx)).T, axis=0).ravel()
+        x, info = zgbtrs(self._lu, 2, 2, modes, self._piv, overwrite_b=1)
         if info != 0:
-            raise RuntimeError(f"band solve failed: LAPACK dgbtrs info={info}")
-        modes = (x[:, 0] + 1j * x[:, 1]).reshape(-1, ny).T
-        return np.fft.irfft(modes, n=nx, axis=1).ravel()
+            raise RuntimeError(f"band solve failed: LAPACK zgbtrs info={info}")
+        return np.fft.irfft(x.reshape(-1, ny).T, n=nx, axis=1).ravel()
 
 
 def factor_x_invariant(grid, M):

@@ -5,11 +5,22 @@ and ``cli.find_equilibrium`` to mark the end of set-up, rebuilds a run's
 problem to check its outputs, and with ``--trace 1`` wraps the public
 functions of every module below.  Deleting or renaming one of these names
 breaks those runs; this test makes that a failure of the unit suite.
+
+The benchmark also counts the time steps of a run as the calls to
+``evolution.auto_stabilization`` made inside ``evolve``, so ``evolve`` must
+call it exactly once per semi-implicit step: a cache of the shift would
+silently break that count.
 """
 
 import importlib
 
+import numpy as np
 import pytest
+
+import chwall as cw
+from chwall import evolution
+from chwall.config import RunConfig
+from chwall.grid import PairField
 
 USED_BY_BENCHMARK = {
     "chwall": ("build_grid", "double_well"),
@@ -33,3 +44,22 @@ def test_benchmark_names_exist(module):
     missing = [name for name in USED_BY_BENCHMARK[module]
                if not callable(getattr(mod, name, None))]
     assert missing == []
+
+
+def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
+    g = cw.build_grid("strip2d", Lx=4.0, Ly=4.0, nx=12, ny=12)
+    op, pot = cw.assemble_wentzell(g), cw.double_well()
+    # spinodal data of both signs, so the shift is recomputed on a moving range
+    u0 = PairField(g, 0.9 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly))
+    calls = []
+    real = evolution.auto_stabilization
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(evolution, "auto_stabilization", counted)
+    # 40 full steps and one remainder step
+    rec = evolution.evolve(g, op, pot, u0, RunConfig(dt=1e-2, t_end=0.405, series_stride=7))
+    assert len(calls) == 41
+    assert rec.times[-1] == pytest.approx(0.405)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -339,23 +340,25 @@ def test_cli_simulate_constant_zero(tmp_path, capsys):
     assert all(abs(e - 0.25) <= 1e-12 for e in etotal)
 
 
-def test_cli_simulate_artifacts_and_manifest(tmp_path):
-    out = tmp_path / "out"
-    rc = main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out))])
-    assert rc == 0
+def _manifest_hashing_every_file(out):
+    """out/manifest.json, checked to list every other file below out with its sha256."""
     manifest = json.loads((out / "manifest.json").read_text())
-    # every artifact file is listed with its content hash
     on_disk = set()
     for root, _, names in os.walk(out):
         for n in names:
             if n not in ("manifest.json", ".lock"):
                 on_disk.add(os.path.relpath(os.path.join(root, n), out))
     assert set(manifest["artifacts"]) == on_disk
-    import hashlib
-
     for rel, digest in manifest["artifacts"].items():
-        h = hashlib.sha256((out / rel).read_bytes()).hexdigest()
-        assert h == digest
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
+    return manifest
+
+
+def test_cli_simulate_artifacts_and_manifest(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out))])
+    assert rc == 0
+    manifest = _manifest_hashing_every_file(out)
     assert manifest["aborted"] is False
     # a cosine run with automatic S stays on one shift rung: one factorization
     assert manifest["factorizations"] == 1
@@ -536,6 +539,9 @@ def test_cli_analyze_missing_artifacts(tmp_path, capsys):
     rc = main(["analyze", str(empty), str(tmp_path / "nope")])
     assert rc == 2
     assert "missing" in capsys.readouterr().err
+    assert not (empty / ".lock").exists()
+    assert main(["analyze", str(tmp_path / "no_run"), str(tmp_path / "nope")]) == 2
+    assert "does not exist" in capsys.readouterr().err
 
 
 def _stray_snapshot(run):
@@ -614,6 +620,23 @@ def test_cli_analyze_plots_follow_config(tmp_path, capsys, plots):
     assert (analysis / "rate_report.txt").exists()
     svgs = sorted(p.name for p in analysis.glob("*.svg"))
     assert svgs == (["decay_fit.svg", "ls_scatter.svg"] if plots else [])
+    manifest = _manifest_hashing_every_file(analysis)
+    assert manifest["theta_source"] == "fitted"
+    assert manifest["warnings"] is False
+
+
+def test_cli_analyze_refuses_a_locked_run(tmp_path, capsys):
+    # the run directory's lock names a running process (this one)
+    sim, eq = tmp_path / "sim", tmp_path / "eq"
+    assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=sim), "s.ini")]) == 0
+    assert main(["equilibrium", write_config(tmp_path, BASE_CONFIG.format(out=eq), "e.ini")]) == 0
+    (sim / ".lock").write_text(str(os.getpid()))
+    before = {p: p.read_bytes() for p in sim.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["analyze", str(sim), str(eq / "equilibrium")]) == 2
+    assert "locked" in capsys.readouterr().err
+    assert not (sim / "analysis").exists()
+    assert {p: p.read_bytes() for p in sim.rglob("*") if p.is_file()} == before
 
 
 def test_cli_interval_pipeline(tmp_path):

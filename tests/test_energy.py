@@ -35,6 +35,40 @@ def test_potential_derivative_consistency(pot, rng):
     assert np.max(np.abs(fd_f - pot.f_prime(s)) / (1 + np.abs(pot.f_prime(s)))) <= 1e-6
 
 
+def _cubic_samples(rng):
+    """Positive, negative, mixed-sign, large and signed-zero inputs."""
+    big = 10.0 ** rng.uniform(3.0, 90.0, 100)
+    return {
+        "positive": rng.uniform(0.0, 3.0, 200),
+        "negative": -rng.uniform(0.0, 3.0, 200),
+        "mixed": rng.uniform(-3.0, 3.0, 200),
+        "large": np.concatenate([big, -big]),
+        "zeros": np.array([0.0, -0.0]),
+    }
+
+
+def test_double_well_cubic_is_exactly_odd(pot, rng):
+    for s in _cubic_samples(rng).values():
+        assert np.array_equal(pot.f(-s), -pot.f(s))
+
+
+def test_double_well_cubic_matches_power_form(pot, rng):
+    eps = np.finfo(float).eps
+    for kind, s in _cubic_samples(rng).items():
+        err = np.abs(pot.f(s) - (s ** 3 - s))
+        assert np.all(err <= 4.0 * eps * (np.abs(s) ** 3 + np.abs(s))), kind
+
+
+def test_polynomial_potential_is_polyval(rng):
+    # the custom potential evaluates its coefficients with np.polyval
+    cf = [1.0, 0.5, -1.0, 0.25]
+    p = polynomial_potential(cf)
+    s = rng.uniform(-3.0, 3.0, 200)
+    assert np.array_equal(p.f(s), np.polyval(cf, s))
+    assert np.array_equal(p.f_prime(s), np.polyval(np.polyder(cf), s))
+    assert np.array_equal(p.F(s), np.polyval(np.polyint(cf), s))
+
+
 def test_polynomial_potential_antiderivative_zero_at_origin():
     p = polynomial_potential([1.0, 0.0, -1.0, 0.0])  # same f as the double well
     assert p.F(0.0) == 0.0

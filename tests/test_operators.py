@@ -189,6 +189,19 @@ def test_x_invariant_factor_matches_sparse_lu(problem, seed):
         assert np.linalg.norm(band - lu) <= 1e-10 * np.linalg.norm(lu)
 
 
+@pytest.mark.parametrize("mode,nx", [("strip2d", 7), ("strip2d", 8), ("interval1d", None)])
+def test_x_invariant_solve_returns_a_fresh_real_vector(mode, nx):
+    g = cw.build_grid(mode, Lx=1.0, Ly=1.0, nx=nx, ny=9)
+    op = cw.assemble_wentzell(g)
+    rhs = np.random.default_rng(5).standard_normal(g.n_nodes)
+    kept = rhs.copy()
+    x = factor_x_invariant(g, op.K_A).solve(rhs)
+    assert np.array_equal(rhs, kept)
+    assert x.dtype == np.float64 and x.shape == (g.n_nodes,)
+    assert x.flags.c_contiguous
+    assert np.linalg.norm(op.K_A @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
 def test_x_invariant_factor_rejects_singular_and_wide_matrices():
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=5)
     wall_rows_zero = sp.diags(np.where(g.on_gamma, 0.0, 1.0), format="csr")
