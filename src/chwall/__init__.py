@@ -22,7 +22,6 @@ from .kernels import laplace_beltrami, laplacian, normal_derivative
 from .operators import (
     WentzellOperator,
     apply_A,
-    assemble_wentzell,
     solve_Ainv,
     v_norm,
     x_norm,
@@ -33,7 +32,6 @@ from .energy import (
     Potential,
     PotentialKind,
     chemical_potential,
-    dissipation,
     double_well,
     make_potential,
     polynomial_potential,

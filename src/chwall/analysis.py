@@ -192,7 +192,7 @@ def fit_gap_exponent(gaps, lhss):
     return theta, float(intercept), rms
 
 
-def ls_probe(grid, op, pot, traj, psi, window=0.5):
+def ls_probe(op, pot, traj, psi, window=0.5):
     """Probe the energy-gap inequality along a converging trajectory.
 
     Snapshots inside the energy-norm window around psi contribute a sample
@@ -201,6 +201,7 @@ def ls_probe(grid, op, pot, traj, psi, window=0.5):
     samples falling below the calibrated power law by more than three
     regression RMS widths.
     """
+    grid = op.grid
     psi_vals = _as_values(psi)
     e_psi = energy_value(grid, pot, psi_vals, op.alpha, op.beta)
     gap_floor = GAP_FLOOR_REL * (1.0 + abs(e_psi))
@@ -267,19 +268,18 @@ class RateReport:
     theta_source: str  # "fitted" (probe), "fallback" (probe inconclusive) or "given"
 
 
-def rate_fit(traj, theta, fit_tol=0.1, t_min=None, theta_source="given"):
+def rate_fit(times, dist, theta, fit_tol=0.1, t_min=None, theta_source="given"):
     """Fit algebraic C(1+t)^-q and exponential C e^(-gamma t) decay models.
 
-    The selected model is the one with smaller RMS residual in log space
+    dist[k] is the distance to the equilibrium at times[k].  The selected
+    model is the one with smaller RMS residual in log space
     (scale-invariant: rescaling the series shifts only C).  The rate-bound
     check passes when the measured decay is dominated by
     (1+t)^(-theta/(1-2 theta)): immediately for the exponential branch,
     via q >= theta/(1-2 theta) - fit_tol for the algebraic one.
     """
-    times = np.asarray(traj.times, dtype=float)
-    if traj.x_dist_to_ref is None:
-        raise ValueError("trajectory has no reference distances recorded")
-    dist = np.asarray(traj.x_dist_to_ref, dtype=float)
+    times = np.asarray(times, dtype=float)
+    dist = np.asarray(dist, dtype=float)
     mask = np.isfinite(dist) & (dist > 0)
     if t_min is not None:
         mask &= times >= t_min

@@ -23,7 +23,7 @@ from .config import ConfigError, RunConfig, config_hash, parse_config, serialize
 from .energy import EnergyReport, energy_hessian, make_potential
 from .evolution import EvolutionAbort, TrajectoryRecord, evolve
 from .grid import GridMode, PairField, build_grid, load_field, save_field
-from .operators import assemble_wentzell, x_norm
+from .operators import WentzellOperator, x_norm
 from .stationary import (
     find_equilibrium,
     load_equilibrium,
@@ -35,6 +35,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_UNCONVERGED = 4
+
+# the files ``analyze`` writes into <run>/analysis; each run of it clears them first
+ANALYSIS_FILES = ("spectral_report.txt", "ls_report.txt", "ls_samples.csv",
+                  "rate_report.txt", "ls_scatter.svg", "decay_fit.svg", "manifest.json")
 
 
 class OutputLock:
@@ -120,7 +124,7 @@ def write_manifest(out_dir, cfg, extra, t0):
 def build_problem(cfg):
     grid = build_grid(cfg.mode, Lx=cfg.Lx or None, Ly=cfg.Ly, nx=cfg.nx, ny=cfg.ny)
     pot = make_potential(cfg.potential_kind, cfg.potential_coeffs or None)
-    op = assemble_wentzell(grid, b=cfg.b, c=cfg.c, alpha=cfg.alpha, beta=cfg.beta)
+    op = WentzellOperator(grid, b=cfg.b, c=cfg.c, alpha=cfg.alpha, beta=cfg.beta)
     return grid, pot, op
 
 
@@ -212,7 +216,7 @@ def cmd_simulate(config_path):
         aborted = False
         reason = ""
         try:
-            rec = evolve(grid, op, pot, u0, cfg, ref=ref)
+            rec = evolve(op, pot, u0, cfg, ref=ref)
         except EvolutionAbort as exc:
             rec = exc.record
             aborted = True
@@ -274,9 +278,9 @@ def cmd_equilibrium(config_path, init_path=None):
     with OutputLock(out):
         with open(os.path.join(out, "config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
-        sol = find_equilibrium(grid, pot, u0, alpha=cfg.alpha, beta=cfg.beta)
+        sol = find_equilibrium(op, pot, u0)
         save_equilibrium(sol, os.path.join(out, "equilibrium"))
-        H = energy_hessian(grid, pot, sol.psi, cfg.alpha, cfg.beta)
+        H = energy_hessian(grid, pot, sol.psi, op.alpha, op.beta)
         rep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
         kind = classify_equilibrium(rep)
         lam0 = rep.eigenvalues[0] if rep.eigenvalues.size else float("nan")
@@ -362,7 +366,9 @@ def cmd_analyze(run_dir, psi_prefix):
 
     The lock is held from reading the run to writing ``analysis/`` and, last,
     its manifest hashing every report there, so the analysis is refused
-    while another command writes into the directory.
+    while another command writes into the directory.  The files of an
+    earlier analysis (``ANALYSIS_FILES``) are deleted first, so a report or
+    plot that this run does not write cannot survive into its manifest.
     """
     t0 = time.time()
     if not os.path.isdir(run_dir):
@@ -372,14 +378,17 @@ def cmd_analyze(run_dir, psi_prefix):
         psi, _ = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
         out = os.path.join(run_dir, "analysis")
         _make_dir(out)
+        for name in ANALYSIS_FILES:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(out, name))
 
-        H = energy_hessian(grid, pot, psi, cfg.alpha, cfg.beta)
+        H = energy_hessian(grid, pot, psi, op.alpha, op.beta)
         srep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
         with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
             fh.write(_report_text(srep) + "\n")
             fh.write(f'"classification": "{classify_equilibrium(srep)}"\n')
 
-        probe = ls_probe(grid, op, pot, rec, psi, window=cfg.probe_window)
+        probe = ls_probe(op, pot, rec, psi, window=cfg.probe_window)
         with open(os.path.join(out, "ls_report.txt"), "w") as fh:
             fh.write(_report_text(probe) + "\n")
         with open(os.path.join(out, "ls_samples.csv"), "w") as fh:
@@ -409,21 +418,14 @@ def cmd_analyze(run_dir, psi_prefix):
 
         if rec.x_dist_to_ref is None:
             # recompute distances from the stored snapshots
-            if rec.snapshots:
-                rec_times, dists = [], []
-                for t, snap in rec.snapshots:
-                    rec_times.append(t)
-                    dists.append(x_norm(op, snap - psi))
-                rate_rec = TrajectoryRecord(times=rec_times)
-                rate_rec.x_dist_to_ref = dists
-            else:
-                rate_rec = None
+            times = [t for t, _ in rec.snapshots]
+            dists = [x_norm(op, snap - psi) for _, snap in rec.snapshots]
         else:
-            rate_rec = rec
+            times, dists = rec.times, rec.x_dist_to_ref
         try:
-            rrep = rate_fit(rate_rec, theta, fit_tol=cfg.fit_tol,
+            rrep = rate_fit(times, dists, theta, fit_tol=cfg.fit_tol,
                             t_min=cfg.rate_fit_t_min,
-                            theta_source=theta_source) if rate_rec else None
+                            theta_source=theta_source) if times else None
         except ValueError as exc:
             print(f"warning: rate fit skipped: {exc}", file=sys.stderr)
             rrep = None
@@ -433,8 +435,7 @@ def cmd_analyze(run_dir, psi_prefix):
                 fh.write(_report_text(rrep) + "\n")
             if cfg.plots:
                 svgplot.line_plot(
-                    os.path.join(out, "decay_fit.svg"), rate_rec.times,
-                    {"|U-psi|_X": rate_rec.x_dist_to_ref},
+                    os.path.join(out, "decay_fit.svg"), times, {"|U-psi|_X": dists},
                     title=f"decay ({rrep.model}: q={rrep.q:.3f}, gamma={rrep.gamma:.3f})",
                     xlabel="t", ylabel="log10 distance", ylog=True,
                 )
@@ -444,10 +445,14 @@ def cmd_analyze(run_dir, psi_prefix):
 
 
 def cmd_check(dump_operator=None):
-    """Fast invariant battery on a tiny grid; prints one line per check."""
-    from .energy import chemical_potential, dissipation, energy_value, make_potential
-    from .grid import h_inner
-    from .operators import solve_Ainv, x_norm_via_form
+    """Fast invariant battery on a tiny grid; prints one line per check.
+
+    The operator has non-unit constants b = 2, c = 0.5, alpha = 0.7,
+    beta = 1.5, so a constant that some path drops or takes as 1 fails.
+    """
+    from .energy import chemical_potential, energy_value, make_potential
+    from .grid import h_inner, h_norm
+    from .operators import apply_A, solve_Ainv, x_norm_via_form
 
     failures = 0
 
@@ -459,7 +464,7 @@ def cmd_check(dump_operator=None):
 
     grid = build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
     pot = make_potential("double_well")
-    op = assemble_wentzell(grid)
+    op = WentzellOperator(grid, b=2.0, c=0.5, alpha=0.7, beta=1.5)
     check("bulk quadrature sums to the area",
           abs(np.sum(grid.bulk_weights) - grid.area) < 1e-12)
     check("wall quadrature sums to the wall length",
@@ -467,30 +472,26 @@ def cmd_check(dump_operator=None):
     rng = np.random.default_rng(7)
     u = PairField(grid, rng.standard_normal(grid.n_nodes))
     v = PairField(grid, rng.standard_normal(grid.n_nodes))
-    from .operators import apply_A
-
-    lhs = h_inner(grid, apply_A(op, u), v)
+    lhs = h_inner(grid, apply_A(op, u), v, b=op.b)
     rhs = op.a_form(u, v)
     check("weighted self-adjointness of the wall operator",
           abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs)))
     w = solve_Ainv(op, u)
-    res = op.h_norm(apply_A(op, w) - u)
-    check("direct solve inverts the operator", res <= 1e-10 * op.h_norm(u))
+    res = h_norm(grid, apply_A(op, w) - u, b=op.b)
+    check("direct solve inverts the operator", res <= 1e-10 * h_norm(grid, u, b=op.b))
     check("weak-norm two-route identity",
           abs(x_norm(op, u) - x_norm_via_form(op, u)) <= 1e-10 * (1 + x_norm(op, u)))
-    mu = chemical_potential(grid, pot, u)
+    mu = chemical_potential(op, pot, u)
     eps = 1e-5
-    fd = (energy_value(grid, pot, u.values + eps * v.values)
-          - energy_value(grid, pot, u.values - eps * v.values)) / (2 * eps)
-    pair = h_inner(grid, mu, v)
+    u_up, u_down = u.values + eps * v.values, u.values - eps * v.values
+    fd = (energy_value(grid, pot, u_up, op.alpha, op.beta)
+          - energy_value(grid, pot, u_down, op.alpha, op.beta)) / (2 * eps)
+    pair = h_inner(grid, mu, v, b=op.b)
     check("chemical potential is the exact energy gradient",
           abs(pair - fd) <= 1e-6 * (1 + abs(fd)))
-    check("dissipation equals the operator form at unit constants",
-          abs(dissipation(grid, mu) - op.a_form(mu, mu))
-          <= 1e-12 * (1 + abs(op.a_form(mu, mu))))
     lam, _ = lowest_eigenpairs(weighted_symmetric(op.K_A, op.mass_weights)[0], 1)
     check("operator spectrum is positive", lam[0] > 0)
-    rec = evolve(grid, op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
+    rec = evolve(op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
     e = [r.e_total for r in rec.reports]
     check("discrete energy law over 20 steps",
           all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1)))

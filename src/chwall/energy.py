@@ -1,4 +1,4 @@
-"""Free energy, chemical potential and the dissipation functional.
+"""Free energy, chemical potential and the ledger row of a state.
 
 The total free energy is
 
@@ -12,6 +12,12 @@ here is the exact gradient of this exact discrete E in the (1/b-weighted)
 product inner product.  Interior rows of the gradient read -Lap(u) + f(u);
 wall rows read b*(-alpha*Lap_par(u) + normal_flux(u) + beta*u) in their
 discrete form.
+
+The energy itself depends on the surface constants only, so
+``energy_and_gradient``, ``energy_value`` and ``energy_hessian`` take
+(grid, pot, u, alpha, beta) with both constants required.  Everything that
+also needs the wall's b, c (the chemical potential, the ledger row) takes
+the ``operators.WentzellOperator`` that carries all four.
 """
 
 import math
@@ -159,7 +165,7 @@ class EnergyReport:
         return ",".join(f"{v:.17g}" for v in vals)
 
 
-def energy_and_gradient(grid, pot, u, alpha=1.0, beta=1.0):
+def energy_and_gradient(grid, pot, u, alpha, beta):
     """(E, g): the energy of a state and its Euclidean gradient.
 
     Both come from one product Ku = K_lin u: E = u.Ku/2 + sum w F(u) and
@@ -174,7 +180,7 @@ def energy_and_gradient(grid, pot, u, alpha=1.0, beta=1.0):
     return e, Ku + forms.bulk_mass * pot.f(vals)
 
 
-def energy_value(grid, pot, u, alpha=1.0, beta=1.0):
+def energy_value(grid, pot, u, alpha, beta):
     """Just E(u)."""
     return energy_and_gradient(grid, pot, u, alpha, beta)[0]
 
@@ -193,22 +199,23 @@ def residual_norms(grid, g):
     return bulk, math.sqrt(float(np.dot(grid.bdry_weights, tr * tr)))
 
 
-def state_report(grid, u, evaluation, alpha=1.0, beta=1.0, b=1.0, c=1.0):
+def state_report(op, u, evaluation):
     """(row, K_A mu): the ledger row of a state from its evaluation (E, g).
 
-    Adds only two sparse products to the one behind (E, g): the surface
-    gradient k_par u for the surface energy (the bulk energy is E minus
-    it) and K_A mu for the dissipation mu.K_A mu, with K_A = k_lin(0, c/b)
-    the stiffness of the wall operator.  K_A mu is returned too, since a
-    semi-implicit step from this state needs the same product.
+    op is the ``operators.WentzellOperator`` of the run.  Adds only two
+    sparse products to the one behind (E, g): the surface gradient k_par u
+    for the surface energy (the bulk energy is E minus it) and K_A mu for
+    the dissipation a(mu, mu) = mu.K_A mu.  K_A mu is returned too, since
+    a semi-implicit step from this state needs the same product.
     """
+    grid = op.grid
     vals = _as_values(u)
     e, g = evaluation
     forms = grid.forms
-    e_surf = 0.5 * alpha * float(vals @ (forms.k_par @ vals))
-    e_surf += 0.5 * beta * float(vals @ (forms.bdry_mass * vals))
-    mu = g / grid.h_weights(b)
-    kmu = forms.k_lin(0.0, c / b) @ mu
+    e_surf = 0.5 * op.alpha * float(vals @ (forms.k_par @ vals))
+    e_surf += 0.5 * op.beta * float(vals @ (forms.bdry_mass * vals))
+    mu = g / op.mass_weights
+    kmu = op.K_A @ mu
     mass_bulk = float(np.dot(grid.bulk_weights, vals))
     bulk_res, bdry_res = residual_norms(grid, g)
     return EnergyReport(
@@ -224,7 +231,7 @@ def state_report(grid, u, evaluation, alpha=1.0, beta=1.0, b=1.0, c=1.0):
     ), kmu
 
 
-def energy_hessian(grid, pot, u, alpha=1.0, beta=1.0):
+def energy_hessian(grid, pot, u, alpha, beta):
     """The energy Hessian K_lin + diag(bulk_mass f'(u)) as a sparse matrix.
 
     Bulk rows read -Lap + f'(u) and wall rows the discrete trace operator,
@@ -236,21 +243,15 @@ def energy_hessian(grid, pot, u, alpha=1.0, beta=1.0):
     return (forms.k_lin(alpha, beta) + sp.diags(curvature)).tocsr()
 
 
-def chemical_potential(grid, pot, u, alpha=1.0, beta=1.0, b=1.0):
+def chemical_potential(op, pot, u):
     """The chemical potential as the exact gradient of the discrete energy.
 
     Interior rows evaluate to -Lap(u) + f(u) with the scheme's Laplacian;
     wall rows evaluate to b*(-alpha*Lap_par u + normal_flux u + beta*u),
-    i.e. the trace relation of the permeable-wall model.  For every
-    direction W, <mu, W>_H equals the directional derivative of E.
+    i.e. the trace relation of the permeable-wall model, with the constants
+    of the operator op.  For every direction W, <mu, W>_H (b-weighted)
+    equals the directional derivative of E.  Its dissipation rate is
+    ``op.a_form(mu, mu)``.
     """
-    return PairField(grid, energy_and_gradient(grid, pot, u, alpha, beta)[1] / grid.h_weights(b))
-
-
-def dissipation(grid, mu, b=1.0, c=1.0):
-    """Energy dissipation rate of a chemical potential field.
-
-    Equals the operator form a(mu, mu) with the same b, c.
-    """
-    vals = _as_values(mu)
-    return float(vals @ (grid.forms.k_lin(0.0, c / b) @ vals))
+    g = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)[1]
+    return PairField(op.grid, g / op.mass_weights)

@@ -154,41 +154,41 @@ def _implicit_matrix(op, dt, B):
     return sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
 
 
-def _semi_system(grid, op, dt, S, factors):
+def _semi_system(op, dt, S, factors):
     lu = factors.get((dt, S))
     if lu is None:
         # S only climbs the ladder during a run: lower rungs are not used again
         for key in [key for key in factors if key[1] != S]:
             del factors[key]
-        forms = grid.forms
+        forms = op.grid.forms
         B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
         factors.made += 1
-        lu = factors[(dt, S)] = factor_x_invariant(grid, _implicit_matrix(op, dt, B))
+        lu = factors[(dt, S)] = factor_x_invariant(op.grid, _implicit_matrix(op, dt, B))
     return lu
 
 
-def _semi_step_once(grid, op, u_vals, g_old, kmu_old, dt, S, factors):
+def _semi_step_once(op, u_vals, g_old, kmu_old, dt, S, factors):
     """The delta form: u_new = u_old - dt M^-1 K_A W^-1 g_old.
 
     kmu_old is K_A W^-1 g_old when the row of u_old has formed it, else None.
     """
-    lu = _semi_system(grid, op, dt, S, factors)
+    lu = _semi_system(op, dt, S, factors)
     if kmu_old is None:
         kmu_old = op.K_A @ (g_old / op.mass_weights)
     return u_vals - lu.solve(dt * kmu_old)
 
 
-def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
+def _newton_step_once(op, pot, u_old, dt, cfg, factors):
     """The implicit step's state and its evaluation (E, g)."""
     W = op.mass_weights
     u = u_old.copy()
     for _ in range(cfg.newton_max_iter):
-        evaluation = energy_and_gradient(grid, pot, u, op.alpha, op.beta)
+        evaluation = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)
         R = W * (u - u_old) + dt * (op.K_A @ (evaluation[1] / W))
         rnorm = np.sqrt(float(np.sum(R * R / W)))
         if rnorm <= cfg.newton_tol:
             return u, evaluation
-        H = energy_hessian(grid, pot, u, op.alpha, op.beta)
+        H = energy_hessian(op.grid, pot, u, op.alpha, op.beta)
         factors.made += 1
         try:
             delta = spla.splu(_implicit_matrix(op, dt, H).tocsc()).solve(-R)
@@ -200,7 +200,7 @@ def _newton_step_once(grid, op, pot, u_old, dt, cfg, factors):
     raise _RetryHalved  # no convergence at this dt
 
 
-def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
+def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
     """Advance exactly dt, honoring the energy guard by recursive halving.
 
     ev_old is the evaluation (E, g) of u_vals and kmu_old its K_A mu, or
@@ -210,10 +210,10 @@ def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
     e_old = ev_old[0]
     try:
         if cfg.scheme == "semi_implicit":
-            u_new = _semi_step_once(grid, op, u_vals, ev_old[1], kmu_old, dt, S, factors)
-            evaluation = energy_and_gradient(grid, pot, u_new, op.alpha, op.beta)
+            u_new = _semi_step_once(op, u_vals, ev_old[1], kmu_old, dt, S, factors)
+            evaluation = energy_and_gradient(op.grid, pot, u_new, op.alpha, op.beta)
         elif cfg.scheme == "newton":
-            u_new, evaluation = _newton_step_once(grid, op, pot, u_vals, dt, cfg, factors)
+            u_new, evaluation = _newton_step_once(op, pot, u_vals, dt, cfg, factors)
         else:
             raise ValueError(f"unknown scheme {cfg.scheme!r}")
     except _RetryHalved:
@@ -228,18 +228,20 @@ def _advance(grid, op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
             f"energy guard exhausted: retry step {dt / 2.0:.3e} fell below "
             f"dt_min={cfg.dt_min:.3e}"
         )
-    u_half, ev_half = _advance(grid, op, pot, u_vals, dt / 2.0, cfg, S, ev_old,
-                               kmu_old, factors)
-    return _advance(grid, op, pot, u_half, dt / 2.0, cfg, S, ev_half, None, factors)
+    u_half, ev_half = _advance(op, pot, u_vals, dt / 2.0, cfg, S, ev_old, kmu_old, factors)
+    return _advance(op, pot, u_half, dt / 2.0, cfg, S, ev_half, None, factors)
 
 
-def evolve(grid, op, pot, u0, cfg, ref=None):
+def evolve(op, pot, u0, cfg, ref=None):
     """March to cfg.t_end recording the diagnostics ledger each stride.
 
-    cfg is a ``config.RunConfig``; the run reads its stepper fields (scheme,
-    dt, t_end, stabilization_S, newton_tol, newton_max_iter, energy_guard,
+    op is the ``operators.WentzellOperator`` of the problem: its grid and
+    its constants b, c, alpha, beta are the run's.  cfg is a
+    ``config.RunConfig``; the run reads its stepper fields (scheme, dt,
+    t_end, stabilization_S, newton_tol, newton_max_iter, energy_guard,
     dt_min) and its strides (series_stride, snapshot_stride).  One step is
-    the run with t_end = dt.
+    the run with t_end = dt:
+    ``evolve(op, pot, u, replace(cfg, t_end=cfg.dt)).final_state()``.
     Each row also records the flow speed |u_t|_X, taken from the exact
     identity u_t = -A mu as sqrt(a(mu, mu)), which is the row's dissipation.
     When a reference equilibrium is supplied, the distances |U - psi| in the
@@ -247,6 +249,7 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
     On a guard abort the partial record, ending with the last valid state,
     is attached to the raised EvolutionAbort.
     """
+    grid = op.grid
     t_end = cfg.t_end
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -260,9 +263,7 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
 
     def record_row(t_now, u_vals, evaluation):
         """Append the row of a state; returns its K_A mu for the next step."""
-        report, kmu = state_report(
-            grid, u_vals, evaluation, alpha=op.alpha, beta=op.beta, b=op.b, c=op.c
-        )
+        report, kmu = state_report(op, u_vals, evaluation)
         rec.times.append(t_now)
         rec.reports.append(report)
         rec.ut_xnorm.append(np.sqrt(max(report.dissipation, 0.0)))
@@ -291,7 +292,7 @@ def evolve(grid, op, pot, u0, cfg, ref=None):
             S = _shift(pot, cfg, lo, hi)
             if S is not None and rec.shifts[-1:] != [S]:
                 rec.shifts.append(S)
-            u, evaluation = _advance(grid, op, pot, u, dt, cfg, S, evaluation, kmu, factors)
+            u, evaluation = _advance(op, pot, u, dt, cfg, S, evaluation, kmu, factors)
             kmu = None
             t += dt
             step_idx += 1

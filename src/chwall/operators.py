@@ -86,12 +86,14 @@ def factor_x_invariant(grid, M):
 
 
 class WentzellOperator:
-    """Assembled elliptic operator A with factorization and inner product.
+    """Assembled elliptic operator A, its factorization and the wall constants.
 
-    Parameters b, c enter the operator (wall row scaling); alpha, beta ride
-    along as the surface-energy constants so that downstream consumers
-    (steppers, solvers) get the full constant set from one object.  All
-    four default to 1, the normalization used everywhere in practice.
+    The one carrier of the model's constants: b, c enter the operator (the
+    flux law's wall row scaling), and alpha, beta ride along as the
+    surface-energy constants.  K_A = k_lin(0, c/b) and the product-space
+    weights W = h_weights(b) are built here and nowhere else; steppers,
+    solvers, the ledger row and the probes take the operator and read the
+    full constant set from it.
 
     K_A commutes with x-shifts, so its factorization is the FFT-in-x band
     LU of ``factor_x_invariant``, made on first use.  Immutable after
@@ -121,12 +123,6 @@ class WentzellOperator:
         """The symmetric bilinear form defining the operator."""
         return float(_as_values(u) @ (self.K_A @ _as_values(v)))
 
-    def h_inner(self, u, v):
-        return h_inner(self.grid, u, v, b=self.b)
-
-    def h_norm(self, u):
-        return np.sqrt(max(self.h_inner(u, u), 0.0))
-
     def factorization(self):
         """K_A factorized by ``factor_x_invariant``, made once and reused."""
         if self._lu is None:
@@ -140,10 +136,6 @@ class WentzellOperator:
         with open(path, "w") as fh:
             for r, col, val in zip(coo.row, coo.col, coo.data):
                 fh.write(f"{r} {col} {val:.17g}\n")
-
-
-def assemble_wentzell(grid, b=1.0, c=1.0, alpha=1.0, beta=1.0):
-    return WentzellOperator(grid, b=b, c=c, alpha=alpha, beta=beta)
 
 
 def apply_A(op, u):
@@ -164,7 +156,7 @@ def solve_Ainv(op, g):
 def x_norm(op, v):
     """Negative-order norm: sqrt(<A^-1 v, v>_H)."""
     w = solve_Ainv(op, v)
-    return np.sqrt(max(op.h_inner(w, v), 0.0))
+    return np.sqrt(max(h_inner(op.grid, w, v, b=op.b), 0.0))
 
 
 def x_norm_via_form(op, v):

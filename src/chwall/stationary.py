@@ -6,7 +6,9 @@ path is minimize-then-refine: L-BFGS descent on E preconditioned by the
 band-factorized Hessian with frozen curvature (with a spectral kick off
 saddles, since an exactly critical start has zero gradient and plain
 descent would sit still), followed by a full Newton iteration on
-mu(U) = 0 with the energy Hessian as Jacobian.
+mu(U) = 0 with the energy Hessian as Jacobian.  Every solver takes the
+``operators.WentzellOperator`` of the problem and reads the surface
+constants alpha, beta from it.
 """
 
 import math
@@ -64,17 +66,17 @@ class EquilibriumSolution:
     kernel_dim: int | None = None
 
 
-def _most_negative_direction(grid, pot, vals, alpha, beta):
+def _most_negative_direction(op, pot, vals):
     """Smallest eigenpair of the energy Hessian in the weighted metric."""
-    w = grid.h_weights(1.0)
-    A_t, rw = weighted_symmetric(energy_hessian(grid, pot, vals, alpha, beta), w)
+    w = op.grid.h_weights(1.0)
+    A_t, rw = weighted_symmetric(energy_hessian(op.grid, pot, vals, op.alpha, op.beta), w)
     lam, vec = lowest_eigenpairs(A_t, 1)
     phi = rw * vec[:, 0]
     phi /= np.sqrt(float(np.sum(w * phi * phi)))
     return float(lam[0]), phi
 
 
-def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
+def minimize_energy(op, pot, u_init, tol=1e-8):
     """Descend the free energy until the gradient norm drops below tol.
 
     L-BFGS (Nocedal & Wright, Alg. 7.4) on H0 = P^-1, where P = K_lin +
@@ -84,6 +86,7 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     Returns a MinimizeResult; .converged is False when a line search cannot
     descend or MAX_STEPS steps and kicks are used up first.
     """
+    grid, alpha, beta = op.grid, op.alpha, op.beta
     forms = grid.forms
     P = factor_x_invariant(grid, forms.k_lin(alpha, beta) + PRECOND_S * sp.diags(forms.bulk_mass))
 
@@ -96,7 +99,7 @@ def minimize_energy(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     iterations = escapes = 0
     while iterations + escapes < MAX_STEPS:
         if math.hypot(*residual_norms(grid, g)) <= tol:
-            lam0, phi = _most_negative_direction(grid, pot, x, alpha, beta)
+            lam0, phi = _most_negative_direction(op, pot, x)
             if lam0 >= -1e-10 * (1.0 + abs(lam0)):
                 break  # genuine (local) minimum
             kicked = _kick_off_saddle(evaluate, x, e, phi)
@@ -146,8 +149,7 @@ def _kick_off_saddle(evaluate, x, e0, phi):
     return best
 
 
-def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
-                  alpha=1.0, beta=1.0):
+def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
@@ -155,6 +157,7 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
     -Lap + f'(u), wall rows the discrete trace operator.  The residual
     history is recorded so quadratic convergence can be checked.
     """
+    grid, alpha, beta = op.grid, op.alpha, op.beta
     x = _as_values(u_init).copy()
     e, g = energy_and_gradient(grid, pot, x, alpha, beta)
     bulk_res, bdry_res = residual_norms(grid, g)
@@ -173,10 +176,10 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
         try:
             delta = spla.splu(K.tocsc()).solve(-g)
         except RuntimeError:
-            kernel_dim = _numerical_kernel_dim(grid, pot, x, alpha, beta)
+            kernel_dim = _numerical_kernel_dim(op, pot, x)
             break
         if not np.all(np.isfinite(delta)):
-            kernel_dim = _numerical_kernel_dim(grid, pot, x, alpha, beta)
+            kernel_dim = _numerical_kernel_dim(op, pot, x)
             break
         x = x + delta
         e, g = energy_and_gradient(grid, pot, x, alpha, beta)
@@ -200,11 +203,12 @@ def newton_refine(grid, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
     )
 
 
-def _numerical_kernel_dim(grid, pot, vals, alpha, beta):
-    return spectrum(grid, energy_hessian(grid, pot, vals, alpha, beta), k=6).kernel_dim
+def _numerical_kernel_dim(op, pot, vals):
+    H = energy_hessian(op.grid, pot, vals, op.alpha, op.beta)
+    return spectrum(op.grid, H, k=6).kernel_dim
 
 
-def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
+def find_equilibrium(op, pot, u_init, tol=1e-8):
     """Minimize-then-refine pipeline; the robust path from generic data.
 
     The descent phase always runs: for a start already inside a Newton
@@ -213,9 +217,8 @@ def find_equilibrium(grid, pot, u_init, tol=1e-8, alpha=1.0, beta=1.0):
     curvature) escape to a lower state instead of being reported as the
     equilibrium.
     """
-    mr = minimize_energy(grid, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10),
-                         alpha=alpha, beta=beta)
-    sol = newton_refine(grid, pot, mr.field, tol=tol, alpha=alpha, beta=beta,
+    mr = minimize_energy(op, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10))
+    sol = newton_refine(op, pot, mr.field, tol=tol,
                         basin_threshold=max(BASIN_THRESHOLD, 10 * tol))
     if mr.iterations > 0 or mr.escapes > 0:
         sol.method = SolveMethod.MINIMIZE_THEN_NEWTON

@@ -19,7 +19,7 @@ def unit_grid():
 
 @pytest.fixture(scope="session")
 def unit_op(unit_grid):
-    return cw.assemble_wentzell(unit_grid)
+    return cw.WentzellOperator(unit_grid)
 
 
 @pytest.fixture()
@@ -27,9 +27,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def one_step(grid, op, pot, u, cfg):
+def one_step(op, pot, u, cfg):
     """One energy-guarded step of length cfg.dt: a run with t_end = dt."""
-    return evolve(grid, op, pot, u, replace(cfg, t_end=cfg.dt)).final_state()
+    return evolve(op, pot, u, replace(cfg, t_end=cfg.dt)).final_state()
 
 
 def dense_form_matrices(grid):

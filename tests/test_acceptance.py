@@ -15,8 +15,8 @@ import chwall as cw
 from chwall.analysis import fit_gap_exponent, ls_probe, rate_fit
 from chwall.cli import main
 from chwall.config import RunConfig, parse_config
-from chwall.energy import chemical_potential, dissipation, energy_hessian, energy_value
-from chwall.evolution import TrajectoryRecord, evolve
+from chwall.energy import chemical_potential, energy_hessian, energy_value
+from chwall.evolution import evolve
 from chwall.grid import PairField, h_inner, h_norm
 from chwall.operators import apply_A, solve_Ainv, x_norm, x_norm_via_form
 from chwall.stationary import minimize_energy, newton_refine
@@ -78,11 +78,11 @@ def reference_run(tmp_path_factory):
 def convergence_run(pot):
     """Long run on the unit strip converging to the zero equilibrium."""
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=32, ny=32)
-    op = cw.assemble_wentzell(g)
-    psi = newton_refine(g, pot, PairField.zeros(g), tol=1e-13).psi
+    op = cw.WentzellOperator(g)
+    psi = newton_refine(op, pot, PairField.zeros(g), tol=1e-13).psi
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
     cfg = RunConfig(dt=2e-3, t_end=70.0, series_stride=5, snapshot_stride=100)
-    rec = evolve(g, op, pot, u0, cfg, ref=psi)
+    rec = evolve(op, pot, u0, cfg, ref=psi)
     return g, op, rec, psi
 
 
@@ -102,18 +102,20 @@ def test_criterion_1_discrete_energy_law(reference_run):
 
 def test_criterion_2_dissipation_consistency(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     u_raw = PairField(
         g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * np.cos(np.pi * g.y) + 0.1
     )
-    rec = evolve(g, op, pot, u_raw, RunConfig(dt=5e-4, t_end=0.5, series_stride=100))
+    rec = evolve(op, pot, u_raw, RunConfig(dt=5e-4, t_end=0.5, series_stride=100))
     u0 = rec.final_state()
-    d0 = dissipation(g, chemical_potential(g, pot, u0))
+    mu0 = chemical_potential(op, pot, u0)
+    d0 = op.a_form(mu0, mu0)
     dts = [4e-3, 2e-3, 1e-3]
     defects = []
     for dt in dts:
-        u1 = one_step(g, op, pot, u0, RunConfig(dt=dt))
-        de = (energy_value(g, pot, u1.values) - energy_value(g, pot, u0.values)) / dt
+        u1 = one_step(op, pot, u0, RunConfig(dt=dt))
+        de = (energy_value(g, pot, u1.values, 1.0, 1.0)
+              - energy_value(g, pot, u0.values, 1.0, 1.0)) / dt
         defects.append(abs(de + d0))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope >= 0.9
@@ -122,15 +124,17 @@ def test_criterion_2_dissipation_consistency(pot):
 
 def test_criterion_3_gradient_correctness(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
+    op = cw.WentzellOperator(g)
     rng = np.random.default_rng(42)
     eps = 1e-5
     worst = 0.0
     for _ in range(50):
         u = 0.7 * rng.standard_normal(g.n_nodes)
         w = rng.standard_normal(g.n_nodes)
-        mu = chemical_potential(g, pot, u)
+        mu = chemical_potential(op, pot, u)
         fd = (
-            energy_value(g, pot, u + eps * w) - energy_value(g, pot, u - eps * w)
+            energy_value(g, pot, u + eps * w, 1.0, 1.0)
+            - energy_value(g, pot, u - eps * w, 1.0, 1.0)
         ) / (2 * eps)
         pair = h_inner(g, mu.values, w)
         worst = max(worst, abs(pair - fd) / (1 + abs(fd)))
@@ -140,7 +144,7 @@ def test_criterion_3_gradient_correctness(pot):
 
 def test_criterion_4_operator_structure(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     rng = np.random.default_rng(11)
     worst_sym = 0.0
     for _ in range(20):
@@ -157,7 +161,7 @@ def test_criterion_4_operator_structure(pot):
     assert worst_sym <= 1e-12
     psi = PairField(g, 0.5 * rng.standard_normal(g.n_nodes))
     vv = PairField(g, 0.2 * rng.standard_normal(g.n_nodes))
-    H = energy_hessian(g, pot, psi + vv)
+    H = energy_hessian(g, pot, psi + vv, 1.0, 1.0)
     assert abs(H - H.T).max() / abs(H).max() <= 1e-12
     K = op.K_A.toarray()
     worst_inv = 0.0
@@ -178,20 +182,21 @@ def test_criterion_4_operator_structure(pot):
 
 def test_criterion_5_stationary_solver(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    sol0 = newton_refine(g, pot, PairField.zeros(g), tol=1e-10)
+    sol0 = newton_refine(cw.WentzellOperator(g), pot, PairField.zeros(g), tol=1e-10)
     assert np.max(np.abs(sol0.psi.values)) == 0.0  # recovered exactly
     assert sol0.bulk_res == 0.0 and sol0.bdry_res == 0.0
 
     G = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
-    mr = minimize_energy(G, pot, PairField.zeros(G), tol=1e-6)
+    op = cw.WentzellOperator(G)
+    mr = minimize_energy(op, pot, PairField.zeros(G), tol=1e-6)
     assert mr.converged
-    psi = newton_refine(G, pot, mr.field, tol=1e-12).psi
+    psi = newton_refine(op, pot, mr.field, tol=1e-12).psi
     rng = np.random.default_rng(5)
     d = PairField(G, rng.standard_normal(G.n_nodes))
     probe = 1e-3
-    r_probe = h_norm(G, chemical_potential(G, pot, psi + probe * d).values)
+    r_probe = h_norm(G, chemical_potential(op, pot, psi + probe * d).values)
     start = psi + (8e-3 * probe / r_probe) * d
-    sol = newton_refine(G, pot, start, tol=1e-9, basin_threshold=5e-2)
+    sol = newton_refine(op, pot, start, tol=1e-9, basin_threshold=5e-2)
     assert sol.converged
     assert sol.bulk_res + sol.bdry_res <= 1e-8
     r = [x for x in sol.residual_history if x > 0]
@@ -213,7 +218,7 @@ def test_criterion_6_convergence_to_equilibrium(convergence_run, pot):
     last = times >= times[-1] / 10.0
     assert np.all(np.diff(xd[last]) <= 1e-14)
     final = rec.final_state()
-    sol = newton_refine(g, pot, final, tol=1e-9, basin_threshold=1e-1)
+    sol = newton_refine(op, pot, final, tol=1e-9, basin_threshold=1e-1)
     assert sol.converged and x_norm(op, final - sol.psi) <= 0.5
     assert sol.bulk_res + sol.bdry_res <= 1e-8
     from chwall.operators import v_norm
@@ -228,7 +233,7 @@ def test_criterion_7_exponent_probe(convergence_run, pot):
     theta_syn, _, _ = fit_gap_exponent(r ** 2, r)
     assert abs(theta_syn - 0.5) <= 1e-3
     g, op, rec, psi = convergence_run
-    rep = ls_probe(g, op, pot, rec, psi)
+    rep = ls_probe(op, pot, rec, psi)
     assert not rep.insufficient
     assert rep.inequality_violations == 0
     assert 0.0 < rep.fitted_theta <= 0.6
@@ -239,18 +244,15 @@ def test_criterion_7_exponent_probe(convergence_run, pot):
 
 def test_criterion_8_rate_bound(convergence_run, pot):
     t = np.linspace(0.0, 99.0, 200)
-    rec_a = TrajectoryRecord(times=list(t))
-    rec_a.x_dist_to_ref = list((1 + t) ** -1.0)
-    fit_a = rate_fit(rec_a, theta=0.25)
+    fit_a = rate_fit(list(t), list((1 + t) ** -1.0), theta=0.25)
     assert fit_a.model == "algebraic" and abs(fit_a.q - 1.0) <= 1e-3
-    rec_e = TrajectoryRecord(times=list(np.linspace(0.0, 30.0, 200)))
-    rec_e.x_dist_to_ref = list(np.exp(-np.linspace(0.0, 30.0, 200)))
-    fit_e = rate_fit(rec_e, theta=0.25)
+    t_e = np.linspace(0.0, 30.0, 200)
+    fit_e = rate_fit(list(t_e), list(np.exp(-t_e)), theta=0.25)
     assert fit_e.model == "exponential" and abs(fit_e.gamma - 1.0) <= 1e-3
 
     g, op, rec, psi = convergence_run
-    probe = ls_probe(g, op, pot, rec, psi)
-    fit = rate_fit(rec, theta=probe.fitted_theta, t_min=2.0)
+    probe = ls_probe(op, pot, rec, psi)
+    fit = rate_fit(rec.times, rec.x_dist_to_ref, theta=probe.fitted_theta, t_min=2.0)
     assert fit.bound_ok
     print(f"[criterion 8] PASS: synthetic fits q={fit_a.q:.4f}, "
           f"gamma={fit_e.gamma:.4f}; measured decay dominated by the rate "
@@ -268,8 +270,8 @@ def test_criterion_9_mass_flux_ledger(reference_run, pot):
     assert np.all(defect <= bound)
 
     g16 = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    op16 = cw.assemble_wentzell(g16)
-    rec1 = evolve(g16, op16, pot, PairField.constant(g16, 1.0),
+    op16 = cw.WentzellOperator(g16)
+    rec1 = evolve(op16, pot, PairField.constant(g16, 1.0),
                   RunConfig(dt=1e-3, t_end=0.3))
     mass = [r.mass_total for r in rec1.reports]
     assert all(f < 0 for f in [r.flux for r in rec1.reports][:-1])

@@ -10,7 +10,7 @@ import chwall as cw
 from chwall.analysis import fit_gap_exponent, ls_probe, rate_fit, spectrum
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
-from chwall.evolution import TrajectoryRecord, evolve
+from chwall.evolution import evolve
 from chwall.grid import PairField
 from chwall.stationary import _most_negative_direction, newton_refine
 
@@ -35,12 +35,12 @@ def kernel_problem(grid12):
     mu_eigs = la.eigh(np.diag(forms.bulk_mass), K0, eigvals_only=True)
     nu1 = 1.0 / mu_eigs[-1]
     pot = cw.polynomial_potential([1.0, 0.0, -nu1, 0.0])
-    return g, pot, energy_hessian(g, pot, PairField.zeros(g))
+    return g, pot, energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
 
 
 def test_linearized_at_zero_matches_shifted_operator(grid12, pot):
     g = grid12
-    H = energy_hessian(g, pot, PairField.zeros(g))
+    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
     # interior rows: -Lap - 1 (f'(0) = -1); wall rows: the trace condition
     out = H @ np.ones(g.n_nodes) / g.h_weights()
     assert np.max(np.abs(out[g.interior_idx] + 1.0)) <= 1e-12
@@ -51,7 +51,7 @@ def test_linearized_matches_dense_oracle(grid12, pot, rng):
     g = grid12
     psi = PairField(g, 0.4 * rng.standard_normal(g.n_nodes))
     v = PairField(g, 0.1 * rng.standard_normal(g.n_nodes))
-    H = energy_hessian(g, pot, psi + v)
+    H = energy_hessian(g, pot, psi + v, 1.0, 1.0)
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
     dense = K_o + P_o + np.diag(bdry_o) + np.diag(bulk_o * pot.f_prime(psi.values + v.values))
     assert np.max(np.abs(H.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -59,7 +59,7 @@ def test_linearized_matches_dense_oracle(grid12, pot, rng):
 
 def test_spectrum_matches_dense_oracle(grid12, pot):
     g = grid12
-    H = energy_hessian(g, pot, PairField.zeros(g))
+    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
     rep = spectrum(g, H, k=5)
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
@@ -74,13 +74,13 @@ def test_spectrum_shifted_convex_case(grid12):
     g = grid12
     # f' replaced by +1: strictly positive spectrum
     pot_convex = cw.polynomial_potential([1.0, 0.0, 1.0, 0.0])
-    rep = spectrum(g, energy_hessian(g, pot_convex, PairField.zeros(g)), k=4)
+    rep = spectrum(g, energy_hessian(g, pot_convex, PairField.zeros(g), 1.0, 1.0), k=4)
     assert np.all(rep.eigenvalues > 0)
 
 
 def test_saddle_detected_on_tall_strip(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
-    rep = spectrum(g, energy_hessian(g, pot, PairField.zeros(g)), k=4)
+    rep = spectrum(g, energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0), k=4)
     assert rep.eigenvalues[0] < 0 and rep.n_negative >= 1
 
 
@@ -129,7 +129,7 @@ def test_spectrum_counts_saddle_beyond_k(pot):
     # 33 negative eigenvalues, far more than k; the +-k Fourier modes are
     # genuinely double, and both copies must be reported
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=24, ny=24)
-    H = energy_hessian(g, pot, PairField.zeros(g))
+    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
     rep = spectrum(g, H, k=6)
     assert rep.n_negative == 33
     _assert_matches_dense(rep, g, H, 6)
@@ -140,7 +140,7 @@ def test_spectrum_counts_saddle_beyond_k(pot):
 def test_spectrum_on_tiny_interval_covers_whole_spectrum(pot):
     # k equals the dimension, one more than a Lanczos run can deliver
     g = cw.build_grid("interval1d", Ly=1.0, ny=4)
-    H = energy_hessian(g, pot, PairField.zeros(g))
+    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
     rep = spectrum(g, H, k=4)
     assert rep.eigenvalues.size == 4
     _assert_matches_dense(rep, g, H, 4)
@@ -155,7 +155,8 @@ def test_kernel_detected_beyond_old_dense_size(pot):
     mu, _ = spla.eigsh(sp.diags(forms.bulk_mass).tocsc(), k=1, M=K0, which="LA",
                        v0=np.ones(g.n_nodes))
     tuned = cw.polynomial_potential([1.0, 0.0, -1.0 / mu[0], 0.0])
-    assert spectrum(g, energy_hessian(g, tuned, PairField.zeros(g)), k=6).kernel_dim == 1
+    H = energy_hessian(g, tuned, PairField.zeros(g), 1.0, 1.0)
+    assert spectrum(g, H, k=6).kernel_dim == 1
 
 
 def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
@@ -167,14 +168,14 @@ def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
     g, _, H = kernel_problem
     assert spectrum(g, H, k=6).kernel_dim == 1
     tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
-    lam0, _ = _most_negative_direction(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0)
+    lam0, _ = _most_negative_direction(cw.WentzellOperator(tall), pot, np.zeros(tall.n_nodes))
     assert lam0 < 0
 
 
 def test_most_negative_direction_matches_dense(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
-    lam0, phi = _most_negative_direction(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
-    H = energy_hessian(g, pot, PairField.zeros(g))
+    lam0, phi = _most_negative_direction(cw.WentzellOperator(g), pot, np.zeros(g.n_nodes))
+    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
     lam, vec = la.eigh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
@@ -188,7 +189,7 @@ def test_spectrum_raises_when_window_disagrees_with_inertia(grid12, pot,
                                                             monkeypatch):
     import chwall.analysis as an
 
-    H = energy_hessian(grid12, pot, PairField.zeros(grid12))
+    H = energy_hessian(grid12, pot, PairField.zeros(grid12), 1.0, 1.0)
     true_count = an.count_below
     monkeypatch.setattr(an, "count_below", lambda At, s: true_count(At, s) + 1)
     with pytest.raises(RuntimeError, match="inertia"):
@@ -217,9 +218,9 @@ def test_fit_exponent_exact_synthetic():
 
 def test_ls_probe_insufficient_on_stationary_trajectory(unit_grid, unit_op, pot):
     g = unit_grid
-    rec = evolve(g, unit_op, pot, PairField.zeros(g),
+    rec = evolve(unit_op, pot, PairField.zeros(g),
                  RunConfig(dt=1e-2, t_end=0.1, snapshot_stride=2))
-    rep = ls_probe(g, unit_op, pot, rec, PairField.zeros(g))
+    rep = ls_probe(unit_op, pot, rec, PairField.zeros(g))
     assert rep.insufficient
     assert rep.inequality_violations == 0
 
@@ -227,10 +228,10 @@ def test_ls_probe_insufficient_on_stationary_trajectory(unit_grid, unit_op, pot)
 @pytest.fixture(scope="module")
 def converging_run(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    psi = newton_refine(g, pot, PairField.zeros(g), tol=1e-12).psi
-    rec = evolve(g, op, pot, u0, RunConfig(dt=2e-3, t_end=40.0, series_stride=5,
+    psi = newton_refine(op, pot, PairField.zeros(g), tol=1e-12).psi
+    rec = evolve(op, pot, u0, RunConfig(dt=2e-3, t_end=40.0, series_stride=5,
                                            snapshot_stride=50),
                  ref=psi)
     return g, op, rec, psi
@@ -238,7 +239,7 @@ def converging_run(pot):
 
 def test_ls_probe_hyperbolic_minimum_theta_half(converging_run, pot):
     g, op, rec, psi = converging_run
-    rep = ls_probe(g, op, pot, rec, psi)
+    rep = ls_probe(op, pot, rec, psi)
     assert not rep.insufficient
     assert abs(rep.fitted_theta - 0.5) <= 0.1
     assert rep.inequality_violations == 0
@@ -249,9 +250,7 @@ def test_ls_probe_hyperbolic_minimum_theta_half(converging_run, pot):
 
 def test_rate_fit_synthetic_algebraic():
     t = np.linspace(0.0, 99.0, 120)
-    rec = TrajectoryRecord(times=list(t))
-    rec.x_dist_to_ref = list(2.7 * (1 + t) ** -1.0)
-    rep = rate_fit(rec, theta=0.25)
+    rep = rate_fit(list(t), list(2.7 * (1 + t) ** -1.0), theta=0.25)
     assert rep.model == "algebraic"
     assert abs(rep.q - 1.0) <= 1e-3
     assert abs(rep.c_alg - 2.7) <= 1e-3
@@ -261,10 +260,9 @@ def test_rate_fit_synthetic_algebraic():
 
 def test_rate_fit_synthetic_exponential():
     t = np.linspace(0.0, 30.0, 90)
-    rec = TrajectoryRecord(times=list(t))
-    rec.x_dist_to_ref = list(1.3 * np.exp(-t))
+    dist = list(1.3 * np.exp(-t))
     for theta in (0.1, 0.3, 0.49):
-        rep = rate_fit(rec, theta=theta)
+        rep = rate_fit(list(t), dist, theta=theta)
         assert rep.model == "exponential"
         assert abs(rep.gamma - 1.0) <= 1e-3
         assert rep.bound_ok
@@ -273,11 +271,7 @@ def test_rate_fit_synthetic_exponential():
 def test_rate_fit_scale_invariant():
     t = np.linspace(0.0, 40.0, 80)
     base = np.exp(-0.7 * t) * (1 + 0.01 * np.sin(t))
-    rec1 = TrajectoryRecord(times=list(t))
-    rec1.x_dist_to_ref = list(base)
-    rec2 = TrajectoryRecord(times=list(t))
-    rec2.x_dist_to_ref = list(1e6 * base)
-    r1, r2 = rate_fit(rec1, 0.3), rate_fit(rec2, 0.3)
+    r1, r2 = rate_fit(list(t), list(base), 0.3), rate_fit(list(t), list(1e6 * base), 0.3)
     assert r1.model == r2.model
     assert r1.q == pytest.approx(r2.q, abs=1e-12)
     assert r1.gamma == pytest.approx(r2.gamma, abs=1e-12)
@@ -287,22 +281,18 @@ def test_rate_fit_flags_nonmonotone():
     t = np.linspace(0.0, 30.0, 60)
     d = np.exp(-t).tolist()
     d[30] *= 10.0  # a bump
-    rec = TrajectoryRecord(times=list(t))
-    rec.x_dist_to_ref = d
-    rep = rate_fit(rec, 0.3)
+    rep = rate_fit(list(t), d, 0.3)
     assert not rep.monotone_ok
 
 
 def test_rate_fit_requires_a_decade():
     t = np.linspace(10.0, 12.0, 30)
-    rec = TrajectoryRecord(times=list(t))
-    rec.x_dist_to_ref = list(np.exp(-t))
     with pytest.raises(ValueError, match="decade"):
-        rate_fit(rec, 0.3)
+        rate_fit(list(t), list(np.exp(-t)), 0.3)
 
 
 def test_rate_fit_on_converging_run(converging_run):
     g, op, rec, psi = converging_run
-    rep = rate_fit(rec, theta=0.49, t_min=1.0)
+    rep = rate_fit(rec.times, rec.x_dist_to_ref, theta=0.49, t_min=1.0)
     assert rep.model == "exponential"
     assert rep.bound_ok and rep.monotone_ok

@@ -3,8 +3,9 @@
 The benchmark drives ``cli.main`` in a fresh process, hooks ``cli.evolve``
 and ``cli.find_equilibrium`` to mark the end of set-up, rebuilds a run's
 problem to check its outputs, and with ``--trace 1`` wraps the public
-functions of every module below.  Deleting or renaming one of these names
-breaks those runs; this test makes that a failure of the unit suite.
+functions of every module below.  Deleting or renaming one of these names,
+or changing the shape of a call the benchmark makes, breaks those runs;
+these tests make that a failure of the unit suite.
 
 The benchmark also counts the time steps of a run as the calls to
 ``evolution.auto_stabilization`` made inside ``evolve``, so ``evolve`` must
@@ -48,7 +49,7 @@ def test_benchmark_names_exist(module):
 
 def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
     g = cw.build_grid("strip2d", Lx=4.0, Ly=4.0, nx=12, ny=12)
-    op, pot = cw.assemble_wentzell(g), cw.double_well()
+    op, pot = cw.WentzellOperator(g), cw.double_well()
     # spinodal data of both signs, so the shift is recomputed on a moving range
     u0 = PairField(g, 0.9 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly))
     calls = []
@@ -60,6 +61,29 @@ def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
 
     monkeypatch.setattr(evolution, "auto_stabilization", counted)
     # 40 full steps and one remainder step
-    rec = evolution.evolve(g, op, pot, u0, RunConfig(dt=1e-2, t_end=0.405, series_stride=7))
+    rec = evolution.evolve(op, pot, u0, RunConfig(dt=1e-2, t_end=0.405, series_stride=7))
     assert len(calls) == 41
     assert rec.times[-1] == pytest.approx(0.405)
+
+
+def test_benchmark_call_shapes():
+    # the calls the benchmark makes, in the shapes it makes them: its checks
+    # rebuild a run's problem and initial data, evaluate the energy with
+    # positional constants, and its tracer reads the solvers' counters
+    from chwall.cli import build_problem, make_initial
+    from chwall.energy import energy_value
+    from chwall.stationary import minimize_energy, newton_refine
+
+    cfg = RunConfig(Lx=4.0, Ly=4.0, nx=8, ny=8, initial_kind="random_fourier",
+                    initial_amplitude=0.5, seed=3)
+    problem = build_problem(cfg)
+    assert isinstance(problem, tuple) and len(problem) == 3
+    grid, pot, op = problem
+    assert isinstance(grid, cw.StripGrid)
+    u = make_initial(grid, cfg).values
+    assert isinstance(u, np.ndarray) and u.dtype == np.float64 and u.shape == (grid.n_nodes,)
+    assert np.isfinite(energy_value(grid, pot, u, 1.3, 0.7))
+    mr = minimize_energy(op, pot, u)
+    assert isinstance(mr.iterations, int) and mr.iterations > 0
+    sol = newton_refine(op, pot, mr.field)
+    assert isinstance(sol.newton_iters, int)

@@ -625,6 +625,35 @@ def test_cli_analyze_plots_follow_config(tmp_path, capsys, plots):
     assert manifest["warnings"] is False
 
 
+def test_cli_analyze_clears_an_earlier_analysis(tmp_path, capsys):
+    # a re-analysis that writes fewer files leaves none of the earlier ones,
+    # and its manifest lists only files that exist
+    from dataclasses import replace
+
+    text = BASE_CONFIG.replace("dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 10.0")
+    text = text.replace("snapshot_stride = 5", "snapshot_stride = 10\nplots = true")
+    assert _run_pipeline(tmp_path, text) == (0, 0, 0)
+    sim, analysis = tmp_path / "sim", tmp_path / "sim" / "analysis"
+    argv = ["analyze", str(sim), str(tmp_path / "eq" / "equilibrium")]
+    assert sorted(p.name for p in analysis.glob("*.svg")) == ["decay_fit.svg", "ls_scatter.svg"]
+    reports = ["ls_report.txt", "ls_samples.csv", "rate_report.txt", "spectral_report.txt"]
+
+    cfg = parse_config(sim / "config.ini")
+    (sim / "config.ini").write_text(serialize_config(replace(cfg, plots=False)))
+    assert main(argv) == 0
+    assert sorted(p.name for p in analysis.iterdir()) == sorted(reports + ["manifest.json"])
+    assert sorted(_manifest_hashing_every_file(analysis)["artifacts"]) == reports
+
+    # a rate fit that is skipped leaves no rate report of the run before
+    (sim / "config.ini").write_text(
+        serialize_config(replace(cfg, plots=False, rate_fit_t_min=1e6)))
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "rate fit skipped" in capsys.readouterr().err
+    reports.remove("rate_report.txt")
+    assert sorted(_manifest_hashing_every_file(analysis)["artifacts"]) == reports
+
+
 def test_cli_analyze_refuses_a_locked_run(tmp_path, capsys):
     # the run directory's lock names a running process (this one)
     sim, eq = tmp_path / "sim", tmp_path / "eq"
@@ -675,6 +704,10 @@ def test_cli_check_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
     assert "PASS  operator spectrum is positive" in out.splitlines()
+    # eight checks, each passed, then the dump notice
+    *checks, last = out.splitlines()
+    assert len(checks) == 8 and all(line.startswith("PASS") for line in checks)
+    assert last == f"operator dumped to {dump}"
     assert dump.exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 import chwall as cw
 from chwall.energy import (
     chemical_potential,
-    dissipation,
     double_well,
     energy_and_gradient,
     energy_value,
@@ -15,6 +14,7 @@ from chwall.energy import (
     state_report,
 )
 from chwall.grid import PairField, h_inner
+from chwall.operators import apply_A
 
 
 # -- potential bundle ---------------------------------------------------------
@@ -87,18 +87,18 @@ def test_supercritical_growth_warns():
 
 # -- energy and gradient ------------------------------------------------------
 
-def test_energy_of_zero_field(unit_grid, pot):
+def test_energy_of_zero_field(unit_grid, unit_op, pot):
     u = PairField.zeros(unit_grid)
-    rep = state_report(unit_grid, u, energy_and_gradient(unit_grid, pot, u))[0]
+    rep = state_report(unit_op, u, energy_and_gradient(unit_grid, pot, u, 1.0, 1.0))[0]
     assert abs(rep.e_bulk - 0.25) <= 1e-12
     assert rep.e_surf == 0.0
     assert abs(rep.e_total - 0.25) <= 1e-12
     assert rep.e_total == rep.e_bulk + rep.e_surf
 
 
-def test_energy_of_unit_field(unit_grid, pot):
+def test_energy_of_unit_field(unit_grid, unit_op, pot):
     u = PairField.constant(unit_grid, 1.0)
-    rep = state_report(unit_grid, u, energy_and_gradient(unit_grid, pot, u))[0]
+    rep = state_report(unit_op, u, energy_and_gradient(unit_grid, pot, u, 1.0, 1.0))[0]
     assert abs(rep.e_bulk) <= 1e-12
     assert abs(rep.e_surf - 1.0) <= 1e-12
     assert abs(rep.mass_total - 3.0) <= 1e-12
@@ -108,7 +108,7 @@ def test_energy_of_unit_field(unit_grid, pot):
 def test_energy_matches_fsum_oracle(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=2.0, nx=12, ny=14)
     u = np.tanh((g.y - 1.0) / 0.35)
-    rep = state_report(g, u, energy_and_gradient(g, pot, u))[0]
+    rep = state_report(cw.WentzellOperator(g), u, energy_and_gradient(g, pot, u, 1.0, 1.0))[0]
     # independent evaluation of the same discrete sums
     from conftest import dense_form_matrices
 
@@ -121,24 +121,25 @@ def test_energy_matches_fsum_oracle(pot):
     assert abs(rep.e_total - e_oracle) <= 1e-10 * (1 + abs(e_oracle))
 
 
-def test_chemical_potential_constants(unit_grid, pot):
+def test_chemical_potential_constants(unit_grid, unit_op, pot):
     g = unit_grid
-    mu0 = chemical_potential(g, pot, PairField.zeros(g))
+    mu0 = chemical_potential(unit_op, pot, PairField.zeros(g))
     assert np.max(np.abs(mu0.values)) == 0.0
-    mu1 = chemical_potential(g, pot, PairField.constant(g, 1.0))
+    mu1 = chemical_potential(unit_op, pot, PairField.constant(g, 1.0))
     assert np.max(np.abs(mu1.values[g.interior_idx])) <= 1e-13
     assert np.max(np.abs(mu1.values[g.bdry_idx] - 1.0)) <= 1e-13
 
 
-def test_gradient_consistency_random_fields(rng, unit_grid, pot):
+def test_gradient_consistency_random_fields(rng, unit_grid, unit_op, pot):
     g = unit_grid
     eps = 1e-5
     worst = 0.0
     for _ in range(50):
         u = 0.7 * rng.standard_normal(g.n_nodes)
         w = rng.standard_normal(g.n_nodes)
-        mu = chemical_potential(g, pot, u)
-        fd = (energy_value(g, pot, u + eps * w) - energy_value(g, pot, u - eps * w)) / (2 * eps)
+        mu = chemical_potential(unit_op, pot, u)
+        fd = (energy_value(g, pot, u + eps * w, 1.0, 1.0)
+              - energy_value(g, pot, u - eps * w, 1.0, 1.0)) / (2 * eps)
         pair = h_inner(g, mu.values, w)
         worst = max(worst, abs(pair - fd) / (1 + abs(fd)))
     assert worst <= 1e-6
@@ -148,11 +149,12 @@ def test_gradient_consistency_general_constants(rng):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
     pot = double_well()
     alpha, beta, b = 0.7, 2.0, 3.0
+    op = cw.WentzellOperator(g, b=b, alpha=alpha, beta=beta)
     eps = 1e-5
     for _ in range(10):
         u = 0.5 * rng.standard_normal(g.n_nodes)
         w = rng.standard_normal(g.n_nodes)
-        mu = chemical_potential(g, pot, u, alpha=alpha, beta=beta, b=b)
+        mu = chemical_potential(op, pot, u)
         fd = (
             energy_value(g, pot, u + eps * w, alpha, beta)
             - energy_value(g, pot, u - eps * w, alpha, beta)
@@ -163,37 +165,39 @@ def test_gradient_consistency_general_constants(rng):
 
 def test_stationary_residual_examples(unit_grid, pot):
     g = unit_grid
-    zero = energy_and_gradient(g, pot, PairField.zeros(g))[1]
+    zero = energy_and_gradient(g, pot, PairField.zeros(g), 1.0, 1.0)[1]
     assert residual_norms(g, zero) == (0.0, 0.0)
-    bulk, bdry = residual_norms(g, energy_and_gradient(g, pot, PairField.constant(g, 1.0))[1])
+    one = energy_and_gradient(g, pot, PairField.constant(g, 1.0), 1.0, 1.0)[1]
+    bulk, bdry = residual_norms(g, one)
     assert bulk <= 1e-13
     assert abs(bdry - np.sqrt(2.0)) <= 1e-12
 
 
 def test_dissipation_examples(rng, unit_grid, unit_op, pot):
     g = unit_grid
-    assert dissipation(g, PairField.zeros(g)) == 0.0
-    assert abs(dissipation(g, PairField.constant(g, 1.0)) - 2.0) <= 1e-12
+    assert unit_op.a_form(PairField.zeros(g), PairField.zeros(g)) == 0.0
+    one = PairField.constant(g, 1.0)
+    assert abs(unit_op.a_form(one, one) - 2.0) <= 1e-12
     for _ in range(10):
         mu = PairField(g, rng.standard_normal(g.n_nodes))
         a = unit_op.a_form(mu, mu)
-        assert abs(dissipation(g, mu) - a) <= 1e-12 * (1 + abs(a))
+        assert abs(h_inner(g, apply_A(unit_op, mu), mu) - a) <= 1e-12 * (1 + abs(a))
 
 
-def test_mu_of_constant_field_structure(unit_grid, pot):
+def test_mu_of_constant_field_structure(unit_grid, unit_op, pot):
     # interior part vanishes iff f(const) = 0; wall rows carry the trace law
     g = unit_grid
     for c, f_zero in ((1.0, True), (0.5, False)):
-        mu = chemical_potential(g, pot, PairField.constant(g, c))
+        mu = chemical_potential(unit_op, pot, PairField.constant(g, c))
         interior_zero = np.max(np.abs(mu.values[g.interior_idx])) <= 1e-13
         assert interior_zero == f_zero
         wall = mu.values[g.bdry_idx]
         assert np.max(np.abs(wall - wall[0])) <= 1e-13
 
 
-def test_energy_report_csv_row(unit_grid, pot):
+def test_energy_report_csv_row(unit_grid, unit_op, pot):
     u = PairField.zeros(unit_grid)
-    rep = state_report(unit_grid, u, energy_and_gradient(unit_grid, pot, u))[0]
+    rep = state_report(unit_op, u, energy_and_gradient(unit_grid, pot, u, 1.0, 1.0))[0]
     row = rep.csv_row(0.5)
     assert row.startswith("0.5,")
     assert len(row.split(",")) == len(rep.CSV_COLUMNS.split(","))
@@ -207,7 +211,8 @@ def test_chemical_potential_matches_stencils(pot):
     for n in (16, 32, 64, 128):
         g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
         u = np.cos(2 * np.pi * g.x) * np.cos(np.pi * g.y) + g.y
-        mu = chemical_potential(g, pot, u, alpha=alpha, beta=beta, b=b).values
+        op = cw.WentzellOperator(g, b=b, alpha=alpha, beta=beta)
+        mu = chemical_potential(op, pot, u).values
         rows = slice(2 * g.nx, (g.ny - 2) * g.nx)
         expected = -cw.laplacian(g, u)[rows] + pot.f(u[rows])
         assert np.max(np.abs(mu[rows] - expected)) <= 1e-11 * np.max(np.abs(expected))
@@ -225,13 +230,15 @@ def test_residuals_at_configured_constants(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
     alpha, beta = 2.0, 3.0
     u0 = PairField(g, 0.8 * np.cos(2 * np.pi * g.x / g.Lx))
-    sol = cw.find_equilibrium(g, pot, u0, tol=1e-10, alpha=alpha, beta=beta)
+    sol = cw.find_equilibrium(cw.WentzellOperator(g, alpha=alpha, beta=beta), pot, u0,
+                              tol=1e-10)
     assert sol.converged
     assert sol.bulk_res <= 1e-10 and sol.bdry_res <= 1e-10
     bulk, bdry = residual_norms(g, energy_and_gradient(g, pot, sol.psi, alpha, beta)[1])
     assert bulk <= 1e-10 and bdry <= 1e-10
-    assert residual_norms(g, energy_and_gradient(g, pot, sol.psi)[1])[1] > 1.0
+    assert residual_norms(g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])[1] > 1.0
     for b in (1.0, 2.0):
         ev = energy_and_gradient(g, pot, sol.psi, alpha, beta)
-        rep = state_report(g, sol.psi, ev, alpha=alpha, beta=beta, b=b)[0]
+        op = cw.WentzellOperator(g, b=b, alpha=alpha, beta=beta)
+        rep = state_report(op, sol.psi, ev)[0]
         assert rep.bulk_res <= 1e-10 and rep.bdry_res <= 1e-10

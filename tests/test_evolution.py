@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import chwall as cw
 from chwall.config import RunConfig
-from chwall.energy import chemical_potential, dissipation, energy_hessian, energy_value
+from chwall.energy import chemical_potential, energy_hessian, energy_value
 from chwall.evolution import EvolutionAbort, auto_stabilization, evolve
 from chwall.grid import PairField, h_norm
 from chwall.operators import apply_A, x_norm
@@ -24,32 +24,32 @@ def relaxed_state(grid, op, pot, t_relax=0.5):
         + 0.1 * np.cos(np.pi * grid.y / grid.Ly)
         + 0.1,
     )
-    rec = evolve(grid, op, pot, u0, RunConfig(dt=5e-4, t_end=t_relax, series_stride=100))
+    rec = evolve(op, pot, u0, RunConfig(dt=5e-4, t_end=t_relax, series_stride=100))
     return rec.final_state()
 
 
 @pytest.fixture(scope="module")
 def problem():
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    return g, cw.assemble_wentzell(g), cw.double_well()
+    return g, cw.WentzellOperator(g), cw.double_well()
 
 
 def test_zero_is_fixed_point_of_both_steppers(problem):
     g, op, pot = problem
     z = PairField.zeros(g)
     for scheme in ("semi_implicit", "newton"):
-        out = one_step(g, op, pot, z, RunConfig(scheme=scheme, dt=0.01))
+        out = one_step(op, pot, z, RunConfig(scheme=scheme, dt=0.01))
         assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_unit_field_single_step_dense_oracle(pot):
     # one semi-implicit step on a 6x6 grid against a dense-matrix replica
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=6)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     one = PairField.constant(g, 1.0)
     dt = 0.01
     S = auto_stabilization(pot, 1.0, 1.0)
-    out = one_step(g, op, pot, one, RunConfig(dt=dt, stabilization_S=S))
+    out = one_step(op, pot, one, RunConfig(dt=dt, stabilization_S=S))
 
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
     W = bulk_o + bdry_o  # unit constants
@@ -64,18 +64,20 @@ def test_unit_field_single_step_dense_oracle(pot):
 
     # wall values decrease (mass leaves through the wall), energy decreases
     assert np.all(out.values[g.bdry_idx] < 1.0)
-    assert energy_value(g, pot, out.values) < energy_value(g, pot, u)
+    assert energy_value(g, pot, out.values, 1.0, 1.0) < energy_value(g, pot, u, 1.0, 1.0)
 
 
 def test_dissipation_consistency_dt_slope(problem):
     g, op, pot = problem
     u0 = relaxed_state(g, op, pot)
-    d0 = dissipation(g, chemical_potential(g, pot, u0))
+    mu0 = chemical_potential(op, pot, u0)
+    d0 = op.a_form(mu0, mu0)
     dts = [4e-3, 2e-3, 1e-3]
     defects = []
     for dt in dts:
-        u1 = one_step(g, op, pot, u0, RunConfig(dt=dt))
-        de = (energy_value(g, pot, u1.values) - energy_value(g, pot, u0.values)) / dt
+        u1 = one_step(op, pot, u0, RunConfig(dt=dt))
+        de = (energy_value(g, pot, u1.values, 1.0, 1.0)
+              - energy_value(g, pot, u0.values, 1.0, 1.0)) / dt
         defects.append(abs(de + d0))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope >= 0.9
@@ -88,8 +90,8 @@ def test_schemes_agree_to_first_order(problem):
     diffs = []
     for dt in dts:
         cfg = RunConfig(dt=dt, newton_tol=1e-13)
-        us = one_step(g, op, pot, u0, cfg)
-        un = one_step(g, op, pot, u0, replace(cfg, scheme="newton"))
+        us = one_step(op, pot, u0, cfg)
+        un = one_step(op, pot, u0, replace(cfg, scheme="newton"))
         diffs.append(h_norm(g, us - un))
     slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
     assert slope >= 1.0
@@ -97,7 +99,7 @@ def test_schemes_agree_to_first_order(problem):
 
 def test_newton_step_zero_converges_immediately(problem):
     g, op, pot = problem
-    out = one_step(g, op, pot, PairField.zeros(g), RunConfig(scheme="newton", dt=0.5))
+    out = one_step(op, pot, PairField.zeros(g), RunConfig(scheme="newton", dt=0.5))
     assert np.max(np.abs(out.values)) == 0.0
 
 
@@ -105,15 +107,15 @@ def test_newton_large_dt_monotone_energy(problem, rng):
     g, op, pot = problem
     u = PairField(g, 0.5 * rng.standard_normal(g.n_nodes))
     cfg = RunConfig(dt=1.0, scheme="newton", newton_tol=1e-11)
-    e0 = energy_value(g, pot, u.values)
-    u1 = one_step(g, op, pot, u, cfg)
-    e1 = energy_value(g, pot, u1.values)
+    e0 = energy_value(g, pot, u.values, 1.0, 1.0)
+    u1 = one_step(op, pot, u, cfg)
+    e1 = energy_value(g, pot, u1.values, 1.0, 1.0)
     assert e1 <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_evolve_constant_zero_trajectory(problem):
     g, op, pot = problem
-    rec = evolve(g, op, pot, PairField.zeros(g), RunConfig(dt=1e-3, t_end=0.05))
+    rec = evolve(op, pot, PairField.zeros(g), RunConfig(dt=1e-3, t_end=0.05))
     for rep in rec.reports:
         assert abs(rep.e_total - 0.25) <= 1e-12
     assert all(t2 > t1 for t1, t2 in zip(rec.times, rec.times[1:]))
@@ -123,7 +125,7 @@ def test_evolve_energy_monotone_and_residual_decay(problem):
     g, op, pot = problem
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
     cfg = RunConfig(dt=2e-3, t_end=8.0, series_stride=5)
-    rec = evolve(g, op, pot, u0, cfg)
+    rec = evolve(op, pot, u0, cfg)
     e = [r.e_total for r in rec.reports]
     assert all(
         e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1)
@@ -140,7 +142,7 @@ def test_evolve_energy_monotone_and_residual_decay(problem):
 def test_evolve_mass_ledger_from_unit_field(problem):
     g, op, pot = problem
     cfg = RunConfig(dt=1e-3, t_end=0.3)
-    rec = evolve(g, op, pot, PairField.constant(g, 1.0), cfg)
+    rec = evolve(op, pot, PairField.constant(g, 1.0), cfg)
     mass = [r.mass_total for r in rec.reports]
     fluxes = [r.flux for r in rec.reports]
     # wall potential stays positive for this run and mass strictly leaves
@@ -152,10 +154,10 @@ def test_ut_xnorm_identity_two_routes(problem, rng):
     # |u_t|_X = sqrt(a(mu, mu)), the dissipation, when u_t = -A mu exactly
     g, op, pot = problem
     u = PairField(g, 0.3 * rng.standard_normal(g.n_nodes))
-    mu = chemical_potential(g, pot, u)
+    mu = chemical_potential(op, pot, u)
     ut = apply_A(op, mu)  # flow speed is -A mu; norms are sign-blind
     via_solve = x_norm(op, ut)
-    via_norm = np.sqrt(dissipation(g, mu))
+    via_norm = np.sqrt(op.a_form(mu, mu))
     assert abs(via_solve - via_norm) <= 1e-8 * (1 + via_norm)
 
 
@@ -163,7 +165,7 @@ def test_evolve_records_reference_distances(problem):
     g, op, pot = problem
     u0 = PairField(g, 0.05 * np.cos(2 * np.pi * g.x))
     psi = PairField.zeros(g)
-    rec = evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.1, snapshot_stride=20), ref=psi)
+    rec = evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.1, snapshot_stride=20), ref=psi)
     assert rec.x_dist_to_ref is not None and len(rec.x_dist_to_ref) == len(rec.times)
     assert rec.v_dist_to_ref[0] > rec.v_dist_to_ref[-1]
     assert rec.snapshots[-1][0] == pytest.approx(0.1)
@@ -181,8 +183,8 @@ def saddle_start(pot):
     import scipy.sparse as sp
 
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
-    op = cw.assemble_wentzell(g)
-    H = energy_hessian(g, pot, PairField.zeros(g))
+    op = cw.WentzellOperator(g)
+    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
     lam, vec = la.eigh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
@@ -194,24 +196,24 @@ def saddle_start(pot):
 
 def test_energy_guard_rejects_and_halves(saddle_start, pot):
     g, op, u0 = saddle_start
-    e0 = energy_value(g, pot, u0.values)
+    e0 = energy_value(g, pot, u0.values, 1.0, 1.0)
     raw = one_step(
-        g, op, pot, u0,
+        op, pot, u0,
         RunConfig(scheme="newton", dt=50.0, energy_guard=False, newton_tol=1e-12),
     )
-    assert energy_value(g, pot, raw.values) > e0  # unguarded step misbehaves
+    assert energy_value(g, pot, raw.values, 1.0, 1.0) > e0  # unguarded step misbehaves
     guarded = one_step(
-        g, op, pot, u0,
+        op, pot, u0,
         RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6),
     )
-    assert energy_value(g, pot, guarded.values) <= e0 + 1e-12 * (1 + abs(e0))
+    assert energy_value(g, pot, guarded.values, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_energy_guard_exhaustion_aborts_with_state(saddle_start, pot):
     g, op, u0 = saddle_start
     cfg = RunConfig(scheme="newton", dt=50.0, t_end=100.0, dt_min=30.0, newton_tol=1e-12)
     with pytest.raises(EvolutionAbort) as exc_info:
-        evolve(g, op, pot, u0, cfg)
+        evolve(op, pot, u0, cfg)
     assert "dt_min" in str(exc_info.value)
     assert exc_info.value.record.final_state() is not None
 
@@ -222,37 +224,35 @@ def test_newton_divergence_falls_back_to_halved_dt(problem, rng):
     # two iterations cannot converge at dt=8; halving makes the budget enough
     cfg = RunConfig(scheme="newton", dt=8.0, newton_max_iter=8,
                     newton_tol=1e-10, dt_min=1e-4)
-    out = one_step(g, op, pot, u0, cfg)
-    e0 = energy_value(g, pot, u0.values)
-    assert energy_value(g, pot, out.values) <= e0 + 1e-12 * (1 + abs(e0))
+    out = one_step(op, pot, u0, cfg)
+    e0 = energy_value(g, pot, u0.values, 1.0, 1.0)
+    assert energy_value(g, pot, out.values, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_equilibrium_fixed_under_evolve(problem):
     g, op, pot = problem
-    rec = evolve(g, op, pot, PairField.zeros(g), RunConfig(dt=0.1, t_end=1.0))
+    rec = evolve(op, pot, PairField.zeros(g), RunConfig(dt=0.1, t_end=1.0))
     assert np.max(np.abs(rec.final_state().values)) == 0.0
 
 
 def test_general_constants_energy_law(pot):
     # the decay structure holds in the 1/b-weighted metric for any b, c > 0
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
-    op = cw.assemble_wentzell(g, b=2.0, c=0.5, alpha=0.7, beta=1.5)
+    op = cw.WentzellOperator(g, b=2.0, c=0.5, alpha=0.7, beta=1.5)
     u0 = PairField(g, 0.2 * np.cos(2 * np.pi * g.x) + 0.1)
-    rec = evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.5))
+    rec = evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.5))
     e = [r.e_total for r in rec.reports]
     assert all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1))
     # dissipation column carries the (c/b)-weighted wall term
-    mu = chemical_potential(g, pot, rec.final_state(), alpha=0.7, beta=1.5, b=2.0)
-    assert rec.reports[-1].dissipation == pytest.approx(
-        dissipation(g, mu, b=2.0, c=0.5), rel=1e-12
-    )
+    mu = chemical_potential(op, pot, rec.final_state())
+    assert rec.reports[-1].dissipation == pytest.approx(op.a_form(mu, mu), rel=1e-12)
 
 
 def test_interval_mode_energy_law(pot):
     g = cw.build_grid("interval1d", Ly=1.0, ny=24)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     u0 = PairField(g, 0.1 * np.cos(np.pi * g.y) + 0.02)
-    rec = evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=1.0))
+    rec = evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=1.0))
     e = [r.e_total for r in rec.reports]
     assert all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1))
 
@@ -315,11 +315,11 @@ def test_automatic_shift_stays_on_few_rungs(pot, factorization_calls):
 
     calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=16, ny=16)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     u0 = make_initial(g, RunConfig(initial_kind="random_fourier",
                                    initial_amplitude=0.05, seed=3))
     cfg = RunConfig(dt=1e-2, t_end=3000 * 1e-2, series_stride=10 ** 6)
-    rec = evolve(g, op, pot, u0, cfg)
+    rec = evolve(op, pot, u0, cfg)
     assert np.ptp(rec.final_state().values) > 10 * np.ptp(u0.values)
     assert len(calls) <= 6
     assert rec.factorizations == len(calls)
@@ -332,8 +332,8 @@ def test_evolve_leaves_no_step_cache_on_operator(problem):
     g, op, pot = problem
     before = dict(vars(op))
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.01))
-    one_step(g, op, pot, u0, RunConfig(dt=1e-3))
+    evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.01))
+    one_step(op, pot, u0, RunConfig(dt=1e-3))
     assert not hasattr(op, "_step_cache")
     assert vars(op).keys() == before.keys()
     assert all(vars(op)[k] is v for k, v in before.items())
@@ -344,14 +344,14 @@ def test_guard_halving_records_its_factorizations(pot, factorization_calls):
     # in halves; each new dt costs one factorization, and the record says so
     calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     u0 = PairField(g, 2.0 * np.random.default_rng(1).standard_normal(g.n_nodes))
     runs = {}
     for guard in (False, True):
         calls.clear()
         cfg = RunConfig(dt=0.1, t_end=0.1, stabilization_S=0.0, energy_guard=guard,
                         series_stride=10 ** 6)
-        rec = evolve(g, op, pot, u0, cfg)
+        rec = evolve(op, pot, u0, cfg)
         assert rec.factorizations == len(calls)
         assert rec.shifts == [0.0]
         runs[guard] = rec
@@ -370,7 +370,7 @@ def test_last_step_reuses_factorization(pot, factorization_calls):
     u0 = PairField(g, 0.1 * np.cos(np.pi * g.y))
     for n in range(1, 401):
         calls.clear()
-        rec = evolve(g, cw.assemble_wentzell(g), pot, u0, replace(cfg, t_end=n * cfg.dt))
+        rec = evolve(cw.WentzellOperator(g), pot, u0, replace(cfg, t_end=n * cfg.dt))
         assert len(calls) == 1, f"{len(calls)} factorizations for {n} steps"
         assert len(rec.times) == 2
 
@@ -381,7 +381,7 @@ def test_newton_counts_its_sparse_jacobians(problem, factorization_calls):
     g, op, pot = problem
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1)
     cfg = RunConfig(scheme="newton", dt=1e-3, t_end=3 * 1e-3, series_stride=10 ** 6)
-    rec = evolve(g, op, pot, u0, cfg)
+    rec = evolve(op, pot, u0, cfg)
     assert rec.factorizations == len(factorization_calls["splu"]) >= 3
     assert factorization_calls["band"] == []
 
@@ -391,10 +391,10 @@ def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
     # equation, assembled densely apart from the package
     alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.3, nx=12, ny=11)
-    op = cw.assemble_wentzell(g, b=b, c=c, alpha=alpha, beta=beta)
+    op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
     dt = 1e-3
-    rec = evolve(g, op, pot, u0, RunConfig(dt=dt, t_end=10 * dt, snapshot_stride=1))
+    rec = evolve(op, pot, u0, RunConfig(dt=dt, t_end=10 * dt, snapshot_stride=1))
     assert rec.factorizations == 1 and len(rec.shifts) == 1  # no halved step
     S = rec.shifts[0]
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
@@ -425,7 +425,7 @@ def test_energy_evaluated_once_per_step(problem, monkeypatch):
     counted = dataclasses.replace(pot, f=lambda s: f_calls.append(1) or pot.f(s))
     n = 40
     u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    rec = evolve(g, op, counted, u0, RunConfig(dt=1e-3, t_end=n * 1e-3))
+    rec = evolve(op, counted, u0, RunConfig(dt=1e-3, t_end=n * 1e-3))
     assert len(rec.times) == n + 1
     assert len(calls) == n + 1
     assert len(f_calls) == n + 1
@@ -436,10 +436,10 @@ def test_rows_match_independent_recomputation(pot):
     # matches the forms and the chemical potential taken one by one
     alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
-    op = cw.assemble_wentzell(g, b=b, c=c, alpha=alpha, beta=beta)
+    op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
     cfg = RunConfig(dt=1e-3, t_end=0.01, snapshot_stride=1)
-    rec = evolve(g, op, pot, u0, cfg)
+    rec = evolve(op, pot, u0, cfg)
     forms = g.forms
 
     def close(x):
@@ -452,11 +452,11 @@ def test_rows_match_independent_recomputation(pot):
         e_bulk = 0.5 * (u @ (forms.k_grad @ u)) + np.dot(g.bulk_weights, pot.F(u))
         e_surf = 0.5 * alpha * (u @ (forms.k_par @ u))
         e_surf += 0.5 * beta * np.dot(forms.bdry_mass, u * u)
-        mu = chemical_potential(g, pot, u, alpha=alpha, beta=beta, b=b)
+        mu = chemical_potential(op, pot, u)
         trace_law = mu.values[g.bdry_idx] / b
         bulk = math.sqrt(np.dot(g.bulk_weights, mu.values ** 2))
         bdry = math.sqrt(np.dot(g.bdry_weights, trace_law ** 2))
-        mu_unit = chemical_potential(g, pot, u, alpha=alpha, beta=beta)
+        mu_unit = chemical_potential(cw.WentzellOperator(g, alpha=alpha, beta=beta), pot, u)
         assert rep.e_bulk == close(e_bulk)
         assert rep.e_surf == close(e_surf)
         assert rep.e_total == close(e_bulk + e_surf)
@@ -472,9 +472,9 @@ def test_row_stride_leaves_states_unchanged(pot):
     # forms it otherwise; at non-unit constants both must give the same bits
     b, c = 2.0, 0.5
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
-    op = cw.assemble_wentzell(g, b=b, c=c, alpha=0.7, beta=1.5)
+    op = cw.WentzellOperator(g, b=b, c=c, alpha=0.7, beta=1.5)
     u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
-    every, some = (evolve(g, op, pot, u0, RunConfig(dt=1e-3, t_end=0.012, series_stride=s,
+    every, some = (evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.012, series_stride=s,
                                                     snapshot_stride=1))
                    for s in (1, 5))
     assert len(every.snapshots) == len(some.snapshots) == 13

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chwall as cw
-from chwall import PairField, h_inner, laplace_beltrami, laplacian, normal_derivative
+from chwall import PairField, h_inner, h_norm, laplace_beltrami, laplacian, normal_derivative
 from chwall.analysis import lowest_eigenpairs, weighted_symmetric
+from chwall.config import RunConfig
+from chwall.energy import energy_value
+from chwall.evolution import evolve
 from chwall.operators import (
     apply_A,
     factor_x_invariant,
@@ -120,13 +123,54 @@ def test_operator_matches_dense_assembly_oracle(g):
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
     forms = g.forms
     for K, oracle in ((forms.k_grad, K_o), (forms.k_par, P_o),
-                      (cw.assemble_wentzell(g).K_A, K_o + np.diag(bdry_o))):
+                      (cw.WentzellOperator(g).K_A, K_o + np.diag(bdry_o))):
         assert K.has_canonical_format
         assert np.all(np.abs(K.toarray() - oracle) <= 1e-14 * np.abs(oracle))
     assert np.array_equal(forms.bulk_mass, bulk_o)
     assert np.array_equal(forms.bdry_mass, bdry_o)
     assert abs(np.sum(forms.bulk_mass) - g.area) <= 1e-12 * g.area
     assert abs(np.sum(forms.bdry_mass) - g.surface) <= 1e-12 * g.surface
+
+
+_constant = st.floats(0.2, 5.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=_grids(), b=_constant, c=_constant, alpha=_constant, beta=_constant,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_structure_holds_at_random_constants(g, b, c, alpha, beta, seed):
+    # every object is built from the one operator, so a layer that drops a
+    # constant or takes it as 1 breaks one of these identities
+    op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
+    pot = cw.double_well()
+    rng = np.random.default_rng(seed)
+    u, v = (PairField(g, 0.5 * rng.standard_normal(g.n_nodes)) for _ in range(2))
+
+    # <A u, v>_H = a(u, v) = <u, A v>_H in the b-weighted pairing
+    form = op.a_form(u, v)
+    scale = 1.0 + float(np.abs(op.K_A @ u.values) @ np.abs(v.values))
+    assert abs(h_inner(g, apply_A(op, u), v, b=op.b) - form) <= 1e-12 * scale
+    assert abs(h_inner(g, u, apply_A(op, v), b=op.b) - form) <= 1e-12 * scale
+
+    # mu is the gradient of E in that pairing, along a random and a wall-only
+    # direction (the wall rows carry b, alpha and beta)
+    mu = cw.chemical_potential(op, pot, u)
+    wall = np.zeros(g.n_nodes)
+    wall[g.bdry_idx] = v.values[g.bdry_idx]
+    eps = 1e-5
+    e0 = energy_value(g, pot, u.values, op.alpha, op.beta)
+    for w in (v.values, wall):
+        fd = (energy_value(g, pot, u.values + eps * w, op.alpha, op.beta)
+              - energy_value(g, pot, u.values - eps * w, op.alpha, op.beta)) / (2 * eps)
+        pair = h_inner(g, mu, w, b=op.b)
+        assert abs(pair - fd) <= 1e-6 * (1.0 + abs(fd)) + 1e-9 * abs(e0)
+
+    # one guarded semi-implicit step lowers the energy, and the ledger rows
+    # report the energy of the operator's constants
+    rec = evolve(op, pot, u, RunConfig(dt=1e-3, t_end=1e-3))
+    e1 = energy_value(g, pot, rec.final_state().values, op.alpha, op.beta)
+    assert [r.e_total for r in rec.reports] == [e0, e1]
+    assert e1 <= e0 + 1e-12 * (1.0 + abs(e0))
 
 
 def test_solve_Ainv_trivial_and_constants(unit_grid, unit_op):
@@ -147,7 +191,8 @@ def test_solve_Ainv_matches_dense_lu(rng, unit_grid, unit_op):
         got = solve_Ainv(unit_op, rhs).values
         assert np.max(np.abs(got - expected)) <= 1e-10 * (1 + np.max(np.abs(expected)))
         back = apply_A(unit_op, got)
-        assert unit_op.h_norm(back - PairField(g, rhs)) <= 1e-10 * unit_op.h_norm(rhs)
+        res = h_norm(g, back - PairField(g, rhs), b=unit_op.b)
+        assert res <= 1e-10 * h_norm(g, rhs, b=unit_op.b)
 
 
 _positive = st.floats(0.1, 10.0)
@@ -166,7 +211,7 @@ def _x_invariant_problems(draw):
     b, c, alpha, beta = (draw(_positive) for _ in range(4))
     dt = 10.0 ** draw(st.floats(-5.0, -1.0))
     S = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
-    return grid, cw.assemble_wentzell(grid, b=b, c=c, alpha=alpha, beta=beta), dt, S
+    return grid, cw.WentzellOperator(grid, b=b, c=c, alpha=alpha, beta=beta), dt, S
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -192,7 +237,7 @@ def test_x_invariant_factor_matches_sparse_lu(problem, seed):
 @pytest.mark.parametrize("mode,nx", [("strip2d", 7), ("strip2d", 8), ("interval1d", None)])
 def test_x_invariant_solve_returns_a_fresh_real_vector(mode, nx):
     g = cw.build_grid(mode, Lx=1.0, Ly=1.0, nx=nx, ny=9)
-    op = cw.assemble_wentzell(g)
+    op = cw.WentzellOperator(g)
     rhs = np.random.default_rng(5).standard_normal(g.n_nodes)
     kept = rhs.copy()
     x = factor_x_invariant(g, op.K_A).solve(rhs)
@@ -251,16 +296,16 @@ def _lambda_min(op):
 
 def test_norm_report_weak_norm_bound(rng):
     for mode, kw in LAMBDA_MIN_GRIDS:
-        op = cw.assemble_wentzell(cw.build_grid(mode, **kw))
+        op = cw.WentzellOperator(cw.build_grid(mode, **kw))
         c_grid = 1.0 / np.sqrt(_lambda_min(op))
         for _ in range(10):
             u = rng.standard_normal(op.grid.n_nodes)
-            assert x_norm(op, u) <= c_grid * op.h_norm(u) * (1 + 1e-10)
+            assert x_norm(op, u) <= c_grid * h_norm(op.grid, u, b=op.b) * (1 + 1e-10)
 
 
 def test_lambda_min_positive_all_grids():
     for mode, kw in LAMBDA_MIN_GRIDS:
-        op = cw.assemble_wentzell(cw.build_grid(mode, **kw))
+        op = cw.WentzellOperator(cw.build_grid(mode, **kw))
         lam = _lambda_min(op)
         # dense oracle: the smallest eigenvalue of the pencil (K_A, W)
         dense = scipy.linalg.eigh(op.K_A.toarray(), np.diag(op.mass_weights),
@@ -275,7 +320,7 @@ def test_apply_A_refinement_second_order_interior():
     errs, hs = [], []
     for n in (16, 32, 64):
         g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
-        op = cw.assemble_wentzell(g)
+        op = cw.WentzellOperator(g)
         u = PairField(g, np.sin(2 * np.pi * g.x) * np.cos(np.pi * g.y))
         target = ((2 * np.pi) ** 2 + np.pi ** 2) * u.values
         away = (g.y > 1.5 * g.hy) & (g.y < g.Ly - 1.5 * g.hy)
@@ -287,14 +332,14 @@ def test_apply_A_refinement_second_order_interior():
 
 def test_general_constants_scale_boundary_rows(rng):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
-    op = cw.assemble_wentzell(g, b=2.0, c=3.0)
+    op = cw.WentzellOperator(g, b=2.0, c=3.0)
     one = PairField.constant(g, 1.0)
     # A(1) wall rows: (c/b) * surface mass divided by (1/b)-weighted mass
     a1 = apply_A(op, one)
     assert np.max(np.abs(a1.values[g.interior_idx])) <= 1e-13
     assert np.max(np.abs(a1.values[g.bdry_idx] - 3.0)) <= 1e-12
     with pytest.raises(ValueError, match="positive"):
-        cw.assemble_wentzell(g, b=-1.0)
+        cw.WentzellOperator(g, b=-1.0)
 
 
 def test_matrix_dump_coordinate_format(tmp_path, unit_op, unit_grid):
