@@ -30,6 +30,9 @@ MIN_SAMPLES = 5
 GAP_FLOOR_REL = 1e-13
 # rate_fit: the relative growth of the distance that breaks monotonicity
 MONOTONE_TOL = 1e-6
+# lowest_eigenpairs: the shift's distance below the disc floor, relative to
+# the disc spread top - floor
+SHIFT_MARGIN = 1e-6
 
 
 @dataclass
@@ -69,17 +72,34 @@ def _start_vector(n):
     return np.random.default_rng(0).standard_normal(n)
 
 
-def lowest_eigenpairs(At, k):
-    """The k lowest eigenpairs of the sparse symmetric At, ascending.
+def disc_bounds(At, rw):
+    """Gershgorin bounds (floor, top) on the spectrum of At = W^-1/2 H W^-1/2.
 
-    Shift-invert Lanczos (ARPACK) about a shift strictly below the
-    Gershgorin floor: At - sigma I is positive definite and the lowest
-    eigenvalues are the largest of its inverse.
+    rw = W^-1/2 as returned by ``weighted_symmetric``.  The discs are those
+    of the similar matrix W^-1 H = R At R^-1, R = diag(rw), which has At's
+    eigenvalues: row i has centre H_ii / w_i and radius
+    sum_{j != i} |H_ij| / w_i, i.e. rw_i sum_{j != i} |At_ij| / rw_j.  The
+    bound holds for any symmetric H and positive W.  Unlike At's own discs,
+    these do not grow where wall and bulk weights differ by 1/hy: for the
+    energy Hessian, whose off-diagonals are <= 0 and whose K_lin rows sum to
+    zero off the wall term, the floor is min(min over bulk nodes of f'(psi),
+    beta); for K_A it is 0.
     """
     d = At.diagonal()
-    radius = np.asarray(abs(At).sum(axis=1)).ravel() - np.abs(d)
-    floor, top = float(np.min(d - radius)), float(np.max(d + radius))
-    sigma = floor - 1e-3 * (top - floor)
+    radius = rw * (abs(At) @ (1.0 / rw)) - np.abs(d)
+    return float(np.min(d - radius)), float(np.max(d + radius))
+
+
+def lowest_eigenpairs(At, rw, k):
+    """The k lowest eigenpairs of At = W^-1/2 H W^-1/2, ascending.
+
+    Shift-invert Lanczos (ARPACK) about a shift SHIFT_MARGIN of the disc
+    spread below the floor of ``disc_bounds(At, rw)``: At - sigma I is
+    positive definite and the lowest eigenvalues are the largest of its
+    inverse.  The closer sigma sits to them, the faster Lanczos converges.
+    """
+    floor, top = disc_bounds(At, rw)
+    sigma = floor - SHIFT_MARGIN * (top - floor)
     lam, vec = spla.eigsh(At, k=k, sigma=sigma, which="LM",
                           v0=_start_vector(At.shape[0]))
     order = np.argsort(lam, kind="stable")
@@ -114,7 +134,10 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
 
     H is the energy Hessian (``energy.energy_hessian``) and W the metric
     ``grid.h_weights(1.0)``.  A plain Lanczos run gives lambda_max and a
-    shift-invert run the k lowest eigenpairs; max_abs_eig =
+    shift-invert run the k lowest eigenpairs, about a shift just below the
+    Gershgorin floor of the similar matrix W^-1 H (``disc_bounds``), which
+    lies below every eigenvalue and here equals min(min over bulk nodes of
+    f'(psi), beta); max_abs_eig =
     max(lambda_max, -lambda_min) and tol = kernel_tol * max_abs_eig.
     n_negative and kernel_dim come from the inertia of At + tol I and
     At - tol I, never from a window.  When n_negative + max(k, kernel_dim)
@@ -128,14 +151,14 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     w = grid.h_weights(1.0)
     At, rw = weighted_symmetric(H, w)
     lam_top, vec_top = spla.eigsh(At, k=1, which="LA", v0=_start_vector(n))
-    lam, vec = lowest_eigenpairs(At, min(k, n - 1))
+    lam, vec = lowest_eigenpairs(At, rw, min(k, n - 1))
     max_abs = max(float(lam_top[0]), -float(lam[0]))
     tol = kernel_tol * max_abs
     n_negative = count_below(At, -tol)
     kernel_dim = count_below(At, tol) - n_negative
     window = n_negative + max(k, kernel_dim)
     if window > lam.size:
-        lam, vec = lowest_eigenpairs(At, min(window, n - 1))
+        lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1))
         if window >= n:  # ARPACK stops one short of the whole spectrum
             lam = np.append(lam, lam_top)
             vec = np.hstack([vec, vec_top])

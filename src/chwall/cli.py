@@ -278,7 +278,7 @@ def cmd_equilibrium(config_path, init_path=None):
     with OutputLock(out):
         with open(os.path.join(out, "config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
-        sol = find_equilibrium(op, pot, u0)
+        sol = find_equilibrium(op, pot, u0, kernel_tol=cfg.kernel_tol)
         save_equilibrium(sol, os.path.join(out, "equilibrium"))
         H = energy_hessian(grid, pot, sol.psi, op.alpha, op.beta)
         rep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
@@ -489,7 +489,7 @@ def cmd_check(dump_operator=None):
     pair = h_inner(grid, mu, v, b=op.b)
     check("chemical potential is the exact energy gradient",
           abs(pair - fd) <= 1e-6 * (1 + abs(fd)))
-    lam, _ = lowest_eigenpairs(weighted_symmetric(op.K_A, op.mass_weights)[0], 1)
+    lam, _ = lowest_eigenpairs(*weighted_symmetric(op.K_A, op.mass_weights), 1)
     check("operator spectrum is positive", lam[0] > 0)
     rec = evolve(op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
     e = [r.e_total for r in rec.reports]

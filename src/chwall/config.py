@@ -20,6 +20,18 @@ class ConfigError(Exception):
     pass
 
 
+# the most grid nodes (nx * ny on the strip, ny on the interval) a run or a
+# snapshot may have.  A semi-implicit run peaks at about 64 MB plus 0.7 kB
+# per node (108 MB at 256x256, 165 MB at 384x384), so 2^20 nodes (1024x1024)
+# need about 0.8 GB before the sparse LUs of Newton and the spectrum add fill.
+MAX_NODES = 2**20
+
+
+def node_count(mode, nx, ny):
+    """The node count of a grid: nx * ny on the strip, ny on the interval."""
+    return ny if mode == "interval1d" else nx * ny
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # grid
@@ -214,6 +226,11 @@ def validate_config(cfg):
         raise ConfigError("grid lengths must be positive")
     if cfg.ny < 4 or (cfg.mode == "strip2d" and cfg.nx < 4):
         raise ConfigError("grid.nx and grid.ny must be at least 4")
+    if node_count(cfg.mode, cfg.nx, cfg.ny) > MAX_NODES:
+        raise ConfigError(
+            f"grid of {node_count(cfg.mode, cfg.nx, cfg.ny)} nodes: at most "
+            f"{MAX_NODES} nodes are allowed"
+        )
     if cfg.dt <= 0 or cfg.t_end <= 0 or cfg.dt_min <= 0:
         raise ConfigError("stepper.dt, stepper.t_end and stepper.dt_min must be positive")
     if cfg.scheme not in ("semi_implicit", "newton"):

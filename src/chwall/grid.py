@@ -22,6 +22,8 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
+from .config import MAX_NODES, node_count
+
 
 class GridMode(Enum):
     STRIP2D = "strip2d"
@@ -373,6 +375,11 @@ def load_field(path, grid=None):
             )
         except (IndexError, ValueError):
             raise ValueError(f"{path}: unreadable grid line {','.join(meta)!r}")
+        if node_count(mode, nx, ny) > MAX_NODES:
+            raise ValueError(
+                f"{path}: grid of {node_count(mode, nx, ny)} nodes: at most "
+                f"{MAX_NODES} nodes are allowed"
+            )
         file_grid = build_grid(mode, Lx=Lx if Lx > 0 else None, Ly=Ly, nx=nx, ny=ny)
         if grid is not None and grid != file_grid:
             raise ValueError(

@@ -70,7 +70,7 @@ def _most_negative_direction(op, pot, vals):
     """Smallest eigenpair of the energy Hessian in the weighted metric."""
     w = op.grid.h_weights(1.0)
     A_t, rw = weighted_symmetric(energy_hessian(op.grid, pot, vals, op.alpha, op.beta), w)
-    lam, vec = lowest_eigenpairs(A_t, 1)
+    lam, vec = lowest_eigenpairs(A_t, rw, 1)
     phi = rw * vec[:, 0]
     phi /= np.sqrt(float(np.sum(w * phi * phi)))
     return float(lam[0]), phi
@@ -149,13 +149,17 @@ def _kick_off_saddle(evaluate, x, e0, phi):
     return best
 
 
-def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
+def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
+                  kernel_tol=1e-8):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
     basin_threshold).  The Jacobian is the energy Hessian: bulk rows
     -Lap + f'(u), wall rows the discrete trace operator.  The residual
-    history is recorded so quadratic convergence can be checked.
+    history is recorded so quadratic convergence can be checked.  When the
+    Jacobian is singular the iteration stops and .kernel_dim reports the
+    Hessian's kernel dimension as ``analysis.spectrum`` counts it at
+    kernel_tol.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
     x = _as_values(u_init).copy()
@@ -176,10 +180,10 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
         try:
             delta = spla.splu(K.tocsc()).solve(-g)
         except RuntimeError:
-            kernel_dim = _numerical_kernel_dim(op, pot, x)
+            kernel_dim = _numerical_kernel_dim(op, pot, x, kernel_tol)
             break
         if not np.all(np.isfinite(delta)):
-            kernel_dim = _numerical_kernel_dim(op, pot, x)
+            kernel_dim = _numerical_kernel_dim(op, pot, x, kernel_tol)
             break
         x = x + delta
         e, g = energy_and_gradient(grid, pot, x, alpha, beta)
@@ -203,23 +207,24 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     )
 
 
-def _numerical_kernel_dim(op, pot, vals):
+def _numerical_kernel_dim(op, pot, vals, kernel_tol):
     H = energy_hessian(op.grid, pot, vals, op.alpha, op.beta)
-    return spectrum(op.grid, H, k=6).kernel_dim
+    return spectrum(op.grid, H, k=min(6, op.grid.n_nodes), kernel_tol=kernel_tol).kernel_dim
 
 
-def find_equilibrium(op, pot, u_init, tol=1e-8):
+def find_equilibrium(op, pot, u_init, tol=1e-8, kernel_tol=1e-8):
     """Minimize-then-refine pipeline; the robust path from generic data.
 
     The descent phase always runs: for a start already inside a Newton
     basin it costs one gradient and one spectral check, but it is what
     lets an exactly-critical saddle start (zero gradient, negative
     curvature) escape to a lower state instead of being reported as the
-    equilibrium.
+    equilibrium.  kernel_tol goes to ``newton_refine``'s kernel count.
     """
     mr = minimize_energy(op, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10))
     sol = newton_refine(op, pot, mr.field, tol=tol,
-                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol))
+                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol),
+                        kernel_tol=kernel_tol)
     if mr.iterations > 0 or mr.escapes > 0:
         sol.method = SolveMethod.MINIMIZE_THEN_NEWTON
     return sol

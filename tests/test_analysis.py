@@ -7,7 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chwall as cw
-from chwall.analysis import fit_gap_exponent, ls_probe, rate_fit, spectrum
+from chwall.analysis import (
+    SHIFT_MARGIN,
+    disc_bounds,
+    fit_gap_exponent,
+    ls_probe,
+    rate_fit,
+    spectrum,
+    weighted_symmetric,
+)
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
 from chwall.evolution import evolve
@@ -123,6 +131,58 @@ def test_spectrum_matches_dense_oracle_on_random_strips(nx, ny, L, alpha, beta,
     u = amplitude * np.random.default_rng(seed).standard_normal(g.n_nodes)
     H = energy_hessian(g, cw.double_well(), u, alpha, beta)
     _assert_matches_dense(spectrum(g, H, k=k), g, H, k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    ny=st.integers(6, 48),
+    L=st.sampled_from([1.0, 8.0, 20.0]),
+    alpha=st.floats(0.0, 3.0),
+    beta=st.floats(0.0, 3.0),
+    amplitude=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 6),
+)
+def test_spectrum_matches_dense_oracle_on_random_intervals(ny, L, alpha, beta,
+                                                           amplitude, seed, k):
+    g = cw.build_grid("interval1d", Ly=L, ny=ny)
+    u = amplitude * np.random.default_rng(seed).standard_normal(g.n_nodes)
+    H = energy_hessian(g, cw.double_well(), u, alpha, beta)
+    _assert_matches_dense(spectrum(g, H, k=k), g, H, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    interval=st.booleans(),
+    nx=st.integers(4, 20),
+    ny=st.integers(4, 20),
+    L=st.floats(1.0, 20.0),
+    alpha=st.floats(0.0, 3.0),
+    beta=st.floats(0.0, 3.0),
+    amplitude=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+    b=st.floats(0.2, 5.0),
+    c=st.floats(0.2, 5.0),
+    seed=st.integers(0, 2**16),
+)
+def test_lanczos_shift_lies_below_the_spectrum(interval, nx, ny, L, alpha, beta,
+                                               amplitude, b, c, seed):
+    if interval:
+        g = cw.build_grid("interval1d", Ly=L, ny=ny)
+    else:
+        g = cw.build_grid("strip2d", Lx=L, Ly=L, nx=nx, ny=ny)
+    pot = cw.double_well()
+    u = amplitude * np.random.default_rng(seed).standard_normal(g.n_nodes)
+    At, rw = weighted_symmetric(energy_hessian(g, pot, u, alpha, beta), g.h_weights(1.0))
+    floor, top = disc_bounds(At, rw)
+    sigma = floor - SHIFT_MARGIN * (top - floor)
+    assert sigma < la.eigvalsh(At.toarray())[0]
+    # off-diagonals <= 0 and zero row sums of the stencils: the floor is
+    # f'(psi) on a bulk row and beta on a wall row
+    expected = min(float(np.min(pot.f_prime(u)[g.bulk_weights > 0])), beta)
+    assert abs(floor - expected) <= 1e-13 * top
+    op = cw.WentzellOperator(g, b=b, c=c)
+    floor_A, top_A = disc_bounds(*weighted_symmetric(op.K_A, op.mass_weights))
+    assert abs(floor_A) <= 1e-13 * top_A
 
 
 def test_spectrum_counts_saddle_beyond_k(pot):

@@ -12,6 +12,7 @@ from chwall.cli import main
 from chwall.config import (
     _FILE_KEYS,
     _LAYOUT,
+    MAX_NODES,
     ConfigError,
     RunConfig,
     config_hash,
@@ -83,10 +84,11 @@ def run_configs(draw):
     """Random configs that pass validation."""
     kind = draw(st.sampled_from(["double_well", "polynomial_custom"]))
     initial = draw(st.sampled_from(["constant", "cosine", "random_fourier", "file"]))
+    ny = draw(st.integers(4, MAX_NODES // 4))
     return RunConfig(
         mode=draw(st.sampled_from(["strip2d", "interval1d"])),
         Lx=draw(_POSITIVE), Ly=draw(_POSITIVE),
-        nx=draw(st.integers(4, 10 ** 6)), ny=draw(st.integers(4, 10 ** 6)),
+        nx=draw(st.integers(4, MAX_NODES // ny)), ny=ny,
         potential_kind=kind,
         potential_coeffs=tuple(draw(st.lists(
             _FINITE, min_size=int(kind == "polynomial_custom"), max_size=5))),
@@ -307,6 +309,42 @@ def test_cli_refuses_bad_initial_file(tmp_path, capsys, cut):
     )
     assert main(["simulate", write_config(tmp_path, text)]) == 2
     assert "initial.path" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_a_grid_above_the_node_limit(tmp_path, capsys):
+    # refused at parse time, before the output directory or any grid exists
+    big = BASE_CONFIG.format(out=tmp_path / "o").replace("nx = 8", "nx = 2048").replace(
+        "ny = 8", "ny = 1024")
+    assert main(["simulate", write_config(tmp_path, big)]) == 2
+    assert f"at most {MAX_NODES} nodes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the largest benchmarked grid, and the limit itself, stay valid
+    for nx, ny in ((256, 256), (1024, 1024)):
+        text = BASE_CONFIG.format(out=tmp_path / "o").replace(
+            "nx = 8", f"nx = {nx}").replace("ny = 8", f"ny = {ny}")
+        cfg = parse_config(write_config(tmp_path, text))
+        assert (cfg.nx, cfg.ny) == (nx, ny)
+
+
+def test_cli_refuses_a_snapshot_above_the_node_limit(tmp_path, capsys, monkeypatch):
+    # the header alone refuses the file: no grid of its size is built
+    import chwall.grid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built from an over-large snapshot header")
+
+    init = tmp_path / "init.csv"
+    init.write_text("# mode,Lx,Ly,nx,ny\n# strip2d,1,1,4096,4096\ni,j,x,y,u,on_gamma\n")
+    monkeypatch.setattr(chwall.grid, "build_grid", refuse)
+    with pytest.raises(ValueError, match=f"at most {MAX_NODES} nodes"):
+        chwall.grid.load_field(str(init))
+    text = BASE_CONFIG.format(out=tmp_path / "o").replace(
+        "kind = cosine", f"kind = file\npath = {init}"
+    )
+    assert main(["simulate", write_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert "initial.path" in err and f"at most {MAX_NODES} nodes" in err
     assert not (tmp_path / "o").exists()
 
 

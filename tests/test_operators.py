@@ -290,7 +290,7 @@ LAMBDA_MIN_GRIDS = (
 
 
 def _lambda_min(op):
-    lam, _ = lowest_eigenpairs(weighted_symmetric(op.K_A, op.mass_weights)[0], 1)
+    lam, _ = lowest_eigenpairs(*weighted_symmetric(op.K_A, op.mass_weights), 1)
     return float(lam[0])
 
 

@@ -237,3 +237,55 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["True", "minimize_then_newton", "False"]
+
+
+def _singular_jacobians(monkeypatch):
+    """Make every Newton Jacobian factorization fail as on an exactly singular matrix."""
+    import types
+
+    import chwall.stationary as stationary
+
+    def splu(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=splu))
+
+
+def _dense_kernel_dim(g, H, kernel_tol):
+    rw = 1.0 / np.sqrt(g.h_weights())
+    lam = np.linalg.eigvalsh(rw[:, None] * H.toarray() * rw[None, :])
+    return int(np.sum(np.abs(lam) <= kernel_tol * np.max(np.abs(lam))))
+
+
+@pytest.mark.parametrize("kernel_tol", [1e-8, 0.3, 0.6])
+def test_singular_jacobian_kernel_count_on_five_nodes(pot, monkeypatch, kernel_tol):
+    # fewer nodes than the six eigenpairs the kernel count asks for, and the
+    # count made at the caller's kernel_tol
+    g = cw.build_grid("interval1d", Ly=1.0, ny=5)
+    op = cw.WentzellOperator(g)
+    _singular_jacobians(monkeypatch)
+    start = PairField(g, 0.3 * np.cos(np.pi * g.y))
+    sol = newton_refine(op, pot, start, basin_threshold=10.0, kernel_tol=kernel_tol)
+    assert not sol.converged and sol.newton_iters == 0
+    H = energy_hessian(g, pot, start, 1.0, 1.0)
+    assert sol.kernel_dim == _dense_kernel_dim(g, H, kernel_tol)
+
+
+def test_cli_equilibrium_meta_and_classification_agree_on_kernel(tmp_path, monkeypatch):
+    # find_equilibrium counts the kernel at the run's [analysis] kernel_tol
+    from chwall.cli import main
+
+    _singular_jacobians(monkeypatch)
+    out = tmp_path / "eq"
+    cfg = tmp_path / "eq.ini"
+    cfg.write_text(
+        "[grid]\nmode = interval1d\nLy = 1.0\nny = 5\n"
+        "[initial]\nkind = cosine\namplitude = 0.3\nmean = 0.0\n"
+        f"[io]\noutput_dir = {out}\n"
+        "[analysis]\nkernel_tol = 0.3\n"
+    )
+    assert main(["equilibrium", str(cfg)]) == 4  # unconverged: the Jacobian is singular
+    _, meta = load_equilibrium(str(out / "equilibrium"))
+    line = (out / "classification.txt").read_text()
+    assert meta["kernel_dim"] == "2"
+    assert "kernel_dim=2," in line
