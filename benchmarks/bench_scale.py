@@ -1,0 +1,102 @@
+"""Time the per-grid layers of a semi-implicit run across the grid sweep.
+
+On the unit square strip at 32x32, 64x64, 128x128 and 256x256, with the
+double-well potential, unit constants, dt = 1e-3 and S = 2 (the settings
+of the e2ebench ``large_grid`` run), it times:
+
+- ``assembly_factor_s``: one step-system factorization, assembly included
+  (``evolution._semi_system`` with an empty cache of step factors);
+- ``band_solve_s``: one solve with that factor;
+- ``template_s``: building the snapshot template (``grid._snapshot_template``);
+- ``save_field_s``: one ``save_field`` of a random field, template cached;
+
+each the best of ``--repeat`` calls after one warm-up call, and records
+``assembly_factor_peak_kb``, the tracemalloc peak of one factorization
+call above what was allocated before it.  The grid's forms are assembled
+before any timing.  It writes the numbers and the platform to
+``BENCH_scale.json`` at the repo root.
+
+    PYTHONPATH=src python3 benchmarks/bench_scale.py [--repeat 5] [--out PATH]
+"""
+
+import argparse
+import json
+import os
+import platform
+import tempfile
+import time
+import tracemalloc
+
+import numpy as np
+import scipy
+
+import chwall as cw
+from chwall import evolution
+from chwall.grid import PairField, _snapshot_template, save_field
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = (32, 64, 128, 256)
+DT, S = 1e-3, 2.0
+
+
+def _best_of(repeat, call):
+    call()
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _factor(op):
+    return evolution._semi_system(op, DT, S, evolution._StepFactors())
+
+
+def _peak_kb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024.0
+    finally:
+        tracemalloc.stop()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_scale.json"))
+    args = parser.parse_args(argv)
+    cases = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.csv")
+        for n in SIZES:
+            grid = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
+            op = cw.WentzellOperator(grid)
+            grid.forms.k_lin(op.alpha, op.beta)
+            lu = _factor(op)
+            rhs = np.random.default_rng(0).standard_normal(grid.n_nodes)
+            field = PairField(grid, rhs)
+            cases[f"{n}x{n}"] = {
+                "n_nodes": grid.n_nodes,
+                "assembly_factor_s": _best_of(args.repeat, lambda: _factor(op)),
+                "assembly_factor_peak_kb": _peak_kb(lambda: _factor(op)),
+                "band_solve_s": _best_of(args.repeat, lambda: lu.solve(rhs)),
+                "template_s": _best_of(args.repeat, lambda: _snapshot_template(grid)),
+                "save_field_s": _best_of(args.repeat, lambda: save_field(field, path)),
+            }
+            print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
+    result = {
+        "timing": f"best of {args.repeat} calls after one warm-up, seconds",
+        "platform": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, "machine": platform.machine(),
+                     "cpus": os.cpu_count()},
+        "cases": cases,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -90,6 +90,21 @@ def disc_bounds(At, rw):
     return float(np.min(d - radius)), float(np.max(d + radius))
 
 
+def _shifted_ldl(At, s):
+    """At - s I factorized as LDL^T: SuperLU in symmetric mode, no pivoting.
+
+    P (At - s I) P^T = L U with U = D L^T, P the minimum-degree ordering of
+    At + At^T.  A factorization that left the diagonal (perm_r != perm_c)
+    has no such reading and raises RuntimeError.
+    """
+    lu = spla.splu((At - s * sp.identity(At.shape[0])).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError(f"LDL^T of At - {s:.3e} I: the factorization pivoted")
+    return lu
+
+
 def lowest_eigenpairs(At, rw, k):
     """The k lowest eigenpairs of At = W^-1/2 H W^-1/2, ascending.
 
@@ -97,10 +112,14 @@ def lowest_eigenpairs(At, rw, k):
     spread below the floor of ``disc_bounds(At, rw)``: At - sigma I is
     positive definite and the lowest eigenvalues are the largest of its
     inverse.  The closer sigma sits to them, the faster Lanczos converges.
+    The inverse is applied through ``_shifted_ldl``, which a positive
+    definite matrix needs no pivoting for.
     """
     floor, top = disc_bounds(At, rw)
     sigma = floor - SHIFT_MARGIN * (top - floor)
-    lam, vec = spla.eigsh(At, k=k, sigma=sigma, which="LM",
+    lu = _shifted_ldl(At, sigma)
+    OPinv = spla.LinearOperator(At.shape, matvec=lu.solve, dtype=float)
+    lam, vec = spla.eigsh(At, k=k, sigma=sigma, which="LM", OPinv=OPinv,
                           v0=_start_vector(At.shape[0]))
     order = np.argsort(lam, kind="stable")
     return lam[order], vec[:, order]
@@ -109,18 +128,10 @@ def lowest_eigenpairs(At, rw, k):
 def count_below(At, s):
     """Number of eigenvalues of the sparse symmetric At below s.
 
-    Sylvester's law of inertia: the signs of the pivots of a symmetric
-    LDL^T factorization of At - s I.  SuperLU in symmetric mode without
-    pivoting gives P (At - s I) P^T = L U with U = D L^T; a factorization
-    that left the diagonal (perm_r != perm_c) has no such reading and
-    raises.
+    Sylvester's law of inertia: the signs of the pivots D of the LDL^T
+    factorization of At - s I by ``_shifted_ldl``.
     """
-    lu = spla.splu((At - s * sp.identity(At.shape[0])).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError(f"inertia of At - {s:.3e} I: the factorization pivoted")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return int(np.count_nonzero(_shifted_ldl(At, s).U.diagonal() < 0.0))
 
 
 def _reported(lam, k):

@@ -25,11 +25,11 @@ already formed K_A W^-1 g_old = K_A mu, and the step reuses it.  Any shift
 S >= max |f'| over the states met keeps the scheme energy-stable, so the
 automatic shift is that sampled bound rounded up onto the fixed ladder
 2^(k/4): it changes only when the state range pushes the bound past a
-rung.  The step matrix commutes with x-shifts; it
-is assembled and factorized by ``operators.factor_x_invariant`` once per
-(dt, S) and kept in a cache that belongs to the run (one ``evolve`` call),
-never to the operator; a run therefore factorizes again only when the
-energy guard halves dt or S climbs a rung.  Newton's Jacobian
+rung.  The step matrix commutes with x-shifts; its ny level rows are
+assembled and factorized by ``operators.factor_x_invariant`` once per
+(dt, S) and kept in a cache that belongs to the run (one ``evolve``
+call), never to the operator; a run therefore factorizes again only when
+the energy guard halves dt or S climbs a rung.  Newton's Jacobian
 is the same matrix with the full energy Hessian in place of
 K_lin + S M_bulk; it varies in x through f'(u) and is factorized by sparse
 LU at every iteration.
@@ -44,7 +44,7 @@ import scipy.sparse.linalg as spla
 
 from .energy import energy_and_gradient, energy_hessian, state_report
 from .grid import PairField, _as_values
-from .operators import factor_x_invariant, v_norm, x_norm
+from .operators import diag_rows, factor_x_invariant, level_rows, v_norm, x_norm
 
 
 class GuardAbort(RuntimeError):
@@ -148,10 +148,18 @@ class _StepFactors(dict):
     made = 0
 
 
-def _implicit_matrix(op, dt, B):
-    """W + dt K_A W^-1 B: the linear system of one implicit step."""
+def _implicit_matrix(op, dt, B, rows=None):
+    """W + dt K_A W^-1 B, the linear system of one implicit step: its rows
+    ``rows``, or all of them.
+
+    Each row is formed from the same row of K_A by the same products in the
+    same order either way, so the selected rows are bit-identical to those
+    rows of the whole matrix.
+    """
     W = op.mass_weights
-    return sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
+    if rows is None:
+        rows = np.arange(W.size)
+    return diag_rows(W, rows) + dt * (op.K_A[rows] @ sp.diags(1.0 / W) @ B)
 
 
 def _semi_system(op, dt, S, factors):
@@ -163,7 +171,8 @@ def _semi_system(op, dt, S, factors):
         forms = op.grid.forms
         B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
         factors.made += 1
-        lu = factors[(dt, S)] = factor_x_invariant(op.grid, _implicit_matrix(op, dt, B))
+        level = _implicit_matrix(op, dt, B, level_rows(op.grid))
+        lu = factors[(dt, S)] = factor_x_invariant(op.grid, level)
     return lu
 
 

@@ -339,16 +339,25 @@ FIELD_HEADER = "# mode,Lx,Ly,nx,ny"
 
 
 def _snapshot_template(grid):
-    """Header, column line and one row per node, u left as a %.17g slot."""
+    """Header, column line and one row per node, u left as a %.17g slot.
+
+    The rows of a level differ from those of any other level only in j, y
+    and the on_gamma flag, which is the same along a level (the walls are
+    whole levels).  So one level is formatted once, with a marker character
+    in place of each of the three, and every level is that text with its
+    markers replaced.
+    """
     nx = grid.nx
-    xs = [f"{x:.17g}" for x in grid.x[:nx].tolist()]
-    ys = [f"{y:.17g}" for y in grid.y[::nx].tolist()]
-    flags = grid.on_gamma.astype(int).tolist()
+    # \0, \1 and \2 mark where j, y and the flag go
+    level = "".join(f"{i},\0,{x:.17g},\1,%.17g,\2\n"
+                    for i, x in enumerate(grid.x[:nx].tolist()))
+    ys = grid.y[::nx].tolist()
+    flags = grid.on_gamma[::nx].astype(int).tolist()
     return (
         f"{FIELD_HEADER}\n# {grid.mode.value},{grid.Lx:.17g},{grid.Ly:.17g},"
         f"{nx},{grid.ny}\ni,j,x,y,u,on_gamma\n"
-        + "".join(f"{i},{j},{xs[i]},{ys[j]},%.17g,{flags[j * nx + i]}\n"
-                  for j in range(grid.ny) for i in range(nx))
+        + "".join(level.replace("\0", str(j)).replace("\1", f"{ys[j]:.17g}")
+                  .replace("\2", str(flags[j])) for j in range(grid.ny))
     )
 
 

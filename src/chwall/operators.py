@@ -14,7 +14,9 @@ K_lin, by ``energy.energy_and_gradient``; the pointwise stencils in
 
 Matrices that commute with x-shifts of the periodic strip (K_A and the
 semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
-in x splits them into one pentadiagonal system in y per Fourier mode.
+in x splits them into one pentadiagonal system in y per Fourier mode.  It
+reads only their ny level rows (``level_rows``), which is all a caller
+assembles.
 """
 
 import numpy as np
@@ -22,6 +24,10 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, zgbtrs
 
 from .grid import PairField, _as_values, h_inner
+
+# the largest imaginary part, relative to the largest real part, that the
+# Fourier symbol of an x-symmetric stencil may carry from rounding
+SYMBOL_IMAG_TOL = 1e-12
 
 
 class XInvariantFactor:
@@ -50,26 +56,46 @@ class XInvariantFactor:
         return np.fft.irfft(x.reshape(-1, ny).T, n=nx, axis=1).ravel()
 
 
-def factor_x_invariant(grid, M):
+def level_rows(grid):
+    """Flat indices j*nx of the first node of each level j: the rows that
+    ``factor_x_invariant`` reads."""
+    return np.arange(grid.ny) * grid.nx
+
+
+def diag_rows(d, rows):
+    """Rows ``rows`` of the diagonal matrix diag(d), as a sparse CSR block."""
+    return sp.csr_matrix((d[rows], (np.arange(rows.size), rows)), shape=(rows.size, d.size))
+
+
+def factor_x_invariant(grid, rows):
     """Factorize a sparse matrix on the grid that commutes with x-shifts.
 
-    Row j*nx of M holds the stencil of level j: an x-stencil for each of the
-    levels j - 2 .. j + 2 it couples to.  The stencils must be symmetric in
-    x, so their Fourier symbols are real and each x-mode is one real
-    pentadiagonal system in y.  All nx//2 + 1 of them are stacked into one
+    rows is the (ny x n_nodes) sparse block of the matrix's level rows,
+    M[level_rows(grid)]: row j holds the stencil of level j, an x-stencil
+    for each of the levels j - 2 .. j + 2 it couples to, and by x-invariance
+    determines every other row of level j.  Only these rows are read, so
+    callers assemble only them.  The stencils must be symmetric in x, so
+    their Fourier symbols are real and each x-mode is one real
+    pentadiagonal system in y; a symbol whose imaginary part exceeds
+    rounding raises ValueError.  All nx//2 + 1 systems are stacked into one
     band matrix (kl = ku = 2) and factorized with one LAPACK dgbtrf call;
     the interval (nx = 1) is the single mode.  Raises RuntimeError when a
     mode system is singular.
     """
     nx, ny = grid.nx, grid.ny
-    rows = M.tocsr()[np.arange(ny) * nx].tocoo()
+    if rows.shape != (ny, grid.n_nodes):
+        raise ValueError(f"expected the {ny} x {grid.n_nodes} level rows, got {rows.shape}")
+    rows = sp.coo_matrix(rows)
     level = rows.col // nx
     dj = level - rows.row
     if np.any(np.abs(dj) > 2):
         raise ValueError("matrix couples levels more than two apart in y")
     stencil = np.zeros((ny, 5, nx))
     np.add.at(stencil, (rows.row, dj + 2, rows.col - level * nx), rows.data)
-    symbol = np.fft.rfft(stencil, axis=2).real  # x-symmetric: imaginary part is 0
+    symbol = np.fft.rfft(stencil, axis=2)
+    if np.max(np.abs(symbol.imag)) > SYMBOL_IMAG_TOL * np.max(np.abs(symbol.real)):
+        raise ValueError("matrix is not symmetric in x: its Fourier symbol is not real")
+    symbol = symbol.real
     n = symbol.shape[2] * ny
     ab = np.zeros((7, n), order="F")  # LAPACK band storage, kl rows kept free
     for d in range(-2, 3):
@@ -126,7 +152,7 @@ class WentzellOperator:
     def factorization(self):
         """K_A factorized by ``factor_x_invariant``, made once and reused."""
         if self._lu is None:
-            self._lu = factor_x_invariant(self.grid, self.K_A)
+            self._lu = factor_x_invariant(self.grid, self.K_A[level_rows(self.grid)])
         return self._lu
 
     def dump_matrix(self, path):

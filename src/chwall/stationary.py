@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .analysis import lowest_eigenpairs, spectrum, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import PairField, _as_values, load_field, save_field
-from .operators import factor_x_invariant
+from .operators import diag_rows, factor_x_invariant, level_rows
 
 
 # minimize_energy: cap on steps plus saddle kicks, L-BFGS memory, the f'(u)
@@ -88,7 +87,9 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
     forms = grid.forms
-    P = factor_x_invariant(grid, forms.k_lin(alpha, beta) + PRECOND_S * sp.diags(forms.bulk_mass))
+    rows = level_rows(grid)
+    P = factor_x_invariant(grid, forms.k_lin(alpha, beta)[rows]
+                           + PRECOND_S * diag_rows(forms.bulk_mass, rows))
 
     def evaluate(v):
         return energy_and_gradient(grid, pot, v, alpha, beta)

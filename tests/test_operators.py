@@ -11,10 +11,11 @@ from chwall import PairField, h_inner, h_norm, laplace_beltrami, laplacian, norm
 from chwall.analysis import lowest_eigenpairs, weighted_symmetric
 from chwall.config import RunConfig
 from chwall.energy import energy_value
-from chwall.evolution import evolve
+from chwall.evolution import _implicit_matrix, evolve
 from chwall.operators import (
     apply_A,
     factor_x_invariant,
+    level_rows,
     solve_Ainv,
     v_norm,
     x_norm,
@@ -224,7 +225,7 @@ def test_x_invariant_factor_matches_sparse_lu(problem, seed):
     step = sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
     rhs = np.random.default_rng(seed).standard_normal(grid.n_nodes)
     for M in (op.K_A, step.tocsr()):
-        band = factor_x_invariant(grid, M).solve(rhs)
+        band = factor_x_invariant(grid, M[level_rows(grid)]).solve(rhs)
         lu = spla.splu(M.tocsc()).solve(rhs)
         res_band = np.linalg.norm(M @ band - rhs) / np.linalg.norm(rhs)
         res_lu = np.linalg.norm(M @ lu - rhs) / np.linalg.norm(rhs)
@@ -240,7 +241,7 @@ def test_x_invariant_solve_returns_a_fresh_real_vector(mode, nx):
     op = cw.WentzellOperator(g)
     rhs = np.random.default_rng(5).standard_normal(g.n_nodes)
     kept = rhs.copy()
-    x = factor_x_invariant(g, op.K_A).solve(rhs)
+    x = factor_x_invariant(g, op.K_A[level_rows(g)]).solve(rhs)
     assert np.array_equal(rhs, kept)
     assert x.dtype == np.float64 and x.shape == (g.n_nodes,)
     assert x.flags.c_contiguous
@@ -251,10 +252,45 @@ def test_x_invariant_factor_rejects_singular_and_wide_matrices():
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=5)
     wall_rows_zero = sp.diags(np.where(g.on_gamma, 0.0, 1.0), format="csr")
     with pytest.raises(RuntimeError, match="singular"):
-        factor_x_invariant(g, wall_rows_zero)
+        factor_x_invariant(g, wall_rows_zero[level_rows(g)])
     far = sp.eye(g.n_nodes, k=3 * g.nx, format="csr") + sp.eye(g.n_nodes, format="csr")
     with pytest.raises(ValueError, match="more than two apart"):
-        factor_x_invariant(g, far)
+        factor_x_invariant(g, far[level_rows(g)])
+
+
+def test_x_invariant_factor_rejects_a_stencil_not_symmetric_in_x():
+    # identity plus a periodic shift by one node in +x: its symbol
+    # 1 + exp(2 pi i k / nx) is complex, so no real band system solves it
+    # (with nx odd the real part 1 + cos(2 pi k / nx) never vanishes, so a
+    # solver that dropped the imaginary part would answer, wrongly)
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=7, ny=5)
+    k = np.arange(g.n_nodes)
+    shift = sp.csr_matrix((np.ones(g.n_nodes), (k, k - k % g.nx + (k + 1) % g.nx)))
+    M = (sp.identity(g.n_nodes) + shift).tocsr()
+    with pytest.raises(ValueError, match="not symmetric in x"):
+        factor_x_invariant(g, M[level_rows(g)])
+
+
+def test_x_invariant_factor_takes_only_the_level_rows():
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=5)
+    with pytest.raises(ValueError, match="level rows"):
+        factor_x_invariant(g, cw.WentzellOperator(g).K_A)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_x_invariant_problems())
+def test_step_level_rows_are_the_rows_of_the_whole_matrix(problem):
+    # the semi-implicit step factor reads only the level rows; assembled on
+    # their own they must equal those rows of the whole matrix bit for bit
+    grid, op, dt, S = problem
+    forms, rows = grid.forms, level_rows(grid)
+    B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
+    W = op.mass_weights
+    whole = sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
+    level = _implicit_matrix(op, dt, B, rows)
+    assert level.shape == (grid.ny, grid.n_nodes)
+    assert np.array_equal(level.toarray(), whole.tocsr()[rows].toarray())
+    assert np.array_equal(_implicit_matrix(op, dt, B).toarray(), whole.toarray())
 
 
 def test_x_norm_examples_and_two_routes(rng, unit_grid, unit_op):
