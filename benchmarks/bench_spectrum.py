@@ -1,17 +1,23 @@
 """Time the spectral layer: the lowest eigenpairs and the classification spectrum.
 
-Three states, each paired with the metric W = h_weights(1) of the Hessian:
+Four states, each paired with the metric W = h_weights(1) of the Hessian:
 
 - ``equilibrium48``: the equilibrium that ``chwall equilibrium`` finds for
   the e2ebench ``equilibrium`` workload (48x48 strip, Lx = Ly = 8,
   random_fourier data of amplitude 0.5, seed 1501);
 - ``constant32`` and ``constant128``: the constant state 0.05 on the unit
-  square strip at 32x32 and 128x128 (the reference run's equilibrium).
+  square strip at 32x32 and 128x128 (the reference run's equilibrium);
+- ``saddle24``: the zero state on the 24x24 strip with Lx = Ly = 8, a
+  saddle, where ``spectrum`` cannot stop at the inertia count of a clear
+  minimum and takes its full path.
 
 For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6 and
 ``spectrum`` at k = 6, each the best of ``--repeat`` calls after one
-warm-up call, and writes the times with lambda_min and the platform to
-``BENCH_spectrum.json`` at the repo root.
+warm-up call, and counts the LDL^T factorizations and Lanczos runs (plain
+and shift-invert) of one ``spectrum`` call.  For ``equilibrium48`` it also
+times the ``find_equilibrium`` call that finds the state.  It writes the
+figures with lambda_min and the platform to ``BENCH_spectrum.json`` at the
+repo root.
 
     PYTHONPATH=src python3 benchmarks/bench_spectrum.py [--repeat 5] [--out PATH]
 """
@@ -24,7 +30,9 @@ import time
 
 import numpy as np
 import scipy
+import scipy.sparse.linalg as spla
 
+import chwall.analysis as analysis
 from chwall.analysis import lowest_eigenpairs, spectrum, weighted_symmetric
 from chwall.cli import build_problem, make_initial
 from chwall.config import RunConfig
@@ -35,17 +43,42 @@ from chwall.stationary import find_equilibrium
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _states():
-    """(name, grid, Hessian) of each benchmarked state."""
+def _states(repeat):
+    """(name, grid, Hessian, extra figures) of each benchmarked state."""
     cfg = RunConfig(Lx=8.0, Ly=8.0, nx=48, ny=48, initial_kind="random_fourier",
                     initial_amplitude=0.5, initial_mean=0.0, seed=1501)
     grid, pot, op = build_problem(cfg)
-    psi = find_equilibrium(op, pot, make_initial(grid, cfg)).psi
-    yield "equilibrium48", grid, energy_hessian(grid, pot, psi, op.alpha, op.beta)
+    u0 = make_initial(grid, cfg)
+    psi = find_equilibrium(op, pot, u0).psi
+    extra = {"find_equilibrium_s": _best_of(repeat, lambda: find_equilibrium(op, pot, u0))}
+    yield "equilibrium48", grid, energy_hessian(grid, pot, psi, op.alpha, op.beta), extra
     for n in (32, 128):
         grid, pot, op = build_problem(RunConfig(nx=n, ny=n))
         u = PairField.constant(grid, 0.05)
-        yield f"constant{n}", grid, energy_hessian(grid, pot, u, op.alpha, op.beta)
+        yield f"constant{n}", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
+    grid, pot, op = build_problem(RunConfig(Lx=8.0, Ly=8.0, nx=24, ny=24))
+    u = PairField.zeros(grid)
+    yield "saddle24", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
+
+
+def _spectrum_calls(grid, H):
+    """The LDL^T factorizations and Lanczos runs of one ``spectrum(grid, H, k=6)``."""
+    counts = {"ldl_factorizations": 0, "lanczos_runs": 0}
+    ldl, eigsh = analysis._shifted_ldl, spla.eigsh
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    analysis._shifted_ldl = counted("ldl_factorizations", ldl)
+    spla.eigsh = counted("lanczos_runs", eigsh)
+    try:
+        spectrum(grid, H, k=6)
+    finally:
+        analysis._shifted_ldl, spla.eigsh = ldl, eigsh
+    return counts
 
 
 def _best_of(repeat, call):
@@ -64,7 +97,7 @@ def main(argv=None):
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_spectrum.json"))
     args = parser.parse_args(argv)
     cases = {}
-    for name, grid, H in _states():
+    for name, grid, H, extra in _states(args.repeat):
         At, rw = weighted_symmetric(H, grid.h_weights(1.0))
         lam, _ = lowest_eigenpairs(At, rw, 1)
         cases[name] = {
@@ -73,6 +106,8 @@ def main(argv=None):
             "lowest_eigenpairs_k1_s": _best_of(args.repeat, lambda: lowest_eigenpairs(At, rw, 1)),
             "lowest_eigenpairs_k6_s": _best_of(args.repeat, lambda: lowest_eigenpairs(At, rw, 6)),
             "spectrum_k6_s": _best_of(args.repeat, lambda: spectrum(grid, H, k=6)),
+            **_spectrum_calls(grid, H),
+            **extra,
         }
         print(name, json.dumps(cases[name]))
     result = {

@@ -42,16 +42,15 @@ class SpectralReport:
     eigenvalues (ascending) is the union of the k smallest-algebraic and
     the k smallest-magnitude eigenvalues.  n_negative and kernel_dim count
     the full spectrum at every size: eigenvalues below -tol, and those
-    within tol of zero, where tol = kernel_tol * max_abs_eig is relative
-    to max|lambda|.  kernel_basis rows are H-orthonormal fields spanning
-    the numerical kernel.
+    within tol of zero, where tol = kernel_tol * max(lambda_max,
+    -lambda_min) is relative to max|lambda|.  kernel_basis rows are
+    H-orthonormal fields spanning the numerical kernel.
     """
 
     eigenvalues: np.ndarray
     kernel_dim: int
     kernel_basis: np.ndarray
     n_negative: int
-    max_abs_eig: float
     kernel_tol: float
 
 
@@ -140,37 +139,52 @@ def _reported(lam, k):
     return np.sort(lam[keep])
 
 
+def _top_pair(At):
+    """The largest eigenpair of At: plain Lanczos, no shift."""
+    return spla.eigsh(At, k=1, which="LA", v0=_start_vector(At.shape[0]))
+
+
 def spectrum(grid, H, k=6, kernel_tol=1e-8):
     """Lowest part of the spectrum of the pencil (H, W), at any size.
 
     H is the energy Hessian (``energy.energy_hessian``) and W the metric
-    ``grid.h_weights(1.0)``.  A plain Lanczos run gives lambda_max and a
-    shift-invert run the k lowest eigenpairs, about a shift just below the
-    Gershgorin floor of the similar matrix W^-1 H (``disc_bounds``), which
-    lies below every eigenvalue and here equals min(min over bulk nodes of
-    f'(psi), beta); max_abs_eig =
-    max(lambda_max, -lambda_min) and tol = kernel_tol * max_abs_eig.
-    n_negative and kernel_dim come from the inertia of At + tol I and
-    At - tol I, never from a window.  When n_negative + max(k, kernel_dim)
-    exceeds k, one more shift-invert run widens the window to that size;
-    the reported eigenvalues and the kernel basis come from the window, and
-    a window whose counts disagree with the inertia raises RuntimeError.
+    ``grid.h_weights(1.0)``.  A shift-invert run gives the k lowest
+    eigenpairs, about a shift just below the Gershgorin floor of the
+    similar matrix W^-1 H (``disc_bounds``), which lies below every
+    eigenvalue and here equals min(min over bulk nodes of f'(psi), beta).
+    n_negative and kernel_dim are counts at tol = kernel_tol *
+    max(lambda_max, -lambda_min), from the inertia of At + tol I and
+    At - tol I, never from a window.  The disc bounds floor <= lambda_min
+    and top >= lambda_max make kernel_tol * max(top, -floor) >= tol: when
+    the inertia of At minus that bound finds no eigenvalue below it, the
+    state is a clear minimum, both counts are 0 and lambda_max is never
+    computed.  Otherwise a plain Lanczos run gives lambda_max and the two
+    counts are made at tol.  When n_negative + max(k, kernel_dim) exceeds
+    k, one more shift-invert run widens the window to that size; the
+    reported eigenvalues and the kernel basis come from the window, and a
+    window whose counts disagree with the inertia raises RuntimeError.
     """
     n = grid.n_nodes
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
     w = grid.h_weights(1.0)
     At, rw = weighted_symmetric(H, w)
-    lam_top, vec_top = spla.eigsh(At, k=1, which="LA", v0=_start_vector(n))
     lam, vec = lowest_eigenpairs(At, rw, min(k, n - 1))
-    max_abs = max(float(lam_top[0]), -float(lam[0]))
-    tol = kernel_tol * max_abs
-    n_negative = count_below(At, -tol)
-    kernel_dim = count_below(At, tol) - n_negative
+    floor, top = disc_bounds(At, rw)
+    tol = kernel_tol * max(top, -floor)  # an upper bound on the tol of the counts
+    top_pair = None
+    if count_below(At, tol) == 0:
+        n_negative = kernel_dim = 0
+    else:
+        top_pair = _top_pair(At)
+        tol = kernel_tol * max(float(top_pair[0][0]), -float(lam[0]))
+        n_negative = count_below(At, -tol)
+        kernel_dim = count_below(At, tol) - n_negative
     window = n_negative + max(k, kernel_dim)
     if window > lam.size:
         lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1))
         if window >= n:  # ARPACK stops one short of the whole spectrum
+            lam_top, vec_top = top_pair or _top_pair(At)
             lam = np.append(lam, lam_top)
             vec = np.hstack([vec, vec_top])
     neg = lam < -tol
@@ -191,7 +205,6 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
         kernel_dim=kernel_dim,
         kernel_basis=basis,
         n_negative=n_negative,
-        max_abs_eig=max_abs,
         kernel_tol=kernel_tol,
     )
 

@@ -3,12 +3,13 @@
 A stationary state makes the chemical potential vanish identically, which
 is the discrete critical-point condition for the free energy.  The robust
 path is minimize-then-refine: L-BFGS descent on E preconditioned by the
-band-factorized Hessian with frozen curvature (with a spectral kick off
-saddles, since an exactly critical start has zero gradient and plain
-descent would sit still), followed by a full Newton iteration on
-mu(U) = 0 with the energy Hessian as Jacobian.  Every solver takes the
-``operators.WentzellOperator`` of the problem and reads the surface
-constants alpha, beta from it.
+band-factorized Hessian with frozen curvature (with a kick off saddles,
+since an exactly critical start has zero gradient and plain descent would
+sit still: an LDL^T inertia count tells a saddle from a minimum, and only
+at a saddle does a Lanczos run find the direction of the kick), followed
+by a full Newton iteration on mu(U) = 0 with the energy Hessian as
+Jacobian.  Every solver takes the ``operators.WentzellOperator`` of the
+problem and reads the surface constants alpha, beta from it.
 """
 
 import math
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .analysis import lowest_eigenpairs, spectrum, weighted_symmetric
+from .analysis import count_below, lowest_eigenpairs, spectrum, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import PairField, _as_values, load_field, save_field
 from .operators import diag_rows, factor_x_invariant, level_rows
@@ -32,6 +33,9 @@ LBFGS_MEMORY = 10
 PRECOND_S = 2.0
 ARMIJO_C1 = 1e-4
 ARMIJO_T_MIN = 1e-12
+# minimize_energy: a stationary point is a saddle when the weighted Hessian
+# has an eigenvalue below -SADDLE_TOL
+SADDLE_TOL = 1e-10
 # newton_refine: iteration cap
 NEWTON_MAX_ITER = 50
 # the gradient norm below which a start counts as inside a Newton basin
@@ -82,6 +86,11 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     PRECOND_S M_bulk is the Hessian with f'(u) frozen, band-factorized once
     per call; the iteration count then does not grow with the mesh.  Armijo
     backtracking accepts only steps that lower E, so E(result) <= E(u_init).
+    At a point below tol, the inertia of the weighted Hessian plus
+    SADDLE_TOL I decides: no negative pivot ends the descent at a (local)
+    minimum with one LDL^T factorization and no eigensolve; otherwise a
+    Lanczos run finds the most negative direction and a line search along
+    it kicks the iterate off the saddle.
     Returns a MinimizeResult; .converged is False when a line search cannot
     descend or MAX_STEPS steps and kicks are used up first.
     """
@@ -100,9 +109,11 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     iterations = escapes = 0
     while iterations + escapes < MAX_STEPS:
         if math.hypot(*residual_norms(grid, g)) <= tol:
-            lam0, phi = _most_negative_direction(op, pot, x)
-            if lam0 >= -1e-10 * (1.0 + abs(lam0)):
+            A_t, _ = weighted_symmetric(energy_hessian(grid, pot, x, alpha, beta),
+                                        grid.h_weights(1.0))
+            if count_below(A_t, -SADDLE_TOL) == 0:
                 break  # genuine (local) minimum
+            _, phi = _most_negative_direction(op, pot, x)
             kicked = _kick_off_saddle(evaluate, x, e, phi)
             if kicked is None:
                 break

@@ -107,7 +107,6 @@ def _assert_matches_dense(rep, g, H, k):
     eigs, n_negative, kernel_dim, max_abs = _dense_report(g, H, k)
     assert rep.n_negative == n_negative
     assert rep.kernel_dim == kernel_dim
-    assert rep.max_abs_eig == pytest.approx(max_abs, rel=1e-10)
     assert rep.eigenvalues.shape == eigs.shape
     assert np.max(np.abs(rep.eigenvalues - eigs)) <= 1e-8 * max_abs
 
@@ -194,7 +193,7 @@ def test_spectrum_counts_saddle_beyond_k(pot):
     assert rep.n_negative == 33
     _assert_matches_dense(rep, g, H, 6)
     gaps = np.diff(rep.eigenvalues)
-    assert np.any(gaps <= 1e-10 * rep.max_abs_eig)
+    assert np.any(gaps <= 1e-10 * _dense_report(g, H, 6)[3])
 
 
 def test_spectrum_on_tiny_interval_covers_whole_spectrum(pot):
@@ -264,7 +263,99 @@ def test_engineered_kernel_detected(kernel_problem):
     w = g.h_weights()
     assert abs(np.sum(w * phi * phi) - 1.0) <= 1e-10
     lphi = H @ phi / w
-    assert np.sqrt(np.sum(w * lphi ** 2)) <= 10 * rep.kernel_tol * rep.max_abs_eig
+    assert np.sqrt(np.sum(w * lphi ** 2)) <= 10 * rep.kernel_tol * _dense_report(g, H, 6)[3]
+
+
+def _count_spectral_calls(monkeypatch):
+    """Count plain (which="LA") Lanczos runs, LDL^T factorizations and
+    ``lowest_eigenpairs`` calls of the analysis and stationary modules."""
+    import chwall.analysis as an
+    import chwall.stationary as stationary
+
+    counts = {"LA": 0, "ldl": 0, "lowest": 0}
+
+    def counted(key, fn, which=None):
+        def wrapper(*args, **kwargs):
+            if which is None or kwargs.get("which") == which:
+                counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spla, "eigsh", counted("LA", spla.eigsh, which="LA"))
+    monkeypatch.setattr(an, "_shifted_ldl", counted("ldl", an._shifted_ldl))
+    lowest = counted("lowest", an.lowest_eigenpairs)
+    monkeypatch.setattr(an, "lowest_eigenpairs", lowest)
+    monkeypatch.setattr(stationary, "lowest_eigenpairs", lowest)
+    return counts
+
+
+def test_clear_minimum_needs_no_lambda_max_and_two_factorizations(pot, monkeypatch):
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
+    H = energy_hessian(g, pot, PairField.constant(g, 0.05), 1.0, 1.0)
+    counts = _count_spectral_calls(monkeypatch)
+    rep = spectrum(g, H, k=6)
+    assert rep.n_negative == 0 and rep.kernel_dim == 0
+    # one shift-invert run and its factorization, one inertia count
+    assert counts == {"LA": 0, "ldl": 2, "lowest": 1}
+
+
+def test_kernels_and_saddles_take_the_full_path(kernel_problem, pot, monkeypatch):
+    tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
+    cases = [kernel_problem[::2],
+             (tall, energy_hessian(tall, pot, PairField.zeros(tall), 1.0, 1.0))]
+    counts = _count_spectral_calls(monkeypatch)
+    for g, H in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        rep = spectrum(g, H, k=6)
+        assert rep.n_negative + rep.kernel_dim > 0
+        # lambda_max sets tol; the bound's count and the two counts at
+        # -tol and +tol, and one factorization per shift-invert run
+        assert counts["LA"] == 1
+        assert counts["ldl"] == 3 + counts["lowest"]
+
+
+def test_minimizer_at_a_minimum_runs_no_eigensolve(pot, monkeypatch):
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
+    counts = _count_spectral_calls(monkeypatch)
+    res = cw.minimize_energy(cw.WentzellOperator(g), pot, PairField.zeros(g), tol=1e-8)
+    assert res.converged and res.escapes == 0
+    assert counts == {"LA": 0, "ldl": 1, "lowest": 0}
+
+
+def test_spectrum_converges_to_the_continuum_wentzell_eigenvalues():
+    # -phi'' = lambda phi on (0, 1) with d_n phi + beta phi = lambda phi at
+    # both ends.  With lambda = omega^2 the even modes solve
+    # omega tan(omega/2) = beta - omega^2 and the odd ones
+    # -omega cot(omega/2) = beta - omega^2; written without poles:
+    from scipy.optimize import brentq
+
+    beta = 1.5
+
+    def even(om):
+        return om * np.sin(om / 2) - (beta - om * om) * np.cos(om / 2)
+
+    def odd(om):
+        return -om * np.cos(om / 2) - (beta - om * om) * np.sin(om / 2)
+
+    om = np.linspace(1e-3, 7.0, 7001)
+    roots = []
+    for f in (even, odd):
+        v = f(om)
+        roots += [brentq(f, om[i], om[i + 1], xtol=1e-14)
+                  for i in np.flatnonzero(v[:-1] * v[1:] < 0)]
+    exact = np.sort(np.square(roots))[:4]
+    assert np.allclose(exact, [0.97099039, 2.97727829, 13.88400252, 43.49066985],
+                       rtol=0, atol=1e-8)
+    errors = []
+    for ny in (80, 160, 320):
+        g = cw.build_grid("interval1d", Ly=1.0, ny=ny)
+        rep = spectrum(g, g.forms.k_lin(1.0, beta), k=4)
+        assert rep.n_negative == 0 and rep.kernel_dim == 0
+        errors.append(np.abs(rep.eigenvalues[:4] - exact))
+    assert np.all(errors[-1] <= [1e-6, 3e-6, 1e-4, 2e-3])
+    for coarse, fine in zip(errors, errors[1:]):
+        order = np.log2(coarse / fine)
+        assert np.all((1.9 <= order) & (order <= 2.1)), order
 
 
 # -- exponent probe -----------------------------------------------------------
