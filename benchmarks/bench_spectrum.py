@@ -12,20 +12,21 @@ Four states, each paired with the metric W = h_weights(1) of the Hessian:
   minimum and takes its full path.
 
 For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6 and
-``spectrum`` at k = 6, each the best of ``--repeat`` calls after one
-warm-up call, and counts the LDL^T factorizations and Lanczos runs (plain
-and shift-invert) of one ``spectrum`` call.  For ``equilibrium48`` it also
+``spectrum`` at k = 6, each as the median and quartiles of ``--repeat``
+calls after one warm-up call, and counts the LDL^T factorizations and
+Lanczos runs (plain and shift-invert) of one ``spectrum`` call.  For ``equilibrium48`` it also
 times the ``find_equilibrium`` call that finds the state.  It writes the
 figures with lambda_min and the platform to ``BENCH_spectrum.json`` at the
 repo root.
 
-    PYTHONPATH=src python3 benchmarks/bench_spectrum.py [--repeat 5] [--out PATH]
+    PYTHONPATH=src python3 benchmarks/bench_spectrum.py [--repeat 15] [--out PATH]
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import time
 
 import numpy as np
@@ -50,7 +51,7 @@ def _states(repeat):
     grid, pot, op = build_problem(cfg)
     u0 = make_initial(grid, cfg)
     psi = find_equilibrium(op, pot, u0).psi
-    extra = {"find_equilibrium_s": _best_of(repeat, lambda: find_equilibrium(op, pot, u0))}
+    extra = {"find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
     yield "equilibrium48", grid, energy_hessian(grid, pot, psi, op.alpha, op.beta), extra
     for n in (32, 128):
         grid, pot, op = build_problem(RunConfig(nx=n, ny=n))
@@ -81,19 +82,21 @@ def _spectrum_calls(grid, H):
     return counts
 
 
-def _best_of(repeat, call):
+def _quartiles(repeat, call):
+    """Median and quartiles of the times of repeat calls, after one warm-up call."""
     call()
-    best = float("inf")
+    samples = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         call()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        samples.append(time.perf_counter() - t0)
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=15)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_spectrum.json"))
     args = parser.parse_args(argv)
     cases = {}
@@ -103,15 +106,15 @@ def main(argv=None):
         cases[name] = {
             "n_nodes": grid.n_nodes,
             "lambda_min": float(lam[0]),
-            "lowest_eigenpairs_k1_s": _best_of(args.repeat, lambda: lowest_eigenpairs(At, rw, 1)),
-            "lowest_eigenpairs_k6_s": _best_of(args.repeat, lambda: lowest_eigenpairs(At, rw, 6)),
-            "spectrum_k6_s": _best_of(args.repeat, lambda: spectrum(grid, H, k=6)),
+            "lowest_eigenpairs_k1_s": _quartiles(args.repeat, lambda: lowest_eigenpairs(At, rw, 1)),
+            "lowest_eigenpairs_k6_s": _quartiles(args.repeat, lambda: lowest_eigenpairs(At, rw, 6)),
+            "spectrum_k6_s": _quartiles(args.repeat, lambda: spectrum(grid, H, k=6)),
             **_spectrum_calls(grid, H),
             **extra,
         }
         print(name, json.dumps(cases[name]))
     result = {
-        "timing": f"best of {args.repeat} calls after one warm-up, seconds",
+        "timing": f"median and quartiles of {args.repeat} calls after one warm-up, seconds",
         "platform": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__, "machine": platform.machine(),
                      "cpus": os.cpu_count()},

@@ -104,7 +104,7 @@ def _shifted_ldl(At, s):
     return lu
 
 
-def lowest_eigenpairs(At, rw, k):
+def lowest_eigenpairs(At, rw, k, vectors=True):
     """The k lowest eigenpairs of At = W^-1/2 H W^-1/2, ascending.
 
     Shift-invert Lanczos (ARPACK) about a shift SHIFT_MARGIN of the disc
@@ -112,14 +112,19 @@ def lowest_eigenpairs(At, rw, k):
     positive definite and the lowest eigenvalues are the largest of its
     inverse.  The closer sigma sits to them, the faster Lanczos converges.
     The inverse is applied through ``_shifted_ldl``, which a positive
-    definite matrix needs no pivoting for.
+    definite matrix needs no pivoting for.  With vectors=False ARPACK
+    skips its Ritz-vector pass and the vectors are None; the eigenvalues
+    are the same.
     """
     floor, top = disc_bounds(At, rw)
     sigma = floor - SHIFT_MARGIN * (top - floor)
     lu = _shifted_ldl(At, sigma)
     OPinv = spla.LinearOperator(At.shape, matvec=lu.solve, dtype=float)
-    lam, vec = spla.eigsh(At, k=k, sigma=sigma, which="LM", OPinv=OPinv,
-                          v0=_start_vector(At.shape[0]))
+    result = spla.eigsh(At, k=k, sigma=sigma, which="LM", OPinv=OPinv,
+                        v0=_start_vector(At.shape[0]), return_eigenvectors=vectors)
+    if not vectors:
+        return np.sort(result), None
+    lam, vec = result
     order = np.argsort(lam, kind="stable")
     return lam[order], vec[:, order]
 
@@ -157,23 +162,26 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     At - tol I, never from a window.  The disc bounds floor <= lambda_min
     and top >= lambda_max make kernel_tol * max(top, -floor) >= tol: when
     the inertia of At minus that bound finds no eigenvalue below it, the
-    state is a clear minimum, both counts are 0 and lambda_max is never
-    computed.  Otherwise a plain Lanczos run gives lambda_max and the two
-    counts are made at tol.  When n_negative + max(k, kernel_dim) exceeds
-    k, one more shift-invert run widens the window to that size; the
-    reported eigenvalues and the kernel basis come from the window, and a
-    window whose counts disagree with the inertia raises RuntimeError.
+    state is a clear minimum: both counts are 0, lambda_max is never
+    computed, and the shift-invert run computes eigenvalues only, since no
+    kernel basis reads a vector.  Otherwise a plain Lanczos run gives
+    lambda_max and the two counts are made at tol.  When n_negative +
+    max(k, kernel_dim) exceeds k, one more shift-invert run widens the
+    window to that size; the reported eigenvalues and the kernel basis come
+    from the window, and a window whose counts disagree with the inertia
+    raises RuntimeError.
     """
     n = grid.n_nodes
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
     w = grid.h_weights(1.0)
     At, rw = weighted_symmetric(H, w)
-    lam, vec = lowest_eigenpairs(At, rw, min(k, n - 1))
     floor, top = disc_bounds(At, rw)
     tol = kernel_tol * max(top, -floor)  # an upper bound on the tol of the counts
+    clear_minimum = count_below(At, tol) == 0
+    lam, vec = lowest_eigenpairs(At, rw, min(k, n - 1), vectors=not clear_minimum)
     top_pair = None
-    if count_below(At, tol) == 0:
+    if clear_minimum:
         n_negative = kernel_dim = 0
     else:
         top_pair = _top_pair(At)
@@ -182,11 +190,12 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
         kernel_dim = count_below(At, tol) - n_negative
     window = n_negative + max(k, kernel_dim)
     if window > lam.size:
-        lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1))
+        lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1), vectors=not clear_minimum)
         if window >= n:  # ARPACK stops one short of the whole spectrum
             lam_top, vec_top = top_pair or _top_pair(At)
             lam = np.append(lam, lam_top)
-            vec = np.hstack([vec, vec_top])
+            if vec is not None:
+                vec = np.hstack([vec, vec_top])
     neg = lam < -tol
     ker = np.abs(lam) <= tol
     if np.count_nonzero(neg) != n_negative or np.count_nonzero(ker) != kernel_dim:
@@ -195,7 +204,10 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
             f"{np.count_nonzero(ker)} kernel) disagrees with the inertia "
             f"({n_negative} negative, {kernel_dim} kernel)"
         )
-    basis = (rw[None, :] * vec[:, ker].T).copy()
+    if vec is None:
+        basis = np.empty((0, n))
+    else:
+        basis = (rw[None, :] * vec[:, ker].T).copy()
     if kernel_dim > 1:
         # multiple kernel vectors: enforce H-orthonormality exactly
         q, _ = np.linalg.qr((np.sqrt(w)[None, :] * basis).T)

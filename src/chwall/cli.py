@@ -14,6 +14,8 @@ import os
 import shutil
 import sys
 import time
+from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +38,8 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_UNCONVERGED = 4
 
+# the rows of a series.csv or diagnostics.csv block formatted at once
+ROWS_PER_WRITE = 1000
 # the files ``analyze`` writes into <run>/analysis; each run of it clears them first
 ANALYSIS_FILES = ("spectral_report.txt", "ls_report.txt", "ls_samples.csv",
                   "rate_report.txt", "ls_scatter.svg", "decay_fit.svg", "manifest.json")
@@ -178,25 +182,41 @@ def make_initial(grid, cfg):
     return PairField(grid, cfg.initial_mean + u)
 
 
-def _write_series(path, times, reports):
+def _write_rows(path, header, rows):
+    """Write a CSV below its column line, every cell as %.17g.
+
+    Each block of ROWS_PER_WRITE rows is formatted by one %-operation on
+    the row template repeated once per row, as ``save_field`` formats a
+    whole snapshot; the blocks bound the text held at once.
+    """
+    rows = iter(rows)
+    template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with open(path, "w") as fh:
-        fh.write(EnergyReport.CSV_COLUMNS + "\n")
-        for t, rep in zip(times, reports):
-            fh.write(rep.csv_row(t) + "\n")
+        fh.write(header + "\n")
+        while block := list(islice(rows, ROWS_PER_WRITE)):
+            fh.write(template * len(block) % tuple(chain.from_iterable(block)))
+
+
+# the attributes of an EnergyReport in the order of its series.csv columns
+_REPORT_CELLS = attrgetter(*EnergyReport.CSV_COLUMNS.split(",")[1:])
+
+
+def _write_series(path, times, reports):
+    _write_rows(path, EnergyReport.CSV_COLUMNS,
+                ((t, *_REPORT_CELLS(rep)) for t, rep in zip(times, reports, strict=True)))
 
 
 def _write_diagnostics(path, rec):
-    with open(path, "w") as fh:
-        fh.write("t,ut_xnorm,ledger_defect,x_dist_to_ref,v_dist_to_ref\n")
-        n = len(rec.times)
-        for i in range(n):
-            defect = rec.ledger_defect[i - 1] if i >= 1 and i - 1 < len(rec.ledger_defect) else math.nan
-            xd = rec.x_dist_to_ref[i] if rec.x_dist_to_ref else math.nan
-            vd = rec.v_dist_to_ref[i] if rec.v_dist_to_ref else math.nan
-            fh.write(
-                f"{rec.times[i]:.17g},{rec.ut_xnorm[i]:.17g},{defect:.17g},"
-                f"{xd:.17g},{vd:.17g}\n"
-            )
+    """One row per ledger row; the defect of interval i - 1 sits on row i.
+
+    A cell with no value (the defect of row 0, the distances of a run
+    without a reference) is nan.
+    """
+    missing = [math.nan] * len(rec.times)
+    _write_rows(path, "t,ut_xnorm,ledger_defect,x_dist_to_ref,v_dist_to_ref", zip(
+        rec.times, rec.ut_xnorm, [math.nan, *rec.ledger_defect],
+        rec.x_dist_to_ref or missing, rec.v_dist_to_ref or missing, strict=True,
+    ))
 
 
 def cmd_simulate(config_path):
@@ -489,7 +509,7 @@ def cmd_check(dump_operator=None):
     pair = h_inner(grid, mu, v, b=op.b)
     check("chemical potential is the exact energy gradient",
           abs(pair - fd) <= 1e-6 * (1 + abs(fd)))
-    lam, _ = lowest_eigenpairs(*weighted_symmetric(op.K_A, op.mass_weights), 1)
+    lam, _ = lowest_eigenpairs(*weighted_symmetric(op.K_A, op.mass_weights), 1, vectors=False)
     check("operator spectrum is positive", lam[0] > 0)
     rec = evolve(op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
     e = [r.e_total for r in rec.reports]

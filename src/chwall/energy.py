@@ -156,14 +156,6 @@ class EnergyReport:
         "bulk_res,bdry_res"
     )
 
-    def csv_row(self, t):
-        vals = (
-            t, self.e_bulk, self.e_surf, self.e_total, self.dissipation,
-            self.mass_bulk, self.mass_total, self.flux, self.bulk_res,
-            self.bdry_res,
-        )
-        return ",".join(f"{v:.17g}" for v in vals)
-
 
 def energy_and_gradient(grid, pot, u, alpha, beta):
     """(E, g): the energy of a state and its Euclidean gradient.

@@ -35,6 +35,7 @@ K_lin + S M_bulk; it varies in x through f'(u) and is factorized by sparse
 LU at every iteration.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -120,9 +121,18 @@ def auto_stabilization(pot, lo, hi):
     The sampled bound is the sufficient shift for decay; the returned rung is
     at least that bound and at most 2^(1/4) times it (0 stays 0), so the
     shift of a run changes only when its state range crosses a rung.
+
+    The last (pot, lo, hi) and its rung are remembered: a run calls this
+    once per step with its running state range, which widens only now and
+    then, so the sampling and the rung search run only when it does.
     """
-    if not np.isfinite(lo) or not np.isfinite(hi):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("state range is not finite")
+    return _sampled_rung(pot, lo, hi)
+
+
+@functools.lru_cache(maxsize=1)
+def _sampled_rung(pot, lo, hi):
     lo, hi = lo - 1e-12, hi + 1e-12
     s = lo + (hi - lo) * _SAMPLE_NODES
     return _rung_above(float(np.max(np.abs(pot.f_prime(s)))))
@@ -268,14 +278,14 @@ def evolve(op, pot, u0, cfg, ref=None):
         rec.v_dist_to_ref = []
     u = _as_values(u0).copy()
     t = 0.0
-    lo, hi = float(np.min(u)), float(np.max(u))
+    lo, hi = float(u.min()), float(u.max())
 
     def record_row(t_now, u_vals, evaluation):
         """Append the row of a state; returns its K_A mu for the next step."""
         report, kmu = state_report(op, u_vals, evaluation)
         rec.times.append(t_now)
         rec.reports.append(report)
-        rec.ut_xnorm.append(np.sqrt(max(report.dissipation, 0.0)))
+        rec.ut_xnorm.append(math.sqrt(max(report.dissipation, 0.0)))
         if ref is not None:
             diff = PairField(grid, u_vals) - ref
             rec.x_dist_to_ref.append(x_norm(op, diff))
@@ -296,8 +306,8 @@ def evolve(op, pot, u0, cfg, ref=None):
             # accumulated t is a full step (and reuses its factorization)
             remainder = t_end - t
             dt = cfg.dt if remainder > cfg.dt - eps_t else remainder
-            lo = min(lo, float(np.min(u)))
-            hi = max(hi, float(np.max(u)))
+            lo = min(lo, float(u.min()))
+            hi = max(hi, float(u.max()))
             S = _shift(pot, cfg, lo, hi)
             if S is not None and rec.shifts[-1:] != [S]:
                 rec.shifts.append(S)

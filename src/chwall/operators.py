@@ -48,12 +48,16 @@ class XInvariantFactor:
 
     def solve(self, rhs):
         nx, ny = self.nx, self.ny
-        # mode-major: entry k*ny + j is mode k of level j
-        modes = np.fft.rfft(np.reshape(rhs, (ny, nx)).T, axis=0).ravel()
-        x, info = zgbtrs(self._lu, 2, 2, modes, self._piv, overwrite_b=1)
+        # mode-major: entry k*ny + j is mode k of level j.  Both transforms
+        # write into C-ordered out= arrays, so neither ravel copies.
+        modes = np.empty((nx // 2 + 1, ny), dtype=complex)
+        np.fft.rfft(np.reshape(rhs, (ny, nx)).T, axis=0, out=modes)
+        x, info = zgbtrs(self._lu, 2, 2, modes.ravel(), self._piv, overwrite_b=1)
         if info != 0:
             raise RuntimeError(f"band solve failed: LAPACK zgbtrs info={info}")
-        return np.fft.irfft(x.reshape(-1, ny).T, n=nx, axis=1).ravel()
+        out = np.empty((ny, nx))
+        np.fft.irfft(x.reshape(-1, ny).T, n=nx, axis=1, out=out)
+        return out.ravel()
 
 
 def level_rows(grid):

@@ -314,6 +314,36 @@ def test_kernels_and_saddles_take_the_full_path(kernel_problem, pot, monkeypatch
         assert counts["ldl"] == 3 + counts["lowest"]
 
 
+def test_clear_minimum_asks_lanczos_for_eigenvalues_only(pot, monkeypatch):
+    # no kernel basis is read at a clear minimum, so its shift-invert run
+    # skips the Ritz vectors; a saddle's runs keep them.  The eigenvalues are
+    # those of the run with vectors.
+    import chwall.analysis as an
+
+    tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
+    unit = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
+    cases = {"minimum": (unit, PairField.constant(unit, 0.05)),
+             "saddle": (tall, PairField.zeros(tall))}
+    asked, eigsh = [], spla.eigsh
+
+    def spy(*args, **kwargs):
+        asked.append((kwargs.get("which"), kwargs.get("return_eigenvectors", True)))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    for kind, (g, u) in cases.items():
+        asked.clear()
+        H = energy_hessian(g, pot, u, 1.0, 1.0)
+        rep = spectrum(g, H, k=6)
+        assert (rep.n_negative > 0) == (kind == "saddle")
+        shift_invert = [vectors for which, vectors in asked if which == "LM"]
+        assert shift_invert == [kind == "saddle"] * len(shift_invert) and shift_invert
+        At, rw = an.weighted_symmetric(H, g.h_weights(1.0))
+        lam = an.lowest_eigenpairs(At, rw, 6)[0]
+        assert np.array_equal(an.lowest_eigenpairs(At, rw, 6, vectors=False)[0], lam)
+        assert rep.kernel_basis.shape == (0, g.n_nodes)
+
+
 def test_minimizer_at_a_minimum_runs_no_eigensolve(pot, monkeypatch):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     counts = _count_spectral_calls(monkeypatch)

@@ -9,11 +9,14 @@ these tests make that a failure of the unit suite.
 
 The benchmark also counts the time steps of a run as the calls to
 ``evolution.auto_stabilization`` made inside ``evolve``, so ``evolve`` must
-call it exactly once per semi-implicit step: a cache of the shift would
-silently break that count.
+call it exactly once per semi-implicit step.  The shift is remembered
+inside the function, so a step whose state range has not widened still
+makes its call; a cache in ``evolve`` in front of the call would silently
+break that count.
 """
 
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -59,6 +62,9 @@ def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
         calls.append(args)
         return real(*args)
 
+    # the tracer wraps plain functions only, so the remembered shift's cache
+    # must stay inside one
+    assert inspect.isfunction(real)
     monkeypatch.setattr(evolution, "auto_stabilization", counted)
     # 40 full steps and one remainder step
     rec = evolution.evolve(op, pot, u0, RunConfig(dt=1e-2, t_end=0.405, series_stride=7))

@@ -571,6 +571,46 @@ def test_cli_simulate_with_reference_records_distances(tmp_path):
     assert (sim_out / "decay.svg").exists()
 
 
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_cli_series_and_diagnostics_text(tmp_path, monkeypatch, with_reference):
+    # the exact text of both ledgers of a 3-step run, against a per-row
+    # f-string oracle: nan cells (the first defect, the distances without a
+    # reference) included
+    import chwall.cli as cli
+
+    sim_text = BASE_CONFIG.format(out=tmp_path / "sim").replace("t_end = 0.02", "t_end = 0.003")
+    if with_reference:
+        eq_text = BASE_CONFIG.format(out=tmp_path / "eq").replace(
+            "kind = cosine", "kind = constant").replace("mean = 0.05", "mean = 0.0")
+        assert main(["equilibrium", write_config(tmp_path, eq_text, "e.ini")]) == 0
+        sim_text += f"\n[reference]\npsi_path = {tmp_path / 'eq' / 'equilibrium'}\n"
+    records, evolve = [], cli.evolve
+
+    def recorded(*args, **kwargs):
+        records.append(evolve(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "evolve", recorded)
+    assert main(["simulate", write_config(tmp_path, sim_text, "s.ini")]) == 0
+    (rec,) = records
+    assert len(rec.times) == 4 and len(rec.ledger_defect) == 3
+    series = [cw.EnergyReport.CSV_COLUMNS]
+    diagnostics = ["t,ut_xnorm,ledger_defect,x_dist_to_ref,v_dist_to_ref"]
+    for i, (t, r) in enumerate(zip(rec.times, rec.reports)):
+        series.append(",".join(f"{v:.17g}" for v in (
+            t, r.e_bulk, r.e_surf, r.e_total, r.dissipation, r.mass_bulk,
+            r.mass_total, r.flux, r.bulk_res, r.bdry_res)))
+        defect = rec.ledger_defect[i - 1] if i >= 1 else float("nan")
+        xd = rec.x_dist_to_ref[i] if with_reference else float("nan")
+        vd = rec.v_dist_to_ref[i] if with_reference else float("nan")
+        diagnostics.append(f"{t:.17g},{rec.ut_xnorm[i]:.17g},{defect:.17g},"
+                           f"{xd:.17g},{vd:.17g}")
+    assert (tmp_path / "sim" / "series.csv").read_text() == "\n".join(series) + "\n"
+    text = (tmp_path / "sim" / "diagnostics.csv").read_text()
+    assert text == "\n".join(diagnostics) + "\n"
+    assert text.count("nan") == (1 if with_reference else 9)
+
+
 def test_cli_analyze_missing_artifacts(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

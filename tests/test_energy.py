@@ -195,14 +195,6 @@ def test_mu_of_constant_field_structure(unit_grid, unit_op, pot):
         assert np.max(np.abs(wall - wall[0])) <= 1e-13
 
 
-def test_energy_report_csv_row(unit_grid, unit_op, pot):
-    u = PairField.zeros(unit_grid)
-    rep = state_report(unit_op, u, energy_and_gradient(unit_grid, pot, u, 1.0, 1.0))[0]
-    row = rep.csv_row(0.5)
-    assert row.startswith("0.5,")
-    assert len(row.split(",")) == len(rep.CSV_COLUMNS.split(","))
-
-
 def test_chemical_potential_matches_stencils(pot):
     # uniform interior rows are -Lap(u) + f(u) to rounding; wall rows carry
     # b times the trace law, to first order in h (the half-cell flux)

@@ -280,6 +280,29 @@ def test_auto_stabilization_ladder(pot, lo, width, wider):
     assert auto_stabilization(pot, lo - wider[0], hi + wider[1]) >= S
 
 
+_POTENTIALS = (cw.double_well(), cw.make_potential("polynomial_custom", [1.0, 0.3, -2.0, 0.1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(("random", "repeat", "widen")), st.integers(0, 1),
+    st.floats(-5.0, 5.0), st.floats(0.0, 5.0)), min_size=1, max_size=12))
+def test_remembered_shift_equals_an_uncached_evaluation(moves):
+    # a run's calls: mostly the same range, now and then a wider one; the
+    # remembered rung must be the rung an uncached evaluation gives, also
+    # when the potential changes between calls
+    from chwall.evolution import _sampled_rung
+
+    lo = hi = 0.0
+    for kind, which, a, b in moves:
+        if kind == "random":
+            lo, hi = a, a + b
+        elif kind == "widen":
+            lo, hi = lo - abs(a), hi + b
+        pot = _POTENTIALS[which]
+        assert auto_stabilization(pot, lo, hi) == _sampled_rung.__wrapped__(pot, lo, hi)
+
+
 @given(k=st.integers(-400, 400), rel=st.floats(0.0, 1.0))
 def test_rung_above_rounds_up_within_one_rung(k, rel):
     from chwall.evolution import _rung_above
