@@ -10,11 +10,12 @@ of the e2ebench ``large_grid`` run), it times:
 - ``template_s``: building the snapshot template (``grid._snapshot_template``);
 - ``save_field_s``: one ``save_field`` of a random field, template cached;
 
-each the best of ``--repeat`` calls after one warm-up call, and records
-``assembly_factor_peak_kb``, the tracemalloc peak of one factorization
-call above what was allocated before it.  The grid's forms are assembled
-before any timing.  It writes the numbers and the platform to
-``BENCH_scale.json`` at the repo root.
+each the best of ``--repeat`` calls after one warm-up call.  It records
+``assembly_factor_peak_kb`` and ``save_field_peak_kb``, the tracemalloc
+peaks of one factorization call and of one ``save_field`` above what was
+allocated before it.  The grid's forms are assembled before any timing.
+It writes the numbers and the platform to ``BENCH_scale.json`` at the
+repo root.
 
     PYTHONPATH=src python3 benchmarks/bench_scale.py [--repeat 5] [--out PATH]
 """
@@ -84,6 +85,7 @@ def main(argv=None):
                 "band_solve_s": _best_of(args.repeat, lambda: lu.solve(rhs)),
                 "template_s": _best_of(args.repeat, lambda: _snapshot_template(grid)),
                 "save_field_s": _best_of(args.repeat, lambda: save_field(field, path)),
+                "save_field_peak_kb": _peak_kb(lambda: save_field(field, path)),
             }
             print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
     result = {

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import PairField, _as_values
+from .grid import PairField, _as_values, dot
 
 
 class PotentialKind(Enum):
@@ -168,7 +168,7 @@ def energy_and_gradient(grid, pot, u, alpha, beta):
     vals = _as_values(u)
     forms = grid.forms
     Ku = forms.k_lin(alpha, beta) @ vals
-    e = 0.5 * float(vals @ Ku) + float(np.dot(grid.bulk_weights, pot.F(vals)))
+    e = 0.5 * dot(vals, Ku) + dot(grid.bulk_weights, pot.F(vals))
     return e, Ku + forms.bulk_mass * pot.f(vals)
 
 
@@ -187,8 +187,8 @@ def residual_norms(grid, g):
     """
     r = g / grid.h_weights(1.0)
     tr = r[grid.bdry_idx]
-    bulk = math.sqrt(float(np.dot(grid.bulk_weights, r * r)))
-    return bulk, math.sqrt(float(np.dot(grid.bdry_weights, tr * tr)))
+    bulk = math.sqrt(dot(grid.bulk_weights, r * r))
+    return bulk, math.sqrt(dot(grid.bdry_weights, tr * tr))
 
 
 def state_report(op, u, evaluation):
@@ -204,20 +204,20 @@ def state_report(op, u, evaluation):
     vals = _as_values(u)
     e, g = evaluation
     forms = grid.forms
-    e_surf = 0.5 * op.alpha * float(vals @ (forms.k_par @ vals))
-    e_surf += 0.5 * op.beta * float(vals @ (forms.bdry_mass * vals))
+    e_surf = 0.5 * op.alpha * dot(vals, forms.k_par @ vals)
+    e_surf += 0.5 * op.beta * dot(vals, forms.bdry_mass * vals)
     mu = g / op.mass_weights
     kmu = op.K_A @ mu
-    mass_bulk = float(np.dot(grid.bulk_weights, vals))
+    mass_bulk = dot(grid.bulk_weights, vals)
     bulk_res, bdry_res = residual_norms(grid, g)
     return EnergyReport(
         e_bulk=e - e_surf,
         e_surf=e_surf,
         e_total=e,
-        dissipation=float(mu @ kmu),
+        dissipation=dot(mu, kmu),
         mass_bulk=mass_bulk,
-        mass_total=mass_bulk + float(np.dot(grid.bdry_weights, vals[grid.bdry_idx])),
-        flux=-float(np.dot(grid.bdry_weights, mu[grid.bdry_idx])),
+        mass_total=mass_bulk + dot(grid.bdry_weights, vals[grid.bdry_idx]),
+        flux=-dot(grid.bdry_weights, mu[grid.bdry_idx]),
         bulk_res=bulk_res,
         bdry_res=bdry_res,
     ), kmu

@@ -158,18 +158,25 @@ class _StepFactors(dict):
     made = 0
 
 
-def _implicit_matrix(op, dt, B, rows=None):
+def _implicit_matrix(op, dt, B, rows=None, cols=None):
     """W + dt K_A W^-1 B, the linear system of one implicit step: its rows
     ``rows``, or all of them.
 
-    Each row is formed from the same row of K_A by the same products in the
-    same order either way, so the selected rows are bit-identical to those
-    rows of the whole matrix.
+    B is the whole matrix, or only its rows ``cols``: those that the rows
+    ``rows`` of K_A reach, ``np.unique(K_A[rows].indices)``, the only rows
+    of B that enter them.  Each row is formed from the same entries by the
+    same products in the same order either way, so the selected rows are
+    bit-identical to those rows of the whole matrix.
     """
     W = op.mass_weights
     if rows is None:
         rows = np.arange(W.size)
-    return diag_rows(W, rows) + dt * (op.K_A[rows] @ sp.diags(1.0 / W) @ B)
+    K = op.K_A[rows]
+    if cols is None:
+        cols = np.arange(W.size)
+    else:
+        K = K[:, cols]
+    return diag_rows(W, rows) + dt * (K @ sp.diags(1.0 / W[cols]) @ B)
 
 
 def _semi_system(op, dt, S, factors):
@@ -178,10 +185,12 @@ def _semi_system(op, dt, S, factors):
         # S only climbs the ladder during a run: lower rungs are not used again
         for key in [key for key in factors if key[1] != S]:
             del factors[key]
-        forms = op.grid.forms
-        B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
+        forms, rows = op.grid.forms, level_rows(op.grid)
+        # B = K_lin + S M_bulk, assembled in the rows the level rows reach
+        cols = np.unique(op.K_A[rows].indices)
+        B = forms.k_lin(op.alpha, op.beta)[cols] + S * diag_rows(forms.bulk_mass, cols)
         factors.made += 1
-        level = _implicit_matrix(op, dt, B, level_rows(op.grid))
+        level = _implicit_matrix(op, dt, B, rows, cols)
         lu = factors[(dt, S)] = factor_x_invariant(op.grid, level)
     return lu
 

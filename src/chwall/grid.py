@@ -167,10 +167,11 @@ class StripGrid:
 
     @property
     def snapshot_template(self):
-        """The text of a snapshot with %.17g in place of each u, made once.
+        """The text of a snapshot with %.17g in place of each u, made once,
+        as a tuple of blocks of whole levels (``_snapshot_template``).
 
         Every column but u depends on the grid alone, so ``save_field``
-        formats only the field values into this shared string.
+        formats only the field values into these shared strings.
         """
         if self._snapshot_template is None:
             self._snapshot_template = _snapshot_template(self)
@@ -270,18 +271,10 @@ class PairField:
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.n_nodes, float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample fn(x, y) at the grid nodes."""
-        return cls(grid, np.asarray(fn(grid.x, grid.y), dtype=float))
-
     @property
     def trace(self):
         """Boundary values, bottom wall first (read as an index view)."""
         return self.values[self.grid.bdry_idx]
-
-    def set_trace(self, tr):
-        self.values[self.grid.bdry_idx] = tr
 
     def copy(self):
         return PairField(self.grid, self.values.copy())
@@ -312,6 +305,28 @@ def _as_values(u):
     return u.values if isinstance(u, PairField) else np.asarray(u, dtype=float)
 
 
+# OpenBLAS splits a ddot across threads from 10,001 entries on, and the
+# split changes how the partial sums round.  A chunk of at most DOT_CHUNK
+# entries is one unthreaded ddot on any thread count.  The value is tied
+# to that threshold of the installed OpenBLAS; tests/test_blas_threads.py
+# checks it.
+DOT_CHUNK = 8192
+
+
+def dot(a, b):
+    """The dot product of two vectors, with the same bits on any BLAS thread count.
+
+    Up to DOT_CHUNK entries it is one ``np.dot``; above, the ``np.dot`` of
+    each chunk of DOT_CHUNK entries, summed in order.
+    """
+    if a.size <= DOT_CHUNK:
+        return float(np.dot(a, b))
+    s = 0.0
+    for k in range(0, a.size, DOT_CHUNK):
+        s += float(np.dot(a[k:k + DOT_CHUNK], b[k:k + DOT_CHUNK]))
+    return s
+
+
 def h_inner(grid, u, v, b=1.0):
     """Product-space inner product: bulk quadrature plus wall quadrature.
 
@@ -322,8 +337,8 @@ def h_inner(grid, u, v, b=1.0):
     if isinstance(u, PairField) and isinstance(v, PairField):
         _check_same_grid(u, v)
     uv = _as_values(u) * _as_values(v)
-    s = float(np.dot(grid.bulk_weights, uv))
-    s += float(np.dot(grid.bdry_weights, uv[grid.bdry_idx])) / b
+    s = dot(grid.bulk_weights, uv)
+    s += dot(grid.bdry_weights, uv[grid.bdry_idx]) / b
     return s
 
 
@@ -338,8 +353,18 @@ def h_norm(grid, u, b=1.0):
 FIELD_HEADER = "# mode,Lx,Ly,nx,ny"
 
 
+# the most u slots a block of the snapshot template holds, unless one level
+# alone has more
+SNAP_BLOCK = 8192
+
+
 def _snapshot_template(grid):
     """Header, column line and one row per node, u left as a %.17g slot.
+
+    The rows are grouped into blocks of whole levels, each with at most
+    SNAP_BLOCK slots (one level per block when nx exceeds it); the header
+    opens the first block.  ``save_field`` formats and writes one block at
+    a time, so the text it holds at once is bounded.
 
     The rows of a level differ from those of any other level only in j, y
     and the on_gamma flag, which is the same along a level (the walls are
@@ -353,18 +378,25 @@ def _snapshot_template(grid):
                     for i, x in enumerate(grid.x[:nx].tolist()))
     ys = grid.y[::nx].tolist()
     flags = grid.on_gamma[::nx].astype(int).tolist()
-    return (
-        f"{FIELD_HEADER}\n# {grid.mode.value},{grid.Lx:.17g},{grid.Ly:.17g},"
-        f"{nx},{grid.ny}\ni,j,x,y,u,on_gamma\n"
-        + "".join(level.replace("\0", str(j)).replace("\1", f"{ys[j]:.17g}")
-                  .replace("\2", str(flags[j])) for j in range(grid.ny))
-    )
+    levels = [level.replace("\0", str(j)).replace("\1", f"{ys[j]:.17g}")
+              .replace("\2", str(flags[j])) for j in range(grid.ny)]
+    levels[0] = (f"{FIELD_HEADER}\n# {grid.mode.value},{grid.Lx:.17g},{grid.Ly:.17g},"
+                 f"{nx},{grid.ny}\ni,j,x,y,u,on_gamma\n" + levels[0])
+    per_block = _levels_per_block(grid)
+    return tuple("".join(levels[j:j + per_block]) for j in range(0, grid.ny, per_block))
+
+
+def _levels_per_block(grid):
+    return max(1, SNAP_BLOCK // grid.nx)
 
 
 def save_field(field, path):
     """Write a field snapshot as CSV with a grid-identifying header."""
+    grid = field.grid
+    step = grid.nx * _levels_per_block(grid)
     with open(path, "w") as fh:
-        fh.write(field.grid.snapshot_template % tuple(field.values.tolist()))
+        for k, block in enumerate(grid.snapshot_template):
+            fh.write(block % tuple(field.values[k * step:(k + 1) * step].tolist()))
 
 
 def load_field(path, grid=None):

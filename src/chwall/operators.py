@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, zgbtrs
 
-from .grid import PairField, _as_values, h_inner
+from .grid import PairField, _as_values, dot, h_inner
 
 # the largest imaginary part, relative to the largest real part, that the
 # Fourier symbol of an x-symmetric stencil may carry from rounding
@@ -97,6 +97,7 @@ def factor_x_invariant(grid, rows):
     stencil = np.zeros((ny, 5, nx))
     np.add.at(stencil, (rows.row, dj + 2, rows.col - level * nx), rows.data)
     symbol = np.fft.rfft(stencil, axis=2)
+    del stencil  # the temporaries go before the band factor and its copy
     if np.max(np.abs(symbol.imag)) > SYMBOL_IMAG_TOL * np.max(np.abs(symbol.real)):
         raise ValueError("matrix is not symmetric in x: its Fourier symbol is not real")
     symbol = symbol.real
@@ -109,6 +110,7 @@ def factor_x_invariant(grid, rows):
             ab[4 - d, d:] = diag[: n - d]
         else:
             ab[4 - d, : n + d] = diag[-d:]
+    del symbol, diag
     lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise RuntimeError(f"singular x-invariant system: LAPACK dgbtrf info={info}")
@@ -151,7 +153,7 @@ class WentzellOperator:
 
     def a_form(self, u, v):
         """The symmetric bilinear form defining the operator."""
-        return float(_as_values(u) @ (self.K_A @ _as_values(v)))
+        return dot(_as_values(u), self.K_A @ _as_values(v))
 
     def factorization(self):
         """K_A factorized by ``factor_x_invariant``, made once and reused."""
@@ -198,4 +200,4 @@ def x_norm_via_form(op, v):
 def v_norm(grid, u):
     """Energy-space norm: bulk gradient plus surface gradient and mass."""
     vals = _as_values(u)
-    return np.sqrt(max(float(vals @ (grid.forms.k_lin(1.0, 1.0) @ vals)), 0.0))
+    return np.sqrt(max(dot(vals, grid.forms.k_lin(1.0, 1.0) @ vals), 0.0))

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .analysis import count_below, lowest_eigenpairs, spectrum, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
-from .grid import PairField, _as_values, load_field, save_field
+from .grid import PairField, _as_values, dot, load_field, save_field
 from .operators import diag_rows, factor_x_invariant, level_rows
 
 
@@ -124,12 +124,12 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
         # two-loop recursion: d = H g, H the L-BFGS inverse Hessian
         q, coeffs = g.copy(), []
         for s, y, rho in reversed(pairs):
-            coeffs.append(rho * (s @ q))
+            coeffs.append(rho * dot(s, q))
             q -= coeffs[-1] * y
         d = P.solve(q)
         for (s, y, rho), a in zip(pairs, reversed(coeffs)):
-            d += (a - rho * (y @ d)) * s
-        slope, t = float(g @ d), 1.0
+            d += (a - rho * dot(y, d)) * s
+        slope, t = dot(g, d), 1.0
         while slope > 0.0 and t > ARMIJO_T_MIN:
             x_new = x - t * d
             e_new, g_new = evaluate(x_new)
@@ -139,8 +139,9 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
         else:
             break  # no descent along -d; report unconverged
         s, y = x_new - x, g_new - g
-        if s @ y > 0.0:
-            pairs.append((s, y, 1.0 / (s @ y)))
+        sy = dot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
         x, e, g = x_new, e_new, g_new
         iterations += 1
     gn = math.hypot(*residual_norms(grid, g))

@@ -11,6 +11,7 @@ from chwall.grid import (
     FIELD_HEADER,
     GridMode,
     PairField,
+    dot,
     h_inner,
     h_norm,
     load_field,
@@ -72,7 +73,7 @@ def test_h_inner_zero_and_constants(unit_grid):
 
 def test_h_inner_matches_fsum_oracle():
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=12)
-    u = PairField.from_function(g, lambda x, y: np.sin(2 * np.pi * x)).values
+    u = np.sin(2 * np.pi * g.x)
     # independent summation of the same grid function
     terms = [g.bulk_weights[k] * u[k] * u[k] for k in range(g.n_nodes)]
     terms += [
@@ -116,7 +117,7 @@ def test_pair_field_trace_roundtrip(rng, unit_grid):
     f = PairField(g, rng.standard_normal(g.n_nodes))
     assert np.array_equal(f.trace, f.values[g.bdry_idx])
     tr = rng.standard_normal(2 * g.nx)
-    f.set_trace(tr)
+    f.values[g.bdry_idx] = tr
     assert np.array_equal(f.trace, tr)
     assert len(f.values) == g.nx * g.ny
 
@@ -220,6 +221,48 @@ def test_snapshot_template_is_built_once_per_grid(tmp_path, monkeypatch):
         save_field(PairField.constant(g, k), tmp_path / f"{k}.csv")
     assert built == [g]
     assert np.array_equal(load_field(tmp_path / "1.csv").values, np.ones(g.n_nodes))
+
+
+@pytest.mark.parametrize("nx,ny,blocks", [(16, 12, 1), (96, 96, 2), (8200, 4, 4)])
+def test_snapshot_blocks_write_the_one_string_text(tmp_path, rng, nx, ny, blocks):
+    # one block up to SNAP_BLOCK slots, blocks of whole levels above, one
+    # level per block when a level alone is larger
+    g = cw.build_grid("strip2d", Lx=1.7, Ly=0.9, nx=nx, ny=ny)
+    assert len(g.snapshot_template) == blocks
+    f = PairField(g, rng.standard_normal(g.n_nodes))
+    path = tmp_path / "f.csv"
+    save_field(f, path)
+    text = path.read_text()
+    assert text == "".join(g.snapshot_template) % tuple(f.values.tolist())
+    assert text == snapshot_oracle(f)
+    assert np.array_equal(load_field(path, grid=g).values, f.values)
+
+
+def test_save_field_holds_one_block_at_a_time(tmp_path):
+    # the whole 256^2 text is 3.9 MB, its values as a list and tuple 2 MB more
+    import tracemalloc
+
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=256, ny=256)
+    f = PairField(g, np.random.default_rng(3).standard_normal(g.n_nodes))
+    save_field(f, tmp_path / "warm.csv")  # builds the cached template
+    tracemalloc.start()
+    try:
+        save_field(f, tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 3 * 8192 + 5])
+def test_dot_is_one_ddot_or_ordered_chunks(rng, n):
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    if n <= grid_module.DOT_CHUNK:
+        assert dot(a, b) == float(np.dot(a, b))
+    else:
+        chunks = [float(np.dot(a[k:k + 8192], b[k:k + 8192])) for k in range(0, n, 8192)]
+        assert dot(a, b) == sum(chunks)
+    assert dot(a, b) == pytest.approx(math.fsum(a * b), abs=1e-10 * (1 + n))
 
 
 def test_interval_snapshot_roundtrip(tmp_path, rng):

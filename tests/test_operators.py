@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import chwall as cw
 from chwall import PairField, h_inner, h_norm, laplace_beltrami, laplacian, normal_derivative
+from chwall import evolution
 from chwall.analysis import lowest_eigenpairs, weighted_symmetric
 from chwall.config import RunConfig
 from chwall.energy import energy_value
@@ -291,6 +292,52 @@ def test_step_level_rows_are_the_rows_of_the_whole_matrix(problem):
     assert level.shape == (grid.ny, grid.n_nodes)
     assert np.array_equal(level.toarray(), whole.tocsr()[rows].toarray())
     assert np.array_equal(_implicit_matrix(op, dt, B).toarray(), whole.toarray())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(nx=st.sampled_from([4, 5, 33, None]), ny=st.integers(4, 12),
+       consts=st.tuples(_positive, _positive, _positive, _positive),
+       dt=st.floats(-5.0, -1.0), S=st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+def test_step_assembles_only_the_rows_of_B_it_reads(nx, ny, consts, dt, S):
+    # _semi_system builds B = K_lin + S M_bulk only in the rows that the
+    # level rows of K_A reach; what it factorizes must equal the level rows
+    # formed from the whole B, bit for bit
+    from unittest import mock
+
+    if nx is None:
+        grid = cw.build_grid("interval1d", Ly=1.3, ny=ny)
+    else:
+        grid = cw.build_grid("strip2d", Lx=2.1, Ly=1.3, nx=nx, ny=ny)
+    b, c, alpha, beta = consts
+    op = cw.WentzellOperator(grid, b=b, c=c, alpha=alpha, beta=beta)
+    dt = 10.0 ** dt
+    forms, rows = grid.forms, level_rows(grid)
+    B = forms.k_lin(alpha, beta) + S * sp.diags(forms.bulk_mass)
+    seen = []
+    with mock.patch.object(evolution, "factor_x_invariant",
+                           side_effect=lambda g, level: seen.append(level)):
+        evolution._semi_system(op, dt, S, evolution._StepFactors())
+    (level,) = seen
+    assert level.shape == (grid.ny, grid.n_nodes)
+    assert np.array_equal(level.toarray(), _implicit_matrix(op, dt, B, rows).toarray())
+
+
+def test_step_factorization_holds_no_full_size_temporary():
+    # with the whole B, the (ny, 5, nx) stencil and its symbol alive, the
+    # peak was 4.4x the complex factor's bytes; without them it is the band
+    # factor and its complex copy, about 1.6x
+    import tracemalloc
+
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=128, ny=128)
+    op = cw.WentzellOperator(g)
+    evolution._semi_system(op, 1e-3, 2.0, evolution._StepFactors())
+    tracemalloc.start()
+    try:
+        lu = evolution._semi_system(op, 1e-3, 2.0, evolution._StepFactors())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * lu._lu.nbytes
 
 
 def test_x_norm_examples_and_two_routes(rng, unit_grid, unit_op):
