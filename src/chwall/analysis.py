@@ -160,16 +160,16 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     n_negative and kernel_dim are counts at tol = kernel_tol *
     max(lambda_max, -lambda_min), from the inertia of At + tol I and
     At - tol I, never from a window.  The disc bounds floor <= lambda_min
-    and top >= lambda_max make kernel_tol * max(top, -floor) >= tol: when
-    the inertia of At minus that bound finds no eigenvalue below it, the
-    state is a clear minimum: both counts are 0, lambda_max is never
-    computed, and the shift-invert run computes eigenvalues only, since no
+    and top >= lambda_max make kernel_tol * max(top, -floor) >= tol, so
+    the inertia of At minus that bound counts below >= n_negative +
+    kernel_dim eigenvalues, and the one shift-invert run asks for below + k
+    eigenpairs: a window that holds n_negative + max(k, kernel_dim).  When
+    below is 0 the state is a clear minimum: both counts are 0, lambda_max
+    is never computed, and the run computes eigenvalues only, since no
     kernel basis reads a vector.  Otherwise a plain Lanczos run gives
-    lambda_max and the two counts are made at tol.  When n_negative +
-    max(k, kernel_dim) exceeds k, one more shift-invert run widens the
-    window to that size; the reported eigenvalues and the kernel basis come
-    from the window, and a window whose counts disagree with the inertia
-    raises RuntimeError.
+    lambda_max and the two counts are made at tol.  The reported
+    eigenvalues and the kernel basis come from the window, and a window
+    whose counts disagree with the inertia raises RuntimeError.
     """
     n = grid.n_nodes
     if k > n:
@@ -178,24 +178,22 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     At, rw = weighted_symmetric(H, w)
     floor, top = disc_bounds(At, rw)
     tol = kernel_tol * max(top, -floor)  # an upper bound on the tol of the counts
-    clear_minimum = count_below(At, tol) == 0
-    lam, vec = lowest_eigenpairs(At, rw, min(k, n - 1), vectors=not clear_minimum)
+    below = count_below(At, tol)
+    window = below + k
+    lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1), vectors=below > 0)
     top_pair = None
-    if clear_minimum:
+    if below == 0:
         n_negative = kernel_dim = 0
     else:
         top_pair = _top_pair(At)
         tol = kernel_tol * max(float(top_pair[0][0]), -float(lam[0]))
         n_negative = count_below(At, -tol)
         kernel_dim = count_below(At, tol) - n_negative
-    window = n_negative + max(k, kernel_dim)
-    if window > lam.size:
-        lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1), vectors=not clear_minimum)
-        if window >= n:  # ARPACK stops one short of the whole spectrum
-            lam_top, vec_top = top_pair or _top_pair(At)
-            lam = np.append(lam, lam_top)
-            if vec is not None:
-                vec = np.hstack([vec, vec_top])
+    if window >= n:  # ARPACK stops one short of the whole spectrum
+        lam_top, vec_top = top_pair or _top_pair(At)
+        lam = np.append(lam, lam_top)
+        if vec is not None:
+            vec = np.hstack([vec, vec_top])
     neg = lam < -tol
     ker = np.abs(lam) <= tol
     if np.count_nonzero(neg) != n_negative or np.count_nonzero(ker) != kernel_dim:

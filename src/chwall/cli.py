@@ -298,7 +298,7 @@ def cmd_equilibrium(config_path, init_path=None):
     with OutputLock(out):
         with open(os.path.join(out, "config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
-        sol = find_equilibrium(op, pot, u0, kernel_tol=cfg.kernel_tol)
+        sol = find_equilibrium(op, pot, u0)
         save_equilibrium(sol, os.path.join(out, "equilibrium"))
         H = energy_hessian(grid, pot, sol.psi, op.alpha, op.beta)
         rep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)

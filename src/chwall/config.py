@@ -55,7 +55,6 @@ class RunConfig:
     stabilization_S: float | None = None
     newton_tol: float = 1e-10
     newton_max_iter: int = 30
-    energy_guard: bool = True
     dt_min: float = 1e-8
     # initial data
     initial_kind: str = "random_fourier"
@@ -84,7 +83,7 @@ _LAYOUT = {
     "potential": ("potential_kind", "potential_coeffs"),
     "constants": ("b", "c", "alpha", "beta"),
     "stepper": ("scheme", "dt", "t_end", "stabilization_S", "newton_tol",
-                "newton_max_iter", "energy_guard", "dt_min"),
+                "newton_max_iter", "dt_min"),
     "initial": ("initial_kind", "initial_amplitude", "initial_mean",
                 "initial_modes", "initial_path"),
     "io": ("output_dir", "series_stride", "snapshot_stride", "plots"),

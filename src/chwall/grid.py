@@ -403,7 +403,8 @@ def load_field(path, grid=None):
     """Read a snapshot; rebuilds the grid from the header unless one is given.
 
     Raises ValueError unless the body lists every node of the grid exactly
-    once (a truncated or duplicated file is refused, not half-filled).
+    once (a truncated or duplicated file is refused, not half-filled) with
+    a finite value.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -444,6 +445,9 @@ def load_field(path, grid=None):
             f"{np.count_nonzero(~valid)} rows off the grid; every node must "
             "appear exactly once"
         )
+    not_finite = np.count_nonzero(~np.isfinite(body[:, 2]))
+    if not_finite:
+        raise ValueError(f"{path}: {not_finite} values of u are not finite")
     vals = np.empty(g.n_nodes)
     vals[k] = body[:, 2]
     return PairField(g, vals)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .analysis import count_below, lowest_eigenpairs, spectrum, weighted_symmetric
+from .analysis import count_below, lowest_eigenpairs, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import PairField, _as_values, dot, load_field, save_field
 from .operators import diag_rows, factor_x_invariant, level_rows
@@ -66,13 +66,14 @@ class EquilibriumSolution:
     newton_iters: int
     converged: bool = True
     residual_history: list = field(default_factory=list)
-    kernel_dim: int | None = None
 
 
-def _most_negative_direction(op, pot, vals):
-    """Smallest eigenpair of the energy Hessian in the weighted metric."""
-    w = op.grid.h_weights(1.0)
-    A_t, rw = weighted_symmetric(energy_hessian(op.grid, pot, vals, op.alpha, op.beta), w)
+def _most_negative_direction(A_t, rw, w):
+    """Smallest eigenpair of the energy Hessian in the metric w.
+
+    (A_t, rw) is ``weighted_symmetric(H, w)`` of the Hessian H; the returned
+    direction is w-normalized.
+    """
     lam, vec = lowest_eigenpairs(A_t, rw, 1)
     phi = rw * vec[:, 0]
     phi /= np.sqrt(float(np.sum(w * phi * phi)))
@@ -109,11 +110,11 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     iterations = escapes = 0
     while iterations + escapes < MAX_STEPS:
         if math.hypot(*residual_norms(grid, g)) <= tol:
-            A_t, _ = weighted_symmetric(energy_hessian(grid, pot, x, alpha, beta),
-                                        grid.h_weights(1.0))
+            w = grid.h_weights(1.0)
+            A_t, rw = weighted_symmetric(energy_hessian(grid, pot, x, alpha, beta), w)
             if count_below(A_t, -SADDLE_TOL) == 0:
                 break  # genuine (local) minimum
-            _, phi = _most_negative_direction(op, pot, x)
+            _, phi = _most_negative_direction(A_t, rw, w)
             kicked = _kick_off_saddle(evaluate, x, e, phi)
             if kicked is None:
                 break
@@ -162,17 +163,15 @@ def _kick_off_saddle(evaluate, x, e0, phi):
     return best
 
 
-def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
-                  kernel_tol=1e-8):
+def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
     basin_threshold).  The Jacobian is the energy Hessian: bulk rows
     -Lap + f'(u), wall rows the discrete trace operator.  The residual
-    history is recorded so quadratic convergence can be checked.  When the
-    Jacobian is singular the iteration stops and .kernel_dim reports the
-    Hessian's kernel dimension as ``analysis.spectrum`` counts it at
-    kernel_tol.
+    history is recorded so quadratic convergence can be checked.  A
+    singular Jacobian, or a non-finite update, stops the iteration
+    unconverged; the caller's ``analysis.spectrum`` counts the kernel.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
     x = _as_values(u_init).copy()
@@ -187,16 +186,13 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
     hist = [res]
     iters = 0
     converged = res <= tol
-    kernel_dim = None
     while not converged and iters < NEWTON_MAX_ITER:
         K = energy_hessian(grid, pot, x, alpha, beta)
         try:
             delta = spla.splu(K.tocsc()).solve(-g)
         except RuntimeError:
-            kernel_dim = _numerical_kernel_dim(op, pot, x, kernel_tol)
-            break
+            break  # singular Jacobian
         if not np.all(np.isfinite(delta)):
-            kernel_dim = _numerical_kernel_dim(op, pot, x, kernel_tol)
             break
         x = x + delta
         e, g = energy_and_gradient(grid, pot, x, alpha, beta)
@@ -216,28 +212,21 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD,
         newton_iters=iters,
         converged=converged,
         residual_history=hist,
-        kernel_dim=kernel_dim,
     )
 
 
-def _numerical_kernel_dim(op, pot, vals, kernel_tol):
-    H = energy_hessian(op.grid, pot, vals, op.alpha, op.beta)
-    return spectrum(op.grid, H, k=min(6, op.grid.n_nodes), kernel_tol=kernel_tol).kernel_dim
-
-
-def find_equilibrium(op, pot, u_init, tol=1e-8, kernel_tol=1e-8):
+def find_equilibrium(op, pot, u_init, tol=1e-8):
     """Minimize-then-refine pipeline; the robust path from generic data.
 
     The descent phase always runs: for a start already inside a Newton
     basin it costs one gradient and one spectral check, but it is what
     lets an exactly-critical saddle start (zero gradient, negative
     curvature) escape to a lower state instead of being reported as the
-    equilibrium.  kernel_tol goes to ``newton_refine``'s kernel count.
+    equilibrium.
     """
     mr = minimize_energy(op, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10))
     sol = newton_refine(op, pot, mr.field, tol=tol,
-                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol),
-                        kernel_tol=kernel_tol)
+                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol))
     if mr.iterations > 0 or mr.escapes > 0:
         sol.method = SolveMethod.MINIMIZE_THEN_NEWTON
     return sol
@@ -253,8 +242,6 @@ def save_equilibrium(sol, prefix):
         fh.write(f"method={sol.method.value}\n")
         fh.write(f"newton_iters={sol.newton_iters}\n")
         fh.write(f"converged={int(sol.converged)}\n")
-        if sol.kernel_dim is not None:
-            fh.write(f"kernel_dim={sol.kernel_dim}\n")
 
 
 def load_equilibrium(prefix, grid=None):

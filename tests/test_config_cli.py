@@ -98,7 +98,6 @@ def run_configs(draw):
         dt=draw(_POSITIVE), t_end=draw(_POSITIVE), dt_min=draw(_POSITIVE),
         stabilization_S=draw(st.none() | st.floats(0.0, allow_infinity=False)),
         newton_tol=draw(_POSITIVE), newton_max_iter=draw(st.integers(1, 10 ** 6)),
-        energy_guard=draw(st.booleans()),
         initial_kind=initial,
         initial_amplitude=draw(_FINITE), initial_mean=draw(_FINITE),
         initial_modes=draw(st.integers(1, 100)),
@@ -346,6 +345,73 @@ def test_cli_refuses_a_snapshot_above_the_node_limit(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert "initial.path" in err and f"at most {MAX_NODES} nodes" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "equilibrium"])
+def test_cli_refuses_a_snapshot_with_a_non_finite_value(tmp_path, capsys, command):
+    # one NaN among the values is refused at parse time, before the output
+    # directory exists, whichever command reads the snapshot
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
+    init = tmp_path / "init.csv"
+    cw.save_field(PairField.constant(g, 0.1), init)
+    lines = init.read_text().splitlines(keepends=True)
+    row = lines[10].split(",")
+    row[4] = "nan"
+    lines[10] = ",".join(row)
+    init.write_text("".join(lines))
+    text = BASE_CONFIG.format(out=tmp_path / "o")
+    if command == "simulate":
+        text = text.replace("kind = cosine", f"kind = file\npath = {init}")
+        argv, name = ["simulate", write_config(tmp_path, text)], "initial.path"
+    else:
+        argv, name = ["equilibrium", write_config(tmp_path, text), "--init", str(init)], "--init"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and "1 values of u are not finite" in err
+    assert not (tmp_path / "o").exists()
+
+
+_RUNAWAY = """\
+[grid]
+mode = strip2d
+Lx = 8.0
+Ly = 8.0
+nx = 12
+ny = 12
+
+[stepper]
+dt = 0.5
+t_end = 5.0
+stabilization_S = 0{extra}
+
+[initial]
+kind = random_fourier
+amplitude = 3.0
+
+[io]
+output_dir = {out}
+plots = false
+
+[run]
+seed = 1
+"""
+
+
+def test_cli_energy_guard_has_no_switch(tmp_path, capsys):
+    # unstabilized steps far too long for the data: the guard halves them and
+    # the run ends finite; a config that asks to switch the guard off, under
+    # which this run ran away to an all-NaN state, is refused
+    out = tmp_path / "on"
+    assert main(["simulate", write_config(tmp_path, _RUNAWAY.format(out=out, extra=""))]) == 0
+    final = cw.load_field(str(out / "final_state.csv"))
+    assert np.all(np.isfinite(final.values))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["factorizations"] > 1  # the guard halved a step
+    capsys.readouterr()
+    text = _RUNAWAY.format(out=tmp_path / "off", extra="\nenergy_guard = false")
+    assert main(["simulate", write_config(tmp_path, text, "off.ini")]) == 2
+    assert "unknown key 'energy_guard'" in capsys.readouterr().err
+    assert not (tmp_path / "off").exists()
 
 
 def test_config_rejects_unknown_key(tmp_path):

@@ -195,17 +195,14 @@ def saddle_start(pot):
 
 
 def test_energy_guard_rejects_and_halves(saddle_start, pot):
+    from chwall.evolution import _newton_step_once, _StepFactors
+
     g, op, u0 = saddle_start
     e0 = energy_value(g, pot, u0.values, 1.0, 1.0)
-    raw = one_step(
-        op, pot, u0,
-        RunConfig(scheme="newton", dt=50.0, energy_guard=False, newton_tol=1e-12),
-    )
-    assert energy_value(g, pot, raw.values, 1.0, 1.0) > e0  # unguarded step misbehaves
-    guarded = one_step(
-        op, pot, u0,
-        RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6),
-    )
+    cfg = RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6)
+    raw, (e_raw, _) = _newton_step_once(op, pot, u0.values, cfg.dt, cfg, _StepFactors())
+    assert e_raw == energy_value(g, pot, raw, 1.0, 1.0) > e0  # unguarded step misbehaves
+    guarded = one_step(op, pot, u0, cfg)
     assert energy_value(g, pot, guarded.values, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
 
 
@@ -365,23 +362,50 @@ def test_evolve_leaves_no_step_cache_on_operator(problem):
 def test_guard_halving_records_its_factorizations(pot, factorization_calls):
     # an unstabilized step far too long for its state is rejected and redone
     # in halves; each new dt costs one factorization, and the record says so
+    from chwall.energy import energy_and_gradient
+    from chwall.evolution import _semi_step_once, _StepFactors
+
     calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
     op = cw.WentzellOperator(g)
     u0 = PairField(g, 2.0 * np.random.default_rng(1).standard_normal(g.n_nodes))
-    runs = {}
-    for guard in (False, True):
-        calls.clear()
-        cfg = RunConfig(dt=0.1, t_end=0.1, stabilization_S=0.0, energy_guard=guard,
-                        series_stride=10 ** 6)
-        rec = evolve(op, pot, u0, cfg)
-        assert rec.factorizations == len(calls)
-        assert rec.shifts == [0.0]
-        runs[guard] = rec
-    assert runs[False].factorizations == 1
-    assert runs[False].reports[-1].e_total > runs[False].reports[0].e_total
-    assert runs[True].factorizations > 1
-    assert runs[True].reports[-1].e_total < runs[True].reports[0].e_total
+    cfg = RunConfig(dt=0.1, t_end=0.1, stabilization_S=0.0, series_stride=10 ** 6)
+    # the step the guard rejects: one factorization, and the energy rises
+    factors = _StepFactors()
+    e0, g0 = energy_and_gradient(g, pot, u0.values, 1.0, 1.0)
+    raw = _semi_step_once(op, u0.values, g0, None, cfg.dt, 0.0, factors)
+    assert factors.made == len(calls) == 1
+    assert energy_value(g, pot, raw, 1.0, 1.0) > e0
+    calls.clear()
+    rec = evolve(op, pot, u0, cfg)
+    assert rec.factorizations == len(calls) > 1
+    assert rec.shifts == [0.0]
+    assert rec.reports[-1].e_total < rec.reports[0].e_total
+
+
+def test_singular_jacobian_halves_the_step(problem, monkeypatch):
+    # a Jacobian that splu finds singular rejects the step as an energy rise
+    # does: the step is redone as two half steps, and the run does not abort
+    import chwall.evolution as evo
+
+    g, op, pot = problem
+    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1)
+    cfg = RunConfig(scheme="newton", dt=1e-3, t_end=1e-3, series_stride=10 ** 6)
+    halves = evolve(op, pot, u0, replace(cfg, dt=cfg.dt / 2)).final_state()
+    splu, calls = evo.spla.splu, []
+
+    def singular_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(evo.spla, "splu", singular_once)
+    rec = evolve(op, pot, u0, cfg)
+    # the failed attempt is counted with the half steps' Jacobians
+    assert rec.factorizations == len(calls) >= 3
+    assert rec.times == [0.0, cfg.dt]
+    assert np.array_equal(rec.final_state().values, halves.values)
 
 
 def test_last_step_reuses_factorization(pot, factorization_calls):

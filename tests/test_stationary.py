@@ -257,35 +257,51 @@ def _dense_kernel_dim(g, H, kernel_tol):
     return int(np.sum(np.abs(lam) <= kernel_tol * np.max(np.abs(lam))))
 
 
-@pytest.mark.parametrize("kernel_tol", [1e-8, 0.3, 0.6])
-def test_singular_jacobian_kernel_count_on_five_nodes(pot, monkeypatch, kernel_tol):
-    # fewer nodes than the six eigenpairs the kernel count asks for, and the
-    # count made at the caller's kernel_tol
-    g = cw.build_grid("interval1d", Ly=1.0, ny=5)
-    op = cw.WentzellOperator(g)
-    _singular_jacobians(monkeypatch)
-    start = PairField(g, 0.3 * np.cos(np.pi * g.y))
-    sol = newton_refine(op, pot, start, basin_threshold=10.0, kernel_tol=kernel_tol)
-    assert not sol.converged and sol.newton_iters == 0
-    H = energy_hessian(g, pot, start, 1.0, 1.0)
-    assert sol.kernel_dim == _dense_kernel_dim(g, H, kernel_tol)
-
-
-def test_cli_equilibrium_meta_and_classification_agree_on_kernel(tmp_path, monkeypatch):
-    # find_equilibrium counts the kernel at the run's [analysis] kernel_tol
+def _five_node_equilibrium(tmp_path, kernel_tol):
+    """Run ``chwall equilibrium`` on the 5-node interval; its output directory."""
     from chwall.cli import main
 
-    _singular_jacobians(monkeypatch)
     out = tmp_path / "eq"
     cfg = tmp_path / "eq.ini"
     cfg.write_text(
         "[grid]\nmode = interval1d\nLy = 1.0\nny = 5\n"
         "[initial]\nkind = cosine\namplitude = 0.3\nmean = 0.0\n"
         f"[io]\noutput_dir = {out}\n"
-        "[analysis]\nkernel_tol = 0.3\n"
+        f"[analysis]\nkernel_tol = {kernel_tol!r}\n"
     )
     assert main(["equilibrium", str(cfg)]) == 4  # unconverged: the Jacobian is singular
+    return out
+
+
+@pytest.mark.parametrize("kernel_tol", [1e-8, 0.3, 0.6])
+def test_singular_jacobian_kernel_count_on_five_nodes(pot, tmp_path, monkeypatch, kernel_tol):
+    # a singular Jacobian stops Newton unconverged; the classification counts
+    # the kernel at the run's kernel_tol, with fewer nodes than the six
+    # eigenpairs it asks for
+    g = cw.build_grid("interval1d", Ly=1.0, ny=5)
+    _singular_jacobians(monkeypatch)
+    start = PairField(g, 0.3 * np.cos(np.pi * g.y))
+    sol = newton_refine(cw.WentzellOperator(g), pot, start, basin_threshold=10.0)
+    assert not sol.converged and sol.newton_iters == 0
+    out = _five_node_equilibrium(tmp_path, kernel_tol)
+    psi, meta = load_equilibrium(str(out / "equilibrium"))
+    assert (meta["converged"], meta["newton_iters"]) == ("0", "0")
+    H = energy_hessian(g, pot, psi, 1.0, 1.0)
+    line = (out / "classification.txt").read_text()
+    assert f"kernel_dim={_dense_kernel_dim(g, H, kernel_tol)}," in line
+
+
+def test_cli_equilibrium_meta_and_classification_agree_on_kernel(tmp_path, monkeypatch):
+    # the kernel is counted once, by the classification spectrum at the run's
+    # [analysis] kernel_tol; the meta file carries no second count
+    import chwall.analysis as an
+
+    _singular_jacobians(monkeypatch)
+    top_pairs, top_pair = [], an._top_pair
+    monkeypatch.setattr(an, "_top_pair", lambda At: top_pairs.append(1) or top_pair(At))
+    out = _five_node_equilibrium(tmp_path, 0.3)
     _, meta = load_equilibrium(str(out / "equilibrium"))
     line = (out / "classification.txt").read_text()
-    assert meta["kernel_dim"] == "2"
+    assert "kernel_dim" not in meta
     assert "kernel_dim=2," in line
+    assert len(top_pairs) == 1  # one spectrum past the clear-minimum test
