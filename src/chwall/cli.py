@@ -23,7 +23,7 @@ from . import __version__
 from .analysis import ls_probe, lowest_eigenpairs, rate_fit, spectrum, weighted_symmetric
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
 from .energy import EnergyReport, energy_hessian, make_potential
-from .evolution import EvolutionAbort, TrajectoryRecord, evolve
+from .evolution import ENERGY_RISE_TOL, EvolutionAbort, TrajectoryRecord, evolve
 from .grid import GridMode, PairField, build_grid, load_field, save_field
 from .operators import WentzellOperator, x_norm
 from .stationary import (
@@ -38,7 +38,7 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_UNCONVERGED = 4
 
-# the rows of a series.csv or diagnostics.csv block formatted at once
+# the rows of a CSV block that _write_rows formats at once
 ROWS_PER_WRITE = 1000
 # the files ``analyze`` writes into <run>/analysis; each run of it clears them first
 ANALYSIS_FILES = ("spectral_report.txt", "ls_report.txt", "ls_samples.csv",
@@ -276,13 +276,13 @@ def cmd_simulate(config_path):
     return EXIT_OK
 
 
-def classify_equilibrium(rep):
-    """Minimum / saddle / degenerate from the spectrum at the equilibrium."""
+def _classify(op, pot, psi, kernel_tol):
+    """Spectrum of the energy Hessian at psi, and its kind: minimum, saddle or degenerate."""
+    H = energy_hessian(op.grid, pot, psi, op.alpha, op.beta)
+    rep = spectrum(op.grid, H, k=min(6, op.grid.n_nodes), kernel_tol=kernel_tol)
     if rep.kernel_dim > 0:
-        return "degenerate"
-    if rep.n_negative > 0:
-        return "saddle"
-    return "minimum"
+        return rep, "degenerate"
+    return rep, "saddle" if rep.n_negative > 0 else "minimum"
 
 
 def cmd_equilibrium(config_path, init_path=None):
@@ -300,9 +300,7 @@ def cmd_equilibrium(config_path, init_path=None):
             fh.write(serialize_config(cfg))
         sol = find_equilibrium(op, pot, u0)
         save_equilibrium(sol, os.path.join(out, "equilibrium"))
-        H = energy_hessian(grid, pot, sol.psi, op.alpha, op.beta)
-        rep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
-        kind = classify_equilibrium(rep)
+        rep, kind = _classify(op, pot, sol.psi, cfg.kernel_tol)
         lam0 = rep.eigenvalues[0] if rep.eigenvalues.size else float("nan")
         line = (
             f"classification: {kind} (lambda_min={lam0:.6g}, "
@@ -327,15 +325,15 @@ def cmd_equilibrium(config_path, init_path=None):
 def _load_run(run_dir):
     """The config, problem and trajectory of a finished run, as analyze reads it.
 
-    The trajectory holds the row times and reference distances (both from
-    diagnostics.csv) and the snapshots; the ledger columns of series.csv
-    are not read.  A malformed file is a config error that names it.
+    The trajectory holds the snapshots alone: analyze measures every
+    distance from them to the equilibrium it is given, so no column of
+    series.csv or diagnostics.csv is read (series.csv only has its header
+    checked).  A malformed file is a config error that names it.
     """
     cfg_path = os.path.join(run_dir, "config.ini")
     series_path = os.path.join(run_dir, "series.csv")
-    diag_path = os.path.join(run_dir, "diagnostics.csv")
     snapdir = os.path.join(run_dir, "snapshots")
-    missing = [p for p in (cfg_path, series_path, diag_path) if not os.path.exists(p)]
+    missing = [p for p in (cfg_path, series_path) if not os.path.exists(p)]
     if missing:
         raise ConfigError(f"run directory {run_dir} is missing: {missing}")
     cfg = parse_config(cfg_path)
@@ -344,14 +342,6 @@ def _load_run(run_dir):
         header = fh.readline().strip()
     if header != EnergyReport.CSV_COLUMNS:
         raise ConfigError(f"unexpected series.csv header: {header}")
-    with open(diag_path) as fh:
-        rows = [row for row in fh.readlines()[1:] if row.strip()]
-    if not rows:
-        raise ConfigError(f"{diag_path}: no rows below the header")
-    try:
-        times, xs = np.loadtxt(rows, delimiter=",", usecols=(0, 3), ndmin=2).T
-    except ValueError as exc:
-        raise ConfigError(f"{diag_path}: {exc}")
     snapshots = []
     if os.path.isdir(snapdir):
         for name in sorted(os.listdir(snapdir)):
@@ -363,22 +353,15 @@ def _load_run(run_dir):
             except (IndexError, ValueError):
                 raise ConfigError(f"{path}: not a snapshot name snap_<i>_t<time>.csv")
             snapshots.append((t, _load_input("snapshot", load_field, path, grid)))
-    rec = TrajectoryRecord(times=times.tolist(), snapshots=snapshots)
-    if not np.all(np.isnan(xs)):
-        rec.x_dist_to_ref = xs.tolist()
-    return cfg, grid, pot, op, rec
+    return cfg, grid, pot, op, TrajectoryRecord(snapshots=snapshots)
 
 
-def _report_text(obj):
-    def default(v):
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-        if isinstance(v, float) and not math.isfinite(v):
-            return repr(v)
-        return str(v)
-
+def _report_text(obj, **extra):
+    """The fields of a report (but samples and kernel basis) and extra, as one JSON object."""
     data = {k: v for k, v in vars(obj).items() if k not in ("samples", "kernel_basis")}
-    return json.dumps(data, indent=2, sort_keys=True, default=default)
+    data.update(extra)
+    return json.dumps(data, indent=2, sort_keys=True,
+                      default=lambda v: v.tolist() if isinstance(v, np.ndarray) else str(v))
 
 
 def cmd_analyze(run_dir, psi_prefix):
@@ -402,19 +385,14 @@ def cmd_analyze(run_dir, psi_prefix):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(os.path.join(out, name))
 
-        H = energy_hessian(grid, pot, psi, op.alpha, op.beta)
-        srep = spectrum(grid, H, k=min(6, grid.n_nodes), kernel_tol=cfg.kernel_tol)
+        srep, kind = _classify(op, pot, psi, cfg.kernel_tol)
         with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
-            fh.write(_report_text(srep) + "\n")
-            fh.write(f'"classification": "{classify_equilibrium(srep)}"\n')
+            fh.write(_report_text(srep, classification=kind) + "\n")
 
         probe = ls_probe(op, pot, rec, psi, window=cfg.probe_window)
         with open(os.path.join(out, "ls_report.txt"), "w") as fh:
             fh.write(_report_text(probe) + "\n")
-        with open(os.path.join(out, "ls_samples.csv"), "w") as fh:
-            fh.write("t,gap,lhs\n")
-            for t, gap, lhs in probe.samples:
-                fh.write(f"{t:.17g},{gap:.17g},{lhs:.17g}\n")
+        _write_rows(os.path.join(out, "ls_samples.csv"), "t,gap,lhs", probe.samples)
         warn = False
         if probe.insufficient:
             # the bound check still needs some exponent; the fallback only
@@ -436,12 +414,8 @@ def cmd_analyze(run_dir, psi_prefix):
                          math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
                 )
 
-        if rec.x_dist_to_ref is None:
-            # recompute distances from the stored snapshots
-            times = [t for t, _ in rec.snapshots]
-            dists = [x_norm(op, snap - psi) for _, snap in rec.snapshots]
-        else:
-            times, dists = rec.times, rec.x_dist_to_ref
+        times = [t for t, _ in rec.snapshots]
+        dists = [x_norm(op, snap - psi) for _, snap in rec.snapshots]
         try:
             rrep = rate_fit(times, dists, theta, fit_tol=cfg.fit_tol,
                             t_min=cfg.rate_fit_t_min,
@@ -514,7 +488,7 @@ def cmd_check(dump_operator=None):
     rec = evolve(op, pot, 0.2 * u, RunConfig(dt=1e-3, t_end=0.02))
     e = [r.e_total for r in rec.reports]
     check("discrete energy law over 20 steps",
-          all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1)))
+          all(e[i + 1] <= e[i] + ENERGY_RISE_TOL * (1 + abs(e[i])) for i in range(len(e) - 1)))
     if dump_operator:
         try:
             op.dump_matrix(dump_operator)

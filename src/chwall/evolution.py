@@ -91,6 +91,8 @@ class TrajectoryRecord:
         return self.snapshots[-1][1] if self.snapshots else None
 
 
+# the energy guard accepts a step when E_new <= E_old + ENERGY_RISE_TOL * (1 + |E_old|)
+ENERGY_RISE_TOL = 1e-12
 # the automatic shift is rounded up onto the rungs 2^(k / RUNGS_PER_OCTAVE)
 RUNGS_PER_OCTAVE = 4
 # sample nodes on [0, 1] for the sampled max |f'|
@@ -246,7 +248,7 @@ def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
             raise ValueError(f"unknown scheme {cfg.scheme!r}")
     except _RetryHalved:
         evaluation = None
-    if evaluation is not None and evaluation[0] <= e_old + 1e-12 * (1.0 + abs(e_old)):
+    if evaluation is not None and evaluation[0] <= e_old + ENERGY_RISE_TOL * (1.0 + abs(e_old)):
         return u_new, evaluation
     # reject: redo as two guarded half steps
     if dt / 2.0 < cfg.dt_min:

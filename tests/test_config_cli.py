@@ -288,7 +288,9 @@ def test_snapshot_times_are_stored_exactly(tmp_path):
     _, _, _, _, rec = _load_run(str(tmp_path / "o"))
     times = [t for t, _ in rec.snapshots]
     assert len(times) == 6
-    assert times == rec.times  # the run's CSV rows hold every time exactly
+    # the run's CSV rows hold every time exactly
+    rows = np.loadtxt(tmp_path / "o" / "series.csv", delimiter=",", skiprows=1, usecols=0)
+    assert times == rows.tolist()
     assert times[1] == 3e-7
     assert times[-1] == pytest.approx(1.5e-6, rel=1e-12)
     assert times[-1] <= 1.5e-6 * (1 + 1e-12)
@@ -699,22 +701,9 @@ def _truncated_snapshot(run):
     return snap.name
 
 
-def _non_numeric_diagnostics(run):
-    diag = run / "diagnostics.csv"
-    diag.write_text(diag.read_text() + "x,x,x,x,x\n")
-    return "diagnostics.csv"
-
-
-def _header_only_diagnostics(run):
-    diag = run / "diagnostics.csv"
-    diag.write_text(diag.read_text().splitlines(keepends=True)[0])
-    return "diagnostics.csv"
-
-
-# "error": the refusal comes before numpy could warn about an empty input
+# "error": the refusal comes without a numpy warning
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("spoil", [_stray_snapshot, _truncated_snapshot,
-                                   _non_numeric_diagnostics, _header_only_diagnostics],
+@pytest.mark.parametrize("spoil", [_stray_snapshot, _truncated_snapshot],
                          ids=lambda spoil: spoil.__name__.lstrip("_"))
 def test_cli_analyze_malformed_run_is_config_error(tmp_path, capsys, spoil):
     run = tmp_path / "sim"
@@ -767,6 +756,61 @@ def test_cli_analyze_plots_follow_config(tmp_path, capsys, plots):
     manifest = _manifest_hashing_every_file(analysis)
     assert manifest["theta_source"] == "fitted"
     assert manifest["warnings"] is False
+
+
+def test_cli_analysis_reports_are_json(tmp_path):
+    # each report is one JSON document; the spectral report carries the
+    # classification that equilibrium printed for the same psi
+    text = BASE_CONFIG.replace("dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 10.0")
+    text = text.replace("snapshot_stride = 5", "snapshot_stride = 10")
+    assert _run_pipeline(tmp_path, text) == (0, 0, 0)
+    analysis = tmp_path / "sim" / "analysis"
+    reports = {p.name: json.loads(p.read_text()) for p in analysis.glob("*.txt")}
+    assert sorted(reports) == ["ls_report.txt", "rate_report.txt", "spectral_report.txt"]
+    line = (tmp_path / "eq" / "classification.txt").read_text()
+    assert line.startswith(f"classification: {reports['spectral_report.txt']['classification']} ")
+
+
+def test_cli_analyze_measures_the_given_psi(tmp_path):
+    # a run simulated against psi = A and analyzed against psi = A + 0.5 fits
+    # its rate to the distances from its snapshots to A + 0.5
+    import shutil
+
+    from chwall.cli import _load_run, _report_text
+    from chwall.grid import save_field
+    from chwall.stationary import load_equilibrium
+
+    eq_text = BASE_CONFIG.format(out=tmp_path / "eqA").replace(
+        "kind = cosine", "kind = constant").replace("mean = 0.05", "mean = 0.0")
+    assert main(["equilibrium", write_config(tmp_path, eq_text, "e.ini")]) == 0
+    psi_a = tmp_path / "eqA" / "equilibrium"
+    sim = tmp_path / "sim"
+    sim_text = BASE_CONFIG.format(out=sim).replace(
+        "dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 10.0").replace(
+        "snapshot_stride = 5", "snapshot_stride = 10\nplots = false") + (
+        f"\n[reference]\npsi_path = {psi_a}\n")
+    assert main(["simulate", write_config(tmp_path, sim_text, "s.ini")]) == 0
+    cfg, grid, pot, op, rec = _load_run(str(sim))
+    a, _ = load_equilibrium(psi_a, grid=grid)
+    psi, psi_b = PairField(grid, a.values + 0.5), tmp_path / "eqB"
+    save_field(psi, f"{psi_b}.csv")
+    shutil.copyfile(f"{psi_a}.meta", f"{psi_b}.meta")
+
+    report = sim / "analysis" / "rate_report.txt"
+    assert main(["analyze", str(sim), str(psi_a)]) == 0
+    against_a = report.read_text()
+    assert main(["analyze", str(sim), str(psi_b)]) == 0
+    against_b = report.read_text()
+    assert against_b != against_a
+
+    probe = json.loads((sim / "analysis" / "ls_report.txt").read_text())
+    theta, source = ((0.25, "fallback") if probe["insufficient"]
+                     else (probe["fitted_theta"], "fitted"))
+    times = [t for t, _ in rec.snapshots]
+    dists = [cw.x_norm(op, snap - psi) for _, snap in rec.snapshots]
+    expected = cw.rate_fit(times, dists, theta, fit_tol=cfg.fit_tol,
+                           t_min=cfg.rate_fit_t_min, theta_source=source)
+    assert against_b == _report_text(expected) + "\n"
 
 
 def test_cli_analyze_clears_an_earlier_analysis(tmp_path, capsys):
