@@ -1,4 +1,4 @@
-"""Time the spectral layer: the lowest eigenpairs and the classification spectrum.
+"""Time the spectral layer and the Newton solve of the stationary states.
 
 Four states, each paired with the metric W = h_weights(1) of the Hessian:
 
@@ -14,10 +14,14 @@ Four states, each paired with the metric W = h_weights(1) of the Hessian:
 For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6 and
 ``spectrum`` at k = 6, each as the median and quartiles of ``--repeat``
 calls after one warm-up call, and counts the LDL^T factorizations and
-Lanczos runs (plain and shift-invert) of one ``spectrum`` call.  For ``equilibrium48`` it also
-times the ``find_equilibrium`` call that finds the state.  It writes the
-figures with lambda_min and the platform to ``BENCH_spectrum.json`` at the
-repo root.
+Lanczos runs (plain and shift-invert) of one ``spectrum`` call.  For
+``equilibrium48`` it also times the ``find_equilibrium`` call that finds
+the state and counts its sparse LU (``splu``) calls.  ``newton128`` times
+``newton_refine`` on the same data at 128x128, from the minimizer's result
+at tol 1e-3, with its Newton and MINRES iterations.  It writes the figures
+with lambda_min and the platform to ``BENCH_spectrum.json`` at the repo
+root.  Only public names are used, so the script also runs against an
+older checkout's ``src`` for a before/after pair.
 
     PYTHONPATH=src python3 benchmarks/bench_spectrum.py [--repeat 15] [--out PATH]
 """
@@ -39,19 +43,18 @@ from chwall.cli import build_problem, make_initial
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
 from chwall.grid import PairField
-from chwall.stationary import find_equilibrium
+from chwall.stationary import find_equilibrium, minimize_energy, newton_refine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _states(repeat):
     """(name, grid, Hessian, extra figures) of each benchmarked state."""
-    cfg = RunConfig(Lx=8.0, Ly=8.0, nx=48, ny=48, initial_kind="random_fourier",
-                    initial_amplitude=0.5, initial_mean=0.0, seed=1501)
-    grid, pot, op = build_problem(cfg)
-    u0 = make_initial(grid, cfg)
+    grid, pot, op, u0 = _random_data(48)
+    counts = _CallCounter(spla, "splu")
     psi = find_equilibrium(op, pot, u0).psi
-    extra = {"find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
+    extra = {"find_equilibrium_splu_calls": counts.pop(),
+             "find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
     yield "equilibrium48", grid, energy_hessian(grid, pot, psi, op.alpha, op.beta), extra
     for n in (32, 128):
         grid, pot, op = build_problem(RunConfig(nx=n, ny=n))
@@ -62,23 +65,50 @@ def _states(repeat):
     yield "saddle24", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
 
 
+def _random_data(n):
+    """(grid, potential, operator, data) of the e2ebench equilibrium inputs at n x n."""
+    cfg = RunConfig(Lx=8.0, Ly=8.0, nx=n, ny=n, initial_kind="random_fourier",
+                    initial_amplitude=0.5, initial_mean=0.0, seed=1501)
+    grid, pot, op = build_problem(cfg)
+    return grid, pot, op, make_initial(grid, cfg)
+
+
+class _CallCounter:
+    """Count the calls of module.name until ``pop``, which restores it."""
+
+    def __init__(self, module, name):
+        self.module, self.name, self.calls = module, name, 0
+        self.fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            self.calls += 1
+            return self.fn(*args, **kwargs)
+
+        setattr(module, name, call)
+
+    def pop(self):
+        setattr(self.module, self.name, self.fn)
+        return self.calls
+
+
+def _newton(repeat, n=128):
+    """``newton_refine`` at n x n from the minimizer's result at tol 1e-3."""
+    grid, pot, op, u0 = _random_data(n)
+    start = minimize_energy(op, pot, u0, tol=1e-3).field
+    sol = newton_refine(op, pot, start)
+    return {"n_nodes": grid.n_nodes, "converged": sol.converged,
+            "newton_iters": sol.newton_iters,
+            "krylov_iters": getattr(sol, "krylov_iters", None),
+            "newton_refine_s": _quartiles(repeat, lambda: newton_refine(op, pot, start))}
+
+
 def _spectrum_calls(grid, H):
     """The LDL^T factorizations and Lanczos runs of one ``spectrum(grid, H, k=6)``."""
-    counts = {"ldl_factorizations": 0, "lanczos_runs": 0}
-    ldl, eigsh = analysis._shifted_ldl, spla.eigsh
-
-    def counted(key, fn):
-        def call(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    analysis._shifted_ldl = counted("ldl_factorizations", ldl)
-    spla.eigsh = counted("lanczos_runs", eigsh)
+    ldl, lanczos = _CallCounter(analysis, "_shifted_ldl"), _CallCounter(spla, "eigsh")
     try:
         spectrum(grid, H, k=6)
     finally:
-        analysis._shifted_ldl, spla.eigsh = ldl, eigsh
+        counts = {"ldl_factorizations": ldl.pop(), "lanczos_runs": lanczos.pop()}
     return counts
 
 
@@ -113,6 +143,8 @@ def main(argv=None):
             **extra,
         }
         print(name, json.dumps(cases[name]))
+    cases["newton128"] = _newton(args.repeat)
+    print("newton128", json.dumps(cases["newton128"]))
     result = {
         "timing": f"median and quartiles of {args.repeat} calls after one warm-up, seconds",
         "platform": {"python": platform.python_version(), "numpy": np.__version__,

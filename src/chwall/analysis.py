@@ -104,21 +104,27 @@ def _shifted_ldl(At, s):
     return lu
 
 
-def lowest_eigenpairs(At, rw, k, vectors=True):
+def lowest_eigenpairs(At, rw, k, vectors=True, shifted=None):
     """The k lowest eigenpairs of At = W^-1/2 H W^-1/2, ascending.
 
-    Shift-invert Lanczos (ARPACK) about a shift SHIFT_MARGIN of the disc
-    spread below the floor of ``disc_bounds(At, rw)``: At - sigma I is
-    positive definite and the lowest eigenvalues are the largest of its
-    inverse.  The closer sigma sits to them, the faster Lanczos converges.
-    The inverse is applied through ``_shifted_ldl``, which a positive
-    definite matrix needs no pivoting for.  With vectors=False ARPACK
-    skips its Ritz-vector pass and the vectors are None; the eigenvalues
-    are the same.
+    Shift-invert Lanczos (ARPACK) about a shift sigma below the spectrum:
+    At - sigma I is positive definite and the lowest eigenvalues are the
+    largest of its inverse.  The closer sigma sits to them, the faster
+    Lanczos converges.  shifted = (sigma, factor) gives the shift and an
+    LDL^T factor of At - sigma I from ``_shifted_ldl`` that the caller
+    already holds and knows to be positive definite; by default sigma lies
+    SHIFT_MARGIN of the disc spread below the floor of
+    ``disc_bounds(At, rw)`` and is factorized by ``_shifted_ldl``, which a
+    positive definite matrix needs no pivoting for.  With vectors=False
+    ARPACK skips its Ritz-vector pass and the vectors are None; the
+    eigenvalues are the same.
     """
-    floor, top = disc_bounds(At, rw)
-    sigma = floor - SHIFT_MARGIN * (top - floor)
-    lu = _shifted_ldl(At, sigma)
+    if shifted is None:
+        floor, top = disc_bounds(At, rw)
+        sigma = floor - SHIFT_MARGIN * (top - floor)
+        lu = _shifted_ldl(At, sigma)
+    else:
+        sigma, lu = shifted
     OPinv = spla.LinearOperator(At.shape, matvec=lu.solve, dtype=float)
     result = spla.eigsh(At, k=k, sigma=sigma, which="LM", OPinv=OPinv,
                         v0=_start_vector(At.shape[0]), return_eigenvectors=vectors)
@@ -130,12 +136,15 @@ def lowest_eigenpairs(At, rw, k, vectors=True):
 
 
 def count_below(At, s):
-    """Number of eigenvalues of the sparse symmetric At below s.
+    """(number of eigenvalues of the sparse symmetric At below s, the factor).
 
     Sylvester's law of inertia: the signs of the pivots D of the LDL^T
-    factorization of At - s I by ``_shifted_ldl``.
+    factorization of At - s I by ``_shifted_ldl``, which is returned with
+    the count.  When the count is 0, At - s I is positive definite and the
+    factor can serve as the shift-invert operator of ``lowest_eigenpairs``.
     """
-    return int(np.count_nonzero(_shifted_ldl(At, s).U.diagonal() < 0.0))
+    lu = _shifted_ldl(At, s)
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0)), lu
 
 
 def _reported(lam, k):
@@ -153,23 +162,24 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     """Lowest part of the spectrum of the pencil (H, W), at any size.
 
     H is the energy Hessian (``energy.energy_hessian``) and W the metric
-    ``grid.h_weights(1.0)``.  A shift-invert run gives the k lowest
-    eigenpairs, about a shift just below the Gershgorin floor of the
-    similar matrix W^-1 H (``disc_bounds``), which lies below every
-    eigenvalue and here equals min(min over bulk nodes of f'(psi), beta).
-    n_negative and kernel_dim are counts at tol = kernel_tol *
-    max(lambda_max, -lambda_min), from the inertia of At + tol I and
-    At - tol I, never from a window.  The disc bounds floor <= lambda_min
-    and top >= lambda_max make kernel_tol * max(top, -floor) >= tol, so
-    the inertia of At minus that bound counts below >= n_negative +
-    kernel_dim eigenvalues, and the one shift-invert run asks for below + k
-    eigenpairs: a window that holds n_negative + max(k, kernel_dim).  When
-    below is 0 the state is a clear minimum: both counts are 0, lambda_max
-    is never computed, and the run computes eigenvalues only, since no
-    kernel basis reads a vector.  Otherwise a plain Lanczos run gives
-    lambda_max and the two counts are made at tol.  The reported
-    eigenvalues and the kernel basis come from the window, and a window
-    whose counts disagree with the inertia raises RuntimeError.
+    ``grid.h_weights(1.0)``.  n_negative and kernel_dim are counts at
+    tol = kernel_tol * max(lambda_max, -lambda_min), from the inertia of
+    At + tol I and At - tol I, never from a window.  The Gershgorin bounds
+    floor <= lambda_min and top >= lambda_max of the similar matrix W^-1 H
+    (``disc_bounds``; here floor = min(min over bulk nodes of f'(psi),
+    beta)) make kernel_tol * max(top, -floor) >= tol, so the inertia of At
+    minus that bound counts below >= n_negative + kernel_dim eigenvalues,
+    and the one shift-invert run asks for below + k eigenpairs: a window
+    that holds n_negative + max(k, kernel_dim).  When below is 0 the state
+    is a clear minimum: both counts are 0, lambda_max is never computed,
+    and At minus the bound is positive definite, so the LDL^T factor that
+    counted is the shift-invert operator of the run, about that bound, and
+    the run computes eigenvalues only, since no kernel basis reads a
+    vector: one factorization in all.  Otherwise the run takes its shift
+    just below the floor, a plain Lanczos run gives lambda_max and the two
+    counts are made at tol: four factorizations.  The reported eigenvalues
+    and the kernel basis come from the window, and a window whose counts
+    disagree with the inertia raises RuntimeError.
     """
     n = grid.n_nodes
     if k > n:
@@ -178,17 +188,21 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     At, rw = weighted_symmetric(H, w)
     floor, top = disc_bounds(At, rw)
     tol = kernel_tol * max(top, -floor)  # an upper bound on the tol of the counts
-    below = count_below(At, tol)
+    below, lu = count_below(At, tol)
     window = below + k
-    lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1), vectors=below > 0)
     top_pair = None
     if below == 0:
+        # At - tol I is positive definite: its factor serves the shift-invert run
+        lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1), vectors=False,
+                                     shifted=(tol, lu))
         n_negative = kernel_dim = 0
     else:
+        lu = None  # not positive definite; freed before the runs that follow
+        lam, vec = lowest_eigenpairs(At, rw, min(window, n - 1))
         top_pair = _top_pair(At)
         tol = kernel_tol * max(float(top_pair[0][0]), -float(lam[0]))
-        n_negative = count_below(At, -tol)
-        kernel_dim = count_below(At, tol) - n_negative
+        n_negative = count_below(At, -tol)[0]
+        kernel_dim = count_below(At, tol)[0] - n_negative
     if window >= n:  # ARPACK stops one short of the whole spectrum
         lam_top, vec_top = top_pair or _top_pair(At)
         lam = np.append(lam, lam_top)

@@ -22,7 +22,13 @@ import numpy as np
 from . import __version__
 from .analysis import ls_probe, lowest_eigenpairs, rate_fit, spectrum, weighted_symmetric
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
-from .energy import EnergyReport, energy_hessian, make_potential
+from .energy import (
+    EnergyReport,
+    energy_and_gradient,
+    energy_hessian,
+    make_potential,
+    residual_norms,
+)
 from .evolution import ENERGY_RISE_TOL, EvolutionAbort, TrajectoryRecord, evolve
 from .grid import GridMode, PairField, build_grid, load_field, save_field
 from .operators import WentzellOperator, x_norm
@@ -378,22 +384,32 @@ def cmd_analyze(run_dir, psi_prefix):
         raise ConfigError(f"run directory {run_dir} does not exist")
     with OutputLock(run_dir):
         cfg, grid, pot, op, rec = _load_run(run_dir)
-        psi, _ = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
+        psi, meta = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
         out = os.path.join(run_dir, "analysis")
         _make_dir(out)
         for name in ANALYSIS_FILES:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(os.path.join(out, name))
 
+        bulk_res, bdry_res = residual_norms(
+            grid, energy_and_gradient(grid, pot, psi, op.alpha, op.beta)[1])
+        converged = meta.get("converged") == "1"
+        warn = False
+        if not converged:
+            # a slowly converging degenerate psi stays analyzable: no exit code
+            print(f"warning: {psi_prefix}.meta does not record a converged solve; "
+                  f"psi has residuals bulk={bulk_res:.3e} bdry={bdry_res:.3e}",
+                  file=sys.stderr)
+            warn = True
         srep, kind = _classify(op, pot, psi, cfg.kernel_tol)
         with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
-            fh.write(_report_text(srep, classification=kind) + "\n")
+            fh.write(_report_text(srep, classification=kind, psi_bulk_res=bulk_res,
+                                  psi_bdry_res=bdry_res, psi_converged=converged) + "\n")
 
         probe = ls_probe(op, pot, rec, psi, window=cfg.probe_window)
         with open(os.path.join(out, "ls_report.txt"), "w") as fh:
             fh.write(_report_text(probe) + "\n")
         _write_rows(os.path.join(out, "ls_samples.csv"), "t,gap,lhs", probe.samples)
-        warn = False
         if probe.insufficient:
             # the bound check still needs some exponent; the fallback only
             # affects the reported required q, never the fitted rates

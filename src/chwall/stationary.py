@@ -8,7 +8,10 @@ since an exactly critical start has zero gradient and plain descent would
 sit still: an LDL^T inertia count tells a saddle from a minimum, and only
 at a saddle does a Lanczos run find the direction of the kick), followed
 by a full Newton iteration on mu(U) = 0 with the energy Hessian as
-Jacobian.  Every solver takes the ``operators.WentzellOperator`` of the
+Jacobian.  Newton solves each step by MINRES preconditioned with the same
+band factor and makes no sparse factorization, so a solve that ends at a
+minimum without a saddle kick makes one: the minimizer's LDL^T inertia
+count.  Every solver takes the ``operators.WentzellOperator`` of the
 problem and reads the surface constants alpha, beta from it.
 """
 
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .analysis import count_below, lowest_eigenpairs, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
@@ -36,8 +38,11 @@ ARMIJO_T_MIN = 1e-12
 # minimize_energy: a stationary point is a saddle when the weighted Hessian
 # has an eigenvalue below -SADDLE_TOL
 SADDLE_TOL = 1e-10
-# newton_refine: iteration cap
+# newton_refine: iteration cap, MINRES iteration cap per Newton step, and the
+# cap on the forcing term (the relative MINRES tolerance of a step)
 NEWTON_MAX_ITER = 50
+MINRES_MAX_ITER = 200
+FORCING_MAX = 0.1
 # the gradient norm below which a start counts as inside a Newton basin
 BASIN_THRESHOLD = 1e-2
 
@@ -66,6 +71,66 @@ class EquilibriumSolution:
     newton_iters: int
     converged: bool = True
     residual_history: list = field(default_factory=list)
+    krylov_iters: list = field(default_factory=list)  # MINRES iterations per Newton step
+
+
+def _preconditioner(op):
+    """Band factor of P = K_lin + PRECOND_S M_bulk, the energy Hessian with
+    f'(u) frozen at PRECOND_S: symmetric positive definite, and x-invariant."""
+    grid = op.grid
+    rows = level_rows(grid)
+    return factor_x_invariant(grid, grid.forms.k_lin(op.alpha, op.beta)[rows]
+                              + PRECOND_S * diag_rows(grid.forms.bulk_mass, rows))
+
+
+def _minres(H, P, b, rtol):
+    """Solve H x = b by MINRES preconditioned with the factor P: (x, iterations).
+
+    H is symmetric, possibly indefinite; P is symmetric positive definite.
+    The Paige-Saunders recurrence (SIAM J. Numer. Anal. 12 (1975)), as in
+    scipy's ``minres``, but every inner product goes through ``grid.dot``,
+    so the result has the same bits on any BLAS thread count.  It stops when
+    the P^-1-norm of the residual, which the recurrence tracks, is at most
+    rtol times that of b.  x is None when MINRES_MAX_ITER iterations do not
+    reach rtol, or when the recurrence breaks down on a singular H.
+    """
+    x = np.zeros_like(b)
+    w = w2 = np.zeros_like(b)
+    r1 = r2 = b
+    y = P.solve(b)
+    beta1 = beta = math.sqrt(dot(b, y))
+    if beta1 == 0.0:
+        return x, 0
+    oldb = dbar = epsln = sn = 0.0
+    cs, phibar = -1.0, beta1
+    for it in range(1, MINRES_MAX_ITER + 1):
+        v = y / beta
+        y = H @ v
+        if it > 1:
+            y -= (beta / oldb) * r1
+        alfa = dot(v, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = P.solve(r2)
+        oldb, beta = beta, math.sqrt(max(dot(r2, y), 0.0))
+        # the previous plane rotation, then the one that annihilates beta
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            return None, it
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar *= sn
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x += phi * w
+        if phibar <= rtol * beta1:
+            return x, it
+    return None, MINRES_MAX_ITER
 
 
 def _most_negative_direction(A_t, rw, w):
@@ -96,10 +161,7 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     descend or MAX_STEPS steps and kicks are used up first.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
-    forms = grid.forms
-    rows = level_rows(grid)
-    P = factor_x_invariant(grid, forms.k_lin(alpha, beta)[rows]
-                           + PRECOND_S * diag_rows(forms.bulk_mass, rows))
+    P = _preconditioner(op)
 
     def evaluate(v):
         return energy_and_gradient(grid, pot, v, alpha, beta)
@@ -112,7 +174,7 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
         if math.hypot(*residual_norms(grid, g)) <= tol:
             w = grid.h_weights(1.0)
             A_t, rw = weighted_symmetric(energy_hessian(grid, pot, x, alpha, beta), w)
-            if count_below(A_t, -SADDLE_TOL) == 0:
+            if count_below(A_t, -SADDLE_TOL)[0] == 0:
                 break  # genuine (local) minimum
             _, phi = _most_negative_direction(A_t, rw, w)
             kicked = _kick_off_saddle(evaluate, x, e, phi)
@@ -167,11 +229,17 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
-    basin_threshold).  The Jacobian is the energy Hessian: bulk rows
-    -Lap + f'(u), wall rows the discrete trace operator.  The residual
-    history is recorded so quadratic convergence can be checked.  A
-    singular Jacobian, or a non-finite update, stops the iteration
-    unconverged; the caller's ``analysis.spectrum`` counts the kernel.
+    basin_threshold).  The Jacobian is the energy Hessian H: bulk rows
+    -Lap + f'(u), wall rows the discrete trace operator.  Each step solves
+    H delta = -g by ``_minres`` preconditioned with the band factor of
+    ``_preconditioner``, made once per call; MINRES takes the indefinite H
+    of a saddle as well.  Its relative tolerance is the forcing term
+    min(FORCING_MAX, residual), which keeps the convergence quadratic
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)).  The
+    residual history and the MINRES iterations of each step are recorded.
+    A MINRES that misses its tolerance (a singular or near-singular H), or a
+    non-finite update, stops the iteration unconverged at the last iterate;
+    the caller's ``analysis.spectrum`` counts the kernel.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
     x = _as_values(u_init).copy()
@@ -184,16 +252,16 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
             f"{basin_threshold:.1e}; minimize first"
         )
     hist = [res]
+    krylov = []
     iters = 0
     converged = res <= tol
+    P = None if converged else _preconditioner(op)
     while not converged and iters < NEWTON_MAX_ITER:
-        K = energy_hessian(grid, pot, x, alpha, beta)
-        try:
-            delta = spla.splu(K.tocsc()).solve(-g)
-        except RuntimeError:
-            break  # singular Jacobian
-        if not np.all(np.isfinite(delta)):
+        H = energy_hessian(grid, pot, x, alpha, beta)
+        delta, its = _minres(H, P, -g, min(FORCING_MAX, res))
+        if delta is None or not np.all(np.isfinite(delta)):
             break
+        krylov.append(its)
         x = x + delta
         e, g = energy_and_gradient(grid, pot, x, alpha, beta)
         bulk_res, bdry_res = residual_norms(grid, g)
@@ -212,6 +280,7 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
         newton_iters=iters,
         converged=converged,
         residual_history=hist,
+        krylov_iters=krylov,
     )
 
 
@@ -241,6 +310,7 @@ def save_equilibrium(sol, prefix):
         fh.write(f"bdry_res={sol.bdry_res:.17g}\n")
         fh.write(f"method={sol.method.value}\n")
         fh.write(f"newton_iters={sol.newton_iters}\n")
+        fh.write(f"krylov_iters={','.join(map(str, sol.krylov_iters))}\n")
         fh.write(f"converged={int(sol.converged)}\n")
 
 

@@ -252,7 +252,12 @@ def test_spectrum_raises_when_window_disagrees_with_inertia(grid12, pot,
 
     H = energy_hessian(grid12, pot, PairField.zeros(grid12), 1.0, 1.0)
     true_count = an.count_below
-    monkeypatch.setattr(an, "count_below", lambda At, s: true_count(At, s) + 1)
+
+    def miscounted(At, s):
+        below, factor = true_count(At, s)
+        return below + 1, factor
+
+    monkeypatch.setattr(an, "count_below", miscounted)
     with pytest.raises(RuntimeError, match="inertia"):
         spectrum(grid12, H, k=5)
 
@@ -291,14 +296,29 @@ def _count_spectral_calls(monkeypatch):
     return counts
 
 
-def test_clear_minimum_needs_no_lambda_max_and_two_factorizations(pot, monkeypatch):
+def test_clear_minimum_needs_no_lambda_max_and_one_factorization(pot, monkeypatch):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     H = energy_hessian(g, pot, PairField.constant(g, 0.05), 1.0, 1.0)
     counts = _count_spectral_calls(monkeypatch)
     rep = spectrum(g, H, k=6)
     assert rep.n_negative == 0 and rep.kernel_dim == 0
-    # one shift-invert run and its factorization, one inertia count
-    assert counts == {"LA": 0, "ldl": 2, "lowest": 1}
+    # one inertia count, whose factor is the shift-invert run's operator
+    assert counts == {"LA": 0, "ldl": 1, "lowest": 1}
+
+
+def test_clear_minimum_eigenvalues_from_the_counting_factor(pot, monkeypatch):
+    # the shift-invert run about the inertia bound, through the factor that
+    # counted, gives the dense eigenvalues
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
+    u = 0.05 + 0.3 * np.cos(2 * np.pi * g.x) * np.cos(np.pi * g.y)
+    H = energy_hessian(g, pot, u, 0.7, 1.5)
+    counts = _count_spectral_calls(monkeypatch)
+    rep = spectrum(g, H, k=6)
+    assert counts == {"LA": 0, "ldl": 1, "lowest": 1}
+    rw = 1.0 / np.sqrt(g.h_weights())
+    lam = la.eigvalsh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())[:6]
+    assert lam[0] > 0 and rep.n_negative == 0 and rep.kernel_dim == 0
+    assert np.all(np.abs(rep.eigenvalues - lam) <= 1e-10 * np.abs(lam))
 
 
 def test_kernels_and_saddles_take_the_full_path(kernel_problem, pot, monkeypatch):

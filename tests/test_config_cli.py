@@ -813,6 +813,48 @@ def test_cli_analyze_measures_the_given_psi(tmp_path):
     assert against_b == _report_text(expected) + "\n"
 
 
+def test_cli_analyze_reports_whether_psi_is_stationary(tmp_path, capsys):
+    # psi_A + 0.5 on a 16x16 strip (Lx = Ly = 8) is not stationary and its
+    # meta says converged=0: analyze reports the residuals it measures at
+    # psi, warns, and still exits 0; psi_A itself passes without that warning
+    from chwall.energy import energy_and_gradient, residual_norms
+    from chwall.grid import save_field
+    from chwall.stationary import load_equilibrium
+
+    text = (BASE_CONFIG.replace("Lx = 1.0", "Lx = 8.0").replace("Ly = 1.0", "Ly = 8.0")
+            .replace("nx = 8", "nx = 16").replace("ny = 8", "ny = 16")
+            .replace("dt = 1e-3\nt_end = 0.02", "dt = 1e-2\nt_end = 2.0")
+            .replace("snapshot_stride = 5", "snapshot_stride = 20\nplots = false"))
+    sim, psi_a, psi_b = tmp_path / "sim", tmp_path / "eqA" / "equilibrium", tmp_path / "psiB"
+    assert main(["equilibrium", write_config(tmp_path, text.format(out=psi_a.parent), "e.ini")]) == 0
+    assert main(["simulate", write_config(tmp_path, text.format(out=sim), "s.ini")]) == 0
+    a, meta = load_equilibrium(str(psi_a))
+    b = PairField(a.grid, a.values + 0.5)
+    save_field(b, f"{psi_b}.csv")
+    (tmp_path / "psiB.meta").write_text(
+        (tmp_path / "eqA" / "equilibrium.meta").read_text().replace("converged=1", "converged=0"))
+    report = sim / "analysis" / "spectral_report.txt"
+
+    capsys.readouterr()
+    assert main(["analyze", str(sim), str(psi_a)]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["psi_converged"] is True
+    assert rep["psi_bulk_res"] + rep["psi_bdry_res"] <= 1e-8
+    assert "converged solve" not in capsys.readouterr().err
+
+    assert main(["analyze", str(sim), str(psi_b)]) == 0
+    out = capsys.readouterr()
+    rep = json.loads(report.read_text())
+    bulk, bdry = residual_norms(b.grid, energy_and_gradient(b.grid, cw.double_well(), b,
+                                                            1.0, 1.0)[1])
+    assert rep["psi_converged"] is False
+    assert (rep["psi_bulk_res"], rep["psi_bdry_res"]) == (bulk, bdry) and bulk > 1e-2
+    assert "does not record a converged solve" in out.err
+    assert f"bulk={bulk:.3e} bdry={bdry:.3e}" in out.err
+    assert out.out.rstrip().endswith("(with warnings)")
+    assert _manifest_hashing_every_file(sim / "analysis")["warnings"] is True
+
+
 def test_cli_analyze_clears_an_earlier_analysis(tmp_path, capsys):
     # a re-analysis that writes fewer files leaves none of the earlier ones,
     # and its manifest lists only files that exist

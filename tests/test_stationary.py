@@ -240,15 +240,13 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 def _singular_jacobians(monkeypatch):
-    """Make every Newton Jacobian factorization fail as on an exactly singular matrix."""
-    import types
-
+    """Make every Newton step's MINRES fail, as on an exactly singular Jacobian."""
     import chwall.stationary as stationary
 
-    def splu(A):
-        raise RuntimeError("Factor is exactly singular")
+    def minres(H, P, b, rtol):
+        return None, stationary.MINRES_MAX_ITER
 
-    monkeypatch.setattr(stationary, "spla", types.SimpleNamespace(splu=splu))
+    monkeypatch.setattr(stationary, "_minres", minres)
 
 
 def _dense_kernel_dim(g, H, kernel_tol):
@@ -305,3 +303,87 @@ def test_cli_equilibrium_meta_and_classification_agree_on_kernel(tmp_path, monke
     assert "kernel_dim" not in meta
     assert "kernel_dim=2," in line
     assert len(top_pairs) == 1  # one spectrum past the clear-minimum test
+
+
+@pytest.fixture(scope="module")
+def workload48(pot):
+    """The 48x48 strip (Lx = Ly = 8) from random_fourier data, amplitude 0.5,
+    seed 5, and the minimizer's state at tol 1e-3 that Newton starts from."""
+    cfg = RunConfig(Lx=8.0, Ly=8.0, nx=48, ny=48, initial_kind="random_fourier",
+                    initial_amplitude=0.5, initial_mean=0.0, seed=5)
+    g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=48, ny=48)
+    op = cw.WentzellOperator(g)
+    return op, minimize_energy(op, pot, make_initial(g, cfg), tol=1e-3).field
+
+
+def test_newton_refine_makes_no_sparse_lu(workload48, tall_strip, pot, monkeypatch):
+    # Newton solves by preconditioned MINRES, at a minimum and at the
+    # indefinite Hessian of the zero saddle, and never calls splu
+    import scipy.sparse.linalg as spla
+
+    calls, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    op, start = workload48
+    sol = newton_refine(op, pot, start, tol=1e-8)
+    assert sol.converged and sol.newton_iters >= 1
+    g, op = tall_strip
+    assert newton_refine(op, pot, PairField.zeros(g)).converged
+    near_saddle = PairField(g, 1e-3 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly))
+    sol = newton_refine(op, pot, near_saddle, tol=1e-10)
+    assert sol.converged and sol.newton_iters >= 1
+    assert np.max(np.abs(sol.psi.values)) <= 1e-8  # back at the saddle
+    assert calls == []
+
+
+def test_minres_solves_an_indefinite_hessian(tall_strip, pot):
+    import scipy.sparse.linalg as spla
+
+    from chwall.stationary import _minres, _preconditioner
+
+    g, op = tall_strip
+    u = 0.3 * np.random.default_rng(4).standard_normal(g.n_nodes)
+    H = energy_hessian(g, pot, u, 1.0, 1.0)
+    b = np.random.default_rng(5).standard_normal(g.n_nodes)
+    x, its = _minres(H, _preconditioner(op), b, 1e-12)
+    ref = spla.spsolve(H.tocsc(), b)
+    assert 0 < its < cw.stationary.MINRES_MAX_ITER
+    assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeypatch):
+    import chwall.stationary as stationary
+
+    g, op = tall_strip
+    start = minimize_energy(op, pot, PairField.zeros(g), tol=1e-3).field
+    full = newton_refine(op, pot, start, tol=1e-12)
+    assert full.newton_iters >= 2
+    minres, calls = stationary._minres, []
+
+    def second_fails(H, P, b, rtol):
+        calls.append(1)
+        return minres(H, P, b, rtol) if len(calls) == 1 else (None, stationary.MINRES_MAX_ITER)
+
+    monkeypatch.setattr(stationary, "_minres", second_fails)
+    sol = newton_refine(op, pot, start, tol=1e-12)
+    assert not sol.converged and sol.newton_iters == 1
+    assert sol.krylov_iters == full.krylov_iters[:1]
+    assert sol.residual_history == full.residual_history[:2]
+    assert (sol.bulk_res, sol.bdry_res) == residual_norms(
+        g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])
+    # a MINRES that cannot reach its tolerance in its iteration cap misses
+    monkeypatch.setattr(stationary, "_minres", minres)
+    monkeypatch.setattr(stationary, "MINRES_MAX_ITER", 1)
+    sol = newton_refine(op, pot, start, tol=1e-12)
+    assert not sol.converged and sol.newton_iters == 0 and sol.krylov_iters == []
+    assert np.array_equal(sol.psi.values, start.values)
+
+
+def test_equilibrium_records_krylov_iterations(workload48, tmp_path, pot):
+    op, start = workload48
+    sol = find_equilibrium(op, pot, start)
+    assert sol.converged and sol.newton_iters >= 1
+    assert len(sol.krylov_iters) == sol.newton_iters
+    assert all(its > 0 for its in sol.krylov_iters)
+    save_equilibrium(sol, str(tmp_path / "eq"))
+    _, meta = load_equilibrium(str(tmp_path / "eq"), grid=op.grid)
+    assert [int(its) for its in meta["krylov_iters"].split(",")] == sol.krylov_iters
