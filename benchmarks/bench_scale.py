@@ -33,7 +33,7 @@ import scipy
 
 import chwall as cw
 from chwall import evolution
-from chwall.grid import PairField, _snapshot_template, save_field
+from chwall.grid import _snapshot_template, save_field
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (32, 64, 128, 256)
@@ -77,15 +77,14 @@ def main(argv=None):
             grid.forms.k_lin(op.alpha, op.beta)
             lu = _factor(op)
             rhs = np.random.default_rng(0).standard_normal(grid.n_nodes)
-            field = PairField(grid, rhs)
             cases[f"{n}x{n}"] = {
                 "n_nodes": grid.n_nodes,
                 "assembly_factor_s": _best_of(args.repeat, lambda: _factor(op)),
                 "assembly_factor_peak_kb": _peak_kb(lambda: _factor(op)),
                 "band_solve_s": _best_of(args.repeat, lambda: lu.solve(rhs)),
                 "template_s": _best_of(args.repeat, lambda: _snapshot_template(grid)),
-                "save_field_s": _best_of(args.repeat, lambda: save_field(field, path)),
-                "save_field_peak_kb": _peak_kb(lambda: save_field(field, path)),
+                "save_field_s": _best_of(args.repeat, lambda: save_field(grid, rhs, path)),
+                "save_field_peak_kb": _peak_kb(lambda: save_field(grid, rhs, path)),
             }
             print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
     result = {

@@ -13,8 +13,9 @@ Four states, each paired with the metric W = h_weights(1) of the Hessian:
 
 For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6 and
 ``spectrum`` at k = 6, each as the median and quartiles of ``--repeat``
-calls after one warm-up call, and counts the LDL^T factorizations and
-Lanczos runs (plain and shift-invert) of one ``spectrum`` call.  For
+calls after one warm-up call (``--repeat`` at least 2), and counts the
+LDL^T factorizations and Lanczos runs (plain and shift-invert) of one
+``spectrum`` call.  For
 ``equilibrium48`` it also times the ``find_equilibrium`` call that finds
 the state and counts its sparse LU (``splu``) calls.  ``newton128`` times
 ``newton_refine`` on the same data at 128x128, from the minimizer's result
@@ -42,7 +43,6 @@ from chwall.analysis import lowest_eigenpairs, spectrum, weighted_symmetric
 from chwall.cli import build_problem, make_initial
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
-from chwall.grid import PairField
 from chwall.stationary import find_equilibrium, minimize_energy, newton_refine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,10 +58,10 @@ def _states(repeat):
     yield "equilibrium48", grid, energy_hessian(grid, pot, psi, op.alpha, op.beta), extra
     for n in (32, 128):
         grid, pot, op = build_problem(RunConfig(nx=n, ny=n))
-        u = PairField.constant(grid, 0.05)
+        u = np.full(grid.n_nodes, 0.05)
         yield f"constant{n}", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
     grid, pot, op = build_problem(RunConfig(Lx=8.0, Ly=8.0, nx=24, ny=24))
-    u = PairField.zeros(grid)
+    u = np.zeros(grid.n_nodes)
     yield "saddle24", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
 
 
@@ -70,7 +70,7 @@ def _random_data(n):
     cfg = RunConfig(Lx=8.0, Ly=8.0, nx=n, ny=n, initial_kind="random_fourier",
                     initial_amplitude=0.5, initial_mean=0.0, seed=1501)
     grid, pot, op = build_problem(cfg)
-    return grid, pot, op, make_initial(grid, cfg)
+    return grid, pot, op, make_initial(grid, cfg).values
 
 
 class _CallCounter:
@@ -129,6 +129,8 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=15)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_spectrum.json"))
     args = parser.parse_args(argv)
+    if args.repeat < 2:
+        parser.error("--repeat must be at least 2: the quartiles need two samples")
     cases = {}
     for name, grid, H, extra in _states(args.repeat):
         At, rw = weighted_symmetric(H, grid.h_weights(1.0))

@@ -18,9 +18,9 @@ thing a step of ``evolve`` does:
   row per step, no snapshots), divided by the step count; 256x256 runs a
   tenth of them.
 
-Each figure is the median and quartiles of ``--repeat`` samples, a sample
-being the mean over a loop of calls long enough to take about a
-millisecond, after one warm-up loop.  It writes them with the platform to
+Each figure is the median and quartiles of ``--repeat`` samples (at least
+2), a sample being the mean over a loop of calls long enough to take about
+a millisecond, after one warm-up loop.  It writes them with the platform to
 ``BENCH_step.json`` at the repo root.
 
     PYTHONPATH=src python3 benchmarks/bench_step.py [--repeat 15] [--out PATH]
@@ -117,6 +117,8 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=500)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_step.json"))
     args = parser.parse_args(argv)
+    if args.repeat < 2:
+        parser.error("--repeat must be at least 2: the quartiles need two samples")
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in SIZES:

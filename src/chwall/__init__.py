@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .grid import (
     GridMode,
-    PairField,
     StripGrid,
     build_grid,
     h_inner,

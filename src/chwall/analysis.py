@@ -20,7 +20,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import energy_and_gradient, energy_value, residual_norms
-from .grid import _as_values
 from .operators import v_norm
 
 
@@ -273,12 +272,11 @@ def ls_probe(op, pot, traj, psi, window=0.5):
     regression RMS widths.
     """
     grid = op.grid
-    psi_vals = _as_values(psi)
-    e_psi = energy_value(grid, pot, psi_vals, op.alpha, op.beta)
+    e_psi = energy_value(grid, pot, psi, op.alpha, op.beta)
     gap_floor = GAP_FLOOR_REL * (1.0 + abs(e_psi))
     samples = []
     for t, snap in traj.snapshots:
-        diff = _as_values(snap) - psi_vals
+        diff = snap - psi
         if v_norm(grid, diff) > window:
             continue
         e, g = energy_and_gradient(grid, pot, snap, op.alpha, op.beta)

@@ -118,11 +118,18 @@ def write_manifest(out_dir, cfg, extra, t0):
             full = os.path.join(root, name)
             rel = os.path.relpath(full, out_dir)
             artifacts[rel] = _sha256(full)
+    # numpy and scipy may each ship their own BLAS build: np.dot runs on
+    # numpy's, the band LAPACK on scipy's
+    blas = {}
+    for lib in (np, scipy):
+        build = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas[lib.__name__] = f"{build['name']} {build['version']}"
     manifest = {
         "config_hash": config_hash(cfg),
         "chwall_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "blas": blas,
         "wall_time_s": time.time() - t0,
         "artifacts": artifacts,
     }
@@ -155,11 +162,12 @@ def _load_input(name, load, path, grid):
 
 
 def make_initial(grid, cfg):
-    """Seeded initial data; the random kind superposes low-wavenumber modes."""
+    """Seeded initial data as a ``grid.PairField``; the random kind
+    superposes low-wavenumber modes."""
     rng = np.random.default_rng(cfg.seed)
     x, y = grid.x, grid.y
     if cfg.initial_kind == "constant":
-        return PairField.constant(grid, cfg.initial_mean)
+        return PairField(grid, np.full(grid.n_nodes, float(cfg.initial_mean)))
     if cfg.initial_kind == "cosine":
         if grid.mode is GridMode.STRIP2D:
             prof = np.cos(2.0 * np.pi * x / grid.Lx)
@@ -228,11 +236,11 @@ def _write_diagnostics(path, rec):
 def cmd_simulate(config_path):
     cfg = parse_config(config_path)
     grid, pot, op = build_problem(cfg)
-    u0 = make_initial(grid, cfg)
+    u0 = make_initial(grid, cfg).values
     ref = None
     if cfg.reference_path:
-        ref, _ = _load_input("reference.psi_path", load_equilibrium,
-                             cfg.reference_path, grid)
+        ref = _load_input("reference.psi_path", load_equilibrium,
+                          cfg.reference_path, grid)[0].values
     out = cfg.output_dir
     _make_dir(out)
     t0 = time.time()
@@ -253,7 +261,7 @@ def cmd_simulate(config_path):
         _make_dir(snapdir)
         for i, (t, snap) in enumerate(rec.snapshots):
             snap_path = os.path.join(snapdir, f"snap_{i:06d}_t{t!r}.csv")
-            save_field(snap, snap_path)
+            save_field(grid, snap, snap_path)
         # evolve ends every record, aborted or not, with its final state
         shutil.copyfile(snap_path, os.path.join(out, "final_state.csv"))
         if cfg.plots:
@@ -295,9 +303,9 @@ def cmd_equilibrium(config_path, init_path=None):
     cfg = parse_config(config_path)
     grid, pot, op = build_problem(cfg)
     if init_path:
-        u0 = _load_input("--init", load_field, init_path, grid)
+        u0 = _load_input("--init", load_field, init_path, grid).values
     else:
-        u0 = make_initial(grid, cfg)
+        u0 = make_initial(grid, cfg).values
     out = cfg.output_dir
     _make_dir(out)
     t0 = time.time()
@@ -305,7 +313,7 @@ def cmd_equilibrium(config_path, init_path=None):
         with open(os.path.join(out, "config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
         sol = find_equilibrium(op, pot, u0)
-        save_equilibrium(sol, os.path.join(out, "equilibrium"))
+        save_equilibrium(grid, sol, os.path.join(out, "equilibrium"))
         rep, kind = _classify(op, pot, sol.psi, cfg.kernel_tol)
         lam0 = rep.eigenvalues[0] if rep.eigenvalues.size else float("nan")
         line = (
@@ -358,7 +366,7 @@ def _load_run(run_dir):
                 t = float(name.rsplit("_t", 1)[1][:-4])
             except (IndexError, ValueError):
                 raise ConfigError(f"{path}: not a snapshot name snap_<i>_t<time>.csv")
-            snapshots.append((t, _load_input("snapshot", load_field, path, grid)))
+            snapshots.append((t, _load_input("snapshot", load_field, path, grid).values))
     return cfg, grid, pot, op, TrajectoryRecord(snapshots=snapshots)
 
 
@@ -384,7 +392,8 @@ def cmd_analyze(run_dir, psi_prefix):
         raise ConfigError(f"run directory {run_dir} does not exist")
     with OutputLock(run_dir):
         cfg, grid, pot, op, rec = _load_run(run_dir)
-        psi, meta = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
+        psi_rec, meta = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
+        psi = psi_rec.values
         out = os.path.join(run_dir, "analysis")
         _make_dir(out)
         for name in ANALYSIS_FILES:
@@ -480,8 +489,8 @@ def cmd_check(dump_operator=None):
     check("wall quadrature sums to the wall length",
           abs(np.sum(grid.bdry_weights) - grid.surface) < 1e-12)
     rng = np.random.default_rng(7)
-    u = PairField(grid, rng.standard_normal(grid.n_nodes))
-    v = PairField(grid, rng.standard_normal(grid.n_nodes))
+    u = rng.standard_normal(grid.n_nodes)
+    v = rng.standard_normal(grid.n_nodes)
     lhs = h_inner(grid, apply_A(op, u), v, b=op.b)
     rhs = op.a_form(u, v)
     check("weighted self-adjointness of the wall operator",
@@ -493,7 +502,7 @@ def cmd_check(dump_operator=None):
           abs(x_norm(op, u) - x_norm_via_form(op, u)) <= 1e-10 * (1 + x_norm(op, u)))
     mu = chemical_potential(op, pot, u)
     eps = 1e-5
-    u_up, u_down = u.values + eps * v.values, u.values - eps * v.values
+    u_up, u_down = u + eps * v, u - eps * v
     fd = (energy_value(grid, pot, u_up, op.alpha, op.beta)
           - energy_value(grid, pot, u_down, op.alpha, op.beta)) / (2 * eps)
     pair = h_inner(grid, mu, v, b=op.b)

@@ -15,9 +15,10 @@ discrete form.
 
 The energy itself depends on the surface constants only, so
 ``energy_and_gradient``, ``energy_value`` and ``energy_hessian`` take
-(grid, pot, u, alpha, beta) with both constants required.  Everything that
-also needs the wall's b, c (the chemical potential, the ledger row) takes
-the ``operators.WentzellOperator`` that carries all four.
+(grid, pot, u, alpha, beta) with both constants required; u, like every
+field, is a flat array of shape (n_nodes,).  Everything that also needs
+the wall's b, c (the chemical potential, the ledger row) takes the
+``operators.WentzellOperator`` that carries all four.
 """
 
 import math
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import PairField, _as_values, dot
+from .grid import dot
 
 
 class PotentialKind(Enum):
@@ -165,11 +166,10 @@ def energy_and_gradient(grid, pot, u, alpha, beta):
     derived from this pair: mu = g/W, the residual norms, the flux and the
     dissipation (``state_report``).
     """
-    vals = _as_values(u)
     forms = grid.forms
-    Ku = forms.k_lin(alpha, beta) @ vals
-    e = 0.5 * dot(vals, Ku) + dot(grid.bulk_weights, pot.F(vals))
-    return e, Ku + forms.bulk_mass * pot.f(vals)
+    Ku = forms.k_lin(alpha, beta) @ u
+    e = 0.5 * dot(u, Ku) + dot(grid.bulk_weights, pot.F(u))
+    return e, Ku + forms.bulk_mass * pot.f(u)
 
 
 def energy_value(grid, pot, u, alpha, beta):
@@ -201,14 +201,13 @@ def state_report(op, u, evaluation):
     a semi-implicit step from this state needs the same product.
     """
     grid = op.grid
-    vals = _as_values(u)
     e, g = evaluation
     forms = grid.forms
-    e_surf = 0.5 * op.alpha * dot(vals, forms.k_par @ vals)
-    e_surf += 0.5 * op.beta * dot(vals, forms.bdry_mass * vals)
+    e_surf = 0.5 * op.alpha * dot(u, forms.k_par @ u)
+    e_surf += 0.5 * op.beta * dot(u, forms.bdry_mass * u)
     mu = g / op.mass_weights
     kmu = op.K_A @ mu
-    mass_bulk = dot(grid.bulk_weights, vals)
+    mass_bulk = dot(grid.bulk_weights, u)
     bulk_res, bdry_res = residual_norms(grid, g)
     return EnergyReport(
         e_bulk=e - e_surf,
@@ -216,7 +215,7 @@ def state_report(op, u, evaluation):
         e_total=e,
         dissipation=dot(mu, kmu),
         mass_bulk=mass_bulk,
-        mass_total=mass_bulk + dot(grid.bdry_weights, vals[grid.bdry_idx]),
+        mass_total=mass_bulk + dot(grid.bdry_weights, u[grid.bdry_idx]),
         flux=-dot(grid.bdry_weights, mu[grid.bdry_idx]),
         bulk_res=bulk_res,
         bdry_res=bdry_res,
@@ -231,12 +230,12 @@ def energy_hessian(grid, pot, u, alpha, beta):
     get the linearized chemical potential).
     """
     forms = grid.forms
-    curvature = forms.bulk_mass * pot.f_prime(_as_values(u))
+    curvature = forms.bulk_mass * pot.f_prime(u)
     return (forms.k_lin(alpha, beta) + sp.diags(curvature)).tocsr()
 
 
 def chemical_potential(op, pot, u):
-    """The chemical potential as the exact gradient of the discrete energy.
+    """The chemical potential mu, an array: the exact gradient of the discrete energy.
 
     Interior rows evaluate to -Lap(u) + f(u) with the scheme's Laplacian;
     wall rows evaluate to b*(-alpha*Lap_par u + normal_flux u + beta*u),
@@ -246,4 +245,4 @@ def chemical_potential(op, pot, u):
     ``op.a_form(mu, mu)``.
     """
     g = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)[1]
-    return PairField(op.grid, g / op.mass_weights)
+    return g / op.mass_weights

@@ -44,7 +44,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import energy_and_gradient, energy_hessian, state_report
-from .grid import PairField, _as_values
 from .operators import diag_rows, factor_x_invariant, level_rows, v_norm, x_norm
 
 
@@ -71,6 +70,9 @@ class EvolutionAbort(RuntimeError):
 @dataclass
 class TrajectoryRecord:
     """Scalar time series plus sparse field checkpoints of one run.
+
+    snapshots holds (t, u) pairs, u the state as an array of shape
+    (n_nodes,); ``final_state()`` is the last u.
 
     ledger_defect[k] is the mass-flux ledger residual over the interval
     (times[k], times[k+1]): d(mass_total)/dt plus the wall outflow
@@ -272,8 +274,9 @@ def evolve(op, pot, u0, cfg, ref=None):
     ``evolve(op, pot, u, replace(cfg, t_end=cfg.dt)).final_state()``.
     Each row also records the flow speed |u_t|_X, taken from the exact
     identity u_t = -A mu as sqrt(a(mu, mu)), which is the row's dissipation.
-    When a reference equilibrium is supplied, the distances |U - psi| in the
-    weak and energy norms are recorded too.
+    u0 is copied.  When a reference equilibrium ref (an array, as u0) is
+    supplied, the distances |U - psi| in the weak and energy norms are
+    recorded too.
     The energy guard is always on: a step that raises the discrete energy
     beyond rounding, or whose Newton solve fails, is redone as two half
     steps.  The run aborts only when a half step would fall below dt_min;
@@ -288,7 +291,7 @@ def evolve(op, pot, u0, cfg, ref=None):
     if ref is not None:
         rec.x_dist_to_ref = []
         rec.v_dist_to_ref = []
-    u = _as_values(u0).copy()
+    u = np.array(u0, dtype=float)
     t = 0.0
     lo, hi = float(u.min()), float(u.max())
 
@@ -299,7 +302,7 @@ def evolve(op, pot, u0, cfg, ref=None):
         rec.reports.append(report)
         rec.ut_xnorm.append(math.sqrt(max(report.dissipation, 0.0)))
         if ref is not None:
-            diff = PairField(grid, u_vals) - ref
+            diff = u_vals - ref
             rec.x_dist_to_ref.append(x_norm(op, diff))
             rec.v_dist_to_ref.append(v_norm(grid, diff))
         return kmu
@@ -307,7 +310,7 @@ def evolve(op, pot, u0, cfg, ref=None):
     evaluation = energy_and_gradient(grid, pot, u, op.alpha, op.beta)
     kmu = record_row(0.0, u, evaluation)
     if cfg.snapshot_stride:
-        rec.snapshots.append((0.0, PairField(grid, u.copy())))
+        rec.snapshots.append((0.0, u.copy()))
 
     step_idx = 0
     eps_t = 1e-6 * cfg.dt  # sub-resolution remainders are time-grid residue
@@ -336,13 +339,13 @@ def evolve(op, pot, u0, cfg, ref=None):
                 outflow = -(op.c / op.b) * prev_report.flux
                 rec.ledger_defect.append(dmass + outflow)
             if cfg.snapshot_stride and step_idx % cfg.snapshot_stride == 0:
-                rec.snapshots.append((t, PairField(grid, u.copy())))
+                rec.snapshots.append((t, u.copy()))
     except GuardAbort as exc:
         rec.factorizations = factors.made
-        rec.snapshots.append((t, PairField(grid, u.copy())))
+        rec.snapshots.append((t, u.copy()))
         raise EvolutionAbort(str(exc), rec)
 
     rec.factorizations = factors.made
     if not rec.snapshots or rec.snapshots[-1][0] < t - 1e-15:
-        rec.snapshots.append((t, PairField(grid, u.copy())))
+        rec.snapshots.append((t, u.copy()))
     return rec

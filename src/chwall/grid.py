@@ -69,8 +69,8 @@ class GridForms:
 class StripGrid:
     """Immutable grid: geometry, weights and boundary indexing.
 
-    Safe to share read-only across threads once built; field arithmetic
-    creates new values or mutates an exclusively held field.
+    Safe to share read-only across threads once built; a field is a plain
+    array of shape (n_nodes,) that its holder owns.
 
     Attributes
     ----------
@@ -244,65 +244,14 @@ def _assemble_forms(grid):
     return GridForms(k_grad, k_par, grid.bulk_weights.copy(), bdry_mass)
 
 
+@dataclass(frozen=True, eq=False)
 class PairField:
-    """A field on the closed domain together with its boundary trace.
+    """A field's values with their grid, as ``load_field`` (which may rebuild
+    the grid from the file) and ``make_initial`` (whose ``.values``
+    e2ebench/workloads.py reads) return them.  No function takes one."""
 
-    Storage is a single flat vector over all nodes; the trace is an index
-    view into it (wall nodes), never a second copy, so bulk and trace can
-    not drift apart.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (grid.n_nodes,):
-            raise ValueError(
-                f"field has {values.shape} values, grid has {grid.n_nodes} nodes"
-            )
-        self.grid = grid
-        self.values = values
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.n_nodes))
-
-    @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.n_nodes, float(value)))
-
-    @property
-    def trace(self):
-        """Boundary values, bottom wall first (read as an index view)."""
-        return self.values[self.grid.bdry_idx]
-
-    def copy(self):
-        return PairField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return PairField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return PairField(self.grid, self.values - other.values)
-
-    def __mul__(self, a):
-        return PairField(self.grid, self.values * float(a))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PairField(self.grid, -self.values)
-
-
-def _check_same_grid(u, v):
-    if u.grid != v.grid:
-        raise ValueError(f"grid mismatch: {u.grid!r} vs {v.grid!r}")
-
-
-def _as_values(u):
-    return u.values if isinstance(u, PairField) else np.asarray(u, dtype=float)
+    grid: StripGrid
+    values: np.ndarray
 
 
 # OpenBLAS splits a ddot across threads from 10,001 entries on, and the
@@ -334,9 +283,7 @@ def h_inner(grid, u, v, b=1.0):
     optional b rescales the surface part by 1/b, matching the metric in
     which the permeable-wall flow is a gradient flow.
     """
-    if isinstance(u, PairField) and isinstance(v, PairField):
-        _check_same_grid(u, v)
-    uv = _as_values(u) * _as_values(v)
+    uv = u * v
     s = dot(grid.bulk_weights, uv)
     s += dot(grid.bdry_weights, uv[grid.bdry_idx]) / b
     return s
@@ -390,17 +337,17 @@ def _levels_per_block(grid):
     return max(1, SNAP_BLOCK // grid.nx)
 
 
-def save_field(field, path):
-    """Write a field snapshot as CSV with a grid-identifying header."""
-    grid = field.grid
+def save_field(grid, u, path):
+    """Write the field u on grid as CSV with a grid-identifying header."""
     step = grid.nx * _levels_per_block(grid)
     with open(path, "w") as fh:
         for k, block in enumerate(grid.snapshot_template):
-            fh.write(block % tuple(field.values[k * step:(k + 1) * step].tolist()))
+            fh.write(block % tuple(u[k * step:(k + 1) * step].tolist()))
 
 
 def load_field(path, grid=None):
-    """Read a snapshot; rebuilds the grid from the header unless one is given.
+    """Read a snapshot as a PairField; rebuilds the grid from the header
+    unless one is given, and refuses a file of any other grid.
 
     Raises ValueError unless the body lists every node of the grid exactly
     once (a truncated or duplicated file is refused, not half-filled) with

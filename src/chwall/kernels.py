@@ -14,8 +14,6 @@ chemical potential agrees with ``-laplacian(u) + f(u)`` to rounding.
 
 import numpy as np
 
-from .grid import _as_values
-
 
 def _periodic_second_difference(rows, hx):
     """Second difference along x of each row of a (k, nx) array."""
@@ -31,7 +29,7 @@ def laplacian(grid, u):
     and the two nearest interior rows), used only where a formula
     explicitly needs the bulk Laplacian on the boundary.
     """
-    v = _as_values(u).reshape(grid.ny, grid.nx)
+    v = u.reshape(grid.ny, grid.nx)
     out = _periodic_second_difference(v, grid.hx)
     ihy2 = 1.0 / (grid.hy * grid.hy)
     # uniform interior rows
@@ -59,7 +57,7 @@ def normal_derivative(grid, u):
     Second order; exact for fields quadratic in y.  Returned in trace
     layout (bottom wall first).
     """
-    v = _as_values(u).reshape(grid.ny, grid.nx)
+    v = u.reshape(grid.ny, grid.nx)
     c = 1.0 / (3.0 * grid.hy)
     bottom = (8.0 * v[0] - 9.0 * v[1] + v[2]) * c
     top = (8.0 * v[-1] - 9.0 * v[-2] + v[-3]) * c

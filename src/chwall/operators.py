@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, zgbtrs
 
-from .grid import PairField, _as_values, dot, h_inner
+from .grid import dot, h_inner
 
 # the largest imaginary part, relative to the largest real part, that the
 # Fourier symbol of an x-symmetric stencil may carry from rounding
@@ -153,7 +153,7 @@ class WentzellOperator:
 
     def a_form(self, u, v):
         """The symmetric bilinear form defining the operator."""
-        return dot(_as_values(u), self.K_A @ _as_values(v))
+        return dot(u, self.K_A @ v)
 
     def factorization(self):
         """K_A factorized by ``factor_x_invariant``, made once and reused."""
@@ -171,18 +171,16 @@ class WentzellOperator:
 
 
 def apply_A(op, u):
-    """Apply the operator: bulk rows give -Laplacian, wall rows the flux law."""
-    vals = _as_values(u)
-    return PairField(op.grid, (op.K_A @ vals) / op.mass_weights)
+    """A u, an array: bulk rows give -Laplacian, wall rows the flux law."""
+    return (op.K_A @ u) / op.mass_weights
 
 
 def solve_Ainv(op, g):
-    """Unique solution U of A U = g, via the cached direct factorization."""
-    gv = _as_values(g)
-    sol = op.factorization().solve(op.mass_weights * gv)
+    """The unique array U with A U = g, via the cached direct factorization."""
+    sol = op.factorization().solve(op.mass_weights * g)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("factorization produced non-finite solution")
-    return PairField(op.grid, sol)
+    return sol
 
 
 def x_norm(op, v):
@@ -199,5 +197,4 @@ def x_norm_via_form(op, v):
 
 def v_norm(grid, u):
     """Energy-space norm: bulk gradient plus surface gradient and mass."""
-    vals = _as_values(u)
-    return np.sqrt(max(dot(vals, grid.forms.k_lin(1.0, 1.0) @ vals), 0.0))
+    return np.sqrt(max(dot(u, grid.forms.k_lin(1.0, 1.0) @ u), 0.0))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import count_below, lowest_eigenpairs, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
-from .grid import PairField, _as_values, dot, load_field, save_field
+from .grid import dot, load_field, save_field
 from .operators import diag_rows, factor_x_invariant, level_rows
 
 
@@ -54,7 +54,7 @@ class SolveMethod(Enum):
 
 @dataclass
 class MinimizeResult:
-    field: PairField
+    field: np.ndarray
     converged: bool
     iterations: int
     grad_norm: float
@@ -63,7 +63,7 @@ class MinimizeResult:
 
 @dataclass
 class EquilibriumSolution:
-    psi: PairField
+    psi: np.ndarray
     energy: float
     bulk_res: float
     bdry_res: float
@@ -157,8 +157,9 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     minimum with one LDL^T factorization and no eigensolve; otherwise a
     Lanczos run finds the most negative direction and a line search along
     it kicks the iterate off the saddle.
-    Returns a MinimizeResult; .converged is False when a line search cannot
-    descend or MAX_STEPS steps and kicks are used up first.
+    Returns a MinimizeResult whose .field is the last iterate, an array;
+    .converged is False when a line search cannot descend or MAX_STEPS
+    steps and kicks are used up first.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
     P = _preconditioner(op)
@@ -166,7 +167,7 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
     def evaluate(v):
         return energy_and_gradient(grid, pot, v, alpha, beta)
 
-    x = _as_values(u_init).copy()
+    x = np.array(u_init, dtype=float)
     e, g = evaluate(x)
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y) of the latest steps
     iterations = escapes = 0
@@ -208,7 +209,7 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
         x, e, g = x_new, e_new, g_new
         iterations += 1
     gn = math.hypot(*residual_norms(grid, g))
-    return MinimizeResult(field=PairField(grid, x), converged=bool(gn <= tol),
+    return MinimizeResult(field=x, converged=bool(gn <= tol),
                           iterations=iterations, grad_norm=gn, escapes=escapes)
 
 
@@ -239,10 +240,11 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     residual history and the MINRES iterations of each step are recorded.
     A MINRES that misses its tolerance (a singular or near-singular H), or a
     non-finite update, stops the iteration unconverged at the last iterate;
-    the caller's ``analysis.spectrum`` counts the kernel.
+    the caller's ``analysis.spectrum`` counts the kernel.  Returns an
+    EquilibriumSolution whose .psi is the last iterate, an array.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
-    x = _as_values(u_init).copy()
+    x = np.array(u_init, dtype=float)
     e, g = energy_and_gradient(grid, pot, x, alpha, beta)
     bulk_res, bdry_res = residual_norms(grid, g)
     res = math.hypot(bulk_res, bdry_res)
@@ -272,7 +274,7 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
         if res > 1e3 * (hist[0] + 1.0):
             break  # diverging; caller should descend first
     return EquilibriumSolution(
-        psi=PairField(grid, x),
+        psi=x,
         energy=e,
         bulk_res=bulk_res,
         bdry_res=bdry_res,
@@ -301,9 +303,9 @@ def find_equilibrium(op, pot, u_init, tol=1e-8):
     return sol
 
 
-def save_equilibrium(sol, prefix):
-    """Write <prefix>.csv (field) and <prefix>.meta (solution metadata)."""
-    save_field(sol.psi, f"{prefix}.csv")
+def save_equilibrium(grid, sol, prefix):
+    """Write <prefix>.csv (sol.psi on grid) and <prefix>.meta (solution metadata)."""
+    save_field(grid, sol.psi, f"{prefix}.csv")
     with open(f"{prefix}.meta", "w") as fh:
         fh.write(f"energy={sol.energy:.17g}\n")
         fh.write(f"bulk_res={sol.bulk_res:.17g}\n")
@@ -315,7 +317,7 @@ def save_equilibrium(sol, prefix):
 
 
 def load_equilibrium(prefix, grid=None):
-    """Read a saved equilibrium; returns (PairField, metadata dict)."""
+    """Read a saved equilibrium: (``load_field``'s PairField, metadata dict)."""
     psi = load_field(f"{prefix}.csv", grid=grid)
     meta = {}
     with open(f"{prefix}.meta") as fh:

@@ -17,7 +17,7 @@ from chwall.cli import main
 from chwall.config import RunConfig, parse_config
 from chwall.energy import chemical_potential, energy_hessian, energy_value
 from chwall.evolution import evolve
-from chwall.grid import PairField, h_inner, h_norm
+from chwall.grid import h_inner, h_norm
 from chwall.operators import apply_A, solve_Ainv, x_norm, x_norm_via_form
 from chwall.stationary import minimize_energy, newton_refine
 
@@ -79,8 +79,8 @@ def convergence_run(pot):
     """Long run on the unit strip converging to the zero equilibrium."""
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=32, ny=32)
     op = cw.WentzellOperator(g)
-    psi = newton_refine(op, pot, PairField.zeros(g), tol=1e-13).psi
-    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    psi = newton_refine(op, pot, np.zeros(g.n_nodes), tol=1e-13).psi
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
     cfg = RunConfig(dt=2e-3, t_end=70.0, series_stride=5, snapshot_stride=100)
     rec = evolve(op, pot, u0, cfg, ref=psi)
     return g, op, rec, psi
@@ -103,9 +103,7 @@ def test_criterion_1_discrete_energy_law(reference_run):
 def test_criterion_2_dissipation_consistency(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     op = cw.WentzellOperator(g)
-    u_raw = PairField(
-        g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * np.cos(np.pi * g.y) + 0.1
-    )
+    u_raw = 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * np.cos(np.pi * g.y) + 0.1
     rec = evolve(op, pot, u_raw, RunConfig(dt=5e-4, t_end=0.5, series_stride=100))
     u0 = rec.final_state()
     mu0 = chemical_potential(op, pot, u0)
@@ -114,8 +112,8 @@ def test_criterion_2_dissipation_consistency(pot):
     defects = []
     for dt in dts:
         u1 = one_step(op, pot, u0, RunConfig(dt=dt))
-        de = (energy_value(g, pot, u1.values, 1.0, 1.0)
-              - energy_value(g, pot, u0.values, 1.0, 1.0)) / dt
+        de = (energy_value(g, pot, u1, 1.0, 1.0)
+              - energy_value(g, pot, u0, 1.0, 1.0)) / dt
         defects.append(abs(de + d0))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope >= 0.9
@@ -136,7 +134,7 @@ def test_criterion_3_gradient_correctness(pot):
             energy_value(g, pot, u + eps * w, 1.0, 1.0)
             - energy_value(g, pot, u - eps * w, 1.0, 1.0)
         ) / (2 * eps)
-        pair = h_inner(g, mu.values, w)
+        pair = h_inner(g, mu, w)
         worst = max(worst, abs(pair - fd) / (1 + abs(fd)))
     assert worst <= 1e-6
     print(f"[criterion 3] PASS: gradient check max rel err {worst:.2e} <= 1e-6")
@@ -148,8 +146,8 @@ def test_criterion_4_operator_structure(pot):
     rng = np.random.default_rng(11)
     worst_sym = 0.0
     for _ in range(20):
-        u = PairField(g, rng.standard_normal(g.n_nodes))
-        v = PairField(g, rng.standard_normal(g.n_nodes))
+        u = rng.standard_normal(g.n_nodes)
+        v = rng.standard_normal(g.n_nodes)
         form = op.a_form(u, v)
         lhs = h_inner(g, apply_A(op, u), v)
         rhs = h_inner(g, u, apply_A(op, v))
@@ -159,8 +157,8 @@ def test_criterion_4_operator_structure(pot):
             abs(rhs - form) / (1 + abs(form)),
         )
     assert worst_sym <= 1e-12
-    psi = PairField(g, 0.5 * rng.standard_normal(g.n_nodes))
-    vv = PairField(g, 0.2 * rng.standard_normal(g.n_nodes))
+    psi = 0.5 * rng.standard_normal(g.n_nodes)
+    vv = 0.2 * rng.standard_normal(g.n_nodes)
     H = energy_hessian(g, pot, psi + vv, 1.0, 1.0)
     assert abs(H - H.T).max() / abs(H).max() <= 1e-12
     K = op.K_A.toarray()
@@ -169,7 +167,7 @@ def test_criterion_4_operator_structure(pot):
     for _ in range(5):
         rhs_f = rng.standard_normal(g.n_nodes)
         dense = np.linalg.solve(K, op.mass_weights * rhs_f)
-        got = solve_Ainv(op, rhs_f).values
+        got = solve_Ainv(op, rhs_f)
         worst_inv = max(worst_inv,
                         np.max(np.abs(got - dense)) / (1 + np.max(np.abs(dense))))
         worst_xn = max(worst_xn,
@@ -182,19 +180,19 @@ def test_criterion_4_operator_structure(pot):
 
 def test_criterion_5_stationary_solver(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    sol0 = newton_refine(cw.WentzellOperator(g), pot, PairField.zeros(g), tol=1e-10)
-    assert np.max(np.abs(sol0.psi.values)) == 0.0  # recovered exactly
+    sol0 = newton_refine(cw.WentzellOperator(g), pot, np.zeros(g.n_nodes), tol=1e-10)
+    assert np.max(np.abs(sol0.psi)) == 0.0  # recovered exactly
     assert sol0.bulk_res == 0.0 and sol0.bdry_res == 0.0
 
     G = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
     op = cw.WentzellOperator(G)
-    mr = minimize_energy(op, pot, PairField.zeros(G), tol=1e-6)
+    mr = minimize_energy(op, pot, np.zeros(G.n_nodes), tol=1e-6)
     assert mr.converged
     psi = newton_refine(op, pot, mr.field, tol=1e-12).psi
     rng = np.random.default_rng(5)
-    d = PairField(G, rng.standard_normal(G.n_nodes))
+    d = rng.standard_normal(G.n_nodes)
     probe = 1e-3
-    r_probe = h_norm(G, chemical_potential(op, pot, psi + probe * d).values)
+    r_probe = h_norm(G, chemical_potential(op, pot, psi + probe * d))
     start = psi + (8e-3 * probe / r_probe) * d
     sol = newton_refine(op, pot, start, tol=1e-9, basin_threshold=5e-2)
     assert sol.converged
@@ -271,7 +269,7 @@ def test_criterion_9_mass_flux_ledger(reference_run, pot):
 
     g16 = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     op16 = cw.WentzellOperator(g16)
-    rec1 = evolve(op16, pot, PairField.constant(g16, 1.0),
+    rec1 = evolve(op16, pot, np.full(g16.n_nodes, 1.0),
                   RunConfig(dt=1e-3, t_end=0.3))
     mass = [r.mass_total for r in rec1.reports]
     assert all(f < 0 for f in [r.flux for r in rec1.reports][:-1])

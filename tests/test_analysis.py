@@ -19,7 +19,6 @@ from chwall.analysis import (
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
 from chwall.evolution import evolve
-from chwall.grid import PairField
 from chwall.stationary import _most_negative_direction, newton_refine
 
 from conftest import dense_form_matrices
@@ -43,12 +42,12 @@ def kernel_problem(grid12):
     mu_eigs = la.eigh(np.diag(forms.bulk_mass), K0, eigvals_only=True)
     nu1 = 1.0 / mu_eigs[-1]
     pot = cw.polynomial_potential([1.0, 0.0, -nu1, 0.0])
-    return g, pot, energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    return g, pot, energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
 
 
 def test_linearized_at_zero_matches_shifted_operator(grid12, pot):
     g = grid12
-    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     # interior rows: -Lap - 1 (f'(0) = -1); wall rows: the trace condition
     out = H @ np.ones(g.n_nodes) / g.h_weights()
     assert np.max(np.abs(out[g.interior_idx] + 1.0)) <= 1e-12
@@ -57,17 +56,17 @@ def test_linearized_at_zero_matches_shifted_operator(grid12, pot):
 
 def test_linearized_matches_dense_oracle(grid12, pot, rng):
     g = grid12
-    psi = PairField(g, 0.4 * rng.standard_normal(g.n_nodes))
-    v = PairField(g, 0.1 * rng.standard_normal(g.n_nodes))
+    psi = 0.4 * rng.standard_normal(g.n_nodes)
+    v = 0.1 * rng.standard_normal(g.n_nodes)
     H = energy_hessian(g, pot, psi + v, 1.0, 1.0)
     K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
-    dense = K_o + P_o + np.diag(bdry_o) + np.diag(bulk_o * pot.f_prime(psi.values + v.values))
+    dense = K_o + P_o + np.diag(bdry_o) + np.diag(bulk_o * pot.f_prime(psi + v))
     assert np.max(np.abs(H.toarray() - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_spectrum_matches_dense_oracle(grid12, pot):
     g = grid12
-    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     rep = spectrum(g, H, k=5)
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
@@ -82,13 +81,13 @@ def test_spectrum_shifted_convex_case(grid12):
     g = grid12
     # f' replaced by +1: strictly positive spectrum
     pot_convex = cw.polynomial_potential([1.0, 0.0, 1.0, 0.0])
-    rep = spectrum(g, energy_hessian(g, pot_convex, PairField.zeros(g), 1.0, 1.0), k=4)
+    rep = spectrum(g, energy_hessian(g, pot_convex, np.zeros(g.n_nodes), 1.0, 1.0), k=4)
     assert np.all(rep.eigenvalues > 0)
 
 
 def test_saddle_detected_on_tall_strip(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
-    rep = spectrum(g, energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0), k=4)
+    rep = spectrum(g, energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0), k=4)
     assert rep.eigenvalues[0] < 0 and rep.n_negative >= 1
 
 
@@ -188,7 +187,7 @@ def test_spectrum_counts_saddle_beyond_k(pot):
     # 33 negative eigenvalues, far more than k; the +-k Fourier modes are
     # genuinely double, and both copies must be reported
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=24, ny=24)
-    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     rep = spectrum(g, H, k=6)
     assert rep.n_negative == 33
     _assert_matches_dense(rep, g, H, 6)
@@ -199,7 +198,7 @@ def test_spectrum_counts_saddle_beyond_k(pot):
 def test_spectrum_on_tiny_interval_covers_whole_spectrum(pot):
     # k equals the dimension, one more than a Lanczos run can deliver
     g = cw.build_grid("interval1d", Ly=1.0, ny=4)
-    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     rep = spectrum(g, H, k=4)
     assert rep.eigenvalues.size == 4
     _assert_matches_dense(rep, g, H, 4)
@@ -214,7 +213,7 @@ def test_kernel_detected_beyond_old_dense_size(pot):
     mu, _ = spla.eigsh(sp.diags(forms.bulk_mass).tocsc(), k=1, M=K0, which="LA",
                        v0=np.ones(g.n_nodes))
     tuned = cw.polynomial_potential([1.0, 0.0, -1.0 / mu[0], 0.0])
-    H = energy_hessian(g, tuned, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, tuned, np.zeros(g.n_nodes), 1.0, 1.0)
     assert spectrum(g, H, k=6).kernel_dim == 1
 
 
@@ -228,14 +227,14 @@ def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
     assert spectrum(g, H, k=6).kernel_dim == 1
     tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
     w = tall.h_weights(1.0)
-    At, rw = weighted_symmetric(energy_hessian(tall, pot, PairField.zeros(tall), 1.0, 1.0), w)
+    At, rw = weighted_symmetric(energy_hessian(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0), w)
     lam0, _ = _most_negative_direction(At, rw, w)
     assert lam0 < 0
 
 
 def test_most_negative_direction_matches_dense(pot):
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
-    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     w = g.h_weights()
     lam0, phi = _most_negative_direction(*weighted_symmetric(H, w), w)
     rw = 1.0 / np.sqrt(w)
@@ -250,7 +249,7 @@ def test_spectrum_raises_when_window_disagrees_with_inertia(grid12, pot,
                                                             monkeypatch):
     import chwall.analysis as an
 
-    H = energy_hessian(grid12, pot, PairField.zeros(grid12), 1.0, 1.0)
+    H = energy_hessian(grid12, pot, np.zeros(grid12.n_nodes), 1.0, 1.0)
     true_count = an.count_below
 
     def miscounted(At, s):
@@ -298,7 +297,7 @@ def _count_spectral_calls(monkeypatch):
 
 def test_clear_minimum_needs_no_lambda_max_and_one_factorization(pot, monkeypatch):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    H = energy_hessian(g, pot, PairField.constant(g, 0.05), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.full(g.n_nodes, 0.05), 1.0, 1.0)
     counts = _count_spectral_calls(monkeypatch)
     rep = spectrum(g, H, k=6)
     assert rep.n_negative == 0 and rep.kernel_dim == 0
@@ -324,7 +323,7 @@ def test_clear_minimum_eigenvalues_from_the_counting_factor(pot, monkeypatch):
 def test_kernels_and_saddles_take_the_full_path(kernel_problem, pot, monkeypatch):
     tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
     cases = [kernel_problem[::2],
-             (tall, energy_hessian(tall, pot, PairField.zeros(tall), 1.0, 1.0))]
+             (tall, energy_hessian(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0))]
     counts = _count_spectral_calls(monkeypatch)
     for g, H in cases:
         counts.update(dict.fromkeys(counts, 0))
@@ -344,8 +343,8 @@ def test_clear_minimum_asks_lanczos_for_eigenvalues_only(pot, monkeypatch):
 
     tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
     unit = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
-    cases = {"minimum": (unit, PairField.constant(unit, 0.05)),
-             "saddle": (tall, PairField.zeros(tall))}
+    cases = {"minimum": (unit, np.full(unit.n_nodes, 0.05)),
+             "saddle": (tall, np.zeros(tall.n_nodes))}
     asked, eigsh = [], spla.eigsh
 
     def spy(*args, **kwargs):
@@ -369,7 +368,7 @@ def test_clear_minimum_asks_lanczos_for_eigenvalues_only(pot, monkeypatch):
 def test_minimizer_at_a_minimum_runs_no_eigensolve(pot, monkeypatch):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     counts = _count_spectral_calls(monkeypatch)
-    res = cw.minimize_energy(cw.WentzellOperator(g), pot, PairField.zeros(g), tol=1e-8)
+    res = cw.minimize_energy(cw.WentzellOperator(g), pot, np.zeros(g.n_nodes), tol=1e-8)
     assert res.converged and res.escapes == 0
     assert counts == {"LA": 0, "ldl": 1, "lowest": 0}
 
@@ -421,9 +420,9 @@ def test_fit_exponent_exact_synthetic():
 
 def test_ls_probe_insufficient_on_stationary_trajectory(unit_grid, unit_op, pot):
     g = unit_grid
-    rec = evolve(unit_op, pot, PairField.zeros(g),
+    rec = evolve(unit_op, pot, np.zeros(g.n_nodes),
                  RunConfig(dt=1e-2, t_end=0.1, snapshot_stride=2))
-    rep = ls_probe(unit_op, pot, rec, PairField.zeros(g))
+    rep = ls_probe(unit_op, pot, rec, np.zeros(g.n_nodes))
     assert rep.insufficient
     assert rep.inequality_violations == 0
 
@@ -432,8 +431,8 @@ def test_ls_probe_insufficient_on_stationary_trajectory(unit_grid, unit_op, pot)
 def converging_run(pot):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     op = cw.WentzellOperator(g)
-    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
-    psi = newton_refine(op, pot, PairField.zeros(g), tol=1e-12).psi
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
+    psi = newton_refine(op, pot, np.zeros(g.n_nodes), tol=1e-12).psi
     rec = evolve(op, pot, u0, RunConfig(dt=2e-3, t_end=40.0, series_stride=5,
                                            snapshot_stride=50),
                  ref=psi)

@@ -24,7 +24,6 @@ import pytest
 import chwall as cw
 from chwall import evolution
 from chwall.config import RunConfig
-from chwall.grid import PairField
 
 USED_BY_BENCHMARK = {
     "chwall": ("build_grid", "double_well"),
@@ -54,7 +53,7 @@ def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
     g = cw.build_grid("strip2d", Lx=4.0, Ly=4.0, nx=12, ny=12)
     op, pot = cw.WentzellOperator(g), cw.double_well()
     # spinodal data of both signs, so the shift is recomputed on a moving range
-    u0 = PairField(g, 0.9 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly))
+    u0 = 0.9 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly)
     calls = []
     real = evolution.auto_stabilization
 

@@ -19,7 +19,6 @@ from chwall.config import (
     parse_config,
     serialize_config,
 )
-from chwall.grid import PairField
 
 
 BASE_CONFIG = """\
@@ -303,7 +302,7 @@ def test_cli_refuses_bad_initial_file(tmp_path, capsys, cut):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
     init = tmp_path / "init.csv"
     if cut is not None:
-        cw.save_field(PairField.constant(g, 0.1), init)
+        cw.save_field(g, np.full(g.n_nodes, 0.1), init)
         init.write_text("".join(init.read_text().splitlines(keepends=True)[:-cut]))
     text = BASE_CONFIG.format(out=tmp_path / "o").replace(
         "kind = cosine", f"kind = file\npath = {init}"
@@ -355,7 +354,7 @@ def test_cli_refuses_a_snapshot_with_a_non_finite_value(tmp_path, capsys, comman
     # directory exists, whichever command reads the snapshot
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
     init = tmp_path / "init.csv"
-    cw.save_field(PairField.constant(g, 0.1), init)
+    cw.save_field(g, np.full(g.n_nodes, 0.1), init)
     lines = init.read_text().splitlines(keepends=True)
     row = lines[10].split(",")
     row[4] = "nan"
@@ -469,6 +468,9 @@ def test_cli_simulate_artifacts_and_manifest(tmp_path):
     # a cosine run with automatic S stays on one shift rung: one factorization
     assert manifest["factorizations"] == 1
     assert len(manifest["shifts"]) == 1
+    # the BLAS builds behind numpy and scipy, each as "name version"
+    assert sorted(manifest["blas"]) == ["numpy", "scipy"]
+    assert all(len(build.split()) == 2 for build in manifest["blas"].values())
     assert (out / "energy.svg").exists()
     snaps = sorted((out / "snapshots").glob("*.csv"))
     assert len(snaps) >= 2
@@ -792,8 +794,8 @@ def test_cli_analyze_measures_the_given_psi(tmp_path):
     assert main(["simulate", write_config(tmp_path, sim_text, "s.ini")]) == 0
     cfg, grid, pot, op, rec = _load_run(str(sim))
     a, _ = load_equilibrium(psi_a, grid=grid)
-    psi, psi_b = PairField(grid, a.values + 0.5), tmp_path / "eqB"
-    save_field(psi, f"{psi_b}.csv")
+    psi, psi_b = a.values + 0.5, tmp_path / "eqB"
+    save_field(grid, psi, f"{psi_b}.csv")
     shutil.copyfile(f"{psi_a}.meta", f"{psi_b}.meta")
 
     report = sim / "analysis" / "rate_report.txt"
@@ -829,8 +831,8 @@ def test_cli_analyze_reports_whether_psi_is_stationary(tmp_path, capsys):
     assert main(["equilibrium", write_config(tmp_path, text.format(out=psi_a.parent), "e.ini")]) == 0
     assert main(["simulate", write_config(tmp_path, text.format(out=sim), "s.ini")]) == 0
     a, meta = load_equilibrium(str(psi_a))
-    b = PairField(a.grid, a.values + 0.5)
-    save_field(b, f"{psi_b}.csv")
+    b = a.values + 0.5
+    save_field(a.grid, b, f"{psi_b}.csv")
     (tmp_path / "psiB.meta").write_text(
         (tmp_path / "eqA" / "equilibrium.meta").read_text().replace("converged=1", "converged=0"))
     report = sim / "analysis" / "spectral_report.txt"
@@ -845,7 +847,7 @@ def test_cli_analyze_reports_whether_psi_is_stationary(tmp_path, capsys):
     assert main(["analyze", str(sim), str(psi_b)]) == 0
     out = capsys.readouterr()
     rep = json.loads(report.read_text())
-    bulk, bdry = residual_norms(b.grid, energy_and_gradient(b.grid, cw.double_well(), b,
+    bulk, bdry = residual_norms(a.grid, energy_and_gradient(a.grid, cw.double_well(), b,
                                                             1.0, 1.0)[1])
     assert rep["psi_converged"] is False
     assert (rep["psi_bulk_res"], rep["psi_bdry_res"]) == (bulk, bdry) and bulk > 1e-2

@@ -13,7 +13,7 @@ from chwall.energy import (
     residual_norms,
     state_report,
 )
-from chwall.grid import PairField, h_inner
+from chwall.grid import h_inner
 from chwall.operators import apply_A
 
 
@@ -88,7 +88,7 @@ def test_supercritical_growth_warns():
 # -- energy and gradient ------------------------------------------------------
 
 def test_energy_of_zero_field(unit_grid, unit_op, pot):
-    u = PairField.zeros(unit_grid)
+    u = np.zeros(unit_grid.n_nodes)
     rep = state_report(unit_op, u, energy_and_gradient(unit_grid, pot, u, 1.0, 1.0))[0]
     assert abs(rep.e_bulk - 0.25) <= 1e-12
     assert rep.e_surf == 0.0
@@ -97,7 +97,7 @@ def test_energy_of_zero_field(unit_grid, unit_op, pot):
 
 
 def test_energy_of_unit_field(unit_grid, unit_op, pot):
-    u = PairField.constant(unit_grid, 1.0)
+    u = np.full(unit_grid.n_nodes, 1.0)
     rep = state_report(unit_op, u, energy_and_gradient(unit_grid, pot, u, 1.0, 1.0))[0]
     assert abs(rep.e_bulk) <= 1e-12
     assert abs(rep.e_surf - 1.0) <= 1e-12
@@ -123,11 +123,11 @@ def test_energy_matches_fsum_oracle(pot):
 
 def test_chemical_potential_constants(unit_grid, unit_op, pot):
     g = unit_grid
-    mu0 = chemical_potential(unit_op, pot, PairField.zeros(g))
-    assert np.max(np.abs(mu0.values)) == 0.0
-    mu1 = chemical_potential(unit_op, pot, PairField.constant(g, 1.0))
-    assert np.max(np.abs(mu1.values[g.interior_idx])) <= 1e-13
-    assert np.max(np.abs(mu1.values[g.bdry_idx] - 1.0)) <= 1e-13
+    mu0 = chemical_potential(unit_op, pot, np.zeros(g.n_nodes))
+    assert np.max(np.abs(mu0)) == 0.0
+    mu1 = chemical_potential(unit_op, pot, np.full(g.n_nodes, 1.0))
+    assert np.max(np.abs(mu1[g.interior_idx])) <= 1e-13
+    assert np.max(np.abs(mu1[g.bdry_idx] - 1.0)) <= 1e-13
 
 
 def test_gradient_consistency_random_fields(rng, unit_grid, unit_op, pot):
@@ -140,7 +140,7 @@ def test_gradient_consistency_random_fields(rng, unit_grid, unit_op, pot):
         mu = chemical_potential(unit_op, pot, u)
         fd = (energy_value(g, pot, u + eps * w, 1.0, 1.0)
               - energy_value(g, pot, u - eps * w, 1.0, 1.0)) / (2 * eps)
-        pair = h_inner(g, mu.values, w)
+        pair = h_inner(g, mu, w)
         worst = max(worst, abs(pair - fd) / (1 + abs(fd)))
     assert worst <= 1e-6
 
@@ -159,15 +159,15 @@ def test_gradient_consistency_general_constants(rng):
             energy_value(g, pot, u + eps * w, alpha, beta)
             - energy_value(g, pot, u - eps * w, alpha, beta)
         ) / (2 * eps)
-        pair = h_inner(g, mu.values, w, b=b)
+        pair = h_inner(g, mu, w, b=b)
         assert abs(pair - fd) <= 1e-6 * (1 + abs(fd))
 
 
 def test_stationary_residual_examples(unit_grid, pot):
     g = unit_grid
-    zero = energy_and_gradient(g, pot, PairField.zeros(g), 1.0, 1.0)[1]
+    zero = energy_and_gradient(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)[1]
     assert residual_norms(g, zero) == (0.0, 0.0)
-    one = energy_and_gradient(g, pot, PairField.constant(g, 1.0), 1.0, 1.0)[1]
+    one = energy_and_gradient(g, pot, np.full(g.n_nodes, 1.0), 1.0, 1.0)[1]
     bulk, bdry = residual_norms(g, one)
     assert bulk <= 1e-13
     assert abs(bdry - np.sqrt(2.0)) <= 1e-12
@@ -175,11 +175,11 @@ def test_stationary_residual_examples(unit_grid, pot):
 
 def test_dissipation_examples(rng, unit_grid, unit_op, pot):
     g = unit_grid
-    assert unit_op.a_form(PairField.zeros(g), PairField.zeros(g)) == 0.0
-    one = PairField.constant(g, 1.0)
+    assert unit_op.a_form(np.zeros(g.n_nodes), np.zeros(g.n_nodes)) == 0.0
+    one = np.full(g.n_nodes, 1.0)
     assert abs(unit_op.a_form(one, one) - 2.0) <= 1e-12
     for _ in range(10):
-        mu = PairField(g, rng.standard_normal(g.n_nodes))
+        mu = rng.standard_normal(g.n_nodes)
         a = unit_op.a_form(mu, mu)
         assert abs(h_inner(g, apply_A(unit_op, mu), mu) - a) <= 1e-12 * (1 + abs(a))
 
@@ -188,10 +188,10 @@ def test_mu_of_constant_field_structure(unit_grid, unit_op, pot):
     # interior part vanishes iff f(const) = 0; wall rows carry the trace law
     g = unit_grid
     for c, f_zero in ((1.0, True), (0.5, False)):
-        mu = chemical_potential(unit_op, pot, PairField.constant(g, c))
-        interior_zero = np.max(np.abs(mu.values[g.interior_idx])) <= 1e-13
+        mu = chemical_potential(unit_op, pot, np.full(g.n_nodes, c))
+        interior_zero = np.max(np.abs(mu[g.interior_idx])) <= 1e-13
         assert interior_zero == f_zero
-        wall = mu.values[g.bdry_idx]
+        wall = mu[g.bdry_idx]
         assert np.max(np.abs(wall - wall[0])) <= 1e-13
 
 
@@ -204,7 +204,7 @@ def test_chemical_potential_matches_stencils(pot):
         g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
         u = np.cos(2 * np.pi * g.x) * np.cos(np.pi * g.y) + g.y
         op = cw.WentzellOperator(g, b=b, alpha=alpha, beta=beta)
-        mu = chemical_potential(op, pot, u).values
+        mu = chemical_potential(op, pot, u)
         rows = slice(2 * g.nx, (g.ny - 2) * g.nx)
         expected = -cw.laplacian(g, u)[rows] + pot.f(u[rows])
         assert np.max(np.abs(mu[rows] - expected)) <= 1e-11 * np.max(np.abs(expected))
@@ -221,7 +221,7 @@ def test_residuals_at_configured_constants(pot):
     # constants, so a residual taken at unit constants reads O(1) there
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
     alpha, beta = 2.0, 3.0
-    u0 = PairField(g, 0.8 * np.cos(2 * np.pi * g.x / g.Lx))
+    u0 = 0.8 * np.cos(2 * np.pi * g.x / g.Lx)
     sol = cw.find_equilibrium(cw.WentzellOperator(g, alpha=alpha, beta=beta), pot, u0,
                               tol=1e-10)
     assert sol.converged

@@ -10,7 +10,7 @@ import chwall as cw
 from chwall.config import RunConfig
 from chwall.energy import chemical_potential, energy_hessian, energy_value
 from chwall.evolution import EvolutionAbort, auto_stabilization, evolve
-from chwall.grid import PairField, h_norm
+from chwall.grid import h_norm
 from chwall.operators import apply_A, x_norm
 
 from conftest import dense_form_matrices, one_step
@@ -18,12 +18,9 @@ from conftest import dense_form_matrices, one_step
 
 def relaxed_state(grid, op, pot, t_relax=0.5):
     """Pre-relaxed smooth state: fast modes gone, dynamics resolvable."""
-    u0 = PairField(
-        grid,
-        0.3 * np.cos(2 * np.pi * grid.x / grid.Lx)
-        + 0.1 * np.cos(np.pi * grid.y / grid.Ly)
-        + 0.1,
-    )
+    u0 = (0.3 * np.cos(2 * np.pi * grid.x / grid.Lx)
+          + 0.1 * np.cos(np.pi * grid.y / grid.Ly)
+          + 0.1)
     rec = evolve(op, pot, u0, RunConfig(dt=5e-4, t_end=t_relax, series_stride=100))
     return rec.final_state()
 
@@ -36,17 +33,17 @@ def problem():
 
 def test_zero_is_fixed_point_of_both_steppers(problem):
     g, op, pot = problem
-    z = PairField.zeros(g)
+    z = np.zeros(g.n_nodes)
     for scheme in ("semi_implicit", "newton"):
         out = one_step(op, pot, z, RunConfig(scheme=scheme, dt=0.01))
-        assert np.max(np.abs(out.values)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
 
 def test_unit_field_single_step_dense_oracle(pot):
     # one semi-implicit step on a 6x6 grid against a dense-matrix replica
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=6)
     op = cw.WentzellOperator(g)
-    one = PairField.constant(g, 1.0)
+    one = np.full(g.n_nodes, 1.0)
     dt = 0.01
     S = auto_stabilization(pot, 1.0, 1.0)
     out = one_step(op, pot, one, RunConfig(dt=dt, stabilization_S=S))
@@ -60,11 +57,11 @@ def test_unit_field_single_step_dense_oracle(pot):
     u = np.ones(g.n_nodes)
     rhs = W * u + dt * (K_A @ ((S * bulk_o * u - bulk_o * pot.f(u)) / W))
     expected = np.linalg.solve(M, rhs)
-    assert np.max(np.abs(out.values - expected)) <= 1e-12
+    assert np.max(np.abs(out - expected)) <= 1e-12
 
     # wall values decrease (mass leaves through the wall), energy decreases
-    assert np.all(out.values[g.bdry_idx] < 1.0)
-    assert energy_value(g, pot, out.values, 1.0, 1.0) < energy_value(g, pot, u, 1.0, 1.0)
+    assert np.all(out[g.bdry_idx] < 1.0)
+    assert energy_value(g, pot, out, 1.0, 1.0) < energy_value(g, pot, u, 1.0, 1.0)
 
 
 def test_dissipation_consistency_dt_slope(problem):
@@ -76,8 +73,8 @@ def test_dissipation_consistency_dt_slope(problem):
     defects = []
     for dt in dts:
         u1 = one_step(op, pot, u0, RunConfig(dt=dt))
-        de = (energy_value(g, pot, u1.values, 1.0, 1.0)
-              - energy_value(g, pot, u0.values, 1.0, 1.0)) / dt
+        de = (energy_value(g, pot, u1, 1.0, 1.0)
+              - energy_value(g, pot, u0, 1.0, 1.0)) / dt
         defects.append(abs(de + d0))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope >= 0.9
@@ -99,23 +96,23 @@ def test_schemes_agree_to_first_order(problem):
 
 def test_newton_step_zero_converges_immediately(problem):
     g, op, pot = problem
-    out = one_step(op, pot, PairField.zeros(g), RunConfig(scheme="newton", dt=0.5))
-    assert np.max(np.abs(out.values)) == 0.0
+    out = one_step(op, pot, np.zeros(g.n_nodes), RunConfig(scheme="newton", dt=0.5))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_newton_large_dt_monotone_energy(problem, rng):
     g, op, pot = problem
-    u = PairField(g, 0.5 * rng.standard_normal(g.n_nodes))
+    u = 0.5 * rng.standard_normal(g.n_nodes)
     cfg = RunConfig(dt=1.0, scheme="newton", newton_tol=1e-11)
-    e0 = energy_value(g, pot, u.values, 1.0, 1.0)
+    e0 = energy_value(g, pot, u, 1.0, 1.0)
     u1 = one_step(op, pot, u, cfg)
-    e1 = energy_value(g, pot, u1.values, 1.0, 1.0)
+    e1 = energy_value(g, pot, u1, 1.0, 1.0)
     assert e1 <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_evolve_constant_zero_trajectory(problem):
     g, op, pot = problem
-    rec = evolve(op, pot, PairField.zeros(g), RunConfig(dt=1e-3, t_end=0.05))
+    rec = evolve(op, pot, np.zeros(g.n_nodes), RunConfig(dt=1e-3, t_end=0.05))
     for rep in rec.reports:
         assert abs(rep.e_total - 0.25) <= 1e-12
     assert all(t2 > t1 for t1, t2 in zip(rec.times, rec.times[1:]))
@@ -123,7 +120,7 @@ def test_evolve_constant_zero_trajectory(problem):
 
 def test_evolve_energy_monotone_and_residual_decay(problem):
     g, op, pot = problem
-    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
     cfg = RunConfig(dt=2e-3, t_end=8.0, series_stride=5)
     rec = evolve(op, pot, u0, cfg)
     e = [r.e_total for r in rec.reports]
@@ -142,7 +139,7 @@ def test_evolve_energy_monotone_and_residual_decay(problem):
 def test_evolve_mass_ledger_from_unit_field(problem):
     g, op, pot = problem
     cfg = RunConfig(dt=1e-3, t_end=0.3)
-    rec = evolve(op, pot, PairField.constant(g, 1.0), cfg)
+    rec = evolve(op, pot, np.full(g.n_nodes, 1.0), cfg)
     mass = [r.mass_total for r in rec.reports]
     fluxes = [r.flux for r in rec.reports]
     # wall potential stays positive for this run and mass strictly leaves
@@ -153,7 +150,7 @@ def test_evolve_mass_ledger_from_unit_field(problem):
 def test_ut_xnorm_identity_two_routes(problem, rng):
     # |u_t|_X = sqrt(a(mu, mu)), the dissipation, when u_t = -A mu exactly
     g, op, pot = problem
-    u = PairField(g, 0.3 * rng.standard_normal(g.n_nodes))
+    u = 0.3 * rng.standard_normal(g.n_nodes)
     mu = chemical_potential(op, pot, u)
     ut = apply_A(op, mu)  # flow speed is -A mu; norms are sign-blind
     via_solve = x_norm(op, ut)
@@ -163,8 +160,8 @@ def test_ut_xnorm_identity_two_routes(problem, rng):
 
 def test_evolve_records_reference_distances(problem):
     g, op, pot = problem
-    u0 = PairField(g, 0.05 * np.cos(2 * np.pi * g.x))
-    psi = PairField.zeros(g)
+    u0 = 0.05 * np.cos(2 * np.pi * g.x)
+    psi = np.zeros(g.n_nodes)
     rec = evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.1, snapshot_stride=20), ref=psi)
     assert rec.x_dist_to_ref is not None and len(rec.x_dist_to_ref) == len(rec.times)
     assert rec.v_dist_to_ref[0] > rec.v_dist_to_ref[-1]
@@ -184,26 +181,26 @@ def saddle_start(pot):
 
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
     op = cw.WentzellOperator(g)
-    H = energy_hessian(g, pot, PairField.zeros(g), 1.0, 1.0)
+    H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     w = g.h_weights()
     rw = 1.0 / np.sqrt(w)
     lam, vec = la.eigh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
     assert lam[0] < 0
     phi = rw * vec[:, 0]
     phi /= np.sqrt(np.sum(w * phi * phi))
-    return g, op, PairField(g, 1e-3 * phi)
+    return g, op, 1e-3 * phi
 
 
 def test_energy_guard_rejects_and_halves(saddle_start, pot):
     from chwall.evolution import _newton_step_once, _StepFactors
 
     g, op, u0 = saddle_start
-    e0 = energy_value(g, pot, u0.values, 1.0, 1.0)
+    e0 = energy_value(g, pot, u0, 1.0, 1.0)
     cfg = RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6)
-    raw, (e_raw, _) = _newton_step_once(op, pot, u0.values, cfg.dt, cfg, _StepFactors())
+    raw, (e_raw, _) = _newton_step_once(op, pot, u0, cfg.dt, cfg, _StepFactors())
     assert e_raw == energy_value(g, pot, raw, 1.0, 1.0) > e0  # unguarded step misbehaves
     guarded = one_step(op, pot, u0, cfg)
-    assert energy_value(g, pot, guarded.values, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
+    assert energy_value(g, pot, guarded, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_energy_guard_exhaustion_aborts_with_state(saddle_start, pot):
@@ -217,26 +214,26 @@ def test_energy_guard_exhaustion_aborts_with_state(saddle_start, pot):
 
 def test_newton_divergence_falls_back_to_halved_dt(problem, rng):
     g, op, pot = problem
-    u0 = PairField(g, 2.0 * rng.standard_normal(g.n_nodes))
+    u0 = 2.0 * rng.standard_normal(g.n_nodes)
     # two iterations cannot converge at dt=8; halving makes the budget enough
     cfg = RunConfig(scheme="newton", dt=8.0, newton_max_iter=8,
                     newton_tol=1e-10, dt_min=1e-4)
     out = one_step(op, pot, u0, cfg)
-    e0 = energy_value(g, pot, u0.values, 1.0, 1.0)
-    assert energy_value(g, pot, out.values, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
+    e0 = energy_value(g, pot, u0, 1.0, 1.0)
+    assert energy_value(g, pot, out, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_equilibrium_fixed_under_evolve(problem):
     g, op, pot = problem
-    rec = evolve(op, pot, PairField.zeros(g), RunConfig(dt=0.1, t_end=1.0))
-    assert np.max(np.abs(rec.final_state().values)) == 0.0
+    rec = evolve(op, pot, np.zeros(g.n_nodes), RunConfig(dt=0.1, t_end=1.0))
+    assert np.max(np.abs(rec.final_state())) == 0.0
 
 
 def test_general_constants_energy_law(pot):
     # the decay structure holds in the 1/b-weighted metric for any b, c > 0
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
     op = cw.WentzellOperator(g, b=2.0, c=0.5, alpha=0.7, beta=1.5)
-    u0 = PairField(g, 0.2 * np.cos(2 * np.pi * g.x) + 0.1)
+    u0 = 0.2 * np.cos(2 * np.pi * g.x) + 0.1
     rec = evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.5))
     e = [r.e_total for r in rec.reports]
     assert all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1))
@@ -248,7 +245,7 @@ def test_general_constants_energy_law(pot):
 def test_interval_mode_energy_law(pot):
     g = cw.build_grid("interval1d", Ly=1.0, ny=24)
     op = cw.WentzellOperator(g)
-    u0 = PairField(g, 0.1 * np.cos(np.pi * g.y) + 0.02)
+    u0 = 0.1 * np.cos(np.pi * g.y) + 0.02
     rec = evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=1.0))
     e = [r.e_total for r in rec.reports]
     assert all(e[i + 1] <= e[i] + 1e-12 * (1 + abs(e[i])) for i in range(len(e) - 1))
@@ -277,7 +274,7 @@ def test_auto_stabilization_ladder(pot, lo, width, wider):
     assert auto_stabilization(pot, lo - wider[0], hi + wider[1]) >= S
 
 
-_POTENTIALS = (cw.double_well(), cw.make_potential("polynomial_custom", [1.0, 0.3, -2.0, 0.1]))
+_POTENTIALS = cw.double_well(), cw.make_potential("polynomial_custom", [1.0, 0.3, -2.0, 0.1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -337,10 +334,10 @@ def test_automatic_shift_stays_on_few_rungs(pot, factorization_calls):
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=16, ny=16)
     op = cw.WentzellOperator(g)
     u0 = make_initial(g, RunConfig(initial_kind="random_fourier",
-                                   initial_amplitude=0.05, seed=3))
+                                   initial_amplitude=0.05, seed=3)).values
     cfg = RunConfig(dt=1e-2, t_end=3000 * 1e-2, series_stride=10 ** 6)
     rec = evolve(op, pot, u0, cfg)
-    assert np.ptp(rec.final_state().values) > 10 * np.ptp(u0.values)
+    assert np.ptp(rec.final_state()) > 10 * np.ptp(u0)
     assert len(calls) <= 6
     assert rec.factorizations == len(calls)
     assert rec.shifts == sorted(set(rec.shifts))
@@ -351,7 +348,7 @@ def test_automatic_shift_stays_on_few_rungs(pot, factorization_calls):
 def test_evolve_leaves_no_step_cache_on_operator(problem):
     g, op, pot = problem
     before = dict(vars(op))
-    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
     evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.01))
     one_step(op, pot, u0, RunConfig(dt=1e-3))
     assert not hasattr(op, "_step_cache")
@@ -368,12 +365,12 @@ def test_guard_halving_records_its_factorizations(pot, factorization_calls):
     calls = factorization_calls["band"]
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
     op = cw.WentzellOperator(g)
-    u0 = PairField(g, 2.0 * np.random.default_rng(1).standard_normal(g.n_nodes))
+    u0 = 2.0 * np.random.default_rng(1).standard_normal(g.n_nodes)
     cfg = RunConfig(dt=0.1, t_end=0.1, stabilization_S=0.0, series_stride=10 ** 6)
     # the step the guard rejects: one factorization, and the energy rises
     factors = _StepFactors()
-    e0, g0 = energy_and_gradient(g, pot, u0.values, 1.0, 1.0)
-    raw = _semi_step_once(op, u0.values, g0, None, cfg.dt, 0.0, factors)
+    e0, g0 = energy_and_gradient(g, pot, u0, 1.0, 1.0)
+    raw = _semi_step_once(op, u0, g0, None, cfg.dt, 0.0, factors)
     assert factors.made == len(calls) == 1
     assert energy_value(g, pot, raw, 1.0, 1.0) > e0
     calls.clear()
@@ -389,7 +386,7 @@ def test_singular_jacobian_halves_the_step(problem, monkeypatch):
     import chwall.evolution as evo
 
     g, op, pot = problem
-    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1)
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1
     cfg = RunConfig(scheme="newton", dt=1e-3, t_end=1e-3, series_stride=10 ** 6)
     halves = evolve(op, pot, u0, replace(cfg, dt=cfg.dt / 2)).final_state()
     splu, calls = evo.spla.splu, []
@@ -405,7 +402,7 @@ def test_singular_jacobian_halves_the_step(problem, monkeypatch):
     # the failed attempt is counted with the half steps' Jacobians
     assert rec.factorizations == len(calls) >= 3
     assert rec.times == [0.0, cfg.dt]
-    assert np.array_equal(rec.final_state().values, halves.values)
+    assert np.array_equal(rec.final_state(), halves)
 
 
 def test_last_step_reuses_factorization(pot, factorization_calls):
@@ -414,7 +411,7 @@ def test_last_step_reuses_factorization(pot, factorization_calls):
     calls = factorization_calls["band"]
     g = cw.build_grid("interval1d", Ly=1.0, ny=6)
     cfg = RunConfig(dt=1e-3, stabilization_S=2.0, series_stride=10 ** 6)
-    u0 = PairField(g, 0.1 * np.cos(np.pi * g.y))
+    u0 = 0.1 * np.cos(np.pi * g.y)
     for n in range(1, 401):
         calls.clear()
         rec = evolve(cw.WentzellOperator(g), pot, u0, replace(cfg, t_end=n * cfg.dt))
@@ -426,7 +423,7 @@ def test_newton_counts_its_sparse_jacobians(problem, factorization_calls):
     # Newton's Jacobian varies in x through f'(u): it stays on sparse LU, one
     # factorization per iteration, and the record counts each of them
     g, op, pot = problem
-    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1)
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1
     cfg = RunConfig(scheme="newton", dt=1e-3, t_end=3 * 1e-3, series_stride=10 ** 6)
     rec = evolve(op, pot, u0, cfg)
     assert rec.factorizations == len(factorization_calls["splu"]) >= 3
@@ -439,7 +436,7 @@ def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
     alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.3, nx=12, ny=11)
     op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
-    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1
     dt = 1e-3
     rec = evolve(op, pot, u0, RunConfig(dt=dt, t_end=10 * dt, snapshot_stride=1))
     assert rec.factorizations == 1 and len(rec.shifts) == 1  # no halved step
@@ -451,7 +448,7 @@ def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
     M = np.diag(W) + dt * (K_A @ (B / W[:, None]))
     assert len(rec.snapshots) == 11
     for (_, old), (_, new) in zip(rec.snapshots, rec.snapshots[1:]):
-        u, v = old.values, new.values
+        u, v = old, new
         rhs = W * u + dt * (K_A @ ((S * bulk_o * u - bulk_o * pot.f(u)) / W))
         assert np.linalg.norm(M @ v - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -471,7 +468,7 @@ def test_energy_evaluated_once_per_step(problem, monkeypatch):
     )
     counted = dataclasses.replace(pot, f=lambda s: f_calls.append(1) or pot.f(s))
     n = 40
-    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
     rec = evolve(op, counted, u0, RunConfig(dt=1e-3, t_end=n * 1e-3))
     assert len(rec.times) == n + 1
     assert len(calls) == n + 1
@@ -484,7 +481,7 @@ def test_rows_match_independent_recomputation(pot):
     alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
     op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
-    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1
     cfg = RunConfig(dt=1e-3, t_end=0.01, snapshot_stride=1)
     rec = evolve(op, pot, u0, cfg)
     forms = g.forms
@@ -495,20 +492,20 @@ def test_rows_match_independent_recomputation(pot):
     assert len(rec.snapshots) == len(rec.reports) == 11
     for (t, snap), t_row, rep in zip(rec.snapshots, rec.times, rec.reports):
         assert t == t_row
-        u = snap.values
+        u = snap
         e_bulk = 0.5 * (u @ (forms.k_grad @ u)) + np.dot(g.bulk_weights, pot.F(u))
         e_surf = 0.5 * alpha * (u @ (forms.k_par @ u))
         e_surf += 0.5 * beta * np.dot(forms.bdry_mass, u * u)
         mu = chemical_potential(op, pot, u)
-        trace_law = mu.values[g.bdry_idx] / b
-        bulk = math.sqrt(np.dot(g.bulk_weights, mu.values ** 2))
+        trace_law = mu[g.bdry_idx] / b
+        bulk = math.sqrt(np.dot(g.bulk_weights, mu ** 2))
         bdry = math.sqrt(np.dot(g.bdry_weights, trace_law ** 2))
         mu_unit = chemical_potential(cw.WentzellOperator(g, alpha=alpha, beta=beta), pot, u)
         assert rep.e_bulk == close(e_bulk)
         assert rep.e_surf == close(e_surf)
         assert rep.e_total == close(e_bulk + e_surf)
         assert rep.dissipation == close(op.a_form(mu, mu))
-        assert rep.flux == close(-np.dot(g.bdry_weights, mu.values[g.bdry_idx]))
+        assert rep.flux == close(-np.dot(g.bdry_weights, mu[g.bdry_idx]))
         assert rep.bulk_res == close(bulk)
         assert rep.bdry_res == close(bdry)
         assert rep.bulk_res ** 2 + rep.bdry_res ** 2 == close(h_norm(g, mu_unit) ** 2)
@@ -520,11 +517,11 @@ def test_row_stride_leaves_states_unchanged(pot):
     b, c = 2.0, 0.5
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
     op = cw.WentzellOperator(g, b=b, c=c, alpha=0.7, beta=1.5)
-    u0 = PairField(g, 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1)
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1
     every, some = (evolve(op, pot, u0, RunConfig(dt=1e-3, t_end=0.012, series_stride=s,
                                                     snapshot_stride=1))
                    for s in (1, 5))
     assert len(every.snapshots) == len(some.snapshots) == 13
     for (t_a, u_a), (t_b, u_b) in zip(every.snapshots, some.snapshots):
-        assert t_a == t_b and np.array_equal(u_a.values, u_b.values)
+        assert t_a == t_b and np.array_equal(u_a, u_b)
     assert some.reports == [every.reports[k] for k in (0, 5, 10, 12)]

@@ -10,7 +10,6 @@ import chwall.grid as grid_module
 from chwall.grid import (
     FIELD_HEADER,
     GridMode,
-    PairField,
     dot,
     h_inner,
     h_norm,
@@ -65,8 +64,8 @@ def test_build_grid_rejects_bad_dimensions(kwargs):
 
 
 def test_h_inner_zero_and_constants(unit_grid):
-    z = PairField.zeros(unit_grid)
-    one = PairField.constant(unit_grid, 1.0)
+    z = np.zeros(unit_grid.n_nodes)
+    one = np.full(unit_grid.n_nodes, 1.0)
     assert h_inner(unit_grid, z, z) == 0.0
     assert abs(h_inner(unit_grid, one, one) - 3.0) <= 1e-12
 
@@ -112,32 +111,14 @@ def test_h_inner_periodic_shift_invariant(rng):
         assert abs(s - base) <= 1e-12 * (1 + abs(base))
 
 
-def test_pair_field_trace_roundtrip(rng, unit_grid):
-    g = unit_grid
-    f = PairField(g, rng.standard_normal(g.n_nodes))
-    assert np.array_equal(f.trace, f.values[g.bdry_idx])
-    tr = rng.standard_normal(2 * g.nx)
-    f.values[g.bdry_idx] = tr
-    assert np.array_equal(f.trace, tr)
-    assert len(f.values) == g.nx * g.ny
-
-
-def test_pair_field_grid_mismatch(unit_grid):
-    other = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=10)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        PairField.zeros(unit_grid) + PairField.zeros(other)
-    with pytest.raises(ValueError):
-        PairField(unit_grid, np.zeros(3))
-
-
 def test_field_snapshot_roundtrip(tmp_path, rng):
     g = cw.build_grid("strip2d", Lx=2.0, Ly=1.5, nx=8, ny=6)
-    f = PairField(g, rng.standard_normal(g.n_nodes))
+    f = rng.standard_normal(g.n_nodes)
     path = tmp_path / "field.csv"
-    save_field(f, path)
+    save_field(g, f, path)
     loaded = load_field(path)
     assert loaded.grid == g
-    assert np.array_equal(loaded.values, f.values)
+    assert np.array_equal(loaded.values, f)
     with open(path) as fh:
         assert fh.readline().startswith("# mode,Lx,Ly,nx,ny")
         fh.readline()
@@ -174,17 +155,16 @@ i,j,x,y,u,on_gamma
 def test_strip_snapshot_text_is_pinned(tmp_path):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=4, ny=4)
     path = tmp_path / "strip.csv"
-    save_field(PairField(g, 0.1 * np.arange(g.n_nodes) - 0.5), path)
+    save_field(g, 0.1 * np.arange(g.n_nodes) - 0.5, path)
     assert path.read_text() == STRIP_SNAPSHOT
 
 
-def snapshot_oracle(field):
+def snapshot_oracle(g, field):
     """The snapshot text formatted node by node, every column (test oracle)."""
-    g = field.grid
     rows = [f"{FIELD_HEADER}\n# {g.mode.value},{g.Lx:.17g},{g.Ly:.17g},{g.nx},{g.ny}\n"
             "i,j,x,y,u,on_gamma\n"]
     for k, (x, y, u, w) in enumerate(zip(g.x.tolist(), g.y.tolist(),
-                                         field.values.tolist(), g.on_gamma.tolist())):
+                                         field.tolist(), g.on_gamma.tolist())):
         rows.append(f"{k % g.nx},{k // g.nx},{x:.17g},{y:.17g},{u:.17g},{int(w)}\n")
     return "".join(rows)
 
@@ -205,10 +185,10 @@ _VALUES = st.floats() | st.sampled_from(
 @given(data=st.data(), g=_GRIDS)
 def test_snapshot_bytes_match_per_node_formatting(tmp_path, data, g):
     values = data.draw(st.lists(_VALUES, min_size=g.n_nodes, max_size=g.n_nodes))
-    field = PairField(g, values)
+    field = np.array(values)
     path = tmp_path / "f.csv"
-    save_field(field, path)
-    assert path.read_bytes() == snapshot_oracle(field).encode()
+    save_field(g, field, path)
+    assert path.read_bytes() == snapshot_oracle(g, field).encode()
 
 
 def test_snapshot_template_is_built_once_per_grid(tmp_path, monkeypatch):
@@ -218,7 +198,7 @@ def test_snapshot_template_is_built_once_per_grid(tmp_path, monkeypatch):
                         lambda g: built.append(g) or make(g))
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=6, ny=5)
     for k in range(2):
-        save_field(PairField.constant(g, k), tmp_path / f"{k}.csv")
+        save_field(g, np.full(g.n_nodes, float(k)), tmp_path / f"{k}.csv")
     assert built == [g]
     assert np.array_equal(load_field(tmp_path / "1.csv").values, np.ones(g.n_nodes))
 
@@ -229,13 +209,13 @@ def test_snapshot_blocks_write_the_one_string_text(tmp_path, rng, nx, ny, blocks
     # level per block when a level alone is larger
     g = cw.build_grid("strip2d", Lx=1.7, Ly=0.9, nx=nx, ny=ny)
     assert len(g.snapshot_template) == blocks
-    f = PairField(g, rng.standard_normal(g.n_nodes))
+    f = rng.standard_normal(g.n_nodes)
     path = tmp_path / "f.csv"
-    save_field(f, path)
+    save_field(g, f, path)
     text = path.read_text()
-    assert text == "".join(g.snapshot_template) % tuple(f.values.tolist())
-    assert text == snapshot_oracle(f)
-    assert np.array_equal(load_field(path, grid=g).values, f.values)
+    assert text == "".join(g.snapshot_template) % tuple(f.tolist())
+    assert text == snapshot_oracle(g, f)
+    assert np.array_equal(load_field(path, grid=g).values, f)
 
 
 def test_save_field_holds_one_block_at_a_time(tmp_path):
@@ -243,11 +223,11 @@ def test_save_field_holds_one_block_at_a_time(tmp_path):
     import tracemalloc
 
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=256, ny=256)
-    f = PairField(g, np.random.default_rng(3).standard_normal(g.n_nodes))
-    save_field(f, tmp_path / "warm.csv")  # builds the cached template
+    f = np.random.default_rng(3).standard_normal(g.n_nodes)
+    save_field(g, f, tmp_path / "warm.csv")  # builds the cached template
     tracemalloc.start()
     try:
-        save_field(f, tmp_path / "f.csv")
+        save_field(g, f, tmp_path / "f.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -267,11 +247,11 @@ def test_dot_is_one_ddot_or_ordered_chunks(rng, n):
 
 def test_interval_snapshot_roundtrip(tmp_path, rng):
     g = cw.build_grid("interval1d", Ly=3.0, ny=9)
-    f = PairField(g, rng.standard_normal(g.n_nodes))
-    save_field(f, tmp_path / "f.csv")
+    f = rng.standard_normal(g.n_nodes)
+    save_field(g, f, tmp_path / "f.csv")
     loaded = load_field(tmp_path / "f.csv")
     assert loaded.grid.mode is GridMode.INTERVAL1D
-    assert np.array_equal(loaded.values, f.values)
+    assert np.array_equal(loaded.values, f)
 
 
 @pytest.fixture()
@@ -279,7 +259,7 @@ def snapshot_file(tmp_path, rng):
     """An 8x8 strip snapshot on disk: (path, its lines)."""
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
     path = tmp_path / "snap.csv"
-    save_field(PairField(g, rng.standard_normal(g.n_nodes)), path)
+    save_field(g, rng.standard_normal(g.n_nodes), path)
     return path, path.read_text().splitlines(keepends=True)
 
 

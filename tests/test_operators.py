@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chwall as cw
-from chwall import PairField, h_inner, h_norm, laplace_beltrami, laplacian, normal_derivative
+from chwall import h_inner, h_norm, laplace_beltrami, laplacian, normal_derivative
 from chwall import evolution
 from chwall.analysis import lowest_eigenpairs, weighted_symmetric
 from chwall.config import RunConfig
@@ -29,7 +29,7 @@ from conftest import dense_form_matrices
 # -- stencil diagnostics -----------------------------------------------------
 
 def test_laplacian_of_constant_is_zero(unit_grid):
-    lap = laplacian(unit_grid, PairField.constant(unit_grid, 3.7))
+    lap = laplacian(unit_grid, np.full(unit_grid.n_nodes, 3.7))
     assert np.max(np.abs(lap)) <= 1e-12
 
 
@@ -88,18 +88,18 @@ def test_normal_derivative_exactness():
 
 def test_apply_A_constants(unit_grid, unit_op):
     g = unit_grid
-    z = apply_A(unit_op, PairField.zeros(g))
-    assert np.max(np.abs(z.values)) == 0.0
-    a1 = apply_A(unit_op, PairField.constant(g, 1.0))
-    assert np.max(np.abs(a1.values[g.interior_idx])) <= 1e-13
-    assert np.max(np.abs(a1.values[g.bdry_idx] - 1.0)) <= 1e-13
+    z = apply_A(unit_op, np.zeros(g.n_nodes))
+    assert np.max(np.abs(z)) == 0.0
+    a1 = apply_A(unit_op, np.full(g.n_nodes, 1.0))
+    assert np.max(np.abs(a1[g.interior_idx])) <= 1e-13
+    assert np.max(np.abs(a1[g.bdry_idx] - 1.0)) <= 1e-13
 
 
 def test_weighted_self_adjointness(rng, unit_grid, unit_op):
     g = unit_grid
     for _ in range(20):
-        u = PairField(g, rng.standard_normal(g.n_nodes))
-        v = PairField(g, rng.standard_normal(g.n_nodes))
+        u = rng.standard_normal(g.n_nodes)
+        v = rng.standard_normal(g.n_nodes)
         lhs = h_inner(g, apply_A(unit_op, u), v)
         form = unit_op.a_form(u, v)
         rhs = h_inner(g, u, apply_A(unit_op, v))
@@ -146,11 +146,11 @@ def test_structure_holds_at_random_constants(g, b, c, alpha, beta, seed):
     op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
     pot = cw.double_well()
     rng = np.random.default_rng(seed)
-    u, v = (PairField(g, 0.5 * rng.standard_normal(g.n_nodes)) for _ in range(2))
+    u, v = (0.5 * rng.standard_normal(g.n_nodes) for _ in range(2))
 
     # <A u, v>_H = a(u, v) = <u, A v>_H in the b-weighted pairing
     form = op.a_form(u, v)
-    scale = 1.0 + float(np.abs(op.K_A @ u.values) @ np.abs(v.values))
+    scale = 1.0 + float(np.abs(op.K_A @ u) @ np.abs(v))
     assert abs(h_inner(g, apply_A(op, u), v, b=op.b) - form) <= 1e-12 * scale
     assert abs(h_inner(g, u, apply_A(op, v), b=op.b) - form) <= 1e-12 * scale
 
@@ -158,30 +158,30 @@ def test_structure_holds_at_random_constants(g, b, c, alpha, beta, seed):
     # direction (the wall rows carry b, alpha and beta)
     mu = cw.chemical_potential(op, pot, u)
     wall = np.zeros(g.n_nodes)
-    wall[g.bdry_idx] = v.values[g.bdry_idx]
+    wall[g.bdry_idx] = v[g.bdry_idx]
     eps = 1e-5
-    e0 = energy_value(g, pot, u.values, op.alpha, op.beta)
-    for w in (v.values, wall):
-        fd = (energy_value(g, pot, u.values + eps * w, op.alpha, op.beta)
-              - energy_value(g, pot, u.values - eps * w, op.alpha, op.beta)) / (2 * eps)
+    e0 = energy_value(g, pot, u, op.alpha, op.beta)
+    for w in (v, wall):
+        fd = (energy_value(g, pot, u + eps * w, op.alpha, op.beta)
+              - energy_value(g, pot, u - eps * w, op.alpha, op.beta)) / (2 * eps)
         pair = h_inner(g, mu, w, b=op.b)
         assert abs(pair - fd) <= 1e-6 * (1.0 + abs(fd)) + 1e-9 * abs(e0)
 
     # one guarded semi-implicit step lowers the energy, and the ledger rows
     # report the energy of the operator's constants
     rec = evolve(op, pot, u, RunConfig(dt=1e-3, t_end=1e-3))
-    e1 = energy_value(g, pot, rec.final_state().values, op.alpha, op.beta)
+    e1 = energy_value(g, pot, rec.final_state(), op.alpha, op.beta)
     assert [r.e_total for r in rec.reports] == [e0, e1]
     assert e1 <= e0 + 1e-12 * (1.0 + abs(e0))
 
 
 def test_solve_Ainv_trivial_and_constants(unit_grid, unit_op):
     g = unit_grid
-    assert np.max(np.abs(solve_Ainv(unit_op, PairField.zeros(g)).values)) == 0.0
-    rhs = PairField.zeros(g)
-    rhs.values[g.bdry_idx] = 1.0
+    assert np.max(np.abs(solve_Ainv(unit_op, np.zeros(g.n_nodes)))) == 0.0
+    rhs = np.zeros(g.n_nodes)
+    rhs[g.bdry_idx] = 1.0
     sol = solve_Ainv(unit_op, rhs)
-    assert np.max(np.abs(sol.values - 1.0)) <= 1e-12
+    assert np.max(np.abs(sol - 1.0)) <= 1e-12
 
 
 def test_solve_Ainv_matches_dense_lu(rng, unit_grid, unit_op):
@@ -190,10 +190,10 @@ def test_solve_Ainv_matches_dense_lu(rng, unit_grid, unit_op):
     for _ in range(5):
         rhs = rng.standard_normal(g.n_nodes)
         expected = np.linalg.solve(K, unit_op.mass_weights * rhs)
-        got = solve_Ainv(unit_op, rhs).values
+        got = solve_Ainv(unit_op, rhs)
         assert np.max(np.abs(got - expected)) <= 1e-10 * (1 + np.max(np.abs(expected)))
         back = apply_A(unit_op, got)
-        res = h_norm(g, back - PairField(g, rhs), b=unit_op.b)
+        res = h_norm(g, back - rhs, b=unit_op.b)
         assert res <= 1e-10 * h_norm(g, rhs, b=unit_op.b)
 
 
@@ -342,9 +342,9 @@ def test_step_factorization_holds_no_full_size_temporary():
 
 def test_x_norm_examples_and_two_routes(rng, unit_grid, unit_op):
     g = unit_grid
-    assert x_norm(unit_op, PairField.zeros(g)) == 0.0
-    rhs = PairField.zeros(g)
-    rhs.values[g.bdry_idx] = 1.0
+    assert x_norm(unit_op, np.zeros(g.n_nodes)) == 0.0
+    rhs = np.zeros(g.n_nodes)
+    rhs[g.bdry_idx] = 1.0
     assert abs(x_norm(unit_op, rhs) - np.sqrt(2.0)) <= 1e-10
     for _ in range(5):
         v = rng.standard_normal(g.n_nodes)
@@ -354,8 +354,8 @@ def test_x_norm_examples_and_two_routes(rng, unit_grid, unit_op):
 
 def test_v_norm_examples(unit_grid):
     g = unit_grid
-    assert v_norm(g, PairField.zeros(g)) == 0.0
-    assert abs(v_norm(g, PairField.constant(g, 1.0)) - np.sqrt(2.0)) <= 1e-12
+    assert v_norm(g, np.zeros(g.n_nodes)) == 0.0
+    assert abs(v_norm(g, np.full(g.n_nodes, 1.0)) - np.sqrt(2.0)) <= 1e-12
     gg = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=24, ny=12)
     u = np.sin(2 * np.pi * gg.x)
     # independent dense evaluation of the same discrete sums
@@ -404,10 +404,10 @@ def test_apply_A_refinement_second_order_interior():
     for n in (16, 32, 64):
         g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
         op = cw.WentzellOperator(g)
-        u = PairField(g, np.sin(2 * np.pi * g.x) * np.cos(np.pi * g.y))
-        target = ((2 * np.pi) ** 2 + np.pi ** 2) * u.values
+        u = np.sin(2 * np.pi * g.x) * np.cos(np.pi * g.y)
+        target = ((2 * np.pi) ** 2 + np.pi ** 2) * u
         away = (g.y > 1.5 * g.hy) & (g.y < g.Ly - 1.5 * g.hy)
-        errs.append(np.max(np.abs(apply_A(op, u).values[away] - target[away])))
+        errs.append(np.max(np.abs(apply_A(op, u)[away] - target[away])))
         hs.append(g.hy)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 1.8 <= slope <= 2.2
@@ -416,11 +416,11 @@ def test_apply_A_refinement_second_order_interior():
 def test_general_constants_scale_boundary_rows(rng):
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=8, ny=8)
     op = cw.WentzellOperator(g, b=2.0, c=3.0)
-    one = PairField.constant(g, 1.0)
+    one = np.full(g.n_nodes, 1.0)
     # A(1) wall rows: (c/b) * surface mass divided by (1/b)-weighted mass
     a1 = apply_A(op, one)
-    assert np.max(np.abs(a1.values[g.interior_idx])) <= 1e-13
-    assert np.max(np.abs(a1.values[g.bdry_idx] - 3.0)) <= 1e-12
+    assert np.max(np.abs(a1[g.interior_idx])) <= 1e-13
+    assert np.max(np.abs(a1[g.bdry_idx] - 3.0)) <= 1e-12
     with pytest.raises(ValueError, match="positive"):
         cw.WentzellOperator(g, b=-1.0)
 
@@ -439,4 +439,4 @@ def test_matrix_dump_coordinate_format(tmp_path, unit_op, unit_grid):
         dense[r, c] += v
     e0 = np.zeros(n)
     e0[n // 2] = 1.0
-    assert np.allclose(dense @ e0, apply_A(unit_op, e0).values, atol=1e-12)
+    assert np.allclose(dense @ e0, apply_A(unit_op, e0), atol=1e-12)

@@ -6,7 +6,7 @@ from chwall.energy import energy_and_gradient, energy_hessian, energy_value, res
 from chwall.cli import make_initial
 from chwall.config import RunConfig
 from chwall.evolution import evolve
-from chwall.grid import PairField, h_norm
+from chwall.grid import h_norm
 from chwall.operators import v_norm, x_norm
 from chwall.stationary import (
     SolveMethod,
@@ -33,20 +33,20 @@ def tall_strip(pot):
 
 def test_minimize_from_zero_small_strip(small_strip, pot):
     g, op = small_strip
-    res = minimize_energy(op, pot, PairField.zeros(g), tol=1e-8)
+    res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-8)
     assert res.converged
     assert res.escapes == 0  # zero is a genuine local minimum here
-    assert abs(energy_value(g, pot, res.field.values, 1.0, 1.0) - 0.25) <= 1e-10
+    assert abs(energy_value(g, pot, res.field, 1.0, 1.0) - 0.25) <= 1e-10
 
 
 def test_minimize_escapes_saddle_on_tall_strip(small_strip, tall_strip, pot):
     g, op = tall_strip
-    res = minimize_energy(op, pot, PairField.zeros(g), tol=1e-6)
+    res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-6)
     assert res.converged
     assert res.escapes >= 1
-    e = energy_value(g, pot, res.field.values, 1.0, 1.0)
+    e = energy_value(g, pot, res.field, 1.0, 1.0)
     assert e < 0.25 * g.area - 1e-3  # strictly below the zero-state energy
-    assert np.std(res.field.values) > 1e-3  # nonconstant profile
+    assert np.std(res.field) > 1e-3  # nonconstant profile
 
 
 def test_minimize_one_evaluation_per_lbfgs_point(tall_strip, pot, monkeypatch):
@@ -63,7 +63,7 @@ def test_minimize_one_evaluation_per_lbfgs_point(tall_strip, pot, monkeypatch):
         return evaluate(grid, pot, u, *args)
 
     monkeypatch.setattr(stationary, "energy_and_gradient", recorded)
-    res = minimize_energy(op, pot, PairField.zeros(g), tol=1e-6)
+    res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-6)
     assert res.converged and res.escapes >= 1
     assert len(set(points)) == len(points)
     assert 0 < res.iterations <= len(points)
@@ -77,13 +77,13 @@ def test_minimize_iterations_do_not_grow_with_the_mesh(pot):
     for n in (24, 48, 96):
         g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=n, ny=n)
         op = cw.WentzellOperator(g)
-        res = minimize_energy(op, pot, make_initial(g, cfg), tol=1e-3)
+        res = minimize_energy(op, pot, make_initial(g, cfg).values, tol=1e-3)
         assert res.converged and res.iterations <= 50, (n, res.iterations)
     # a wide strip near the uniform state, to a tight tolerance, which
     # L-BFGS-B left unconverged at |g| = 1.1e-6
     g = cw.build_grid("strip2d", Lx=20.0, Ly=20.0, nx=96, ny=96)
     cfg = RunConfig(initial_kind="random_fourier", initial_amplitude=0.05, seed=11)
-    res = minimize_energy(cw.WentzellOperator(g), pot, make_initial(g, cfg), tol=1e-6)
+    res = minimize_energy(cw.WentzellOperator(g), pot, make_initial(g, cfg).values, tol=1e-6)
     assert res.converged, res.grad_norm
 
 
@@ -91,7 +91,7 @@ def test_minimize_stops_at_its_tolerance(tall_strip, pot, rng):
     # L-BFGS stops on the first accepted iterate that meets tol, so a looser
     # tol takes fewer iterations
     g, op = tall_strip
-    u0 = PairField(g, 0.8 * rng.standard_normal(g.n_nodes))
+    u0 = 0.8 * rng.standard_normal(g.n_nodes)
     runs = [minimize_energy(op, pot, u0, tol=tol) for tol in (1e-2, 1e-4, 1e-6)]
     assert all(r.converged for r in runs)
     assert runs[0].iterations < runs[1].iterations < runs[2].iterations
@@ -100,35 +100,35 @@ def test_minimize_stops_at_its_tolerance(tall_strip, pot, rng):
 def test_minimize_descent_property(small_strip, pot, rng):
     g, op = small_strip
     for _ in range(3):
-        u0 = PairField(g, 0.8 * rng.standard_normal(g.n_nodes))
-        e0 = energy_value(g, pot, u0.values, 1.0, 1.0)
+        u0 = 0.8 * rng.standard_normal(g.n_nodes)
+        e0 = energy_value(g, pot, u0, 1.0, 1.0)
         res = minimize_energy(op, pot, u0, tol=1e-7)
-        assert energy_value(g, pot, res.field.values, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
+        assert energy_value(g, pot, res.field, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
 
 
 def test_newton_refine_zero_is_immediate(small_strip, pot):
     g, op = small_strip
-    sol = newton_refine(op, pot, PairField.zeros(g), tol=1e-10)
+    sol = newton_refine(op, pot, np.zeros(g.n_nodes), tol=1e-10)
     assert sol.converged and sol.newton_iters <= 1
     assert sol.bulk_res == 0.0 and sol.bdry_res == 0.0
-    assert np.max(np.abs(sol.psi.values)) == 0.0
+    assert np.max(np.abs(sol.psi)) == 0.0
 
 
 def test_newton_refine_guard_rejects_far_start(small_strip, pot, rng):
     g, op = small_strip
-    far = PairField(g, 2.0 * rng.standard_normal(g.n_nodes))
+    far = 2.0 * rng.standard_normal(g.n_nodes)
     with pytest.raises(ValueError, match="basin"):
         newton_refine(op, pot, far, tol=1e-8)
 
 
 def test_newton_refine_quadratic_history(tall_strip, pot, rng):
     g, op = tall_strip
-    rough = minimize_energy(op, pot, PairField.zeros(g), tol=1e-6)
+    rough = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-6)
     psi = newton_refine(op, pot, rough.field, tol=1e-12).psi
     # displace by a calibrated amount so Newton needs several contractions
-    d = PairField(g, rng.standard_normal(g.n_nodes))
+    d = rng.standard_normal(g.n_nodes)
     probe = 1e-3
-    r_probe = h_norm(g, cw.chemical_potential(op, pot, psi + probe * d).values)
+    r_probe = h_norm(g, cw.chemical_potential(op, pot, psi + probe * d))
     amp = 8e-3 * probe / r_probe
     start = psi + amp * d
     sol = newton_refine(op, pot, start, tol=1e-9, basin_threshold=5e-2)
@@ -143,21 +143,21 @@ def test_newton_refine_quadratic_history(tall_strip, pot, rng):
 
 def test_find_equilibrium_pipeline(small_strip, pot, rng):
     g, op = small_strip
-    u0 = PairField(g, 0.05 * rng.standard_normal(g.n_nodes))
+    u0 = 0.05 * rng.standard_normal(g.n_nodes)
     sol = find_equilibrium(op, pot, u0, tol=1e-9)
     assert sol.converged
     assert sol.method in (SolveMethod.MINIMIZE_THEN_NEWTON, SolveMethod.NEWTON_ONLY)
-    assert h_norm(g, cw.chemical_potential(op, pot, sol.psi).values) <= 1e-9
+    assert h_norm(g, cw.chemical_potential(op, pot, sol.psi)) <= 1e-9
 
 
 def test_critical_point_equivalence(tall_strip, pot):
     # strong residuals and the gradient norm vanish together
     g, op = tall_strip
-    rough = minimize_energy(op, pot, PairField.zeros(g), tol=1e-4)
+    rough = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-4)
     sol = newton_refine(op, pot, rough.field, tol=1e-10)
     bulk, bdry = residual_norms(g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])
     assert bulk + bdry <= 1e-9
-    assert h_norm(g, cw.chemical_potential(op, pot, sol.psi).values) <= 1e-9
+    assert h_norm(g, cw.chemical_potential(op, pot, sol.psi)) <= 1e-9
 
 
 def _trajectory_limit(op, pot, final, tol):
@@ -170,7 +170,7 @@ def _trajectory_limit(op, pot, final, tol):
 
 def test_omega_limit_identifies_equilibrium(small_strip, pot):
     g, op = small_strip
-    u0 = PairField(g, 0.1 * np.cos(2 * np.pi * g.x) + 0.05)
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
     rec = evolve(op, pot, u0, RunConfig(dt=2e-3, t_end=12.0, series_stride=20))
     sol = _trajectory_limit(op, pot, rec.final_state(), tol=1e-9)
     assert sol.bulk_res + sol.bdry_res <= 1e-8
@@ -183,7 +183,7 @@ def test_omega_limit_twin_runs_agree(small_strip, pot):
     cfg = RunConfig(dt=2e-3, t_end=12.0, series_stride=50)
     sols = []
     for amp, mean in ((0.1, 0.05), (0.07, -0.03)):
-        u0 = PairField(g, amp * np.cos(2 * np.pi * g.x) + mean)
+        u0 = amp * np.cos(2 * np.pi * g.x) + mean
         rec = evolve(op, pot, u0, cfg)
         sols.append(_trajectory_limit(op, pot, rec.final_state(), tol=1e-10))
     diff = v_norm(g, sols[0].psi - sols[1].psi)
@@ -195,23 +195,23 @@ def test_interval_saddle_escape_and_classification(pot):
     # even with the surface operators degenerated to endpoint masses
     g = cw.build_grid("interval1d", Ly=8.0, ny=34)
     op = cw.WentzellOperator(g)
-    rep0 = cw.spectrum(g, energy_hessian(g, pot, cw.PairField.zeros(g), 1.0, 1.0), k=3)
+    rep0 = cw.spectrum(g, energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0), k=3)
     assert rep0.eigenvalues[0] < 0
-    sol = find_equilibrium(op, pot, cw.PairField.zeros(g), tol=1e-10)
+    sol = find_equilibrium(op, pot, np.zeros(g.n_nodes), tol=1e-10)
     assert sol.converged
     assert sol.energy < 0.25 * g.area - 1e-3
-    assert np.std(sol.psi.values) > 1e-3
+    assert np.std(sol.psi) > 1e-3
     rep = cw.spectrum(g, energy_hessian(g, pot, sol.psi, 1.0, 1.0), k=3)
     assert rep.eigenvalues[0] > 0  # the escaped state is a minimum
 
 
 def test_equilibrium_files_roundtrip(tmp_path, small_strip, pot):
     g, op = small_strip
-    sol = newton_refine(op, pot, PairField.zeros(g), tol=1e-10)
+    sol = newton_refine(op, pot, np.zeros(g.n_nodes), tol=1e-10)
     prefix = str(tmp_path / "eq")
-    save_equilibrium(sol, prefix)
+    save_equilibrium(g, sol, prefix)
     psi, meta = load_equilibrium(prefix, grid=g)
-    assert np.array_equal(psi.values, sol.psi.values)
+    assert np.array_equal(psi.values, sol.psi)
     assert meta["method"] == "newton_only"
     assert float(meta["energy"]) == pytest.approx(sol.energy)
     assert meta["converged"] == "1"
@@ -228,10 +228,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys, chwall, chwall.cli\n"
+        "import sys, numpy, chwall, chwall.cli\n"
         "g = chwall.build_grid('strip2d', Lx=8.0, Ly=8.0, nx=12, ny=12)\n"
         "op = chwall.WentzellOperator(g)\n"
-        "sol = chwall.find_equilibrium(op, chwall.double_well(), chwall.PairField.zeros(g))\n"
+        "sol = chwall.find_equilibrium(op, chwall.double_well(), numpy.zeros(g.n_nodes))\n"
         "print(sol.converged, sol.method.value, 'scipy.optimize' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -278,13 +278,13 @@ def test_singular_jacobian_kernel_count_on_five_nodes(pot, tmp_path, monkeypatch
     # eigenpairs it asks for
     g = cw.build_grid("interval1d", Ly=1.0, ny=5)
     _singular_jacobians(monkeypatch)
-    start = PairField(g, 0.3 * np.cos(np.pi * g.y))
+    start = 0.3 * np.cos(np.pi * g.y)
     sol = newton_refine(cw.WentzellOperator(g), pot, start, basin_threshold=10.0)
     assert not sol.converged and sol.newton_iters == 0
     out = _five_node_equilibrium(tmp_path, kernel_tol)
     psi, meta = load_equilibrium(str(out / "equilibrium"))
     assert (meta["converged"], meta["newton_iters"]) == ("0", "0")
-    H = energy_hessian(g, pot, psi, 1.0, 1.0)
+    H = energy_hessian(g, pot, psi.values, 1.0, 1.0)
     line = (out / "classification.txt").read_text()
     assert f"kernel_dim={_dense_kernel_dim(g, H, kernel_tol)}," in line
 
@@ -313,7 +313,7 @@ def workload48(pot):
                     initial_amplitude=0.5, initial_mean=0.0, seed=5)
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=48, ny=48)
     op = cw.WentzellOperator(g)
-    return op, minimize_energy(op, pot, make_initial(g, cfg), tol=1e-3).field
+    return op, minimize_energy(op, pot, make_initial(g, cfg).values, tol=1e-3).field
 
 
 def test_newton_refine_makes_no_sparse_lu(workload48, tall_strip, pot, monkeypatch):
@@ -327,11 +327,11 @@ def test_newton_refine_makes_no_sparse_lu(workload48, tall_strip, pot, monkeypat
     sol = newton_refine(op, pot, start, tol=1e-8)
     assert sol.converged and sol.newton_iters >= 1
     g, op = tall_strip
-    assert newton_refine(op, pot, PairField.zeros(g)).converged
-    near_saddle = PairField(g, 1e-3 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly))
+    assert newton_refine(op, pot, np.zeros(g.n_nodes)).converged
+    near_saddle = 1e-3 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly)
     sol = newton_refine(op, pot, near_saddle, tol=1e-10)
     assert sol.converged and sol.newton_iters >= 1
-    assert np.max(np.abs(sol.psi.values)) <= 1e-8  # back at the saddle
+    assert np.max(np.abs(sol.psi)) <= 1e-8  # back at the saddle
     assert calls == []
 
 
@@ -354,7 +354,7 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     import chwall.stationary as stationary
 
     g, op = tall_strip
-    start = minimize_energy(op, pot, PairField.zeros(g), tol=1e-3).field
+    start = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-3).field
     full = newton_refine(op, pot, start, tol=1e-12)
     assert full.newton_iters >= 2
     minres, calls = stationary._minres, []
@@ -375,7 +375,7 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     monkeypatch.setattr(stationary, "MINRES_MAX_ITER", 1)
     sol = newton_refine(op, pot, start, tol=1e-12)
     assert not sol.converged and sol.newton_iters == 0 and sol.krylov_iters == []
-    assert np.array_equal(sol.psi.values, start.values)
+    assert np.array_equal(sol.psi, start)
 
 
 def test_equilibrium_records_krylov_iterations(workload48, tmp_path, pot):
@@ -384,6 +384,6 @@ def test_equilibrium_records_krylov_iterations(workload48, tmp_path, pot):
     assert sol.converged and sol.newton_iters >= 1
     assert len(sol.krylov_iters) == sol.newton_iters
     assert all(its > 0 for its in sol.krylov_iters)
-    save_equilibrium(sol, str(tmp_path / "eq"))
+    save_equilibrium(op.grid, sol, str(tmp_path / "eq"))
     _, meta = load_equilibrium(str(tmp_path / "eq"), grid=op.grid)
     assert [int(its) for its in meta["krylov_iters"].split(",")] == sol.krylov_iters
