@@ -1,4 +1,4 @@
-"""Time the per-grid layers of a semi-implicit run across the grid sweep.
+"""Time the per-grid layers of a run across the grid sweep.
 
 On the unit square strip at 32x32, 64x64, 128x128 and 256x256, with the
 double-well potential, unit constants, dt = 1e-3 and S = 2 (the settings
@@ -9,6 +9,12 @@ of the e2ebench ``large_grid`` run), it times:
 - ``band_solve_s``: one solve with that factor;
 - ``template_s``: building the snapshot template (``grid._snapshot_template``);
 - ``save_field_s``: one ``save_field`` of a random field, template cached;
+- ``newton_step_s``: one implicit step, ``evolve`` with ``scheme = newton``
+  and ``t_end = dt`` from the cosine state 0.1 cos(2 pi x) + 0.05, through
+  public names only (so the script also times older checkouts).  It sets
+  ``newton_tol = 1e-8``: at 256x256 the residual of this step cannot fall
+  below about 4e-10, so at the default 1e-10 the step misses its
+  tolerance, is halved three times and makes 177 Jacobian solves;
 
 each the best of ``--repeat`` calls after one warm-up call.  It records
 ``assembly_factor_peak_kb`` and ``save_field_peak_kb``, the tracemalloc
@@ -33,6 +39,7 @@ import scipy
 
 import chwall as cw
 from chwall import evolution
+from chwall.config import RunConfig
 from chwall.grid import _snapshot_template, save_field
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,10 +80,13 @@ def main(argv=None):
         path = os.path.join(tmp, "snap.csv")
         for n in SIZES:
             grid = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=n, ny=n)
-            op = cw.WentzellOperator(grid)
+            op, pot = cw.WentzellOperator(grid), cw.double_well()
             grid.forms.k_lin(op.alpha, op.beta)
             lu = _factor(op)
             rhs = np.random.default_rng(0).standard_normal(grid.n_nodes)
+            u0 = 0.1 * np.cos(2 * np.pi * grid.x) + 0.05
+            step = RunConfig(scheme="newton", dt=DT, t_end=DT, stabilization_S=S,
+                             newton_tol=1e-8)
             cases[f"{n}x{n}"] = {
                 "n_nodes": grid.n_nodes,
                 "assembly_factor_s": _best_of(args.repeat, lambda: _factor(op)),
@@ -85,6 +95,8 @@ def main(argv=None):
                 "template_s": _best_of(args.repeat, lambda: _snapshot_template(grid)),
                 "save_field_s": _best_of(args.repeat, lambda: save_field(grid, rhs, path)),
                 "save_field_peak_kb": _peak_kb(lambda: save_field(grid, rhs, path)),
+                "newton_step_s": _best_of(args.repeat,
+                                          lambda: evolution.evolve(op, pot, u0, step)),
             }
             print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
     result = {

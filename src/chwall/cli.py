@@ -282,6 +282,7 @@ def cmd_simulate(config_path):
         write_manifest(out, cfg, {
             "aborted": aborted, "abort_reason": reason,
             "factorizations": rec.factorizations, "shifts": rec.shifts,
+            "newton_iters": rec.newton_iters, "krylov_iters": rec.krylov_iters,
         }, t0)
     if aborted:
         print(f"guard abort: {reason}", file=sys.stderr)

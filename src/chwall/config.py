@@ -23,7 +23,7 @@ class ConfigError(Exception):
 # the most grid nodes (nx * ny on the strip, ny on the interval) a run or a
 # snapshot may have.  A semi-implicit run peaks at about 64 MB plus 0.6 kB
 # per node (99 MB at 256x256, 149 MB at 384x384), so 2^20 nodes (1024x1024)
-# need about 0.7 GB before the sparse LUs of Newton and the spectrum add fill.
+# need about 0.7 GB before the sparse LDL^T factors of the spectrum add fill.
 MAX_NODES = 2**20
 
 

@@ -30,9 +30,13 @@ assembled and factorized by ``operators.factor_x_invariant`` once per
 (dt, S) and kept in a cache that belongs to the run (one ``evolve``
 call), never to the operator; a run therefore factorizes again only when
 the energy guard halves dt or S climbs a rung.  Newton's Jacobian
-is the same matrix with the full energy Hessian in place of
-K_lin + S M_bulk; it varies in x through f'(u) and is factorized by sparse
-LU at every iteration.
+J = W + dt K_A W^-1 H has the full energy Hessian H in place of
+K_lin + S M_bulk and varies in x through f'(u).  With delta = W^-1 K_A z,
+J delta = -R is the symmetric (K_A + dt K_A W^-1 H W^-1 K_A) z = -R, which
+``operators.minres`` solves preconditioned by P = M W^-1 K_A, M the step
+matrix of (dt, S): P is symmetric positive definite for any S >= 0, and
+P^-1 is one band solve with M's cached factor and one with K_A's.  Under
+Newton the shift S sets only the preconditioner.
 """
 
 import functools
@@ -41,10 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .energy import energy_and_gradient, energy_hessian, state_report
-from .operators import diag_rows, factor_x_invariant, level_rows, v_norm, x_norm
+from .operators import (FORCING_MAX, diag_rows, factor_x_invariant, level_rows, minres,
+                        v_norm, x_norm)
 
 
 class GuardAbort(RuntimeError):
@@ -86,7 +90,9 @@ class TrajectoryRecord:
     x_dist_to_ref: list | None = None
     v_dist_to_ref: list | None = None
     snapshots: list = field(default_factory=list)
-    factorizations: int = 0  # step-system factorizations made by the run
+    factorizations: int = 0  # band factorizations of the step matrix made by the run
+    newton_iters: int = 0  # Jacobian solves of the run's Newton steps
+    krylov_iters: int = 0  # MINRES iterations of those solves
     shifts: list = field(default_factory=list)  # distinct S rungs, in order
 
     def final_state(self):
@@ -138,44 +144,24 @@ def _sampled_rung(pot, lo, hi):
     return _rung_above(float(np.max(np.abs(pot.f_prime(s)))))
 
 
-def _shift(pot, cfg, lo, hi):
-    """The stabilization shift of a step over states in [lo, hi]; None for Newton."""
-    if cfg.scheme != "semi_implicit":
-        return None
-    if cfg.stabilization_S is not None:
-        return cfg.stabilization_S
-    return auto_stabilization(pot, lo, hi)
-
-
 class _StepFactors(dict):
-    """One run's semi-implicit factorizations keyed by (dt, S).
+    """One run's ``operators.factor_x_invariant`` factors of the step matrix,
+    keyed by (dt, S), which both schemes solve with; ``made`` counts them,
+    and ``newton_iters`` and ``krylov_iters`` count the Newton solves'
+    work."""
 
-    The values are ``operators.factor_x_invariant`` band factors.  ``made``
-    counts every step-system factorization of the run: those band factors
-    and Newton's sparse LU Jacobians (one per iteration, never reused).
-    """
-
-    made = 0
+    made = newton_iters = krylov_iters = 0
 
 
-def _implicit_matrix(op, dt, B, rows=None, cols=None):
-    """W + dt K_A W^-1 B, the linear system of one implicit step: its rows
-    ``rows``, or all of them.
+def _implicit_matrix(op, dt, B, rows, cols):
+    """Rows ``rows`` of W + dt K_A W^-1 B, the linear system of one implicit step.
 
-    B is the whole matrix, or only its rows ``cols``: those that the rows
+    B holds only the rows ``cols`` of the whole matrix: those that the rows
     ``rows`` of K_A reach, ``np.unique(K_A[rows].indices)``, the only rows
-    of B that enter them.  Each row is formed from the same entries by the
-    same products in the same order either way, so the selected rows are
-    bit-identical to those rows of the whole matrix.
+    of B that enter them.
     """
     W = op.mass_weights
-    if rows is None:
-        rows = np.arange(W.size)
-    K = op.K_A[rows]
-    if cols is None:
-        cols = np.arange(W.size)
-    else:
-        K = K[:, cols]
+    K = op.K_A[rows][:, cols]
     return diag_rows(W, rows) + dt * (K @ sp.diags(1.0 / W[cols]) @ B)
 
 
@@ -206,27 +192,34 @@ def _semi_step_once(op, u_vals, g_old, kmu_old, dt, S, factors):
     return u_vals - lu.solve(dt * kmu_old)
 
 
-def _newton_step_once(op, pot, u_old, dt, cfg, factors):
+def _newton_step_once(op, pot, u_old, dt, cfg, S, factors):
     """The implicit step's state and its evaluation (E, g).
 
-    Raises _RetryHalved when a Jacobian is singular, an update is not
-    finite or newton_max_iter iterations miss newton_tol.
+    Each iteration solves J delta = -R in its z-form by MINRES to the
+    relative tolerance min(FORCING_MAX, |R|).  Raises _RetryHalved when
+    MINRES misses it, an update is not finite or newton_max_iter iterations
+    miss newton_tol.
     """
-    W = op.mass_weights
+    W, K_A = op.mass_weights, op.K_A
     u = u_old.copy()
     for _ in range(cfg.newton_max_iter):
         evaluation = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)
-        R = W * (u - u_old) + dt * (op.K_A @ (evaluation[1] / W))
+        R = W * (u - u_old) + dt * (K_A @ (evaluation[1] / W))
         rnorm = np.sqrt(float(np.sum(R * R / W)))
         if rnorm <= cfg.newton_tol:
             return u, evaluation
         H = energy_hessian(op.grid, pot, u, op.alpha, op.beta)
-        factors.made += 1
-        try:
-            delta = spla.splu(_implicit_matrix(op, dt, H).tocsc()).solve(-R)
-        except RuntimeError:  # singular; the Jacobian tends to W as dt shrinks
-            raise _RetryHalved
-        if not np.all(np.isfinite(delta)):
+        M, K = _semi_system(op, dt, S, factors), op.factorization()
+
+        def apply_J(z):
+            kz = K_A @ z
+            return kz + dt * (K_A @ ((H @ (kz / W)) / W))
+
+        z, its = minres(apply_J, lambda r: K.solve(W * M.solve(r)), -R, min(FORCING_MAX, rnorm))
+        factors.newton_iters += 1
+        factors.krylov_iters += its
+        delta = None if z is None else (K_A @ z) / W
+        if delta is None or not np.all(np.isfinite(delta)):
             raise _RetryHalved
         u = u + delta
     raise _RetryHalved  # no convergence at this dt
@@ -245,7 +238,7 @@ def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
             u_new = _semi_step_once(op, u_vals, ev_old[1], kmu_old, dt, S, factors)
             evaluation = energy_and_gradient(op.grid, pot, u_new, op.alpha, op.beta)
         elif cfg.scheme == "newton":
-            u_new, evaluation = _newton_step_once(op, pot, u_vals, dt, cfg, factors)
+            u_new, evaluation = _newton_step_once(op, pot, u_vals, dt, cfg, S, factors)
         else:
             raise ValueError(f"unknown scheme {cfg.scheme!r}")
     except _RetryHalved:
@@ -323,8 +316,10 @@ def evolve(op, pot, u0, cfg, ref=None):
             dt = cfg.dt if remainder > cfg.dt - eps_t else remainder
             lo = min(lo, float(u.min()))
             hi = max(hi, float(u.max()))
-            S = _shift(pot, cfg, lo, hi)
-            if S is not None and rec.shifts[-1:] != [S]:
+            S = cfg.stabilization_S
+            if S is None:
+                S = auto_stabilization(pot, lo, hi)
+            if rec.shifts[-1:] != [S]:
                 rec.shifts.append(S)
             u, evaluation = _advance(op, pot, u, dt, cfg, S, evaluation, kmu, factors)
             kmu = None
@@ -341,11 +336,11 @@ def evolve(op, pot, u0, cfg, ref=None):
             if cfg.snapshot_stride and step_idx % cfg.snapshot_stride == 0:
                 rec.snapshots.append((t, u.copy()))
     except GuardAbort as exc:
-        rec.factorizations = factors.made
         rec.snapshots.append((t, u.copy()))
         raise EvolutionAbort(str(exc), rec)
-
-    rec.factorizations = factors.made
+    finally:
+        rec.factorizations = factors.made
+        rec.newton_iters, rec.krylov_iters = factors.newton_iters, factors.krylov_iters
     if not rec.snapshots or rec.snapshots[-1][0] < t - 1e-15:
         rec.snapshots.append((t, u.copy()))
     return rec

@@ -16,8 +16,11 @@ Matrices that commute with x-shifts of the periodic strip (K_A and the
 semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
 in x splits them into one pentadiagonal system in y per Fourier mode.  It
 reads only their ny level rows (``level_rows``), which is all a caller
-assembles.
+assembles.  A Newton Jacobian varies in x through f'(u); it is solved by
+``minres``, preconditioned with such band factors.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +31,10 @@ from .grid import dot, h_inner
 # the largest imaginary part, relative to the largest real part, that the
 # Fourier symbol of an x-symmetric stencil may carry from rounding
 SYMBOL_IMAG_TOL = 1e-12
+# minres: iteration cap per solve, and the cap on the forcing term (the
+# relative MINRES tolerance of a Newton step) of the Newton loops that use it
+MINRES_MAX_ITER = 200
+FORCING_MAX = 0.1
 
 
 class XInvariantFactor:
@@ -115,6 +122,57 @@ def factor_x_invariant(grid, rows):
     if info != 0:
         raise RuntimeError(f"singular x-invariant system: LAPACK dgbtrf info={info}")
     return XInvariantFactor(nx, ny, lu, piv)
+
+
+def minres(apply_H, solve_P, b, rtol):
+    """Solve H x = b by preconditioned MINRES: (x, iterations).
+
+    apply_H(v) is H v for a symmetric, possibly indefinite H, and
+    solve_P(r) is P^-1 r for a symmetric positive definite P.  The
+    Paige-Saunders recurrence (SIAM J. Numer. Anal. 12 (1975)), as in
+    scipy's ``minres``, but every inner product goes through ``grid.dot``,
+    so the result has the same bits on any BLAS thread count.  It stops when
+    the P^-1-norm of the residual, which the recurrence tracks, is at most
+    rtol times that of b.  x is None when MINRES_MAX_ITER iterations do not
+    reach rtol, or when the recurrence breaks down on a singular H.
+    """
+    x = np.zeros_like(b)
+    w = w2 = np.zeros_like(b)
+    r1 = r2 = b
+    y = solve_P(b)
+    beta1 = beta = math.sqrt(dot(b, y))
+    if beta1 == 0.0:
+        return x, 0
+    oldb = dbar = epsln = sn = 0.0
+    cs, phibar = -1.0, beta1
+    for it in range(1, MINRES_MAX_ITER + 1):
+        v = y / beta
+        y = apply_H(v)
+        if it > 1:
+            y -= (beta / oldb) * r1
+        alfa = dot(v, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = solve_P(r2)
+        oldb, beta = beta, math.sqrt(max(dot(r2, y), 0.0))
+        # the previous plane rotation, then the one that annihilates beta
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = math.hypot(gbar, beta)
+        if gamma == 0.0:
+            return None, it
+        cs, sn = gbar / gamma, beta / gamma
+        phi = cs * phibar
+        phibar *= sn
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x += phi * w
+        if phibar <= rtol * beta1:
+            return x, it
+    return None, MINRES_MAX_ITER
 
 
 class WentzellOperator:

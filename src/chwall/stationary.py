@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import count_below, lowest_eigenpairs, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import dot, load_field, save_field
-from .operators import diag_rows, factor_x_invariant, level_rows
+from .operators import FORCING_MAX, diag_rows, factor_x_invariant, level_rows, minres
 
 
 # minimize_energy: cap on steps plus saddle kicks, L-BFGS memory, the f'(u)
@@ -38,11 +38,8 @@ ARMIJO_T_MIN = 1e-12
 # minimize_energy: a stationary point is a saddle when the weighted Hessian
 # has an eigenvalue below -SADDLE_TOL
 SADDLE_TOL = 1e-10
-# newton_refine: iteration cap, MINRES iteration cap per Newton step, and the
-# cap on the forcing term (the relative MINRES tolerance of a step)
+# newton_refine: iteration cap
 NEWTON_MAX_ITER = 50
-MINRES_MAX_ITER = 200
-FORCING_MAX = 0.1
 # the gradient norm below which a start counts as inside a Newton basin
 BASIN_THRESHOLD = 1e-2
 
@@ -81,56 +78,6 @@ def _preconditioner(op):
     rows = level_rows(grid)
     return factor_x_invariant(grid, grid.forms.k_lin(op.alpha, op.beta)[rows]
                               + PRECOND_S * diag_rows(grid.forms.bulk_mass, rows))
-
-
-def _minres(H, P, b, rtol):
-    """Solve H x = b by MINRES preconditioned with the factor P: (x, iterations).
-
-    H is symmetric, possibly indefinite; P is symmetric positive definite.
-    The Paige-Saunders recurrence (SIAM J. Numer. Anal. 12 (1975)), as in
-    scipy's ``minres``, but every inner product goes through ``grid.dot``,
-    so the result has the same bits on any BLAS thread count.  It stops when
-    the P^-1-norm of the residual, which the recurrence tracks, is at most
-    rtol times that of b.  x is None when MINRES_MAX_ITER iterations do not
-    reach rtol, or when the recurrence breaks down on a singular H.
-    """
-    x = np.zeros_like(b)
-    w = w2 = np.zeros_like(b)
-    r1 = r2 = b
-    y = P.solve(b)
-    beta1 = beta = math.sqrt(dot(b, y))
-    if beta1 == 0.0:
-        return x, 0
-    oldb = dbar = epsln = sn = 0.0
-    cs, phibar = -1.0, beta1
-    for it in range(1, MINRES_MAX_ITER + 1):
-        v = y / beta
-        y = H @ v
-        if it > 1:
-            y -= (beta / oldb) * r1
-        alfa = dot(v, y)
-        y -= (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = P.solve(r2)
-        oldb, beta = beta, math.sqrt(max(dot(r2, y), 0.0))
-        # the previous plane rotation, then the one that annihilates beta
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = math.hypot(gbar, beta)
-        if gamma == 0.0:
-            return None, it
-        cs, sn = gbar / gamma, beta / gamma
-        phi = cs * phibar
-        phibar *= sn
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x += phi * w
-        if phibar <= rtol * beta1:
-            return x, it
-    return None, MINRES_MAX_ITER
 
 
 def _most_negative_direction(A_t, rw, w):
@@ -232,7 +179,7 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     Requires the start to be inside a Newton basin (gradient norm below
     basin_threshold).  The Jacobian is the energy Hessian H: bulk rows
     -Lap + f'(u), wall rows the discrete trace operator.  Each step solves
-    H delta = -g by ``_minres`` preconditioned with the band factor of
+    H delta = -g by ``operators.minres`` preconditioned with the band factor of
     ``_preconditioner``, made once per call; MINRES takes the indefinite H
     of a saddle as well.  Its relative tolerance is the forcing term
     min(FORCING_MAX, residual), which keeps the convergence quadratic
@@ -260,7 +207,7 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     P = None if converged else _preconditioner(op)
     while not converged and iters < NEWTON_MAX_ITER:
         H = energy_hessian(grid, pot, x, alpha, beta)
-        delta, its = _minres(H, P, -g, min(FORCING_MAX, res))
+        delta, its = minres(lambda v: H @ v, P.solve, -g, min(FORCING_MAX, res))
         if delta is None or not np.all(np.isfinite(delta)):
             break
         krylov.append(its)

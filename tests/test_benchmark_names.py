@@ -9,7 +9,7 @@ these tests make that a failure of the unit suite.
 
 The benchmark also counts the time steps of a run as the calls to
 ``evolution.auto_stabilization`` made inside ``evolve``, so ``evolve`` must
-call it exactly once per semi-implicit step.  The shift is remembered
+call it exactly once per step of either scheme.  The shift is remembered
 inside the function, so a step whose state range has not widened still
 makes its call; a cache in ``evolve`` in front of the call would silently
 break that count.
@@ -49,7 +49,8 @@ def test_benchmark_names_exist(module):
     assert missing == []
 
 
-def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
+@pytest.mark.parametrize("scheme", ["semi_implicit", "newton"])
+def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch, scheme):
     g = cw.build_grid("strip2d", Lx=4.0, Ly=4.0, nx=12, ny=12)
     op, pot = cw.WentzellOperator(g), cw.double_well()
     # spinodal data of both signs, so the shift is recomputed on a moving range
@@ -66,7 +67,8 @@ def test_evolve_calls_auto_stabilization_once_per_step(monkeypatch):
     assert inspect.isfunction(real)
     monkeypatch.setattr(evolution, "auto_stabilization", counted)
     # 40 full steps and one remainder step
-    rec = evolution.evolve(op, pot, u0, RunConfig(dt=1e-2, t_end=0.405, series_stride=7))
+    cfg = RunConfig(scheme=scheme, dt=1e-2, t_end=0.405, series_stride=7)
+    rec = evolution.evolve(op, pot, u0, cfg)
     assert len(calls) == 41
     assert rec.times[-1] == pytest.approx(0.405)
 

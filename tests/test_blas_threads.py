@@ -3,8 +3,10 @@
 OpenBLAS splits a dot product across threads from 10,001 entries on, which
 changes its rounding.  A 128x128 strip has 16,384 nodes, so every node dot
 of ``chwall simulate`` and ``chwall equilibrium`` there is above that
-threshold; each run is made in a fresh process with one and with two
-threads, and every file must come out byte for byte the same.
+threshold.  ``simulate`` runs with each scheme: Newton's MINRES takes its
+inner products through ``grid.dot`` too.  Each run is made in a fresh
+process with one and with two threads, and every file must come out byte
+for byte the same.
 """
 
 import os
@@ -23,6 +25,7 @@ ny = 128
 kind = double_well
 
 [stepper]
+scheme = {scheme}
 dt = 1e-3
 t_end = 0.005
 
@@ -57,9 +60,11 @@ def _run(tmp_path, threads):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     root = tmp_path / f"threads{threads}"
-    for command in ("simulate", "equilibrium"):
-        cfg = tmp_path / f"{command}{threads}.ini"
-        cfg.write_text(CONFIG.format(out=root / command))
+    for name, command, scheme in (("simulate", "simulate", "semi_implicit"),
+                                  ("newton", "simulate", "newton"),
+                                  ("equilibrium", "equilibrium", "semi_implicit")):
+        cfg = tmp_path / f"{name}{threads}.ini"
+        cfg.write_text(CONFIG.format(out=root / name, scheme=scheme))
         subprocess.run([sys.executable, "-m", "chwall.cli", command, str(cfg)],
                        env=env, check=True, capture_output=True)
     return _files(root)
@@ -70,6 +75,7 @@ def test_outputs_are_the_same_on_one_and_two_blas_threads(tmp_path):
     assert sorted(one) == sorted(two)
     compared = [rel for rel in one if os.path.basename(rel) not in DIFFER_BY_RUN]
     assert {"simulate/series.csv", "simulate/diagnostics.csv",
+            "newton/series.csv", "newton/final_state.csv",
             "equilibrium/equilibrium.csv", "equilibrium/equilibrium.meta"} <= set(compared)
     differ = []
     for rel in compared:

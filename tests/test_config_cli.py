@@ -468,6 +468,7 @@ def test_cli_simulate_artifacts_and_manifest(tmp_path):
     # a cosine run with automatic S stays on one shift rung: one factorization
     assert manifest["factorizations"] == 1
     assert len(manifest["shifts"]) == 1
+    assert (manifest["newton_iters"], manifest["krylov_iters"]) == (0, 0)  # no Newton step
     # the BLAS builds behind numpy and scipy, each as "name version"
     assert sorted(manifest["blas"]) == ["numpy", "scipy"]
     assert all(len(build.split()) == 2 for build in manifest["blas"].values())
@@ -952,6 +953,8 @@ def test_cli_guard_abort_exit_code(tmp_path, capsys):
     assert (tmp_path / "ab" / "series.csv").exists()
     manifest = json.loads((tmp_path / "ab" / "manifest.json").read_text())
     assert manifest["aborted"] is True
+    # the aborted run's Newton work is recorded: two iterations per attempt
+    assert manifest["newton_iters"] >= 2 and manifest["krylov_iters"] >= manifest["newton_iters"]
     snaps = sorted((tmp_path / "ab" / "snapshots").glob("*.csv"))
     assert (tmp_path / "ab" / "final_state.csv").read_bytes() == snaps[-1].read_bytes()
 

@@ -11,7 +11,7 @@ from chwall.config import RunConfig
 from chwall.energy import chemical_potential, energy_hessian, energy_value
 from chwall.evolution import EvolutionAbort, auto_stabilization, evolve
 from chwall.grid import h_norm
-from chwall.operators import apply_A, x_norm
+from chwall.operators import MINRES_MAX_ITER, apply_A, x_norm
 
 from conftest import dense_form_matrices, one_step
 
@@ -197,7 +197,8 @@ def test_energy_guard_rejects_and_halves(saddle_start, pot):
     g, op, u0 = saddle_start
     e0 = energy_value(g, pot, u0, 1.0, 1.0)
     cfg = RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6)
-    raw, (e_raw, _) = _newton_step_once(op, pot, u0, cfg.dt, cfg, _StepFactors())
+    S = auto_stabilization(pot, float(u0.min()), float(u0.max()))  # the run's shift
+    raw, (e_raw, _) = _newton_step_once(op, pot, u0, cfg.dt, cfg, S, _StepFactors())
     assert e_raw == energy_value(g, pot, raw, 1.0, 1.0) > e0  # unguarded step misbehaves
     guarded = one_step(op, pot, u0, cfg)
     assert energy_value(g, pot, guarded, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
@@ -381,26 +382,25 @@ def test_guard_halving_records_its_factorizations(pot, factorization_calls):
 
 
 def test_singular_jacobian_halves_the_step(problem, monkeypatch):
-    # a Jacobian that splu finds singular rejects the step as an energy rise
-    # does: the step is redone as two half steps, and the run does not abort
+    # a MINRES that fails, as on a singular Jacobian, rejects the step as an
+    # energy rise does: the step is redone as two half steps, and the run
+    # does not abort
     import chwall.evolution as evo
 
     g, op, pot = problem
     u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1
     cfg = RunConfig(scheme="newton", dt=1e-3, t_end=1e-3, series_stride=10 ** 6)
     halves = evolve(op, pot, u0, replace(cfg, dt=cfg.dt / 2)).final_state()
-    splu, calls = evo.spla.splu, []
+    minres, calls = evo.minres, []
 
-    def singular_once(*args, **kwargs):
+    def fails_once(*args):
         calls.append(1)
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return splu(*args, **kwargs)
+        return (None, MINRES_MAX_ITER) if len(calls) == 1 else minres(*args)
 
-    monkeypatch.setattr(evo.spla, "splu", singular_once)
+    monkeypatch.setattr(evo, "minres", fails_once)
     rec = evolve(op, pot, u0, cfg)
-    # the failed attempt is counted with the half steps' Jacobians
-    assert rec.factorizations == len(calls) >= 3
+    # the failed solve is counted with the half steps' solves
+    assert rec.newton_iters == len(calls) >= 3
     assert rec.times == [0.0, cfg.dt]
     assert np.array_equal(rec.final_state(), halves)
 
@@ -419,15 +419,17 @@ def test_last_step_reuses_factorization(pot, factorization_calls):
         assert len(rec.times) == 2
 
 
-def test_newton_counts_its_sparse_jacobians(problem, factorization_calls):
-    # Newton's Jacobian varies in x through f'(u): it stays on sparse LU, one
-    # factorization per iteration, and the record counts each of them
+def test_newton_makes_no_sparse_lu(problem, factorization_calls):
+    # Newton's Jacobian varies in x through f'(u): MINRES solves it,
+    # preconditioned with the band factor of the run's step matrix, so the
+    # run factorizes once per (dt, S) as the semi-implicit run does
     g, op, pot = problem
     u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1
     cfg = RunConfig(scheme="newton", dt=1e-3, t_end=3 * 1e-3, series_stride=10 ** 6)
     rec = evolve(op, pot, u0, cfg)
-    assert rec.factorizations == len(factorization_calls["splu"]) >= 3
-    assert factorization_calls["band"] == []
+    assert factorization_calls["splu"] == []
+    assert rec.factorizations == len(factorization_calls["band"]) == 1
+    assert rec.shifts != []
 
 
 def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
@@ -451,6 +453,46 @@ def test_semi_implicit_steps_solve_the_assembled_step_equation(pot):
         u, v = old, new
         rhs = W * u + dt * (K_A @ ((S * bulk_o * u - bulk_o * pot.f(u)) / W))
         assert np.linalg.norm(M @ v - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1.0])
+def test_newton_steps_solve_the_assembled_backward_euler_equation(pot, dt):
+    # every accepted Newton step at non-unit constants satisfies the
+    # backward-Euler equation W (v - u) + dt K_A W^-1 g(v) = 0, assembled
+    # densely apart from the package; a W or K_A slip in the solver's
+    # z-form would show only at b != 1
+    alpha, beta, b, c = 0.7, 1.5, 2.0, 0.5
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.3, nx=12, ny=11)
+    op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1 * g.y + 0.1
+    cfg = RunConfig(scheme="newton", dt=dt, t_end=5 * dt, snapshot_stride=1)
+    rec = evolve(op, pot, u0, cfg)
+    assert rec.factorizations == 1 and len(rec.shifts) == 1  # no halved step
+    K_o, P_o, bdry_o, bulk_o = dense_form_matrices(g)
+    W = bulk_o + bdry_o / b
+    K_A = K_o + (c / b) * np.diag(bdry_o)
+    K_lin = K_o + alpha * P_o + beta * np.diag(bdry_o)
+    assert len(rec.snapshots) == 6
+    for (_, u), (_, v) in zip(rec.snapshots, rec.snapshots[1:]):
+        flow = dt * (K_A @ ((K_lin @ v + bulk_o * pot.f(v)) / W))
+        R = W * (v - u) + flow
+        # the dense and the sparse assembly round apart by a few ulps of
+        # the two terms that cancel in R
+        allowance = 1e-14 * np.sqrt(np.sum((np.abs(W * (v - u)) + np.abs(flow)) ** 2 / W))
+        assert np.sqrt(np.sum(R * R / W)) <= cfg.newton_tol + allowance
+
+
+def test_run_counts_its_newton_and_krylov_iterations(problem):
+    # totals over the run: at least one Jacobian solve per Newton step and
+    # one MINRES iteration per solve; a semi-implicit run makes none
+    g, op, pot = problem
+    u0 = 0.3 * np.cos(2 * np.pi * g.x) + 0.1
+    cfg = RunConfig(dt=1e-2, t_end=5 * 1e-2, series_stride=10 ** 6)
+    rec = evolve(op, pot, u0, replace(cfg, scheme="newton"))
+    assert rec.newton_iters >= 5
+    assert rec.krylov_iters >= rec.newton_iters
+    rec = evolve(op, pot, u0, cfg)
+    assert (rec.newton_iters, rec.krylov_iters) == (0, 0)
 
 
 def test_energy_evaluated_once_per_step(problem, monkeypatch):

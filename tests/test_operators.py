@@ -285,13 +285,13 @@ def test_step_level_rows_are_the_rows_of_the_whole_matrix(problem):
     # their own they must equal those rows of the whole matrix bit for bit
     grid, op, dt, S = problem
     forms, rows = grid.forms, level_rows(grid)
-    B = forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)
+    B = (forms.k_lin(op.alpha, op.beta) + S * sp.diags(forms.bulk_mass)).tocsr()
     W = op.mass_weights
     whole = sp.diags(W) + dt * (op.K_A @ sp.diags(1.0 / W) @ B)
-    level = _implicit_matrix(op, dt, B, rows)
+    cols = np.unique(op.K_A[rows].indices)
+    level = _implicit_matrix(op, dt, B[cols], rows, cols)
     assert level.shape == (grid.ny, grid.n_nodes)
     assert np.array_equal(level.toarray(), whole.tocsr()[rows].toarray())
-    assert np.array_equal(_implicit_matrix(op, dt, B).toarray(), whole.toarray())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -313,13 +313,14 @@ def test_step_assembles_only_the_rows_of_B_it_reads(nx, ny, consts, dt, S):
     dt = 10.0 ** dt
     forms, rows = grid.forms, level_rows(grid)
     B = forms.k_lin(alpha, beta) + S * sp.diags(forms.bulk_mass)
+    whole = sp.diags(op.mass_weights) + dt * (op.K_A @ sp.diags(1.0 / op.mass_weights) @ B)
     seen = []
     with mock.patch.object(evolution, "factor_x_invariant",
                            side_effect=lambda g, level: seen.append(level)):
         evolution._semi_system(op, dt, S, evolution._StepFactors())
     (level,) = seen
     assert level.shape == (grid.ny, grid.n_nodes)
-    assert np.array_equal(level.toarray(), _implicit_matrix(op, dt, B, rows).toarray())
+    assert np.array_equal(level.toarray(), whole.tocsr()[rows].toarray())
 
 
 def test_step_factorization_holds_no_full_size_temporary():

@@ -7,6 +7,7 @@ from chwall.cli import make_initial
 from chwall.config import RunConfig
 from chwall.evolution import evolve
 from chwall.grid import h_norm
+from chwall import operators
 from chwall.operators import v_norm, x_norm
 from chwall.stationary import (
     SolveMethod,
@@ -243,10 +244,10 @@ def _singular_jacobians(monkeypatch):
     """Make every Newton step's MINRES fail, as on an exactly singular Jacobian."""
     import chwall.stationary as stationary
 
-    def minres(H, P, b, rtol):
-        return None, stationary.MINRES_MAX_ITER
+    def minres(apply_H, solve_P, b, rtol):
+        return None, operators.MINRES_MAX_ITER
 
-    monkeypatch.setattr(stationary, "_minres", minres)
+    monkeypatch.setattr(stationary, "minres", minres)
 
 
 def _dense_kernel_dim(g, H, kernel_tol):
@@ -338,15 +339,15 @@ def test_newton_refine_makes_no_sparse_lu(workload48, tall_strip, pot, monkeypat
 def test_minres_solves_an_indefinite_hessian(tall_strip, pot):
     import scipy.sparse.linalg as spla
 
-    from chwall.stationary import _minres, _preconditioner
+    from chwall.stationary import _preconditioner
 
     g, op = tall_strip
     u = 0.3 * np.random.default_rng(4).standard_normal(g.n_nodes)
     H = energy_hessian(g, pot, u, 1.0, 1.0)
     b = np.random.default_rng(5).standard_normal(g.n_nodes)
-    x, its = _minres(H, _preconditioner(op), b, 1e-12)
+    x, its = operators.minres(lambda v: H @ v, _preconditioner(op).solve, b, 1e-12)
     ref = spla.spsolve(H.tocsc(), b)
-    assert 0 < its < cw.stationary.MINRES_MAX_ITER
+    assert 0 < its < operators.MINRES_MAX_ITER
     assert np.max(np.abs(x - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -357,13 +358,14 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     start = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-3).field
     full = newton_refine(op, pot, start, tol=1e-12)
     assert full.newton_iters >= 2
-    minres, calls = stationary._minres, []
+    minres, calls = operators.minres, []
 
-    def second_fails(H, P, b, rtol):
+    def second_fails(apply_H, solve_P, b, rtol):
         calls.append(1)
-        return minres(H, P, b, rtol) if len(calls) == 1 else (None, stationary.MINRES_MAX_ITER)
+        return (minres(apply_H, solve_P, b, rtol) if len(calls) == 1
+                else (None, operators.MINRES_MAX_ITER))
 
-    monkeypatch.setattr(stationary, "_minres", second_fails)
+    monkeypatch.setattr(stationary, "minres", second_fails)
     sol = newton_refine(op, pot, start, tol=1e-12)
     assert not sol.converged and sol.newton_iters == 1
     assert sol.krylov_iters == full.krylov_iters[:1]
@@ -371,8 +373,8 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     assert (sol.bulk_res, sol.bdry_res) == residual_norms(
         g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])
     # a MINRES that cannot reach its tolerance in its iteration cap misses
-    monkeypatch.setattr(stationary, "_minres", minres)
-    monkeypatch.setattr(stationary, "MINRES_MAX_ITER", 1)
+    monkeypatch.setattr(stationary, "minres", minres)
+    monkeypatch.setattr(operators, "MINRES_MAX_ITER", 1)
     sol = newton_refine(op, pot, start, tol=1e-12)
     assert not sol.converged and sol.newton_iters == 0 and sol.krylov_iters == []
     assert np.array_equal(sol.psi, start)
