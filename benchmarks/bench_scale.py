@@ -11,10 +11,7 @@ of the e2ebench ``large_grid`` run), it times:
 - ``save_field_s``: one ``save_field`` of a random field, template cached;
 - ``newton_step_s``: one implicit step, ``evolve`` with ``scheme = newton``
   and ``t_end = dt`` from the cosine state 0.1 cos(2 pi x) + 0.05, through
-  public names only (so the script also times older checkouts).  It sets
-  ``newton_tol = 1e-8``: at 256x256 the residual of this step cannot fall
-  below about 4e-10, so at the default 1e-10 the step misses its
-  tolerance, is halved three times and makes 177 Jacobian solves;
+  public names only (so the script also times older checkouts);
 
 each the best of ``--repeat`` calls after one warm-up call.  It records
 ``assembly_factor_peak_kb`` and ``save_field_peak_kb``, the tracemalloc
@@ -85,8 +82,7 @@ def main(argv=None):
             lu = _factor(op)
             rhs = np.random.default_rng(0).standard_normal(grid.n_nodes)
             u0 = 0.1 * np.cos(2 * np.pi * grid.x) + 0.05
-            step = RunConfig(scheme="newton", dt=DT, t_end=DT, stabilization_S=S,
-                             newton_tol=1e-8)
+            step = RunConfig(scheme="newton", dt=DT, t_end=DT, stabilization_S=S)
             cases[f"{n}x{n}"] = {
                 "n_nodes": grid.n_nodes,
                 "assembly_factor_s": _best_of(args.repeat, lambda: _factor(op)),

@@ -53,8 +53,6 @@ class RunConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     stabilization_S: float | None = None
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
     dt_min: float = 1e-8
     # initial data
     initial_kind: str = "random_fourier"
@@ -82,8 +80,7 @@ _LAYOUT = {
     "grid": ("mode", "Lx", "Ly", "nx", "ny"),
     "potential": ("potential_kind", "potential_coeffs"),
     "constants": ("b", "c", "alpha", "beta"),
-    "stepper": ("scheme", "dt", "t_end", "stabilization_S", "newton_tol",
-                "newton_max_iter", "dt_min"),
+    "stepper": ("scheme", "dt", "t_end", "stabilization_S", "dt_min"),
     "initial": ("initial_kind", "initial_amplitude", "initial_mean",
                 "initial_modes", "initial_path"),
     "io": ("output_dir", "series_stride", "snapshot_stride", "plots"),
@@ -172,7 +169,7 @@ def parse_config(path):
 _FINITE = {
     "grid": ("Lx", "Ly"),
     "constants": ("b", "c", "alpha", "beta"),
-    "stepper": ("dt", "t_end", "dt_min", "newton_tol"),
+    "stepper": ("dt", "t_end", "dt_min"),
     "initial": ("initial_amplitude", "initial_mean"),
     "analysis": ("probe_window", "kernel_tol", "rate_fit_t_min", "fit_tol"),
 }
@@ -234,10 +231,6 @@ def validate_config(cfg):
         raise ConfigError("stepper.dt, stepper.t_end and stepper.dt_min must be positive")
     if cfg.scheme not in ("semi_implicit", "newton"):
         raise ConfigError(f"stepper.scheme must be semi_implicit or newton, got {cfg.scheme!r}")
-    if cfg.newton_max_iter < 1:
-        raise ConfigError(f"stepper.newton_max_iter = {cfg.newton_max_iter}: must be >= 1")
-    if cfg.newton_tol <= 0:
-        raise ConfigError(f"stepper.newton_tol = {cfg.newton_tol}: must be positive")
     if cfg.potential_kind not in ("double_well", "polynomial_custom"):
         raise ConfigError(f"potential.kind unknown: {cfg.potential_kind!r}")
     if cfg.potential_kind == "polynomial_custom" and not cfg.potential_coeffs:

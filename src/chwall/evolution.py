@@ -47,8 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .energy import energy_and_gradient, energy_hessian, state_report
-from .operators import (FORCING_MAX, diag_rows, factor_x_invariant, level_rows, minres,
-                        v_norm, x_norm)
+from .operators import (FORCING_MAX, NEWTON_MAX_ITER, NEWTON_STEP_TOL, diag_rows,
+                        factor_x_invariant, level_rows, minres, v_norm, x_norm)
 
 
 class GuardAbort(RuntimeError):
@@ -192,22 +192,21 @@ def _semi_step_once(op, u_vals, g_old, kmu_old, dt, S, factors):
     return u_vals - lu.solve(dt * kmu_old)
 
 
-def _newton_step_once(op, pot, u_old, dt, cfg, S, factors):
+def _newton_step_once(op, pot, u_old, ev_old, dt, S, factors):
     """The implicit step's state and its evaluation (E, g).
 
-    Each iteration solves J delta = -R in its z-form by MINRES to the
-    relative tolerance min(FORCING_MAX, |R|).  Raises _RetryHalved when
-    MINRES misses it, an update is not finite or newton_max_iter iterations
-    miss newton_tol.
+    ev_old is the evaluation of u_old.  Each iteration solves J delta = -R
+    in its z-form by MINRES to the relative tolerance min(FORCING_MAX, |R|),
+    until an update is small: max|delta| <= NEWTON_STEP_TOL * max(1, max|u|),
+    a stop that the rounding floor of R, which grows with dt and with the
+    grid, cannot hold off.  Raises _RetryHalved when MINRES misses its
+    tolerance, an update is not finite or none of NEWTON_MAX_ITER updates is small.
     """
     W, K_A = op.mass_weights, op.K_A
-    u = u_old.copy()
-    for _ in range(cfg.newton_max_iter):
-        evaluation = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)
+    u, evaluation = u_old, ev_old
+    for _ in range(NEWTON_MAX_ITER):
         R = W * (u - u_old) + dt * (K_A @ (evaluation[1] / W))
         rnorm = np.sqrt(float(np.sum(R * R / W)))
-        if rnorm <= cfg.newton_tol:
-            return u, evaluation
         H = energy_hessian(op.grid, pot, u, op.alpha, op.beta)
         M, K = _semi_system(op, dt, S, factors), op.factorization()
 
@@ -222,7 +221,10 @@ def _newton_step_once(op, pot, u_old, dt, cfg, S, factors):
         if delta is None or not np.all(np.isfinite(delta)):
             raise _RetryHalved
         u = u + delta
-    raise _RetryHalved  # no convergence at this dt
+        evaluation = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)
+        if np.max(np.abs(delta)) <= NEWTON_STEP_TOL * max(1.0, np.max(np.abs(u))):
+            return u, evaluation
+    raise _RetryHalved  # no small update at this dt
 
 
 def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
@@ -238,7 +240,7 @@ def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
             u_new = _semi_step_once(op, u_vals, ev_old[1], kmu_old, dt, S, factors)
             evaluation = energy_and_gradient(op.grid, pot, u_new, op.alpha, op.beta)
         elif cfg.scheme == "newton":
-            u_new, evaluation = _newton_step_once(op, pot, u_vals, dt, cfg, S, factors)
+            u_new, evaluation = _newton_step_once(op, pot, u_vals, ev_old, dt, S, factors)
         else:
             raise ValueError(f"unknown scheme {cfg.scheme!r}")
     except _RetryHalved:
@@ -261,9 +263,8 @@ def evolve(op, pot, u0, cfg, ref=None):
     op is the ``operators.WentzellOperator`` of the problem: its grid and
     its constants b, c, alpha, beta are the run's.  cfg is a
     ``config.RunConfig``; the run reads its stepper fields (scheme, dt,
-    t_end, stabilization_S, newton_tol, newton_max_iter, dt_min) and its
-    strides (series_stride, snapshot_stride).  One step is the run with
-    t_end = dt:
+    t_end, stabilization_S, dt_min) and its strides (series_stride,
+    snapshot_stride).  One step is the run with t_end = dt:
     ``evolve(op, pot, u, replace(cfg, t_end=cfg.dt)).final_state()``.
     Each row also records the flow speed |u_t|_X, taken from the exact
     identity u_t = -A mu as sqrt(a(mu, mu)), which is the row's dissipation.

@@ -35,6 +35,10 @@ SYMBOL_IMAG_TOL = 1e-12
 # relative MINRES tolerance of a Newton step) of the Newton loops that use it
 MINRES_MAX_ITER = 200
 FORCING_MAX = 0.1
+# Newton loops: iteration cap, and the implicit step's stop on its update,
+# max|delta| <= NEWTON_STEP_TOL * max(1, max|u|)
+NEWTON_MAX_ITER = 50
+NEWTON_STEP_TOL = 1e-10
 
 
 class XInvariantFactor:

@@ -25,7 +25,8 @@ import numpy as np
 from .analysis import count_below, lowest_eigenpairs, weighted_symmetric
 from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import dot, load_field, save_field
-from .operators import FORCING_MAX, diag_rows, factor_x_invariant, level_rows, minres
+from .operators import (FORCING_MAX, NEWTON_MAX_ITER, diag_rows, factor_x_invariant,
+                        level_rows, minres)
 
 
 # minimize_energy: cap on steps plus saddle kicks, L-BFGS memory, the f'(u)
@@ -38,8 +39,6 @@ ARMIJO_T_MIN = 1e-12
 # minimize_energy: a stationary point is a saddle when the weighted Hessian
 # has an eigenvalue below -SADDLE_TOL
 SADDLE_TOL = 1e-10
-# newton_refine: iteration cap
-NEWTON_MAX_ITER = 50
 # the gradient norm below which a start counts as inside a Newton basin
 BASIN_THRESHOLD = 1e-2
 

@@ -1,10 +1,12 @@
-"""The layer benchmarks in benchmarks/ import and refuse bad arguments.
+"""The layer benchmarks in benchmarks/ load, run and refuse bad arguments.
 
-Each script is loaded by path, so a chwall name that one of them imports
-and that no longer exists fails here rather than on the next benchmark run.
+Each script is loaded by path and its ``main`` run once on its smallest
+grid, so a chwall name or a ``RunConfig`` field that one of them uses and
+that no longer exists fails here rather than on the next benchmark run.
 """
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -35,3 +37,13 @@ def test_quartile_scripts_refuse_one_repeat(name, tmp_path, capsys):
     assert exc.value.code == 2
     assert "--repeat must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["bench_step", "bench_spectrum", "bench_scale"])
+def test_every_bench_script_runs(name, tmp_path, monkeypatch):
+    module = _load(name)
+    if hasattr(module, "SIZES"):
+        monkeypatch.setattr(module, "SIZES", (min(module.SIZES),))
+    out = tmp_path / "bench.json"
+    module.main(["--repeat", "2", "--out", str(out)])
+    assert json.loads(out.read_text())["cases"]

@@ -96,7 +96,6 @@ def run_configs(draw):
         scheme=draw(st.sampled_from(["semi_implicit", "newton"])),
         dt=draw(_POSITIVE), t_end=draw(_POSITIVE), dt_min=draw(_POSITIVE),
         stabilization_S=draw(st.none() | st.floats(0.0, allow_infinity=False)),
-        newton_tol=draw(_POSITIVE), newton_max_iter=draw(st.integers(1, 10 ** 6)),
         initial_kind=initial,
         initial_amplitude=draw(_FINITE), initial_mean=draw(_FINITE),
         initial_modes=draw(st.integers(1, 100)),
@@ -133,8 +132,6 @@ _OUT_OF_RANGE = {
     "dt": st.floats(max_value=0.0), "t_end": st.floats(max_value=0.0),
     "dt_min": st.floats(max_value=0.0),
     "stabilization_S": st.floats(max_value=0.0, exclude_max=True) | st.just("nan"),
-    "newton_tol": st.floats(max_value=0.0) | st.sampled_from(["nan", "inf"]),
-    "newton_max_iter": st.integers(max_value=0),
     "initial_modes": st.integers(max_value=0),
     "seed": st.integers(max_value=-1),
     "initial_amplitude": st.sampled_from(["nan", "inf"]),
@@ -224,7 +221,6 @@ def test_config_rejects_negative_constant(tmp_path):
     ("c = 1.0", "c = inf"),
     ("alpha = 1.0", "alpha = nan"),
     ("beta = 1.0", "beta = -inf"),
-    ("t_end = 0.02", "t_end = 0.02\nnewton_tol = nan"),
     ("seed = 7", "seed = 7\n[analysis]\nkernel_tol = nan"),
     ("seed = 7", "seed = 7\n[analysis]\nkernel_tol = inf"),
     ("seed = 7", "seed = 7\n[analysis]\nprobe_window = inf"),
@@ -247,18 +243,35 @@ def test_config_rejects_bad_stabilization(tmp_path, value):
 
 
 @pytest.mark.parametrize("line, bad, name", [
-    ("t_end = 0.02", "t_end = 0.02\nscheme = newton\nnewton_max_iter = 0",
-     "stepper.newton_max_iter = 0"),
-    ("t_end = 0.02", "t_end = 0.02\nscheme = newton\nnewton_tol = 0",
-     "stepper.newton_tol = 0.0"),
     ("kind = cosine", "kind = random_fourier\nmodes = 0", "initial.modes = 0"),
     ("seed = 7", "seed = -1", "run.seed = -1"),
-], ids=["newton_max_iter", "newton_tol", "initial_modes", "seed"])
+], ids=["initial_modes", "seed"])
 def test_config_rejects_inadmissible_solver_and_initial_values(tmp_path, line, bad,
                                                                name):
     text = BASE_CONFIG.format(out=tmp_path).replace(line, bad, 1)
     with pytest.raises(ConfigError, match=name):
         parse_config(write_config(tmp_path, text))
+
+
+def test_cli_refuses_the_deleted_newton_keys(tmp_path, capsys):
+    # the implicit step stops on its own update size, so a config that still
+    # sets Newton's residual tolerance or iteration cap is refused like any
+    # unknown key: by simulate before the run directory exists, and by
+    # analyze on a run directory whose config.ini carries it
+    run = tmp_path / "run"
+    assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=run))]) == 0
+    written = (run / "config.ini").read_text()
+    for key, value in (("newton_tol", "1e-10"), ("newton_max_iter", "30")):
+        line = f"{key} = {value}"
+        out = tmp_path / key
+        text = BASE_CONFIG.format(out=out).replace("t_end = 0.02", f"t_end = 0.02\n{line}")
+        capsys.readouterr()
+        assert main(["simulate", write_config(tmp_path, text, f"{key}.ini")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+        (run / "config.ini").write_text(written.replace("[stepper]\n", f"[stepper]\n{line}\n"))
+        assert main(["analyze", str(run), str(tmp_path / "nope")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_dt(tmp_path, capsys):
@@ -944,10 +957,14 @@ def test_cli_check_passes(tmp_path, capsys):
     assert dump.exists()
 
 
-def test_cli_guard_abort_exit_code(tmp_path, capsys):
-    # an aborting run still writes artifacts and returns the guard exit code
+def test_cli_guard_abort_exit_code(tmp_path, capsys, monkeypatch):
+    # an aborting run still writes artifacts and returns the guard exit code;
+    # two Newton iterations make no update small enough at dt or dt / 2
+    import chwall.evolution as evo
+
+    monkeypatch.setattr(evo, "NEWTON_MAX_ITER", 2)
     text = BASE_CONFIG.format(out=tmp_path / "ab")
-    text = text.replace("dt = 1e-3", "dt = 1e-3\nscheme = newton\nnewton_tol = 1e-30\nnewton_max_iter = 2\ndt_min = 5e-4")
+    text = text.replace("dt = 1e-3", "dt = 1e-3\nscheme = newton\ndt_min = 5e-4")
     rc = main(["simulate", write_config(tmp_path, text, "ab.ini")])
     assert rc == 3
     assert (tmp_path / "ab" / "series.csv").exists()

@@ -86,7 +86,7 @@ def test_schemes_agree_to_first_order(problem):
     dts = [4e-4, 2e-4, 1e-4]
     diffs = []
     for dt in dts:
-        cfg = RunConfig(dt=dt, newton_tol=1e-13)
+        cfg = RunConfig(dt=dt)
         us = one_step(op, pot, u0, cfg)
         un = one_step(op, pot, u0, replace(cfg, scheme="newton"))
         diffs.append(h_norm(g, us - un))
@@ -103,7 +103,7 @@ def test_newton_step_zero_converges_immediately(problem):
 def test_newton_large_dt_monotone_energy(problem, rng):
     g, op, pot = problem
     u = 0.5 * rng.standard_normal(g.n_nodes)
-    cfg = RunConfig(dt=1.0, scheme="newton", newton_tol=1e-11)
+    cfg = RunConfig(dt=1.0, scheme="newton")
     e0 = energy_value(g, pot, u, 1.0, 1.0)
     u1 = one_step(op, pot, u, cfg)
     e1 = energy_value(g, pot, u1, 1.0, 1.0)
@@ -192,13 +192,15 @@ def saddle_start(pot):
 
 
 def test_energy_guard_rejects_and_halves(saddle_start, pot):
+    from chwall.energy import energy_and_gradient
     from chwall.evolution import _newton_step_once, _StepFactors
 
     g, op, u0 = saddle_start
     e0 = energy_value(g, pot, u0, 1.0, 1.0)
-    cfg = RunConfig(scheme="newton", dt=50.0, newton_tol=1e-12, dt_min=1e-6)
+    cfg = RunConfig(scheme="newton", dt=50.0, dt_min=1e-6)
     S = auto_stabilization(pot, float(u0.min()), float(u0.max()))  # the run's shift
-    raw, (e_raw, _) = _newton_step_once(op, pot, u0, cfg.dt, cfg, S, _StepFactors())
+    ev0 = energy_and_gradient(g, pot, u0, 1.0, 1.0)
+    raw, (e_raw, _) = _newton_step_once(op, pot, u0, ev0, cfg.dt, S, _StepFactors())
     assert e_raw == energy_value(g, pot, raw, 1.0, 1.0) > e0  # unguarded step misbehaves
     guarded = one_step(op, pot, u0, cfg)
     assert energy_value(g, pot, guarded, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
@@ -206,19 +208,21 @@ def test_energy_guard_rejects_and_halves(saddle_start, pot):
 
 def test_energy_guard_exhaustion_aborts_with_state(saddle_start, pot):
     g, op, u0 = saddle_start
-    cfg = RunConfig(scheme="newton", dt=50.0, t_end=100.0, dt_min=30.0, newton_tol=1e-12)
+    cfg = RunConfig(scheme="newton", dt=50.0, t_end=100.0, dt_min=30.0)
     with pytest.raises(EvolutionAbort) as exc_info:
         evolve(op, pot, u0, cfg)
     assert "dt_min" in str(exc_info.value)
     assert exc_info.value.record.final_state() is not None
 
 
-def test_newton_divergence_falls_back_to_halved_dt(problem, rng):
+def test_newton_divergence_falls_back_to_halved_dt(problem, rng, monkeypatch):
+    import chwall.evolution as evo
+
     g, op, pot = problem
     u0 = 2.0 * rng.standard_normal(g.n_nodes)
-    # two iterations cannot converge at dt=8; halving makes the budget enough
-    cfg = RunConfig(scheme="newton", dt=8.0, newton_max_iter=8,
-                    newton_tol=1e-10, dt_min=1e-4)
+    # eight iterations cannot converge at dt=8; halving makes the budget enough
+    monkeypatch.setattr(evo, "NEWTON_MAX_ITER", 8)
+    cfg = RunConfig(scheme="newton", dt=8.0, dt_min=1e-4)
     out = one_step(op, pot, u0, cfg)
     e0 = energy_value(g, pot, u0, 1.0, 1.0)
     assert energy_value(g, pot, out, 1.0, 1.0) <= e0 + 1e-12 * (1 + abs(e0))
@@ -479,7 +483,49 @@ def test_newton_steps_solve_the_assembled_backward_euler_equation(pot, dt):
         # the dense and the sparse assembly round apart by a few ulps of
         # the two terms that cancel in R
         allowance = 1e-14 * np.sqrt(np.sum((np.abs(W * (v - u)) + np.abs(flow)) ** 2 / W))
-        assert np.sqrt(np.sum(R * R / W)) <= cfg.newton_tol + allowance
+        assert np.sqrt(np.sum(R * R / W)) <= 1e-10 + allowance
+
+
+def test_newton_ladder_takes_few_iterations_at_every_dt():
+    # the quintic f(s) = s^5 - nu1 s on the 12x12 strip, nu1 tuned so that 0
+    # is a degenerate equilibrium, stepped 20 times per rung of dt = 0.05 2^k
+    # up to 102.4, each rung from where the last one ended.  From dt = 25.6
+    # on, rounding keeps the residual above 1e-10; the stop on the update
+    # must still come in a few iterations, with no step halved
+    import scipy.linalg as la
+    import scipy.sparse as sp
+
+    from chwall.energy import polynomial_potential
+
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=12, ny=12)
+    forms = g.forms
+    K0 = (forms.k_grad + forms.k_par + sp.diags(forms.bdry_mass)).toarray()
+    lam, vecs = la.eigh(np.diag(forms.bulk_mass), K0)
+    phi = vecs[:, -1] * np.sign(vecs[:, -1].sum())
+    with pytest.warns(RuntimeWarning, match="supercritical"):
+        pot = polynomial_potential((1.0, 0.0, 0.0, 0.0, -1.0 / lam[-1], 0.0))
+    op = cw.WentzellOperator(g)
+    u = 0.3 * phi / np.max(np.abs(phi))
+    for k in range(12):
+        dt = 0.05 * 2 ** k
+        cfg = RunConfig(scheme="newton", dt=dt, t_end=20 * dt, series_stride=10 ** 6)
+        rec = evolve(op, pot, u, cfg)
+        assert rec.newton_iters <= 4 * 20, f"dt = {dt}: {rec.newton_iters / 20} per step"
+        assert rec.factorizations == 1, f"dt = {dt}: a step was halved"
+        u = rec.final_state()
+
+
+def test_newton_step_on_a_fine_grid_stops_at_its_rounding_floor():
+    # at 256x256 the residual of this step stalls near 4e-10, above 1e-10;
+    # the stop on the update must still come in a few iterations, with the
+    # step not halved
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=256, ny=256)
+    op, pot = cw.WentzellOperator(g), cw.double_well()
+    u0 = 0.1 * np.cos(2 * np.pi * g.x) + 0.05
+    cfg = RunConfig(scheme="newton", dt=1e-3, t_end=1e-3, stabilization_S=2.0)
+    rec = evolve(op, pot, u0, cfg)
+    assert rec.newton_iters <= 8
+    assert rec.factorizations == 1
 
 
 def test_run_counts_its_newton_and_krylov_iterations(problem):
