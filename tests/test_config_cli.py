@@ -243,9 +243,15 @@ def test_config_rejects_bad_stabilization(tmp_path, value):
 
 
 @pytest.mark.parametrize("line, bad, name", [
+    # the implicit step stops on its own update size: Newton's iteration cap
+    # and residual tolerance are no longer keys, so any value is refused
+    ("t_end = 0.02", "t_end = 0.02\nscheme = newton\nnewton_max_iter = 0",
+     "unknown key 'newton_max_iter'"),
+    ("t_end = 0.02", "t_end = 0.02\nscheme = newton\nnewton_tol = 0",
+     "unknown key 'newton_tol'"),
     ("kind = cosine", "kind = random_fourier\nmodes = 0", "initial.modes = 0"),
     ("seed = 7", "seed = -1", "run.seed = -1"),
-], ids=["initial_modes", "seed"])
+], ids=["newton_max_iter", "newton_tol", "initial_modes", "seed"])
 def test_config_rejects_inadmissible_solver_and_initial_values(tmp_path, line, bad,
                                                                name):
     text = BASE_CONFIG.format(out=tmp_path).replace(line, bad, 1)
