@@ -16,6 +16,7 @@ import sys
 import time
 from itertools import chain, islice
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +47,7 @@ EXIT_UNCONVERGED = 4
 
 # the rows of a CSV block that _write_rows formats at once
 ROWS_PER_WRITE = 1000
-# the files ``analyze`` writes into <run>/analysis; each run of it clears them first
+# the files ``analyze`` writes into <run>/analysis; it and ``simulate`` clear them first
 ANALYSIS_FILES = ("spectral_report.txt", "ls_report.txt", "ls_samples.csv",
                   "rate_report.txt", "ls_scatter.svg", "decay_fit.svg", "manifest.json")
 
@@ -139,10 +140,22 @@ def write_manifest(out_dir, cfg, extra, t0):
 
 
 def build_problem(cfg):
+    """Grid, potential and operator of a config; a potential that
+    ``make_potential`` refuses (not dissipative, say) is a config error."""
     grid = build_grid(cfg.mode, Lx=cfg.Lx or None, Ly=cfg.Ly, nx=cfg.nx, ny=cfg.ny)
-    pot = make_potential(cfg.potential_kind, cfg.potential_coeffs or None)
+    try:
+        pot = make_potential(cfg.potential_kind, cfg.potential_coeffs or None)
+    except ValueError as exc:
+        raise ConfigError(f"potential.coeffs = {cfg.potential_coeffs!r}: {exc}")
     op = WentzellOperator(grid, b=cfg.b, c=cfg.c, alpha=cfg.alpha, beta=cfg.beta)
     return grid, pot, op
+
+
+def _remove(paths):
+    """Delete each of paths that exists."""
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
 
 
 def _make_dir(path):
@@ -245,6 +258,12 @@ def cmd_simulate(config_path):
     _make_dir(out)
     t0 = time.time()
     with OutputLock(out):
+        # what an earlier simulate or analyze here wrote and this run may not
+        # write again; nothing else in the directory is touched
+        _remove(chain(
+            sorted(Path(out, "snapshots").glob("snap_*_t*.csv")),
+            (os.path.join(out, name) for name in ("energy.svg", "decay.svg")),
+            (os.path.join(out, "analysis", name) for name in ANALYSIS_FILES)))
         with open(os.path.join(out, "config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
         aborted = False
@@ -397,9 +416,7 @@ def cmd_analyze(run_dir, psi_prefix):
         psi = psi_rec.values
         out = os.path.join(run_dir, "analysis")
         _make_dir(out)
-        for name in ANALYSIS_FILES:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(os.path.join(out, name))
+        _remove(os.path.join(out, name) for name in ANALYSIS_FILES)
 
         bulk_res, bdry_res = residual_norms(
             grid, energy_and_gradient(grid, pot, psi, op.alpha, op.beta)[1])

@@ -1,9 +1,11 @@
 """Run configuration: sectioned key/value files that round-trip exactly.
 
-Configs are experiment artifacts: the parser is strict (unknown keys are
-errors, physical constants must be positive) and the serializer is
-canonical, so parse -> serialize -> parse is the identity and a config's
-hash identifies the run.
+Configs are experiment artifacts: the parser is strict (an unknown key or
+a value no run can use is an error, reported as ``section.key = value: must
+be ...``) and the serializer is canonical, so parse -> serialize -> parse is
+the identity and a config's hash identifies the run.  Each key is declared
+once, by ``_key`` on its ``RunConfig`` field: its section, its file name and
+its admissible values, which parsing, validation and serialization all read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import hashlib
 import io
 import math
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 
 
 class ConfigError(Exception):
@@ -32,75 +35,61 @@ def node_count(mode, nx, ny):
     return ny if mode == "interval1d" else nx * ny
 
 
+def _key(section, default, key=None, *, choices=(), positive=False, minimum=None):
+    """A RunConfig field, written as ``key`` (its name when None) under
+    ``[section]``; a section's fields are declared together.  Its value must
+    be one of ``choices`` if any, > 0 when ``positive``, and >= ``minimum``
+    unless either is None."""
+    return field(default=default, metadata=dict(
+        section=section, key=key, choices=choices, positive=positive, minimum=minimum))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # grid
-    mode: str = "strip2d"
-    Lx: float = 1.0
-    Ly: float = 1.0
-    nx: int = 32
-    ny: int = 32
-    # potential
-    potential_kind: str = "double_well"
-    potential_coeffs: tuple = ()
-    # constants
-    b: float = 1.0
-    c: float = 1.0
-    alpha: float = 1.0
-    beta: float = 1.0
-    # stepper
-    scheme: str = "semi_implicit"
-    dt: float = 1e-3
-    t_end: float = 1.0
-    stabilization_S: float | None = None
-    dt_min: float = 1e-8
-    # initial data
-    initial_kind: str = "random_fourier"
-    initial_amplitude: float = 0.1
-    initial_mean: float = 0.0
-    initial_modes: int = 3
-    initial_path: str = ""
-    # io
-    output_dir: str = "run_out"
-    series_stride: int = 1
-    snapshot_stride: int = 0
-    plots: bool = True
-    # analysis
-    probe_window: float = 0.5
-    kernel_tol: float = 1e-8
-    rate_fit_t_min: float | None = None
-    fit_tol: float = 0.1
-    # reference equilibrium (prefix of saved .csv/.meta pair)
-    reference_path: str = ""
-    # run
-    seed: int = 0
+    # grid; Lx > 0 and nx >= 4 hold on the strip only (validate_config)
+    mode: str = _key("grid", "strip2d", choices=("strip2d", "interval1d"))
+    Lx: float = _key("grid", 1.0)
+    Ly: float = _key("grid", 1.0, positive=True)
+    nx: int = _key("grid", 32)
+    ny: int = _key("grid", 32, minimum=4)
+    potential_kind: str = _key("potential", "double_well", "kind",
+                               choices=("double_well", "polynomial_custom"))
+    potential_coeffs: tuple = _key("potential", (), "coeffs")
+    b: float = _key("constants", 1.0, positive=True)
+    c: float = _key("constants", 1.0, positive=True)
+    alpha: float = _key("constants", 1.0, positive=True)
+    beta: float = _key("constants", 1.0, positive=True)
+    scheme: str = _key("stepper", "semi_implicit", choices=("semi_implicit", "newton"))
+    dt: float = _key("stepper", 1e-3, positive=True)
+    t_end: float = _key("stepper", 1.0, positive=True)
+    stabilization_S: float | None = _key("stepper", None, minimum=0)
+    dt_min: float = _key("stepper", 1e-8, positive=True)
+    initial_kind: str = _key("initial", "random_fourier", "kind",
+                             choices=("constant", "cosine", "random_fourier", "file"))
+    initial_amplitude: float = _key("initial", 0.1, "amplitude")
+    initial_mean: float = _key("initial", 0.0, "mean")
+    initial_modes: int = _key("initial", 3, "modes", minimum=1)
+    initial_path: str = _key("initial", "", "path")
+    output_dir: str = _key("io", "run_out")
+    series_stride: int = _key("io", 1, minimum=1)
+    snapshot_stride: int = _key("io", 0, minimum=0)
+    plots: bool = _key("io", True)
+    probe_window: float = _key("analysis", 0.5, positive=True)
+    kernel_tol: float = _key("analysis", 1e-8, positive=True)
+    rate_fit_t_min: float | None = _key("analysis", None)
+    fit_tol: float = _key("analysis", 0.1)
+    # prefix of a saved reference equilibrium's .csv/.meta pair
+    reference_path: str = _key("reference", "", "psi_path")
+    seed: int = _key("run", 0, minimum=0)
 
 
-_LAYOUT = {
-    "grid": ("mode", "Lx", "Ly", "nx", "ny"),
-    "potential": ("potential_kind", "potential_coeffs"),
-    "constants": ("b", "c", "alpha", "beta"),
-    "stepper": ("scheme", "dt", "t_end", "stabilization_S", "dt_min"),
-    "initial": ("initial_kind", "initial_amplitude", "initial_mean",
-                "initial_modes", "initial_path"),
-    "io": ("output_dir", "series_stride", "snapshot_stride", "plots"),
-    "analysis": ("probe_window", "kernel_tol", "rate_fit_t_min", "fit_tol"),
-    "reference": ("reference_path",),
-    "run": ("seed",),
-}
+def _declared(types):
+    """{(section, file key): (field name, type, declared rules)}, in file order."""
+    return {(f.metadata["section"], f.metadata["key"] or f.name):
+            (f.name, types[f.name], f.metadata) for f in fields(RunConfig)}
 
-_FILE_KEYS = {
-    "potential_kind": "kind",
-    "potential_coeffs": "coeffs",
-    "initial_kind": "kind",
-    "initial_amplitude": "amplitude",
-    "initial_mean": "mean",
-    "initial_modes": "modes",
-    "initial_path": "path",
-    "reference_path": "psi_path",
-}
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_KEYS = _declared(typing.get_type_hints(RunConfig))
 
 
 def _to_text(value):
@@ -115,8 +104,8 @@ def _to_text(value):
     return str(value)
 
 
-def _from_text(name, text):
-    ftype = _FIELD_TYPES[name]
+def _from_text(where, ftype, text):
+    """The value of the key ``where`` (section.key) of type ftype, read from text."""
     text = text.strip()
     members = typing.get_args(ftype)
     if type(None) in members:  # optional: "none" or empty, else the other member
@@ -129,20 +118,21 @@ def _from_text(name, text):
                 return True
             if text.lower() in ("false", "0", "no", "off"):
                 return False
-            raise ValueError(f"not a boolean: {text!r}")
+            raise ValueError("not a boolean")
         if ftype is tuple:
             if not text:
                 return ()
             return tuple(float(p) for p in text.split(","))
         return ftype(text)  # str, int or float
     except ValueError as exc:
-        raise ConfigError(f"field {name}: {exc}")
+        raise ConfigError(f"{where} = {text!r}: {exc}")
 
 
 def parse_config(path):
-    # no interpolation: a "%" in a path is a character like any other
+    # no interpolation: "%" is a character like any other; no default section:
+    # "[]" is no header, so [DEFAULT] is an unknown section, not inherited keys
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
+                                       interpolation=None, default_section="")
     parser.optionxform = str  # keys are case-sensitive (Lx vs lx)
     try:
         with open(path) as fh:
@@ -151,28 +141,19 @@ def parse_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}")
+    sections = {section for section, _ in _KEYS}
     values = {}
     for section in parser.sections():
-        if section not in _LAYOUT:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        known = {_FILE_KEYS.get(name, name): name for name in _LAYOUT[section]}
         for key, raw in parser.items(section):
-            if key not in known:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            name = known[key]
-            values[name] = _from_text(name, raw)
+            name, ftype, _ = _KEYS[section, key]
+            values[name] = _from_text(f"{section}.{key}", ftype, raw)
     cfg = replace(RunConfig(), **values)
     validate_config(cfg)
     return cfg
-
-
-_FINITE = {
-    "grid": ("Lx", "Ly"),
-    "constants": ("b", "c", "alpha", "beta"),
-    "stepper": ("dt", "t_end", "dt_min"),
-    "initial": ("initial_amplitude", "initial_mean"),
-    "analysis": ("probe_window", "kernel_tol", "rate_fit_t_min", "fit_tol"),
-}
 
 
 def _reads_back(text):
@@ -188,65 +169,35 @@ def _reads_back(text):
 
 
 def validate_config(cfg):
-    for section, names in _LAYOUT.items():
-        for name in names:
-            val = getattr(cfg, name)
-            if isinstance(val, str) and not _reads_back(val):
-                raise ConfigError(
-                    f"{section}.{_FILE_KEYS.get(name, name)} = {val!r}: a config "
-                    "file cannot hold surrounding whitespace, a line break, or "
-                    "a '#' or ';' at the start or after whitespace"
-                )
-    for section, names in _FINITE.items():
-        for name in names:
-            val = getattr(cfg, name)
-            if val is not None and not math.isfinite(val):
-                raise ConfigError(f"{section}.{name} = {val}: must be finite")
-    if not all(math.isfinite(v) for v in cfg.potential_coeffs):
-        raise ConfigError(f"potential.coeffs = {cfg.potential_coeffs}: must be finite")
-    S = cfg.stabilization_S
-    if S is not None and not (math.isfinite(S) and S >= 0):
-        raise ConfigError(
-            f"stepper.stabilization_S = {S}: must be finite and non-negative"
-        )
-    for name in ("b", "c", "alpha", "beta"):
+    """Refuse (ConfigError) a config with a value that no run can use."""
+    for (section, key), (name, _, rules) in _KEYS.items():
         val = getattr(cfg, name)
-        if val <= 0:
-            raise ConfigError(
-                f"constants.{name} = {val}: physical constants must be "
-                "strictly positive"
-            )
-    if cfg.mode not in ("strip2d", "interval1d"):
-        raise ConfigError(f"grid.mode must be strip2d or interval1d, got {cfg.mode!r}")
-    if cfg.Ly <= 0 or (cfg.mode == "strip2d" and cfg.Lx <= 0):
-        raise ConfigError("grid lengths must be positive")
-    if cfg.ny < 4 or (cfg.mode == "strip2d" and cfg.nx < 4):
-        raise ConfigError("grid.nx and grid.ny must be at least 4")
-    if node_count(cfg.mode, cfg.nx, cfg.ny) > MAX_NODES:
-        raise ConfigError(
-            f"grid of {node_count(cfg.mode, cfg.nx, cfg.ny)} nodes: at most "
-            f"{MAX_NODES} nodes are allowed"
-        )
-    if cfg.dt <= 0 or cfg.t_end <= 0 or cfg.dt_min <= 0:
-        raise ConfigError("stepper.dt, stepper.t_end and stepper.dt_min must be positive")
-    if cfg.scheme not in ("semi_implicit", "newton"):
-        raise ConfigError(f"stepper.scheme must be semi_implicit or newton, got {cfg.scheme!r}")
-    if cfg.potential_kind not in ("double_well", "polynomial_custom"):
-        raise ConfigError(f"potential.kind unknown: {cfg.potential_kind!r}")
+        if isinstance(val, str) and not _reads_back(val):
+            rule = ("free of what a config file cannot hold: surrounding whitespace, "
+                    "a line break, or a '#' or ';' at the start or after whitespace")
+        elif isinstance(val, float) and not math.isfinite(val):
+            rule = "finite"
+        elif rules["choices"] and val not in rules["choices"]:
+            rule = "one of " + ", ".join(rules["choices"])
+        elif rules["positive"] and not val > 0:
+            rule = "positive"
+        elif None not in (val, rules["minimum"]) and val < rules["minimum"]:
+            rule = f">= {rules['minimum']}"
+        else:
+            continue
+        raise ConfigError(f"{section}.{key} = {val!r}: must be {rule}")
+    if not all(math.isfinite(v) for v in cfg.potential_coeffs):
+        raise ConfigError(f"potential.coeffs = {cfg.potential_coeffs!r}: must be finite")
+    if cfg.mode == "strip2d" and not cfg.Lx > 0:
+        raise ConfigError(f"grid.Lx = {cfg.Lx!r}: must be positive on the strip")
+    if cfg.mode == "strip2d" and cfg.nx < 4:
+        raise ConfigError(f"grid.nx = {cfg.nx!r}: must be >= 4 on the strip")
+    if (nodes := node_count(cfg.mode, cfg.nx, cfg.ny)) > MAX_NODES:
+        raise ConfigError(f"grid of {nodes} nodes: at most {MAX_NODES} nodes are allowed")
     if cfg.potential_kind == "polynomial_custom" and not cfg.potential_coeffs:
-        raise ConfigError("potential.coeffs required for polynomial_custom")
-    if cfg.initial_kind not in ("constant", "cosine", "random_fourier", "file"):
-        raise ConfigError(f"initial.kind unknown: {cfg.initial_kind!r}")
+        raise ConfigError("potential.coeffs = (): must be set for kind = polynomial_custom")
     if cfg.initial_kind == "file" and not cfg.initial_path:
-        raise ConfigError("initial.path required for initial.kind = file")
-    if cfg.initial_modes < 1:
-        raise ConfigError(f"initial.modes = {cfg.initial_modes}: must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError(f"run.seed = {cfg.seed}: must be >= 0")
-    if cfg.series_stride < 1 or cfg.snapshot_stride < 0:
-        raise ConfigError("io.series_stride must be >= 1 and io.snapshot_stride >= 0")
-    if cfg.probe_window <= 0 or cfg.kernel_tol <= 0:
-        raise ConfigError("analysis.probe_window and analysis.kernel_tol must be positive")
+        raise ConfigError("initial.path = '': must be set for initial.kind = file")
 
 
 def serialize_config(cfg):
@@ -257,10 +208,9 @@ def serialize_config(cfg):
     """
     validate_config(cfg)
     out = io.StringIO()
-    for section, names in _LAYOUT.items():
+    for section, entries in groupby(_KEYS.items(), key=lambda entry: entry[0][0]):
         out.write(f"[{section}]\n")
-        for name in names:
-            key = _FILE_KEYS.get(name, name)
+        for (_, key), (name, _, _) in entries:
             out.write(f"{key} = {_to_text(getattr(cfg, name))}\n")
         out.write("\n")
     return out.getvalue()

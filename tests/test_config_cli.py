@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import typing
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,8 +12,6 @@ from hypothesis import strategies as st
 import chwall as cw
 from chwall.cli import main
 from chwall.config import (
-    _FILE_KEYS,
-    _LAYOUT,
     MAX_NODES,
     ConfigError,
     RunConfig,
@@ -79,12 +79,12 @@ _PATH = st.text(alphabet="abcxyz0123456789_-./% \t\n\r#;", min_size=1, max_size=
 
 
 @st.composite
-def run_configs(draw):
-    """Random configs that pass validation."""
+def run_config_values(draw):
+    """The fields of a random config that passes validation, by name."""
     kind = draw(st.sampled_from(["double_well", "polynomial_custom"]))
     initial = draw(st.sampled_from(["constant", "cosine", "random_fourier", "file"]))
     ny = draw(st.integers(4, MAX_NODES // 4))
-    return RunConfig(
+    return dict(
         mode=draw(st.sampled_from(["strip2d", "interval1d"])),
         Lx=draw(_POSITIVE), Ly=draw(_POSITIVE),
         nx=draw(st.integers(4, MAX_NODES // ny)), ny=ny,
@@ -111,12 +111,26 @@ def run_configs(draw):
     )
 
 
-_SECTION = {name: section for section, names in _LAYOUT.items() for name in names}
+run_configs = run_config_values().map(lambda values: RunConfig(**values))
+
+
+@settings(max_examples=5, deadline=None)
+@given(values=run_config_values())
+def test_run_configs_draws_every_field(values):
+    # a field the strategy leaves out keeps its default and escapes the
+    # round trip, so a key added to RunConfig must be drawn here too
+    assert set(values) == {f.name for f in fields(RunConfig)}
+
+
+# each field's "section.key" as a config file writes it, from its declaration
+_WHERE = {f.name: f"{f.metadata['section']}.{f.metadata['key'] or f.name}"
+          for f in fields(RunConfig)}
 
 
 def config_entry(name, text):
     """A config file that sets the one field name to text."""
-    return f"[{_SECTION[name]}]\n{_FILE_KEYS.get(name, name)} = {text}\n"
+    section, key = _WHERE[name].split(".")
+    return f"[{section}]\n{key} = {text}\n"
 
 
 _NOT_TEXT = sorted(name for name, value in vars(RunConfig()).items()
@@ -151,7 +165,7 @@ _OUT_OF_RANGE = {
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cfg=run_configs())
+@given(cfg=run_configs)
 def test_config_serialize_parse_roundtrip(tmp_path, cfg):
     # a config is either written so that it reads back unchanged, or refused
     try:
@@ -180,7 +194,7 @@ def test_serialize_keeps_text_the_parser_reads_back(tmp_path, path):
 @given(name=st.sampled_from(_NOT_TEXT),
        junk=st.text(alphabet="xzqwk!?", min_size=1, max_size=8))
 def test_config_rejects_unparsable_values(tmp_path, name, junk):
-    with pytest.raises(ConfigError, match=f"field {name}"):
+    with pytest.raises(ConfigError, match=f"^{_WHERE[name]} = "):
         parse_config(write_config(tmp_path, config_entry(name, junk)))
 
 
@@ -231,6 +245,93 @@ def test_config_rejects_non_finite(tmp_path, line, bad):
     text = BASE_CONFIG.format(out=tmp_path).replace(line, bad, 1)
     with pytest.raises(ConfigError, match=f"{bad.splitlines()[-1]}: must be finite"):
         parse_config(write_config(tmp_path, text))
+
+
+_FLOAT_KEYS = sorted(name for name, ftype in typing.get_type_hints(RunConfig).items()
+                     if float in (ftype, *typing.get_args(ftype)))
+
+
+@pytest.mark.parametrize("name", _FLOAT_KEYS)
+def test_config_refuses_nan_under_every_float_key(tmp_path, name):
+    # every float is checked by its type, and named by its key in the file
+    with pytest.raises(ConfigError) as exc:
+        parse_config(write_config(tmp_path, config_entry(name, "nan")))
+    assert str(exc.value).startswith(f"{_WHERE[name]} = nan: must be finite")
+
+
+# the text config_hash hashes for the default config; "\x20" is the space
+# before an empty value
+DEFAULT_CONFIG_TEXT = """\
+[grid]
+mode = strip2d
+Lx = 1
+Ly = 1
+nx = 32
+ny = 32
+
+[potential]
+kind = double_well
+coeffs =\x20
+
+[constants]
+b = 1
+c = 1
+alpha = 1
+beta = 1
+
+[stepper]
+scheme = semi_implicit
+dt = 0.001
+t_end = 1
+stabilization_S = none
+dt_min = 1e-08
+
+[initial]
+kind = random_fourier
+amplitude = 0.10000000000000001
+mean = 0
+modes = 3
+path =\x20
+
+[io]
+output_dir = run_out
+series_stride = 1
+snapshot_stride = 0
+plots = true
+
+[analysis]
+probe_window = 0.5
+kernel_tol = 1e-08
+rate_fit_t_min = none
+fit_tol = 0.10000000000000001
+
+[reference]
+psi_path =\x20
+
+[run]
+seed = 0
+
+"""
+
+
+def test_default_config_text_is_pinned():
+    # a changed key, section, order or number format would change the
+    # config_hash of every run
+    assert serialize_config(RunConfig()) == DEFAULT_CONFIG_TEXT
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ndt = 0.5\n",
+    "[DEFAULT]\ndt = 0.5\n\n[stepper]\nt_end = 1.0\n",
+    "[DEFAULT]\ndt = 0.5\n\n[grid]\nnx = 8\n",
+], ids=["alone", "inherited", "beside_another_section"])
+def test_cli_refuses_a_default_section(tmp_path, capsys, monkeypatch, text):
+    # configparser would give [DEFAULT]'s keys to every section: dropped when
+    # there is none, taken as [stepper] dt, or refused under [grid]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", write_config(tmp_path, text)]) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+    assert not (tmp_path / RunConfig().output_dir).exists()
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
@@ -292,6 +393,28 @@ def test_cli_rejects_non_finite_kernel_tol(tmp_path, capsys):
     assert main(["equilibrium", write_config(tmp_path, text)]) == 2
     assert "analysis.kernel_tol" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("coeffs", ["1, 0, 0", "5"], ids=["f_prime_negative", "f_constant"])
+def test_cli_refuses_a_potential_the_model_cannot_run(tmp_path, capsys, coeffs):
+    # f(s) = s^2 has f' < 0 far out on the negative side and f = 5 is no
+    # polynomial of degree >= 1; both parse, and building the potential
+    # refuses them with exit 2 before any output directory exists
+    out = tmp_path / "o"
+    custom = f"kind = polynomial_custom\ncoeffs = {coeffs}"
+    path = write_config(tmp_path, BASE_CONFIG.format(out=out).replace("kind = double_well",
+                                                                      custom))
+    for argv in (["simulate", path], ["equilibrium", path]):
+        assert main(argv) == 2
+        assert "potential.coeffs" in capsys.readouterr().err
+        assert not out.exists()
+    run = tmp_path / "run"
+    assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=run), "ok.ini")]) == 0
+    ini = run / "config.ini"
+    ini.write_text(ini.read_text().replace("kind = double_well\ncoeffs = \n", custom + "\n"))
+    capsys.readouterr()
+    assert main(["analyze", str(run), str(tmp_path / "nope")]) == 2
+    assert "potential.coeffs" in capsys.readouterr().err
 
 
 def test_snapshot_times_are_stored_exactly(tmp_path):
@@ -495,6 +618,28 @@ def test_cli_simulate_artifacts_and_manifest(tmp_path):
     snaps = sorted((out / "snapshots").glob("*.csv"))
     assert len(snaps) >= 2
     assert (out / "final_state.csv").read_bytes() == snaps[-1].read_bytes()
+
+
+def test_cli_rerun_keeps_no_file_of_the_earlier_run(tmp_path):
+    # a rerun at twice the step writes fewer snapshots under other names and,
+    # without plots, no energy.svg; what the first run and its analysis wrote
+    # is gone, a file of the user's is not, and the directory holds what a
+    # fresh run of the second config holds
+    out, fresh, eq = tmp_path / "o", tmp_path / "fresh", tmp_path / "eq"
+    assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out), "a.ini")]) == 0
+    assert main(["equilibrium", write_config(tmp_path, BASE_CONFIG.format(out=eq), "e.ini")]) == 0
+    assert main(["analyze", str(out), str(eq / "equilibrium")]) == 0
+    assert len(list((out / "snapshots").iterdir())) == 5
+    assert (out / "energy.svg").exists() and (out / "analysis" / "manifest.json").exists()
+    (out / "notes.txt").write_text("kept")
+    second = BASE_CONFIG.replace("dt = 1e-3", "dt = 2e-3").replace(
+        "snapshot_stride = 5", "snapshot_stride = 5\nplots = false")
+    for o, name in ((out, "b.ini"), (fresh, "c.ini")):
+        assert main(["simulate", write_config(tmp_path, second.format(out=o), name)]) == 0
+    assert set(_manifest_hashing_every_file(out)["artifacts"]) == (
+        set(_manifest_hashing_every_file(fresh)["artifacts"]) | {"notes.txt"})
+    assert len(list((out / "snapshots").iterdir())) == 3
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_cli_determinism_bit_identical(tmp_path):
