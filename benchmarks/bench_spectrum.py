@@ -17,12 +17,17 @@ calls after one warm-up call (``--repeat`` at least 2), and counts the
 LDL^T factorizations and Lanczos runs (plain and shift-invert) of one
 ``spectrum`` call.  For
 ``equilibrium48`` it also times the ``find_equilibrium`` call that finds
-the state and counts its sparse LU (``splu``) calls.  ``newton128`` times
+the state and counts its sparse LU (``splu``) calls; the solve includes
+the classification of the state, which makes its one LDL^T.
+``saddle_start24`` times ``find_equilibrium`` from the zero saddle of
+``saddle24``, the start that must kick, with its kicks, the energy it ends
+at, and its LDL^T factorizations and Lanczos runs.  ``newton128`` times
 ``newton_refine`` on the same data at 128x128, from the minimizer's result
 at tol 1e-3, with its Newton and MINRES iterations.  It writes the figures
 with lambda_min and the platform to ``BENCH_spectrum.json`` at the repo
-root.  Only public names are used, so the script also runs against an
-older checkout's ``src`` for a before/after pair.
+root.  Only public names and ``analysis._shifted_ldl`` are used, so the
+script also runs against an older checkout's ``src`` for a before/after
+pair.
 
     PYTHONPATH=src python3 benchmarks/bench_spectrum.py [--repeat 15] [--out PATH]
 """
@@ -102,6 +107,20 @@ def _newton(repeat, n=128):
             "newton_refine_s": _quartiles(repeat, lambda: newton_refine(op, pot, start))}
 
 
+def _saddle_start(repeat):
+    """``find_equilibrium`` from the zero saddle of the 24x24 strip, Lx = Ly = 8."""
+    grid, pot, op = build_problem(RunConfig(Lx=8.0, Ly=8.0, nx=24, ny=24))
+    u0 = np.zeros(grid.n_nodes)
+    ldl, lanczos = _CallCounter(analysis, "_shifted_ldl"), _CallCounter(spla, "eigsh")
+    try:
+        sol = find_equilibrium(op, pot, u0)
+    finally:
+        counts = {"ldl_factorizations": ldl.pop(), "lanczos_runs": lanczos.pop()}
+    return {"n_nodes": grid.n_nodes, "converged": sol.converged,
+            "kicks": getattr(sol, "kicks", None), "energy": sol.energy, **counts,
+            "find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
+
+
 def _spectrum_calls(grid, H):
     """The LDL^T factorizations and Lanczos runs of one ``spectrum(grid, H, k=6)``."""
     ldl, lanczos = _CallCounter(analysis, "_shifted_ldl"), _CallCounter(spla, "eigsh")
@@ -145,8 +164,9 @@ def main(argv=None):
             **extra,
         }
         print(name, json.dumps(cases[name]))
-    cases["newton128"] = _newton(args.repeat)
-    print("newton128", json.dumps(cases["newton128"]))
+    for name, case in (("saddle_start24", _saddle_start), ("newton128", _newton)):
+        cases[name] = case(args.repeat)
+        print(name, json.dumps(cases[name]))
     result = {
         "timing": f"median and quartiles of {args.repeat} calls after one warm-up, seconds",
         "platform": {"python": platform.python_version(), "numpy": np.__version__,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import energy_and_gradient, energy_value, residual_norms
+from .energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
 from .operators import v_norm
 
 
@@ -43,12 +43,16 @@ class SpectralReport:
     the full spectrum at every size: eigenvalues below -tol, and those
     within tol of zero, where tol = kernel_tol * max(lambda_max,
     -lambda_min) is relative to max|lambda|.  kernel_basis rows are
-    H-orthonormal fields spanning the numerical kernel.
+    H-orthonormal fields spanning the numerical kernel.  lowest_vector is
+    the H-normalized eigenvector of the lowest eigenvalue, read from the
+    window's Ritz vectors; it is None at a clear minimum, whose run
+    computes eigenvalues only.
     """
 
     eigenvalues: np.ndarray
     kernel_dim: int
     kernel_basis: np.ndarray
+    lowest_vector: np.ndarray | None
     n_negative: int
     kernel_tol: float
 
@@ -176,9 +180,11 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     the run computes eigenvalues only, since no kernel basis reads a
     vector: one factorization in all.  Otherwise the run takes its shift
     just below the floor, a plain Lanczos run gives lambda_max and the two
-    counts are made at tol: four factorizations.  The reported eigenvalues
-    and the kernel basis come from the window, and a window whose counts
-    disagree with the inertia raises RuntimeError.
+    counts are made at tol: four factorizations.  The reported eigenvalues,
+    the kernel basis and, off a clear minimum, the lowest eigenvector (the
+    direction of ``stationary.find_equilibrium``'s saddle kick) come from
+    the window, and a window whose counts disagree with the inertia raises
+    RuntimeError.
     """
     n = grid.n_nodes
     if k > n:
@@ -216,9 +222,11 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
             f"({n_negative} negative, {kernel_dim} kernel)"
         )
     if vec is None:
-        basis = np.empty((0, n))
+        basis, lowest = np.empty((0, n)), None
     else:
         basis = (rw[None, :] * vec[:, ker].T).copy()
+        lowest = rw * vec[:, 0]
+        lowest /= np.sqrt(float(np.sum(w * lowest * lowest)))
     if kernel_dim > 1:
         # multiple kernel vectors: enforce H-orthonormality exactly
         q, _ = np.linalg.qr((np.sqrt(w)[None, :] * basis).T)
@@ -227,9 +235,19 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
         eigenvalues=_reported(lam, k),
         kernel_dim=kernel_dim,
         kernel_basis=basis,
+        lowest_vector=lowest,
         n_negative=n_negative,
         kernel_tol=kernel_tol,
     )
+
+
+def classify(op, pot, psi, kernel_tol):
+    """Spectrum of the energy Hessian at psi, and its kind: minimum, saddle or degenerate."""
+    H = energy_hessian(op.grid, pot, psi, op.alpha, op.beta)
+    rep = spectrum(op.grid, H, k=min(6, op.grid.n_nodes), kernel_tol=kernel_tol)
+    if rep.kernel_dim > 0:
+        return rep, "degenerate"
+    return rep, "saddle" if rep.n_negative > 0 else "minimum"
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import ls_probe, lowest_eigenpairs, rate_fit, spectrum, weighted_symmetric
+from .analysis import classify, ls_probe, lowest_eigenpairs, rate_fit, weighted_symmetric
 from .config import ConfigError, RunConfig, config_hash, parse_config, serialize_config
-from .energy import (
-    EnergyReport,
-    energy_and_gradient,
-    energy_hessian,
-    make_potential,
-    residual_norms,
-)
+from .energy import EnergyReport, energy_and_gradient, make_potential, residual_norms
 from .evolution import ENERGY_RISE_TOL, EvolutionAbort, TrajectoryRecord, evolve
 from .grid import GridMode, PairField, build_grid, load_field, save_field
 from .operators import WentzellOperator, x_norm
@@ -310,15 +304,6 @@ def cmd_simulate(config_path):
     return EXIT_OK
 
 
-def _classify(op, pot, psi, kernel_tol):
-    """Spectrum of the energy Hessian at psi, and its kind: minimum, saddle or degenerate."""
-    H = energy_hessian(op.grid, pot, psi, op.alpha, op.beta)
-    rep = spectrum(op.grid, H, k=min(6, op.grid.n_nodes), kernel_tol=kernel_tol)
-    if rep.kernel_dim > 0:
-        return rep, "degenerate"
-    return rep, "saddle" if rep.n_negative > 0 else "minimum"
-
-
 def cmd_equilibrium(config_path, init_path=None):
     cfg = parse_config(config_path)
     grid, pot, op = build_problem(cfg)
@@ -332,12 +317,12 @@ def cmd_equilibrium(config_path, init_path=None):
     with OutputLock(out):
         with open(os.path.join(out, "config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
-        sol = find_equilibrium(op, pot, u0)
+        sol = find_equilibrium(op, pot, u0, kernel_tol=cfg.kernel_tol)
         save_equilibrium(grid, sol, os.path.join(out, "equilibrium"))
-        rep, kind = _classify(op, pot, sol.psi, cfg.kernel_tol)
+        rep = sol.report
         lam0 = rep.eigenvalues[0] if rep.eigenvalues.size else float("nan")
         line = (
-            f"classification: {kind} (lambda_min={lam0:.6g}, "
+            f"classification: {sol.kind} (lambda_min={lam0:.6g}, "
             f"kernel_dim={rep.kernel_dim}, n_negative={rep.n_negative})"
         )
         print(line)
@@ -391,8 +376,10 @@ def _load_run(run_dir):
 
 
 def _report_text(obj, **extra):
-    """The fields of a report (but samples and kernel basis) and extra, as one JSON object."""
-    data = {k: v for k, v in vars(obj).items() if k not in ("samples", "kernel_basis")}
+    """The fields of a report (but samples, kernel basis and lowest vector) and
+    extra, as one JSON object."""
+    data = {k: v for k, v in vars(obj).items()
+            if k not in ("samples", "kernel_basis", "lowest_vector")}
     data.update(extra)
     return json.dumps(data, indent=2, sort_keys=True,
                       default=lambda v: v.tolist() if isinstance(v, np.ndarray) else str(v))
@@ -428,7 +415,7 @@ def cmd_analyze(run_dir, psi_prefix):
                   f"psi has residuals bulk={bulk_res:.3e} bdry={bdry_res:.3e}",
                   file=sys.stderr)
             warn = True
-        srep, kind = _classify(op, pot, psi, cfg.kernel_tol)
+        srep, kind = classify(op, pot, psi, cfg.kernel_tol)
         with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
             fh.write(_report_text(srep, classification=kind, psi_bulk_res=bulk_res,
                                   psi_bdry_res=bdry_res, psi_converged=converged) + "\n")

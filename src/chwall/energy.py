@@ -59,24 +59,27 @@ class Potential:
 
 
 def _validate(f, f_prime, F, kind, growth_p):
-    """The dissipativity margin; growth_p feeds the advisory growth check."""
+    """The dissipativity margin; growth_p feeds the advisory growth check.
+
+    Each test is written so that a nan sample fails it: a potential whose
+    sampled values overflow is refused, not passed."""
     s = np.linspace(-TAIL_HI, TAIL_HI, 4001)
     # antiderivative / derivative consistency via central differences
     eps = 1e-5
     fd_F = (F(s + eps) - F(s - eps)) / (2 * eps)
     scale = 1.0 + np.abs(f(s))
-    if np.max(np.abs(fd_F - f(s)) / scale) > 1e-6:
+    if not np.max(np.abs(fd_F - f(s)) / scale) <= 1e-6:
         raise ValueError(f"{kind.value}: F' does not match f (sampled check)")
     fd_f = (f(s + eps) - f(s - eps)) / (2 * eps)
     scale = 1.0 + np.abs(f_prime(s))
-    if np.max(np.abs(fd_f - f_prime(s)) / scale) > 1e-6:
+    if not np.max(np.abs(fd_f - f_prime(s)) / scale) <= 1e-6:
         raise ValueError(f"{kind.value}: f' does not match derivative of f")
     tail = np.concatenate([
         np.linspace(TAIL_LO, TAIL_HI, 500),
         np.linspace(-TAIL_HI, -TAIL_LO, 500),
     ])
     margin = float(np.min(f_prime(tail)))
-    if margin <= 0:
+    if not margin > 0:
         raise ValueError(
             f"{kind.value}: dissipativity violated, min f' = {margin:.3g} "
             f"on {TAIL_LO} <= |s| <= {TAIL_HI}"

@@ -1,18 +1,21 @@
-"""Stationary states: energy minimization, Newton refinement.
+"""Stationary states: energy minimization, Newton refinement, classification.
 
 A stationary state makes the chemical potential vanish identically, which
 is the discrete critical-point condition for the free energy.  The robust
-path is minimize-then-refine: L-BFGS descent on E preconditioned by the
-band-factorized Hessian with frozen curvature (with a kick off saddles,
-since an exactly critical start has zero gradient and plain descent would
-sit still: an LDL^T inertia count tells a saddle from a minimum, and only
-at a saddle does a Lanczos run find the direction of the kick), followed
-by a full Newton iteration on mu(U) = 0 with the energy Hessian as
-Jacobian.  Newton solves each step by MINRES preconditioned with the same
-band factor and makes no sparse factorization, so a solve that ends at a
-minimum without a saddle kick makes one: the minimizer's LDL^T inertia
-count.  Every solver takes the ``operators.WentzellOperator`` of the
-problem and reads the surface constants alpha, beta from it.
+path, ``find_equilibrium``, is minimize-refine-classify: L-BFGS descent on
+E preconditioned by the band-factorized Hessian with frozen curvature, a
+full Newton iteration on mu(U) = 0 with the energy Hessian as Jacobian,
+and the classification ``analysis.classify`` of the Newton limit.  That
+classification alone tells a minimum from a saddle.  Only at a saddle does
+the loop kick along the lowest eigenvector that the classification already
+computed and descend again, since an exactly critical start has zero
+gradient and plain descent would sit still.  Newton solves each step by
+MINRES preconditioned with the same band factor, made once per solve, and
+makes no sparse factorization, so a solve that ends at a clear minimum
+makes one: the classification's LDL^T inertia count, whose factor is also
+its Lanczos operator.  Every solver takes the
+``operators.WentzellOperator`` of the problem and reads the surface
+constants alpha, beta from it.
 """
 
 import math
@@ -22,21 +25,22 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import count_below, lowest_eigenpairs, weighted_symmetric
+from .analysis import SpectralReport, classify
 from .energy import energy_and_gradient, energy_hessian, residual_norms
 from .grid import dot, load_field, save_field
 from .operators import (FORCING_MAX, NEWTON_MAX_ITER, diag_rows, factor_x_invariant,
                         level_rows, minres)
 
 
-# minimize_energy: cap on steps plus saddle kicks, L-BFGS memory, the f'(u)
-# frozen in the preconditioner, Armijo constant and smallest step fraction
+# find_equilibrium: cap on L-BFGS steps plus saddle kicks; minimize_energy:
+# L-BFGS memory, the f'(u) frozen in the preconditioner, Armijo constant and
+# smallest step fraction
 MAX_STEPS = 12000
 LBFGS_MEMORY = 10
 PRECOND_S = 2.0
 ARMIJO_C1 = 1e-4
 ARMIJO_T_MIN = 1e-12
-# minimize_energy: a stationary point is a saddle when the weighted Hessian
+# find_equilibrium: a stationary point is a saddle when the weighted Hessian
 # has an eigenvalue below -SADDLE_TOL
 SADDLE_TOL = 1e-10
 # the gradient norm below which a start counts as inside a Newton basin
@@ -54,7 +58,8 @@ class MinimizeResult:
     converged: bool
     iterations: int
     grad_norm: float
-    escapes: int
+    energy: float
+    gradient: np.ndarray  # the energy gradient at .field
 
 
 @dataclass
@@ -68,6 +73,10 @@ class EquilibriumSolution:
     converged: bool = True
     residual_history: list = field(default_factory=list)
     krylov_iters: list = field(default_factory=list)  # MINRES iterations per Newton step
+    # find_equilibrium: the classification of psi, its kind, and the saddle kicks made
+    report: SpectralReport | None = None
+    kind: str = ""
+    kicks: int = 0
 
 
 def _preconditioner(op):
@@ -79,58 +88,34 @@ def _preconditioner(op):
                               + PRECOND_S * diag_rows(grid.forms.bulk_mass, rows))
 
 
-def _most_negative_direction(A_t, rw, w):
-    """Smallest eigenpair of the energy Hessian in the metric w.
-
-    (A_t, rw) is ``weighted_symmetric(H, w)`` of the Hessian H; the returned
-    direction is w-normalized.
-    """
-    lam, vec = lowest_eigenpairs(A_t, rw, 1)
-    phi = rw * vec[:, 0]
-    phi /= np.sqrt(float(np.sum(w * phi * phi)))
-    return float(lam[0]), phi
-
-
-def minimize_energy(op, pot, u_init, tol=1e-8):
+def minimize_energy(op, pot, u_init, tol=1e-8, *, precond=None, evaluation=None,
+                    max_steps=None):
     """Descend the free energy until the gradient norm drops below tol.
 
     L-BFGS (Nocedal & Wright, Alg. 7.4) on H0 = P^-1, where P = K_lin +
-    PRECOND_S M_bulk is the Hessian with f'(u) frozen, band-factorized once
-    per call; the iteration count then does not grow with the mesh.  Armijo
-    backtracking accepts only steps that lower E, so E(result) <= E(u_init).
-    At a point below tol, the inertia of the weighted Hessian plus
-    SADDLE_TOL I decides: no negative pivot ends the descent at a (local)
-    minimum with one LDL^T factorization and no eigensolve; otherwise a
-    Lanczos run finds the most negative direction and a line search along
-    it kicks the iterate off the saddle.
-    Returns a MinimizeResult whose .field is the last iterate, an array;
-    .converged is False when a line search cannot descend or MAX_STEPS
-    steps and kicks are used up first.
+    PRECOND_S M_bulk is the Hessian with f'(u) frozen, band-factorized by
+    ``_preconditioner``; the iteration count then does not grow with the
+    mesh.  Armijo backtracking accepts only steps that lower E, so
+    E(result) <= E(u_init).  A start below tol, a saddle included, is
+    returned as it is: ``find_equilibrium`` tells a saddle from a minimum.
+    precond (that band factor) and evaluation (the (E, g) of u_init) are
+    made here unless the caller holds them; max_steps caps the steps, at
+    MAX_STEPS by default.  Returns a MinimizeResult whose .field is the last
+    iterate, an array, with its (E, g) as .energy and .gradient; .converged
+    is False when a line search cannot descend or the steps run out first.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
-    P = _preconditioner(op)
+    P = _preconditioner(op) if precond is None else precond
+    max_steps = MAX_STEPS if max_steps is None else max_steps
 
     def evaluate(v):
         return energy_and_gradient(grid, pot, v, alpha, beta)
 
     x = np.array(u_init, dtype=float)
-    e, g = evaluate(x)
+    e, g = evaluate(x) if evaluation is None else evaluation
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y) of the latest steps
-    iterations = escapes = 0
-    while iterations + escapes < MAX_STEPS:
-        if math.hypot(*residual_norms(grid, g)) <= tol:
-            w = grid.h_weights(1.0)
-            A_t, rw = weighted_symmetric(energy_hessian(grid, pot, x, alpha, beta), w)
-            if count_below(A_t, -SADDLE_TOL)[0] == 0:
-                break  # genuine (local) minimum
-            _, phi = _most_negative_direction(A_t, rw, w)
-            kicked = _kick_off_saddle(evaluate, x, e, phi)
-            if kicked is None:
-                break
-            x, (e, g) = kicked
-            escapes += 1
-            pairs.clear()
-            continue
+    iterations = 0
+    while iterations < max_steps and math.hypot(*residual_norms(grid, g)) > tol:
         # two-loop recursion: d = H g, H the L-BFGS inverse Hessian
         q, coeffs = g.copy(), []
         for s, y, rho in reversed(pairs):
@@ -155,8 +140,8 @@ def minimize_energy(op, pot, u_init, tol=1e-8):
         x, e, g = x_new, e_new, g_new
         iterations += 1
     gn = math.hypot(*residual_norms(grid, g))
-    return MinimizeResult(field=x, converged=bool(gn <= tol),
-                          iterations=iterations, grad_norm=gn, escapes=escapes)
+    return MinimizeResult(field=x, converged=bool(gn <= tol), iterations=iterations,
+                          grad_norm=gn, energy=e, gradient=g)
 
 
 def _kick_off_saddle(evaluate, x, e0, phi):
@@ -172,26 +157,31 @@ def _kick_off_saddle(evaluate, x, e0, phi):
     return best
 
 
-def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
+def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD, *,
+                  precond=None, evaluation=None):
     """Newton iteration on the critical-point system mu(U) = 0.
 
     Requires the start to be inside a Newton basin (gradient norm below
     basin_threshold).  The Jacobian is the energy Hessian H: bulk rows
     -Lap + f'(u), wall rows the discrete trace operator.  Each step solves
     H delta = -g by ``operators.minres`` preconditioned with the band factor of
-    ``_preconditioner``, made once per call; MINRES takes the indefinite H
+    ``_preconditioner``, which precond holds when the caller made it and is
+    otherwise made once per call; MINRES takes the indefinite H
     of a saddle as well.  Its relative tolerance is the forcing term
     min(FORCING_MAX, residual), which keeps the convergence quadratic
     (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)).  The
     residual history and the MINRES iterations of each step are recorded.
     A MINRES that misses its tolerance (a singular or near-singular H), or a
     non-finite update, stops the iteration unconverged at the last iterate;
-    the caller's ``analysis.spectrum`` counts the kernel.  Returns an
+    the caller's ``analysis.spectrum`` counts the kernel.  evaluation is the
+    (E, g) of u_init when the caller holds it.  Returns an
     EquilibriumSolution whose .psi is the last iterate, an array.
     """
     grid, alpha, beta = op.grid, op.alpha, op.beta
     x = np.array(u_init, dtype=float)
-    e, g = energy_and_gradient(grid, pot, x, alpha, beta)
+    if evaluation is None:
+        evaluation = energy_and_gradient(grid, pot, x, alpha, beta)
+    e, g = evaluation
     bulk_res, bdry_res = residual_norms(grid, g)
     res = math.hypot(bulk_res, bdry_res)
     if res > basin_threshold:
@@ -203,7 +193,9 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     krylov = []
     iters = 0
     converged = res <= tol
-    P = None if converged else _preconditioner(op)
+    P = precond
+    if P is None and not converged:
+        P = _preconditioner(op)
     while not converged and iters < NEWTON_MAX_ITER:
         H = energy_hessian(grid, pot, x, alpha, beta)
         delta, its = minres(lambda v: H @ v, P.solve, -g, min(FORCING_MAX, res))
@@ -232,19 +224,50 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD):
     )
 
 
-def find_equilibrium(op, pot, u_init, tol=1e-8):
-    """Minimize-then-refine pipeline; the robust path from generic data.
+def find_equilibrium(op, pot, u_init, tol=1e-8, kernel_tol=1e-8):
+    """Minimize, refine, classify, and kick off a saddle: the robust path
+    from generic data.
 
-    The descent phase always runs: for a start already inside a Newton
-    basin it costs one gradient and one spectral check, but it is what
-    lets an exactly-critical saddle start (zero gradient, negative
-    curvature) escape to a lower state instead of being reported as the
-    equilibrium.
+    Each pass descends with ``minimize_energy``, refines with
+    ``newton_refine`` and classifies the Newton limit psi with
+    ``analysis.classify`` at kernel_tol.  That classification alone tells a
+    minimum from a saddle: only when its lowest eigenvalue lies below
+    -SADDLE_TOL does a line search along its lowest eigenvector
+    (``SpectralReport.lowest_vector``) kick psi to a lower state, from which
+    the next pass descends with the kick's (E, g), so an exactly critical
+    saddle start (zero gradient, negative curvature) escapes instead of
+    being reported as the equilibrium.  A clear minimum never kicks, and its
+    classification makes the one LDL^T factorization of the solve.  L-BFGS
+    steps and kicks share the MAX_STEPS budget; a kick that finds no lower
+    state ends the loop at the saddle.  The band preconditioner is made once
+    and serves every descent and Newton solve.  Returns the last pass's
+    EquilibriumSolution, with its classification as .report and .kind and
+    the kicks made as .kicks.  A classification that raises propagates.
     """
-    mr = minimize_energy(op, pot, u_init, tol=max(tol, BASIN_THRESHOLD / 10))
-    sol = newton_refine(op, pot, mr.field, tol=tol,
-                        basin_threshold=max(BASIN_THRESHOLD, 10 * tol))
-    if mr.iterations > 0 or mr.escapes > 0:
+    grid, alpha, beta = op.grid, op.alpha, op.beta
+    P = _preconditioner(op)
+    x, evaluation = u_init, None
+    used = kicks = 0  # L-BFGS steps plus kicks, and kicks alone
+    while True:
+        mr = minimize_energy(op, pot, x, tol=max(tol, BASIN_THRESHOLD / 10), precond=P,
+                             evaluation=evaluation, max_steps=MAX_STEPS - used)
+        used += mr.iterations
+        sol = newton_refine(op, pot, mr.field, tol=tol,
+                            basin_threshold=max(BASIN_THRESHOLD, 10 * tol),
+                            precond=P, evaluation=(mr.energy, mr.gradient))
+        sol.report, sol.kind = classify(op, pot, sol.psi, kernel_tol)
+        phi = sol.report.lowest_vector
+        if used >= MAX_STEPS or phi is None or not sol.report.eigenvalues[0] < -SADDLE_TOL:
+            break
+        kicked = _kick_off_saddle(lambda v: energy_and_gradient(grid, pot, v, alpha, beta),
+                                  sol.psi, sol.energy, phi)
+        if kicked is None:
+            break
+        x, evaluation = kicked
+        used += 1
+        kicks += 1
+    sol.kicks = kicks
+    if used > 0:
         sol.method = SolveMethod.MINIMIZE_THEN_NEWTON
     return sol
 

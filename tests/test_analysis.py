@@ -19,7 +19,7 @@ from chwall.analysis import (
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
 from chwall.evolution import evolve
-from chwall.stationary import _most_negative_direction, newton_refine
+from chwall.stationary import find_equilibrium, minimize_energy, newton_refine
 
 from conftest import dense_form_matrices
 
@@ -226,17 +226,17 @@ def test_spectral_path_never_calls_dense_eigh(kernel_problem, pot, monkeypatch):
     g, _, H = kernel_problem
     assert spectrum(g, H, k=6).kernel_dim == 1
     tall = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=16, ny=16)
-    w = tall.h_weights(1.0)
-    At, rw = weighted_symmetric(energy_hessian(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0), w)
-    lam0, _ = _most_negative_direction(At, rw, w)
-    assert lam0 < 0
+    rep = spectrum(tall, energy_hessian(tall, pot, np.zeros(tall.n_nodes), 1.0, 1.0))
+    assert rep.eigenvalues[0] < 0 and rep.lowest_vector is not None
 
 
 def test_most_negative_direction_matches_dense(pot):
+    # the saddle kick's direction is the report's lowest eigenvector
     g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
     H = energy_hessian(g, pot, np.zeros(g.n_nodes), 1.0, 1.0)
     w = g.h_weights()
-    lam0, phi = _most_negative_direction(*weighted_symmetric(H, w), w)
+    rep = spectrum(g, H)
+    lam0, phi = rep.eigenvalues[0], rep.lowest_vector
     rw = 1.0 / np.sqrt(w)
     lam, vec = la.eigh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
     assert abs(lam0 - lam[0]) <= 1e-10 * abs(lam[0])
@@ -274,9 +274,8 @@ def test_engineered_kernel_detected(kernel_problem):
 
 def _count_spectral_calls(monkeypatch):
     """Count plain (which="LA") Lanczos runs, LDL^T factorizations and
-    ``lowest_eigenpairs`` calls of the analysis and stationary modules."""
+    ``lowest_eigenpairs`` calls."""
     import chwall.analysis as an
-    import chwall.stationary as stationary
 
     counts = {"LA": 0, "ldl": 0, "lowest": 0}
 
@@ -289,9 +288,7 @@ def _count_spectral_calls(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", counted("LA", spla.eigsh, which="LA"))
     monkeypatch.setattr(an, "_shifted_ldl", counted("ldl", an._shifted_ldl))
-    lowest = counted("lowest", an.lowest_eigenpairs)
-    monkeypatch.setattr(an, "lowest_eigenpairs", lowest)
-    monkeypatch.setattr(stationary, "lowest_eigenpairs", lowest)
+    monkeypatch.setattr(an, "lowest_eigenpairs", counted("lowest", an.lowest_eigenpairs))
     return counts
 
 
@@ -366,11 +363,17 @@ def test_clear_minimum_asks_lanczos_for_eigenvalues_only(pot, monkeypatch):
 
 
 def test_minimizer_at_a_minimum_runs_no_eigensolve(pot, monkeypatch):
+    # the minimizer makes no LDL^T; a clear-minimum solve makes one, the
+    # classification's, whose factor serves its one shift-invert run
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
+    op = cw.WentzellOperator(g)
     counts = _count_spectral_calls(monkeypatch)
-    res = cw.minimize_energy(cw.WentzellOperator(g), pot, np.zeros(g.n_nodes), tol=1e-8)
-    assert res.converged and res.escapes == 0
-    assert counts == {"LA": 0, "ldl": 1, "lowest": 0}
+    res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-8)
+    assert res.converged
+    assert counts == {"LA": 0, "ldl": 0, "lowest": 0}
+    sol = find_equilibrium(op, pot, np.zeros(g.n_nodes))
+    assert sol.kind == "minimum" and sol.kicks == 0
+    assert counts == {"LA": 0, "ldl": 1, "lowest": 1}
 
 
 def test_spectrum_converges_to_the_continuum_wentzell_eigenvalues():

@@ -395,11 +395,13 @@ def test_cli_rejects_non_finite_kernel_tol(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("coeffs", ["1, 0, 0", "5"], ids=["f_prime_negative", "f_constant"])
+@pytest.mark.parametrize("coeffs", ["1, 0, 0", "5", "1e308, 0, -1e308, 0"],
+                         ids=["f_prime_negative", "f_constant", "overflowing"])
 def test_cli_refuses_a_potential_the_model_cannot_run(tmp_path, capsys, coeffs):
-    # f(s) = s^2 has f' < 0 far out on the negative side and f = 5 is no
-    # polynomial of degree >= 1; both parse, and building the potential
-    # refuses them with exit 2 before any output directory exists
+    # f(s) = s^2 has f' < 0 far out on the negative side, f = 5 is no
+    # polynomial of degree >= 1, and 1e308 (s^3 - s) overflows to inf and nan
+    # on the sampled band; all parse, and building the potential refuses
+    # them with exit 2 before any output directory exists
     out = tmp_path / "o"
     custom = f"kind = polynomial_custom\ncoeffs = {coeffs}"
     path = write_config(tmp_path, BASE_CONFIG.format(out=out).replace("kind = double_well",

@@ -32,42 +32,82 @@ def tall_strip(pot):
     return g, cw.WentzellOperator(g)
 
 
+def _off_saddle(g):
+    """Data beside the zero saddle of the tall strip, along an unstable mode."""
+    return 1e-2 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly)
+
+
 def test_minimize_from_zero_small_strip(small_strip, pot):
     g, op = small_strip
     res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-8)
     assert res.converged
-    assert res.escapes == 0  # zero is a genuine local minimum here
     assert abs(energy_value(g, pot, res.field, 1.0, 1.0) - 0.25) <= 1e-10
+    # zero is a genuine local minimum here: the classification never kicks
+    sol = find_equilibrium(op, pot, np.zeros(g.n_nodes))
+    assert sol.kicks == 0 and sol.kind == "minimum"
 
 
 def test_minimize_escapes_saddle_on_tall_strip(small_strip, tall_strip, pot):
     g, op = tall_strip
-    res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-6)
-    assert res.converged
-    assert res.escapes >= 1
-    e = energy_value(g, pot, res.field, 1.0, 1.0)
+    sol = find_equilibrium(op, pot, np.zeros(g.n_nodes), tol=1e-6)
+    assert sol.converged
+    assert sol.kicks >= 1
+    e = energy_value(g, pot, sol.psi, 1.0, 1.0)
     assert e < 0.25 * g.area - 1e-3  # strictly below the zero-state energy
-    assert np.std(res.field) > 1e-3  # nonconstant profile
+    assert np.std(sol.psi) > 1e-3  # nonconstant profile
+    assert sol.kind == "minimum"
 
 
 def test_minimize_one_evaluation_per_lbfgs_point(tall_strip, pot, monkeypatch):
-    # the loop keeps (E, g) of the point it stands on: the line search, the
-    # accepted steps and the saddle kick never evaluate a point twice
+    # the solve keeps (E, g) of the point it stands on: the line search, the
+    # accepted steps, the saddle kick, the restarted descent and Newton's
+    # start never evaluate a point twice
     import chwall.stationary as stationary
 
     g, op = tall_strip
-    points = []
-    evaluate = stationary.energy_and_gradient
+    points, iterations = [], []
+    evaluate, minimize = stationary.energy_and_gradient, stationary.minimize_energy
 
     def recorded(grid, pot, u, *args):
         points.append(np.array(u, dtype=float).tobytes())
         return evaluate(grid, pot, u, *args)
 
+    def counted(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
     monkeypatch.setattr(stationary, "energy_and_gradient", recorded)
-    res = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-6)
-    assert res.converged and res.escapes >= 1
+    monkeypatch.setattr(stationary, "minimize_energy", counted)
+    sol = find_equilibrium(op, pot, np.zeros(g.n_nodes), tol=1e-6)
+    assert sol.converged and sol.kicks >= 1
     assert len(set(points)) == len(points)
-    assert 0 < res.iterations <= len(points)
+    assert 0 < sum(iterations) <= len(points)
+
+
+def test_find_equilibrium_kicks_within_the_step_budget(small_strip, pot, monkeypatch):
+    # kicks share MAX_STEPS with the L-BFGS steps, so a classification that
+    # reports a saddle every time cannot keep the loop running
+    import chwall.stationary as stationary
+    from dataclasses import replace
+
+    g, op = small_strip
+    classify = stationary.classify
+
+    def always_saddle(*args):
+        rep, _ = classify(*args)
+        return replace(rep, eigenvalues=np.array([-1.0]),
+                       lowest_vector=np.ones(g.n_nodes)), "saddle"
+
+    def kick_in_place(evaluate, x, e0, phi):
+        return x, evaluate(x)
+
+    monkeypatch.setattr(stationary, "MAX_STEPS", 4)
+    monkeypatch.setattr(stationary, "classify", always_saddle)
+    monkeypatch.setattr(stationary, "_kick_off_saddle", kick_in_place)
+    sol = find_equilibrium(op, pot, np.zeros(g.n_nodes))
+    assert sol.converged and sol.kind == "saddle"
+    assert sol.kicks == 4
 
 
 def test_minimize_iterations_do_not_grow_with_the_mesh(pot):
@@ -124,7 +164,7 @@ def test_newton_refine_guard_rejects_far_start(small_strip, pot, rng):
 
 def test_newton_refine_quadratic_history(tall_strip, pot, rng):
     g, op = tall_strip
-    rough = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-6)
+    rough = minimize_energy(op, pot, _off_saddle(g), tol=1e-6)
     psi = newton_refine(op, pot, rough.field, tol=1e-12).psi
     # displace by a calibrated amount so Newton needs several contractions
     d = rng.standard_normal(g.n_nodes)
@@ -154,7 +194,7 @@ def test_find_equilibrium_pipeline(small_strip, pot, rng):
 def test_critical_point_equivalence(tall_strip, pot):
     # strong residuals and the gradient norm vanish together
     g, op = tall_strip
-    rough = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-4)
+    rough = minimize_energy(op, pot, _off_saddle(g), tol=1e-4)
     sol = newton_refine(op, pot, rough.field, tol=1e-10)
     bulk, bdry = residual_norms(g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])
     assert bulk + bdry <= 1e-9
@@ -256,19 +296,26 @@ def _dense_kernel_dim(g, H, kernel_tol):
     return int(np.sum(np.abs(lam) <= kernel_tol * np.max(np.abs(lam))))
 
 
-def _five_node_equilibrium(tmp_path, kernel_tol):
-    """Run ``chwall equilibrium`` on the 5-node interval; its output directory."""
+def _cli_equilibrium(tmp_path, sections, *argv):
+    """``chwall equilibrium`` on the config sections plus an [io] section
+    naming the output directory; the exit code and that directory."""
     from chwall.cli import main
 
     out = tmp_path / "eq"
     cfg = tmp_path / "eq.ini"
-    cfg.write_text(
+    cfg.write_text(f"{sections}[io]\noutput_dir = {out}\n")
+    return main(["equilibrium", str(cfg), *argv]), out
+
+
+def _five_node_equilibrium(tmp_path, kernel_tol):
+    """Run ``chwall equilibrium`` on the 5-node interval; its output directory."""
+    rc, out = _cli_equilibrium(
+        tmp_path,
         "[grid]\nmode = interval1d\nLy = 1.0\nny = 5\n"
         "[initial]\nkind = cosine\namplitude = 0.3\nmean = 0.0\n"
-        f"[io]\noutput_dir = {out}\n"
-        f"[analysis]\nkernel_tol = {kernel_tol!r}\n"
+        f"[analysis]\nkernel_tol = {kernel_tol!r}\n",
     )
-    assert main(["equilibrium", str(cfg)]) == 4  # unconverged: the Jacobian is singular
+    assert rc == 4  # unconverged: the Jacobian is singular
     return out
 
 
@@ -336,6 +383,54 @@ def test_newton_refine_makes_no_sparse_lu(workload48, tall_strip, pot, monkeypat
     assert calls == []
 
 
+def test_clear_minimum_equilibrium_factorizes_once(workload48, tmp_path, monkeypatch):
+    # the classification's inertia count is the one sparse factorization, and
+    # the band preconditioner is made once for the descent and Newton
+    import scipy.sparse.linalg as spla
+
+    import chwall.stationary as stationary
+
+    op, start = workload48
+    init = tmp_path / "init.csv"
+    cw.save_field(op.grid, start, str(init))
+    calls = {"splu": 0, "band": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    band = counted("band", operators.factor_x_invariant)
+    monkeypatch.setattr(operators, "factor_x_invariant", band)
+    monkeypatch.setattr(stationary, "factor_x_invariant", band)
+    rc, out = _cli_equilibrium(tmp_path, "[grid]\nLx = 8.0\nLy = 8.0\nnx = 48\nny = 48\n",
+                               "--init", str(init))
+    assert rc == 0
+    assert (out / "classification.txt").read_text().startswith("classification: minimum")
+    assert calls == {"splu": 1, "band": 1}
+
+
+def test_classification_error_exits_before_the_equilibrium_is_written(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a classification that raises ends the solve: exit 4 with an error line,
+    # and no equilibrium files or manifest
+    import chwall.analysis as an
+
+    true_count = an.count_below
+
+    def miscounted(At, s):
+        below, factor = true_count(At, s)
+        return below + 1, factor
+
+    monkeypatch.setattr(an, "count_below", miscounted)
+    rc, out = _cli_equilibrium(tmp_path, "[grid]\nnx = 12\nny = 12\n")
+    assert rc == 4
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["config.ini"]
+
+
 def test_minres_solves_an_indefinite_hessian(tall_strip, pot):
     import scipy.sparse.linalg as spla
 
@@ -355,7 +450,7 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     import chwall.stationary as stationary
 
     g, op = tall_strip
-    start = minimize_energy(op, pot, np.zeros(g.n_nodes), tol=1e-3).field
+    start = minimize_energy(op, pot, _off_saddle(g), tol=1e-3).field
     full = newton_refine(op, pot, start, tol=1e-12)
     assert full.newton_iters >= 2
     minres, calls = operators.minres, []
