@@ -186,9 +186,13 @@ def test_criterion_5_stationary_solver(pot):
 
     G = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=24, ny=24)
     op = cw.WentzellOperator(G)
-    mr = minimize_energy(op, pot, np.zeros(G.n_nodes), tol=1e-6)
+    # zero is a saddle here: start beside it, along the unstable constant
+    # mode, so the probe runs around the nontrivial minimum
+    mr = minimize_energy(op, pot, np.full(G.n_nodes, -1e-2), tol=1e-6)
     assert mr.converged
     psi = newton_refine(op, pot, mr.field, tol=1e-12).psi
+    assert energy_value(G, pot, psi, 1.0, 1.0) < 0.25 * G.area - 1e-3  # below the saddle
+    assert np.std(psi) > 1e-3
     rng = np.random.default_rng(5)
     d = rng.standard_normal(G.n_nodes)
     probe = 1e-3

@@ -33,8 +33,14 @@ def tall_strip(pot):
 
 
 def _off_saddle(g):
-    """Data beside the zero saddle of the tall strip, along an unstable mode."""
-    return 1e-2 * np.cos(2 * np.pi * g.x / g.Lx) * np.cos(np.pi * g.y / g.Ly)
+    """Data beside the zero saddle of the tall strip, along the unstable
+    constant mode: descent from it reaches the strip's nontrivial minimum."""
+    return np.full(g.n_nodes, -1e-2)
+
+
+def _below_saddle(g, pot, u):
+    """Whether u lies clearly below the zero saddle's energy 0.25 |Omega|."""
+    return energy_value(g, pot, u, 1.0, 1.0) < 0.25 * g.area - 1e-3
 
 
 def test_minimize_from_zero_small_strip(small_strip, pot):
@@ -52,8 +58,7 @@ def test_minimize_escapes_saddle_on_tall_strip(small_strip, tall_strip, pot):
     sol = find_equilibrium(op, pot, np.zeros(g.n_nodes), tol=1e-6)
     assert sol.converged
     assert sol.kicks >= 1
-    e = energy_value(g, pot, sol.psi, 1.0, 1.0)
-    assert e < 0.25 * g.area - 1e-3  # strictly below the zero-state energy
+    assert _below_saddle(g, pot, sol.psi)
     assert np.std(sol.psi) > 1e-3  # nonconstant profile
     assert sol.kind == "minimum"
 
@@ -166,6 +171,7 @@ def test_newton_refine_quadratic_history(tall_strip, pot, rng):
     g, op = tall_strip
     rough = minimize_energy(op, pot, _off_saddle(g), tol=1e-6)
     psi = newton_refine(op, pot, rough.field, tol=1e-12).psi
+    assert _below_saddle(g, pot, psi)
     # displace by a calibrated amount so Newton needs several contractions
     d = rng.standard_normal(g.n_nodes)
     probe = 1e-3
@@ -196,6 +202,7 @@ def test_critical_point_equivalence(tall_strip, pot):
     g, op = tall_strip
     rough = minimize_energy(op, pot, _off_saddle(g), tol=1e-4)
     sol = newton_refine(op, pot, rough.field, tol=1e-10)
+    assert _below_saddle(g, pot, sol.psi)
     bulk, bdry = residual_norms(g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])
     assert bulk + bdry <= 1e-9
     assert h_norm(g, cw.chemical_potential(op, pot, sol.psi)) <= 1e-9
@@ -452,7 +459,7 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     g, op = tall_strip
     start = minimize_energy(op, pot, _off_saddle(g), tol=1e-3).field
     full = newton_refine(op, pot, start, tol=1e-12)
-    assert full.newton_iters >= 2
+    assert full.newton_iters >= 2 and _below_saddle(g, pot, full.psi)
     minres, calls = operators.minres, []
 
     def second_fails(apply_H, solve_P, b, rtol):
