@@ -11,7 +11,10 @@ of the e2ebench ``large_grid`` run), it times:
 - ``save_field_s``: one ``save_field`` of a random field, template cached;
 - ``newton_step_s``: one implicit step, ``evolve`` with ``scheme = newton``
   and ``t_end = dt`` from the cosine state 0.1 cos(2 pi x) + 0.05, through
-  public names only (so the script also times older checkouts);
+  public names only (so the script also times older checkouts), beside
+  its work from the run's record: ``newton_step_solves`` Jacobian solves
+  (``newton_iters``) and ``newton_step_krylov_iters`` MINRES iterations
+  (``krylov_iters``);
 
 each the best of ``--repeat`` calls after one warm-up call.  It records
 ``assembly_factor_peak_kb`` and ``save_field_peak_kb``, the tracemalloc
@@ -83,6 +86,7 @@ def main(argv=None):
             rhs = np.random.default_rng(0).standard_normal(grid.n_nodes)
             u0 = 0.1 * np.cos(2 * np.pi * grid.x) + 0.05
             step = RunConfig(scheme="newton", dt=DT, t_end=DT, stabilization_S=S)
+            rec = evolution.evolve(op, pot, u0, step)
             cases[f"{n}x{n}"] = {
                 "n_nodes": grid.n_nodes,
                 "assembly_factor_s": _best_of(args.repeat, lambda: _factor(op)),
@@ -93,6 +97,8 @@ def main(argv=None):
                 "save_field_peak_kb": _peak_kb(lambda: save_field(grid, rhs, path)),
                 "newton_step_s": _best_of(args.repeat,
                                           lambda: evolution.evolve(op, pot, u0, step)),
+                "newton_step_solves": rec.newton_iters,
+                "newton_step_krylov_iters": rec.krylov_iters,
             }
             print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
     result = {

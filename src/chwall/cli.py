@@ -1,8 +1,8 @@
 """Command-line front end: simulate, equilibrium, analyze, check.
 
-Every run owns an output directory guarded by a lockfile; all artifacts are
-content-hashed into a manifest written last.  Exit codes: 0 success,
-2 config/usage error, 3 energy-guard abort, 4 unconverged.
+Every run owns an output directory guarded by a lockfile; the files it
+writes are content-hashed into a manifest written last.  Exit codes:
+0 success, 2 config/usage error, 3 energy-guard abort, 4 unconverged.
 """
 
 import argparse
@@ -102,17 +102,23 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def write_manifest(out_dir, cfg, extra, t0):
+class _Written(list):
+    """Paths written below out_dir; a call joins its parts onto out_dir and records them."""
+
+    def __init__(self, out_dir):
+        super().__init__()
+        self.out_dir = out_dir
+
+    def __call__(self, *parts):
+        self.append(os.path.join(self.out_dir, *parts))
+        return self[-1]
+
+
+def write_manifest(written, cfg, extra, t0):
+    """<out_dir>/manifest.json: extra, the versions, and the sha256 of each file written."""
     import scipy
 
-    artifacts = {}
-    for root, _, names in os.walk(out_dir):
-        for name in sorted(names):
-            if name in ("manifest.json", ".lock"):
-                continue
-            full = os.path.join(root, name)
-            rel = os.path.relpath(full, out_dir)
-            artifacts[rel] = _sha256(full)
+    artifacts = {os.path.relpath(path, written.out_dir): _sha256(path) for path in written}
     # numpy and scipy may each ship their own BLAS build: np.dot runs on
     # numpy's, the band LAPACK on scipy's
     blas = {}
@@ -129,7 +135,7 @@ def write_manifest(out_dir, cfg, extra, t0):
         "artifacts": artifacts,
     }
     manifest.update(extra)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(written.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
@@ -251,6 +257,7 @@ def cmd_simulate(config_path):
     out = cfg.output_dir
     _make_dir(out)
     t0 = time.time()
+    at = _Written(out)
     with OutputLock(out):
         # what an earlier simulate or analyze here wrote and this run may not
         # write again; nothing else in the directory is touched
@@ -258,7 +265,7 @@ def cmd_simulate(config_path):
             sorted(Path(out, "snapshots").glob("snap_*_t*.csv")),
             (os.path.join(out, name) for name in ("energy.svg", "decay.svg")),
             (os.path.join(out, "analysis", name) for name in ANALYSIS_FILES)))
-        with open(os.path.join(out, "config.ini"), "w") as fh:
+        with open(at("config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
         aborted = False
         reason = ""
@@ -268,31 +275,30 @@ def cmd_simulate(config_path):
             rec = exc.record
             aborted = True
             reason = str(exc)
-        _write_series(os.path.join(out, "series.csv"), rec.times, rec.reports)
-        _write_diagnostics(os.path.join(out, "diagnostics.csv"), rec)
-        snapdir = os.path.join(out, "snapshots")
-        _make_dir(snapdir)
+        _write_series(at("series.csv"), rec.times, rec.reports)
+        _write_diagnostics(at("diagnostics.csv"), rec)
+        _make_dir(os.path.join(out, "snapshots"))
         for i, (t, snap) in enumerate(rec.snapshots):
-            snap_path = os.path.join(snapdir, f"snap_{i:06d}_t{t!r}.csv")
+            snap_path = at("snapshots", f"snap_{i:06d}_t{t!r}.csv")
             save_field(grid, snap, snap_path)
         # evolve ends every record, aborted or not, with its final state
-        shutil.copyfile(snap_path, os.path.join(out, "final_state.csv"))
+        shutil.copyfile(snap_path, at("final_state.csv"))
         if cfg.plots:
             e = [r.e_total for r in rec.reports]
             d = [r.dissipation for r in rec.reports]
             svgplot.line_plot(
-                os.path.join(out, "energy.svg"), rec.times,
+                at("energy.svg"), rec.times,
                 {"E(t)": e, "dissipation": d},
                 title="energy and dissipation", xlabel="t", ylabel="value",
             )
             if ref is not None:
                 svgplot.line_plot(
-                    os.path.join(out, "decay.svg"), rec.times,
+                    at("decay.svg"), rec.times,
                     {"|U - psi|_X": rec.x_dist_to_ref},
                     title="distance to reference equilibrium",
                     xlabel="t", ylabel="log10 |U-psi|_X", ylog=True,
                 )
-        write_manifest(out, cfg, {
+        write_manifest(at, cfg, {
             "aborted": aborted, "abort_reason": reason,
             "factorizations": rec.factorizations, "shifts": rec.shifts,
             "newton_iters": rec.newton_iters, "krylov_iters": rec.krylov_iters,
@@ -314,11 +320,14 @@ def cmd_equilibrium(config_path, init_path=None):
     out = cfg.output_dir
     _make_dir(out)
     t0 = time.time()
+    at = _Written(out)
     with OutputLock(out):
-        with open(os.path.join(out, "config.ini"), "w") as fh:
+        with open(at("config.ini"), "w") as fh:
             fh.write(serialize_config(cfg))
         sol = find_equilibrium(op, pot, u0, kernel_tol=cfg.kernel_tol)
-        save_equilibrium(grid, sol, os.path.join(out, "equilibrium"))
+        prefix = os.path.join(out, "equilibrium")
+        save_equilibrium(grid, sol, prefix)
+        at.extend((f"{prefix}.csv", f"{prefix}.meta"))
         rep = sol.report
         lam0 = rep.eigenvalues[0] if rep.eigenvalues.size else float("nan")
         line = (
@@ -326,9 +335,9 @@ def cmd_equilibrium(config_path, init_path=None):
             f"kernel_dim={rep.kernel_dim}, n_negative={rep.n_negative})"
         )
         print(line)
-        with open(os.path.join(out, "classification.txt"), "w") as fh:
+        with open(at("classification.txt"), "w") as fh:
             fh.write(line + "\n")
-        write_manifest(out, cfg, {"converged": sol.converged}, t0)
+        write_manifest(at, cfg, {"converged": sol.converged}, t0)
     if not sol.converged:
         print(
             f"unconverged: residuals bulk={sol.bulk_res:.3e} "
@@ -389,10 +398,10 @@ def cmd_analyze(run_dir, psi_prefix):
     """The analysis reports of a finished run, under the run directory's lock.
 
     The lock is held from reading the run to writing ``analysis/`` and, last,
-    its manifest hashing every report there, so the analysis is refused
+    its manifest hashing every report written, so the analysis is refused
     while another command writes into the directory.  The files of an
     earlier analysis (``ANALYSIS_FILES``) are deleted first, so a report or
-    plot that this run does not write cannot survive into its manifest.
+    plot that this run does not write cannot survive beside its reports.
     """
     t0 = time.time()
     if not os.path.isdir(run_dir):
@@ -402,6 +411,7 @@ def cmd_analyze(run_dir, psi_prefix):
         psi_rec, meta = _load_input("psi_prefix", load_equilibrium, psi_prefix, grid)
         psi = psi_rec.values
         out = os.path.join(run_dir, "analysis")
+        at = _Written(out)
         _make_dir(out)
         _remove(os.path.join(out, name) for name in ANALYSIS_FILES)
 
@@ -416,14 +426,14 @@ def cmd_analyze(run_dir, psi_prefix):
                   file=sys.stderr)
             warn = True
         srep, kind = classify(op, pot, psi, cfg.kernel_tol)
-        with open(os.path.join(out, "spectral_report.txt"), "w") as fh:
+        with open(at("spectral_report.txt"), "w") as fh:
             fh.write(_report_text(srep, classification=kind, psi_bulk_res=bulk_res,
                                   psi_bdry_res=bdry_res, psi_converged=converged) + "\n")
 
         probe = ls_probe(op, pot, rec, psi, window=cfg.probe_window)
-        with open(os.path.join(out, "ls_report.txt"), "w") as fh:
+        with open(at("ls_report.txt"), "w") as fh:
             fh.write(_report_text(probe) + "\n")
-        _write_rows(os.path.join(out, "ls_samples.csv"), "t,gap,lhs", probe.samples)
+        _write_rows(at("ls_samples.csv"), "t,gap,lhs", probe.samples)
         if probe.insufficient:
             # the bound check still needs some exponent; the fallback only
             # affects the reported required q, never the fitted rates
@@ -437,7 +447,7 @@ def cmd_analyze(run_dir, psi_prefix):
                 gaps = [s[1] for s in probe.samples]
                 lhss = [s[2] for s in probe.samples]
                 svgplot.scatter_plot(
-                    os.path.join(out, "ls_scatter.svg"), gaps, lhss,
+                    at("ls_scatter.svg"), gaps, lhss,
                     title=f"residual vs energy gap (theta={probe.fitted_theta:.3f})",
                     xlabel="log10 gap", ylabel="log10 residual", xlog=True, ylog=True,
                     fit=(1.0 - probe.fitted_theta,
@@ -455,15 +465,15 @@ def cmd_analyze(run_dir, psi_prefix):
             rrep = None
             warn = True
         if rrep is not None:
-            with open(os.path.join(out, "rate_report.txt"), "w") as fh:
+            with open(at("rate_report.txt"), "w") as fh:
                 fh.write(_report_text(rrep) + "\n")
             if cfg.plots:
                 svgplot.line_plot(
-                    os.path.join(out, "decay_fit.svg"), times, {"|U-psi|_X": dists},
+                    at("decay_fit.svg"), times, {"|U-psi|_X": dists},
                     title=f"decay ({rrep.model}: q={rrep.q:.3f}, gamma={rrep.gamma:.3f})",
                     xlabel="t", ylabel="log10 distance", ylog=True,
                 )
-        write_manifest(out, cfg, {"theta_source": theta_source, "warnings": warn}, t0)
+        write_manifest(at, cfg, {"theta_source": theta_source, "warnings": warn}, t0)
     print(f"analyze: reports -> {out}" + (" (with warnings)" if warn else ""))
     return EXIT_OK
 

@@ -33,10 +33,10 @@ the energy guard halves dt or S climbs a rung.  Newton's Jacobian
 J = W + dt K_A W^-1 H has the full energy Hessian H in place of
 K_lin + S M_bulk and varies in x through f'(u).  With delta = W^-1 K_A z,
 J delta = -R is the symmetric (K_A + dt K_A W^-1 H W^-1 K_A) z = -R, which
-``operators.minres`` solves preconditioned by P = M W^-1 K_A, M the step
-matrix of (dt, S): P is symmetric positive definite for any S >= 0, and
-P^-1 is one band solve with M's cached factor and one with K_A's.  Under
-Newton the shift S sets only the preconditioner.
+``operators.newton`` solves by MINRES preconditioned by P = M W^-1 K_A, M
+the step matrix of (dt, S): P is symmetric positive definite for any
+S >= 0, and P^-1 is one band solve with M's cached factor and one with
+K_A's.  Under Newton the shift S sets only the preconditioner.
 """
 
 import functools
@@ -46,9 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .energy import energy_and_gradient, energy_hessian, state_report
-from .operators import (FORCING_MAX, NEWTON_MAX_ITER, NEWTON_STEP_TOL, diag_rows,
-                        factor_x_invariant, level_rows, minres, v_norm, x_norm)
+from .energy import energy_and_gradient, state_report
+from .operators import diag_rows, factor_x_invariant, level_rows, newton, v_norm, x_norm
 
 
 class GuardAbort(RuntimeError):
@@ -101,6 +100,8 @@ class TrajectoryRecord:
 
 # the energy guard accepts a step when E_new <= E_old + ENERGY_RISE_TOL * (1 + |E_old|)
 ENERGY_RISE_TOL = 1e-12
+# the implicit step accepts when its residual |R|_{W^-1} <= STEP_RESIDUAL_TOL
+STEP_RESIDUAL_TOL = 1e-10
 # the automatic shift is rounded up onto the rungs 2^(k / RUNGS_PER_OCTAVE)
 RUNGS_PER_OCTAVE = 4
 # sample nodes on [0, 1] for the sampled max |f'|
@@ -193,38 +194,32 @@ def _semi_step_once(op, u_vals, g_old, kmu_old, dt, S, factors):
 
 
 def _newton_step_once(op, pot, u_old, ev_old, dt, S, factors):
-    """The implicit step's state and its evaluation (E, g).
-
-    ev_old is the evaluation of u_old.  Each iteration solves J delta = -R
-    in its z-form by MINRES to the relative tolerance min(FORCING_MAX, |R|),
-    until an update is small: max|delta| <= NEWTON_STEP_TOL * max(1, max|u|),
-    a stop that the rounding floor of R, which grows with dt and with the
-    grid, cannot hold off.  Raises _RetryHalved when MINRES misses its
-    tolerance, an update is not finite or none of NEWTON_MAX_ITER updates is small.
-    """
+    """The implicit step's state and its evaluation (E, g), from the
+    evaluation ev_old of u_old: ``operators.newton`` on R = W (u - u_old)
+    + dt K_A W^-1 g(u) to |R|_{W^-1} <= STEP_RESIDUAL_TOL or a small update,
+    counting every Jacobian solve.  Raises _RetryHalved when it fails."""
     W, K_A = op.mass_weights, op.K_A
-    u, evaluation = u_old, ev_old
-    for _ in range(NEWTON_MAX_ITER):
+
+    def residual(u, evaluation):
         R = W * (u - u_old) + dt * (K_A @ (evaluation[1] / W))
-        rnorm = np.sqrt(float(np.sum(R * R / W)))
-        H = energy_hessian(op.grid, pot, u, op.alpha, op.beta)
+        return -R, math.sqrt(float(np.sum(R * R / W)))
+
+    def jacobian(H):
         M, K = _semi_system(op, dt, S, factors), op.factorization()
 
         def apply_J(z):
             kz = K_A @ z
             return kz + dt * (K_A @ ((H @ (kz / W)) / W))
 
-        z, its = minres(apply_J, lambda r: K.solve(W * M.solve(r)), -R, min(FORCING_MAX, rnorm))
-        factors.newton_iters += 1
-        factors.krylov_iters += its
-        delta = None if z is None else (K_A @ z) / W
-        if delta is None or not np.all(np.isfinite(delta)):
-            raise _RetryHalved
-        u = u + delta
-        evaluation = energy_and_gradient(op.grid, pot, u, op.alpha, op.beta)
-        if np.max(np.abs(delta)) <= NEWTON_STEP_TOL * max(1.0, np.max(np.abs(u))):
-            return u, evaluation
-    raise _RetryHalved  # no small update at this dt
+        return apply_J, lambda r: K.solve(W * M.solve(r)), lambda z: (K_A @ z) / W
+
+    u, evaluation, converged, krylov = newton(op, pot, u_old, ev_old, residual, jacobian,
+                                              STEP_RESIDUAL_TOL)
+    factors.newton_iters += len(krylov)
+    factors.krylov_iters += sum(krylov)
+    if not converged:
+        raise _RetryHalved
+    return u, evaluation
 
 
 def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):

@@ -16,8 +16,9 @@ Matrices that commute with x-shifts of the periodic strip (K_A and the
 semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
 in x splits them into one pentadiagonal system in y per Fourier mode.  It
 reads only their ny level rows (``level_rows``), which is all a caller
-assembles.  A Newton Jacobian varies in x through f'(u); it is solved by
-``minres``, preconditioned with such band factors.
+assembles.  A Newton Jacobian varies in x through f'(u); ``newton``, the
+one Newton loop of the package, solves it by ``minres``, preconditioned
+with such band factors.
 """
 
 import math
@@ -26,17 +27,17 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, zgbtrs
 
+from .energy import energy_and_gradient, energy_hessian
 from .grid import dot, h_inner
 
 # the largest imaginary part, relative to the largest real part, that the
 # Fourier symbol of an x-symmetric stencil may carry from rounding
 SYMBOL_IMAG_TOL = 1e-12
-# minres: iteration cap per solve, and the cap on the forcing term (the
-# relative MINRES tolerance of a Newton step) of the Newton loops that use it
+# minres: iteration cap per solve; newton: the cap on its forcing term (the
+# relative MINRES tolerance of an iteration), its iteration cap, and its stop
+# on a small update, max|delta| <= NEWTON_STEP_TOL * max(1, max|x|)
 MINRES_MAX_ITER = 200
 FORCING_MAX = 0.1
-# Newton loops: iteration cap, and the implicit step's stop on its update,
-# max|delta| <= NEWTON_STEP_TOL * max(1, max|u|)
 NEWTON_MAX_ITER = 50
 NEWTON_STEP_TOL = 1e-10
 
@@ -177,6 +178,42 @@ def minres(apply_H, solve_P, b, rtol):
         if phibar <= rtol * beta1:
             return x, it
     return None, MINRES_MAX_ITER
+
+
+def newton(op, pot, x, evaluation, residual, jacobian, rtol):
+    """Inexact Newton from the state x and its (E, g) evaluation:
+    (x, evaluation, converged, krylov), krylov the MINRES iterations of
+    every solve.  residual(x, evaluation), called once per iterate, gives
+    (-R, |R|); jacobian(H), at the energy Hessian H of x, gives (apply_J,
+    solve_P, lift), lift mapping the solution z of J z = -R to the update.
+    Each solve is ``minres`` to min(FORCING_MAX, |R|), which keeps the
+    convergence quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+    Anal. 19 (1982)).  It accepts when |R| <= rtol or, as at the rounding
+    floor of R, when max|delta| <= NEWTON_STEP_TOL * max(1, max|x|); a
+    start with |R| <= rtol makes no solve.  A MINRES miss, a non-finite
+    update, |R| > 1e3 (|R_0| + 1) or NEWTON_MAX_ITER updates end it
+    unconverged at the last iterate.
+    """
+    neg_r, rnorm = residual(x, evaluation)
+    guard = 1e3 * (rnorm + 1.0)
+    krylov = []
+    for _ in range(NEWTON_MAX_ITER):
+        if rnorm <= rtol:
+            return x, evaluation, True, krylov
+        apply_J, solve_P, lift = jacobian(energy_hessian(op.grid, pot, x, op.alpha, op.beta))
+        z, its = minres(apply_J, solve_P, neg_r, min(FORCING_MAX, rnorm))
+        krylov.append(its)
+        delta = None if z is None else lift(z)
+        if delta is None or not np.all(np.isfinite(delta)):
+            return x, evaluation, False, krylov
+        x = x + delta
+        evaluation = energy_and_gradient(op.grid, pot, x, op.alpha, op.beta)
+        neg_r, rnorm = residual(x, evaluation)
+        if not rnorm <= guard:
+            return x, evaluation, False, krylov
+        if np.max(np.abs(delta)) <= NEWTON_STEP_TOL * max(1.0, np.max(np.abs(x))):
+            return x, evaluation, True, krylov
+    return x, evaluation, rnorm <= rtol, krylov
 
 
 class WentzellOperator:

@@ -26,10 +26,9 @@ from enum import Enum
 import numpy as np
 
 from .analysis import SpectralReport, classify
-from .energy import energy_and_gradient, energy_hessian, residual_norms
+from .energy import energy_and_gradient, residual_norms
 from .grid import dot, load_field, save_field
-from .operators import (FORCING_MAX, NEWTON_MAX_ITER, diag_rows, factor_x_invariant,
-                        level_rows, minres)
+from .operators import diag_rows, factor_x_invariant, level_rows, newton
 
 
 # find_equilibrium: cap on L-BFGS steps plus saddle kicks; minimize_energy:
@@ -163,54 +162,40 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD, *,
 
     Requires the start to be inside a Newton basin (gradient norm below
     basin_threshold).  The Jacobian is the energy Hessian H: bulk rows
-    -Lap + f'(u), wall rows the discrete trace operator.  Each step solves
-    H delta = -g by ``operators.minres`` preconditioned with the band factor of
-    ``_preconditioner``, which precond holds when the caller made it and is
-    otherwise made once per call; MINRES takes the indefinite H
-    of a saddle as well.  Its relative tolerance is the forcing term
-    min(FORCING_MAX, residual), which keeps the convergence quadratic
-    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982)).  The
-    residual history and the MINRES iterations of each step are recorded.
-    A MINRES that misses its tolerance (a singular or near-singular H), or a
-    non-finite update, stops the iteration unconverged at the last iterate;
-    the caller's ``analysis.spectrum`` counts the kernel.  evaluation is the
-    (E, g) of u_init when the caller holds it.  Returns an
-    EquilibriumSolution whose .psi is the last iterate, an array.
+    -Lap + f'(u), wall rows the discrete trace operator.  ``operators.newton``
+    solves each step H delta = -g by MINRES preconditioned with the band
+    factor of ``_preconditioner``, which precond holds when the caller made
+    it and is otherwise made once per call; MINRES takes the indefinite H
+    of a saddle as well.  It stops when the residual is at most tol, which
+    alone is .converged, or when an update is small (at the residual's
+    rounding floor).  A MINRES miss (a singular or near-singular H), a
+    non-finite update or a diverging residual stops it unconverged at the
+    last iterate; the caller's ``analysis.spectrum`` counts the kernel.
+    The residual history and the MINRES iterations of each update are
+    recorded.  evaluation is the (E, g) of u_init when the caller holds it.
+    Returns an EquilibriumSolution whose .psi is the last iterate, an array.
     """
-    grid, alpha, beta = op.grid, op.alpha, op.beta
+    grid = op.grid
     x = np.array(u_init, dtype=float)
     if evaluation is None:
-        evaluation = energy_and_gradient(grid, pot, x, alpha, beta)
-    e, g = evaluation
-    bulk_res, bdry_res = residual_norms(grid, g)
-    res = math.hypot(bulk_res, bdry_res)
+        evaluation = energy_and_gradient(grid, pot, x, op.alpha, op.beta)
+    res = math.hypot(*residual_norms(grid, evaluation[1]))
     if res > basin_threshold:
         raise ValueError(
             f"newton_refine start residual {res:.3e} above basin threshold "
             f"{basin_threshold:.1e}; minimize first"
         )
-    hist = [res]
-    krylov = []
-    iters = 0
-    converged = res <= tol
-    P = precond
-    if P is None and not converged:
-        P = _preconditioner(op)
-    while not converged and iters < NEWTON_MAX_ITER:
-        H = energy_hessian(grid, pot, x, alpha, beta)
-        delta, its = minres(lambda v: H @ v, P.solve, -g, min(FORCING_MAX, res))
-        if delta is None or not np.all(np.isfinite(delta)):
-            break
-        krylov.append(its)
-        x = x + delta
-        e, g = energy_and_gradient(grid, pot, x, alpha, beta)
-        bulk_res, bdry_res = residual_norms(grid, g)
-        res = math.hypot(bulk_res, bdry_res)
-        hist.append(res)
-        iters += 1
-        converged = res <= tol
-        if res > 1e3 * (hist[0] + 1.0):
-            break  # diverging; caller should descend first
+    P = precond if precond is not None or res <= tol else _preconditioner(op)
+    hist = []
+
+    def residual(v, ev):
+        hist.append(math.hypot(*residual_norms(grid, ev[1])))
+        return -ev[1], hist[-1]
+
+    x, (e, g), _, krylov = newton(op, pot, x, evaluation, residual,
+                                  lambda H: ((lambda v: H @ v), P.solve, lambda z: z), tol)
+    bulk_res, bdry_res = residual_norms(grid, g)
+    iters = len(hist) - 1
     return EquilibriumSolution(
         psi=x,
         energy=e,
@@ -218,9 +203,9 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD, *,
         bdry_res=bdry_res,
         method=SolveMethod.NEWTON_ONLY,
         newton_iters=iters,
-        converged=converged,
+        converged=hist[-1] <= tol,
         residual_history=hist,
-        krylov_iters=krylov,
+        krylov_iters=krylov[:iters],
     )
 
 

@@ -589,15 +589,17 @@ def test_cli_simulate_constant_zero(tmp_path, capsys):
     assert all(abs(e - 0.25) <= 1e-12 for e in etotal)
 
 
-def _manifest_hashing_every_file(out):
-    """out/manifest.json, checked to list every other file below out with its sha256."""
+def _manifest_hashing_every_file(out, foreign=frozenset()):
+    """out/manifest.json, checked to list every other file below out with its
+    sha256, but the files in foreign: they are on disk and not listed."""
     manifest = json.loads((out / "manifest.json").read_text())
     on_disk = set()
     for root, _, names in os.walk(out):
         for n in names:
             if n not in ("manifest.json", ".lock"):
                 on_disk.add(os.path.relpath(os.path.join(root, n), out))
-    assert set(manifest["artifacts"]) == on_disk
+    assert foreign <= on_disk
+    assert set(manifest["artifacts"]) == on_disk - foreign
     for rel, digest in manifest["artifacts"].items():
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest
     return manifest
@@ -625,8 +627,8 @@ def test_cli_simulate_artifacts_and_manifest(tmp_path):
 def test_cli_rerun_keeps_no_file_of_the_earlier_run(tmp_path):
     # a rerun at twice the step writes fewer snapshots under other names and,
     # without plots, no energy.svg; what the first run and its analysis wrote
-    # is gone, a file of the user's is not, and the directory holds what a
-    # fresh run of the second config holds
+    # is gone, a file of the user's is not but is no artifact of the run, and
+    # the directory holds what a fresh run of the second config holds
     out, fresh, eq = tmp_path / "o", tmp_path / "fresh", tmp_path / "eq"
     assert main(["simulate", write_config(tmp_path, BASE_CONFIG.format(out=out), "a.ini")]) == 0
     assert main(["equilibrium", write_config(tmp_path, BASE_CONFIG.format(out=eq), "e.ini")]) == 0
@@ -638,8 +640,8 @@ def test_cli_rerun_keeps_no_file_of_the_earlier_run(tmp_path):
         "snapshot_stride = 5", "snapshot_stride = 5\nplots = false")
     for o, name in ((out, "b.ini"), (fresh, "c.ini")):
         assert main(["simulate", write_config(tmp_path, second.format(out=o), name)]) == 0
-    assert set(_manifest_hashing_every_file(out)["artifacts"]) == (
-        set(_manifest_hashing_every_file(fresh)["artifacts"]) | {"notes.txt"})
+    assert set(_manifest_hashing_every_file(out, foreign={"notes.txt"})["artifacts"]) == (
+        set(_manifest_hashing_every_file(fresh)["artifacts"]))
     assert len(list((out / "snapshots").iterdir())) == 3
     assert (out / "notes.txt").read_text() == "kept"
 
@@ -1113,9 +1115,9 @@ def test_cli_check_passes(tmp_path, capsys):
 def test_cli_guard_abort_exit_code(tmp_path, capsys, monkeypatch):
     # an aborting run still writes artifacts and returns the guard exit code;
     # two Newton iterations make no update small enough at dt or dt / 2
-    import chwall.evolution as evo
+    import chwall.operators as operators
 
-    monkeypatch.setattr(evo, "NEWTON_MAX_ITER", 2)
+    monkeypatch.setattr(operators, "NEWTON_MAX_ITER", 2)
     text = BASE_CONFIG.format(out=tmp_path / "ab")
     text = text.replace("dt = 1e-3", "dt = 1e-3\nscheme = newton\ndt_min = 5e-4")
     rc = main(["simulate", write_config(tmp_path, text, "ab.ini")])

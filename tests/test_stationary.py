@@ -289,12 +289,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 def _singular_jacobians(monkeypatch):
     """Make every Newton step's MINRES fail, as on an exactly singular Jacobian."""
-    import chwall.stationary as stationary
-
     def minres(apply_H, solve_P, b, rtol):
         return None, operators.MINRES_MAX_ITER
 
-    monkeypatch.setattr(stationary, "minres", minres)
+    monkeypatch.setattr(operators, "minres", minres)
 
 
 def _dense_kernel_dim(g, H, kernel_tol):
@@ -454,8 +452,6 @@ def test_minres_solves_an_indefinite_hessian(tall_strip, pot):
 
 
 def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeypatch):
-    import chwall.stationary as stationary
-
     g, op = tall_strip
     start = minimize_energy(op, pot, _off_saddle(g), tol=1e-3).field
     full = newton_refine(op, pot, start, tol=1e-12)
@@ -467,7 +463,7 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
         return (minres(apply_H, solve_P, b, rtol) if len(calls) == 1
                 else (None, operators.MINRES_MAX_ITER))
 
-    monkeypatch.setattr(stationary, "minres", second_fails)
+    monkeypatch.setattr(operators, "minres", second_fails)
     sol = newton_refine(op, pot, start, tol=1e-12)
     assert not sol.converged and sol.newton_iters == 1
     assert sol.krylov_iters == full.krylov_iters[:1]
@@ -475,11 +471,41 @@ def test_failed_minres_stops_newton_at_the_last_iterate(tall_strip, pot, monkeyp
     assert (sol.bulk_res, sol.bdry_res) == residual_norms(
         g, energy_and_gradient(g, pot, sol.psi, 1.0, 1.0)[1])
     # a MINRES that cannot reach its tolerance in its iteration cap misses
-    monkeypatch.setattr(stationary, "minres", minres)
+    monkeypatch.setattr(operators, "minres", minres)
     monkeypatch.setattr(operators, "MINRES_MAX_ITER", 1)
     sol = newton_refine(op, pot, start, tol=1e-12)
     assert not sol.converged and sol.newton_iters == 0 and sol.krylov_iters == []
     assert np.array_equal(sol.psi, start)
+
+
+def test_newton_refine_stops_at_its_rounding_floor(tall_strip, pot):
+    # no iterate reaches a residual of 1e-16: the stop on a small update ends
+    # the iteration in a few steps, not NEWTON_MAX_ITER, and the solve
+    # reports itself unconverged
+    g, op = tall_strip
+    start = minimize_energy(op, pot, _off_saddle(g), tol=1e-3).field
+    sol = newton_refine(op, pot, start, tol=1e-16)
+    assert not sol.converged and sol.newton_iters <= 5
+    assert sol.residual_history[-1] <= 1e-12
+
+
+def test_step_and_refinement_solve_through_one_minres(tall_strip, pot, monkeypatch):
+    # the implicit step and the stationary refinement both iterate in
+    # operators.newton, so one patch of operators.minres reaches both
+    g, op = tall_strip
+    minres, calls = operators.minres, []
+
+    def counted(*args):
+        calls.append(1)
+        return minres(*args)
+
+    monkeypatch.setattr(operators, "minres", counted)
+    start = minimize_energy(op, pot, _off_saddle(g), tol=1e-3).field
+    sol = newton_refine(op, pot, start)
+    assert len(calls) == len(sol.krylov_iters) >= 1
+    calls.clear()
+    rec = evolve(op, pot, start, RunConfig(scheme="newton", dt=1e-3, t_end=1e-3))
+    assert len(calls) == rec.newton_iters >= 1
 
 
 def test_equilibrium_records_krylov_iterations(workload48, tmp_path, pot):
