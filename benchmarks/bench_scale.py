@@ -14,22 +14,28 @@ of the e2ebench ``large_grid`` run), it times:
   public names only (so the script also times older checkouts), beside
   its work from the run's record: ``newton_step_solves`` Jacobian solves
   (``newton_iters``) and ``newton_step_krylov_iters`` MINRES iterations
-  (``krylov_iters``);
+  (``krylov_iters``).
 
-each the best of ``--repeat`` calls after one warm-up call.  It records
+Each figure but ``newton_step_s`` is the best of ``--repeat`` calls after
+one warm-up call.  ``newton_step_s`` is the median and quartiles of
+``--repeat`` samples (at least 2), as in ``bench_step.py``: after one
+warm-up round, the grid sizes take their steps in turn, one sample each
+per round, so a slow spell of a shared machine falls on every size
+rather than on one.  It records
 ``assembly_factor_peak_kb`` and ``save_field_peak_kb``, the tracemalloc
 peaks of one factorization call and of one ``save_field`` above what was
 allocated before it.  The grid's forms are assembled before any timing.
 It writes the numbers and the platform to ``BENCH_scale.json`` at the
 repo root.
 
-    PYTHONPATH=src python3 benchmarks/bench_scale.py [--repeat 5] [--out PATH]
+    PYTHONPATH=src python3 benchmarks/bench_scale.py [--repeat 15] [--out PATH]
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import tempfile
 import time
 import tracemalloc
@@ -57,6 +63,23 @@ def _best_of(repeat, call):
     return best
 
 
+def _alternating_quartiles(repeat, calls):
+    """Median and quartiles of each of calls' times, the calls taken in turn
+    for repeat rounds after one warm-up round."""
+    samples = {name: [] for name in calls}
+    for round_ in range(repeat + 1):
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            if round_:
+                samples[name].append(time.perf_counter() - t0)
+    out = {}
+    for name, times in samples.items():
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out[name] = {"median": median, "q1": q1, "q3": q3}
+    return out
+
+
 def _factor(op):
     return evolution._semi_system(op, DT, S, evolution._StepFactors())
 
@@ -72,10 +95,12 @@ def _peak_kb(call):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=15)
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_scale.json"))
     args = parser.parse_args(argv)
-    cases = {}
+    if args.repeat < 2:
+        parser.error("--repeat must be at least 2: the quartiles need two samples")
+    cases, steps = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "snap.csv")
         for n in SIZES:
@@ -87,7 +112,8 @@ def main(argv=None):
             u0 = 0.1 * np.cos(2 * np.pi * grid.x) + 0.05
             step = RunConfig(scheme="newton", dt=DT, t_end=DT, stabilization_S=S)
             rec = evolution.evolve(op, pot, u0, step)
-            cases[f"{n}x{n}"] = {
+            name = f"{n}x{n}"
+            cases[name] = {
                 "n_nodes": grid.n_nodes,
                 "assembly_factor_s": _best_of(args.repeat, lambda: _factor(op)),
                 "assembly_factor_peak_kb": _peak_kb(lambda: _factor(op)),
@@ -95,14 +121,19 @@ def main(argv=None):
                 "template_s": _best_of(args.repeat, lambda: _snapshot_template(grid)),
                 "save_field_s": _best_of(args.repeat, lambda: save_field(grid, rhs, path)),
                 "save_field_peak_kb": _peak_kb(lambda: save_field(grid, rhs, path)),
-                "newton_step_s": _best_of(args.repeat,
-                                          lambda: evolution.evolve(op, pot, u0, step)),
                 "newton_step_solves": rec.newton_iters,
                 "newton_step_krylov_iters": rec.krylov_iters,
             }
-            print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
+            steps[name] = (lambda op=op, pot=pot, u0=u0, step=step:
+                           evolution.evolve(op, pot, u0, step))
+            print(name, json.dumps(cases[name]))
+    for name, quartiles in _alternating_quartiles(args.repeat, steps).items():
+        cases[name]["newton_step_s"] = quartiles
+        print(name, "newton_step_s", json.dumps(quartiles))
     result = {
-        "timing": f"best of {args.repeat} calls after one warm-up, seconds",
+        "timing": (f"best of {args.repeat} calls after one warm-up, seconds; newton_step_s: "
+                   f"median and quartiles of {args.repeat} alternating rounds after one "
+                   "warm-up round"),
         "platform": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__, "machine": platform.machine(),
                      "cpus": os.cpu_count()},

@@ -1,24 +1,28 @@
 """Time the spectral layer and the Newton solve of the stationary states.
 
-Four states, each paired with the metric W = h_weights(1) of the Hessian:
+Five states, each paired with the metric W = h_weights(1) of the Hessian:
 
 - ``equilibrium48``: the equilibrium that ``chwall equilibrium`` finds for
   the e2ebench ``equilibrium`` workload (48x48 strip, Lx = Ly = 8,
-  random_fourier data of amplitude 0.5, seed 1501);
+  random_fourier data of amplitude 0.5, seed 1501), an x-invariant minimum;
 - ``constant32`` and ``constant128``: the constant state 0.05 on the unit
   square strip at 32x32 and 128x128 (the reference run's equilibrium);
 - ``saddle24``: the zero state on the 24x24 strip with Lx = Ly = 8, a
   saddle, where ``spectrum`` cannot stop at the inertia count of a clear
-  minimum and takes its full path.
+  minimum and takes its full path;
+- ``cosine32``: 0.05 + 0.3 cos(2 pi x) cos(pi y) on the unit square strip
+  at 32x32, a minimum whose f'(u) varies along x, so that ``classify``
+  takes the sparse path of ``spectrum`` there and the mode-by-mode path at
+  the other four.
 
-For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6 and
-``spectrum`` at k = 6, each as the median and quartiles of ``--repeat``
-calls after one warm-up call (``--repeat`` at least 2), and counts the
-LDL^T factorizations and Lanczos runs (plain and shift-invert) of one
-``spectrum`` call.  For
-``equilibrium48`` it also times the ``find_equilibrium`` call that finds
-the state and counts its sparse LU (``splu``) calls; the solve includes
-the classification of the state, which makes its one LDL^T.
+For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6,
+``spectrum`` at k = 6 and ``analysis.classify`` at kernel_tol 1e-8, each
+as the median and quartiles of ``--repeat`` calls after one warm-up call
+(``--repeat`` at least 2), and counts the LDL^T factorizations and Lanczos
+runs (plain and shift-invert) of one ``spectrum`` call and of one
+``classify`` call.  For ``equilibrium48`` it also times the
+``find_equilibrium`` call that finds the state and counts its sparse LU
+(``splu``) calls; the solve includes the classification of the state.
 ``saddle_start24`` times ``find_equilibrium`` from the zero saddle of
 ``saddle24``, the start that must kick, with its kicks, the energy it ends
 at, and its LDL^T factorizations and Lanczos runs.  ``newton128`` times
@@ -44,7 +48,7 @@ import scipy
 import scipy.sparse.linalg as spla
 
 import chwall.analysis as analysis
-from chwall.analysis import lowest_eigenpairs, spectrum, weighted_symmetric
+from chwall.analysis import classify, lowest_eigenpairs, spectrum, weighted_symmetric
 from chwall.cli import build_problem, make_initial
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
@@ -54,20 +58,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _states(repeat):
-    """(name, grid, Hessian, extra figures) of each benchmarked state."""
+    """(name, operator, potential, state, extra figures) of each benchmarked state."""
     grid, pot, op, u0 = _random_data(48)
     counts = _CallCounter(spla, "splu")
     psi = find_equilibrium(op, pot, u0).psi
     extra = {"find_equilibrium_splu_calls": counts.pop(),
              "find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
-    yield "equilibrium48", grid, energy_hessian(grid, pot, psi, op.alpha, op.beta), extra
+    yield "equilibrium48", op, pot, psi, extra
     for n in (32, 128):
         grid, pot, op = build_problem(RunConfig(nx=n, ny=n))
-        u = np.full(grid.n_nodes, 0.05)
-        yield f"constant{n}", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
+        yield f"constant{n}", op, pot, np.full(grid.n_nodes, 0.05), {}
     grid, pot, op = build_problem(RunConfig(Lx=8.0, Ly=8.0, nx=24, ny=24))
-    u = np.zeros(grid.n_nodes)
-    yield "saddle24", grid, energy_hessian(grid, pot, u, op.alpha, op.beta), {}
+    yield "saddle24", op, pot, np.zeros(grid.n_nodes), {}
+    grid, pot, op = build_problem(RunConfig(nx=32, ny=32))
+    yield "cosine32", op, pot, 0.05 + 0.3 * np.cos(2 * np.pi * grid.x) * np.cos(np.pi * grid.y), {}
 
 
 def _random_data(n):
@@ -111,24 +115,20 @@ def _saddle_start(repeat):
     """``find_equilibrium`` from the zero saddle of the 24x24 strip, Lx = Ly = 8."""
     grid, pot, op = build_problem(RunConfig(Lx=8.0, Ly=8.0, nx=24, ny=24))
     u0 = np.zeros(grid.n_nodes)
-    ldl, lanczos = _CallCounter(analysis, "_shifted_ldl"), _CallCounter(spla, "eigsh")
-    try:
-        sol = find_equilibrium(op, pot, u0)
-    finally:
-        counts = {"ldl_factorizations": ldl.pop(), "lanczos_runs": lanczos.pop()}
+    sol, counts = _spectral_calls(lambda: find_equilibrium(op, pot, u0))
     return {"n_nodes": grid.n_nodes, "converged": sol.converged,
             "kicks": getattr(sol, "kicks", None), "energy": sol.energy, **counts,
             "find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
 
 
-def _spectrum_calls(grid, H):
-    """The LDL^T factorizations and Lanczos runs of one ``spectrum(grid, H, k=6)``."""
+def _spectral_calls(call):
+    """(call(), its LDL^T factorizations and Lanczos runs)."""
     ldl, lanczos = _CallCounter(analysis, "_shifted_ldl"), _CallCounter(spla, "eigsh")
     try:
-        spectrum(grid, H, k=6)
+        result = call()
     finally:
         counts = {"ldl_factorizations": ldl.pop(), "lanczos_runs": lanczos.pop()}
-    return counts
+    return result, counts
 
 
 def _quartiles(repeat, call):
@@ -151,16 +151,23 @@ def main(argv=None):
     if args.repeat < 2:
         parser.error("--repeat must be at least 2: the quartiles need two samples")
     cases = {}
-    for name, grid, H, extra in _states(args.repeat):
+    for name, op, pot, psi, extra in _states(args.repeat):
+        grid = op.grid
+        H = energy_hessian(grid, pot, psi, op.alpha, op.beta)
         At, rw = weighted_symmetric(H, grid.h_weights(1.0))
         lam, _ = lowest_eigenpairs(At, rw, 1)
+        _, spectrum_calls = _spectral_calls(lambda: spectrum(grid, H, k=6))
+        (_, kind), classify_calls = _spectral_calls(lambda: classify(op, pot, psi, 1e-8))
         cases[name] = {
             "n_nodes": grid.n_nodes,
             "lambda_min": float(lam[0]),
             "lowest_eigenpairs_k1_s": _quartiles(args.repeat, lambda: lowest_eigenpairs(At, rw, 1)),
             "lowest_eigenpairs_k6_s": _quartiles(args.repeat, lambda: lowest_eigenpairs(At, rw, 6)),
             "spectrum_k6_s": _quartiles(args.repeat, lambda: spectrum(grid, H, k=6)),
-            **_spectrum_calls(grid, H),
+            **spectrum_calls,
+            "classify_s": _quartiles(args.repeat, lambda: classify(op, pot, psi, 1e-8)),
+            "classify_kind": kind,
+            **{f"classify_{key}": count for key, count in classify_calls.items()},
             **extra,
         }
         print(name, json.dumps(cases[name]))

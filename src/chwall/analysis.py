@@ -8,19 +8,34 @@ symmetric matrix paired with the diagonal product-space weights W, so
 weighted self-adjointness holds to rounding and spectra are computed from
 the symmetric pencil (Hessian, W).
 
+``classify`` reads that spectrum in one of two ways.  When f'(psi) is
+constant along each level up to a variation delta below the counts'
+tolerance, as at the x-invariant wall profiles that the strip's solves end
+at, the Hessian is its x-invariant part plus a perturbation of norm delta:
+``ModeSpectrum`` splits that part into one tridiagonal problem per x-mode,
+Weyl's inequality carries its counts over to the Hessian, and Rayleigh-
+Ritz on the mode fields gives the Hessian's own eigenpairs, with no sparse
+factorization.  Otherwise, or when an eigenvalue lies within the gate
+around the tolerance, ``spectrum`` counts by the Sylvester inertia of a
+sparse LDL^T and computes eigenpairs by shift-invert Lanczos.
+
 The probe fits the exponent theta in  residual >= |E(u) - E(psi)|^(1-theta)
 from trajectory samples by regressing log(residual) on log(gap); near a
 nondegenerate minimum the slope is 1/2, i.e. theta = 1/2.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
 
 from .energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
-from .operators import v_norm
+from .grid import dot
+from .operators import diag_rows, level_rows, level_symbols, v_norm
 
 
 # ls_probe: the fewest samples it fits, and the energy gap (relative to
@@ -32,6 +47,9 @@ MONOTONE_TOL = 1e-6
 # lowest_eigenpairs: the shift's distance below the disc floor, relative to
 # the disc spread top - floor
 SHIFT_MARGIN = 1e-6
+# classify: the distance from +-tol, relative to max|lambda|, within which a
+# mode eigenvalue counts as at the gate even for an x-invariant Hessian
+GATE_ROUNDING = 1e-12
 
 
 @dataclass
@@ -241,10 +259,218 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     )
 
 
+class ModeSpectrum:
+    """The spectrum of the pencil (M, W) of an x-invariant symmetric M, mode by mode.
+
+    M commutes with x-shifts and couples only neighbouring levels, as the
+    energy Hessian of an x-invariant state and K_A do; W is diagonal and
+    constant along each level.  A real FFT in x then splits the pencil into
+    nx//2 + 1 symmetric tridiagonal problems, one per x-mode k, in the
+    W^-1/2 M W^-1/2 form: d[k] its diagonal and e[k] its off-diagonal.
+    values[k] holds the ny eigenvalues of mode k, ascending, each with
+    multiplicity[k] in the whole spectrum: 1 for k = 0 and k = nx/2, whose
+    fields are a cosine in x, and 2 otherwise, a cosine and a sine field.
+    The values are computed on first use (``scipy.linalg.
+    eigvalsh_tridiagonal``, one call per mode), so ``disc_bound`` can
+    decide before them.
+    """
+
+    def __init__(self, grid, rows, w):
+        """rows = M[operators.level_rows(grid)], w = W's diagonal on those rows."""
+        symbol = level_symbols(grid, rows)
+        scale = np.max(np.abs(symbol))
+        if np.any(symbol[:, [0, 4], :]) or (np.max(np.abs(symbol[:-1, 3] - symbol[1:, 1]))
+                                            > 1e-12 * scale):
+            raise ValueError("matrix is not symmetric tridiagonal in the levels")
+        self.grid = grid
+        self.rw = 1.0 / np.sqrt(w)
+        self.d = (symbol[:, 2, :] * self.rw[:, None] ** 2).T
+        self.e = (symbol[:-1, 3, :] * (self.rw[:-1] * self.rw[1:])[:, None]).T
+        self.multiplicity = np.full(len(self.d), 2)
+        self.multiplicity[0] = 1
+        if grid.nx % 2 == 0:
+            self.multiplicity[-1] = 1
+
+    @cached_property
+    def values(self):
+        return np.array([eigvalsh_tridiagonal(d, e) for d, e in zip(self.d, self.e)])
+
+    def disc_bound(self):
+        """A Gershgorin bound on max|lambda|, read before any eigenvalue."""
+        radius = np.abs(self.d)
+        radius[:, :-1] += np.abs(self.e)
+        radius[:, 1:] += np.abs(self.e)
+        return float(radius.max())
+
+    def vectors(self, k, lo, hi):
+        """The W-orthonormal fields of mode k's eigenvalues lo..hi (by index):
+        for each, its cosine field and, in a double mode, its sine field."""
+        nx = self.grid.nx
+        _, phi = eigh_tridiagonal(self.d[k], self.e[k], select="i", select_range=(lo, hi))
+        x = 2.0 * np.pi * k * np.arange(nx) / nx
+        waves = [np.cos(x), np.sin(x)][:self.multiplicity[k]]
+        waves = np.sqrt(self.multiplicity[k] / nx) * np.array(waves)
+        levels = self.rw[:, None] * phi
+        return np.array([np.outer(p, wave).ravel() for p in levels.T for wave in waves])
+
+    def solve(self, theta, r):
+        """The field t with (M - theta W) t = r: every mode's tridiagonal
+        system in one banded solve.  LinAlgError when one is singular."""
+        nx, ny = self.grid.nx, self.grid.ny
+        off = np.zeros(self.d.shape)
+        off[:, :-1] = self.e
+        off = off.ravel()[:-1]  # no coupling between modes
+        ab = np.zeros((3, self.d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = off, (self.d - theta).ravel(), off
+        modes = np.fft.rfft(np.reshape(r, (ny, nx)), axis=1).T * self.rw
+        t = solve_banded((1, 1), ab, modes.ravel()).reshape(modes.shape) * self.rw
+        return np.fft.irfft(t.T, n=nx, axis=1).ravel()
+
+
+def _ritz(K, curvature, w, basis):
+    """Rayleigh-Ritz pairs of the pencil (K + diag(curvature), W) on the span
+    of basis's rows: (values ascending, W-orthonormal fields as rows)."""
+    Hb = (K @ basis.T).T + curvature * basis
+    m = len(basis)
+    A, G = np.empty((m, m)), np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            A[i, j] = A[j, i] = dot(basis[i], Hb[j])
+            G[i, j] = G[j, i] = dot(w * basis[i], basis[j])
+    theta, C = eigh(A, G)
+    return theta, C.T @ basis
+
+
+def _w_orthonormal(fields, w):
+    """Gram-Schmidt in the W inner product, twice over."""
+    out = []
+    for v in fields:
+        for _ in range(2):
+            for q in out:
+                v = v - dot(w * q, v) * q
+        out.append(v / math.sqrt(dot(w * v, v)))
+    return np.array(out)
+
+
+def _corrected(modes, K, curvature, w, theta, X, i, nudge):
+    """Ritz vector X[i] plus its first-order correction -(Hb - theta_i W)^-1 r,
+    r its residual outside the window, with the window's part of the
+    solution taken out.  The solve ``modes.solve`` is made at theta_i -
+    nudge: a Ritz value can equal a window eigenvalue of Hb to rounding (a
+    k = 0 mode moves only at second order), where Hb - theta_i W is
+    singular.  X[i] itself when the solve fails."""
+    x = X[i]
+    r = K @ x + (curvature - theta[i] * w) * x
+    r -= w * (X.T @ np.array([dot(q, r) for q in X]))
+    try:
+        t = modes.solve(theta[i] - nudge, r)
+    except LinAlgError:
+        return x
+    if not np.all(np.isfinite(t)):
+        return x
+    return x - (t - X.T @ np.array([dot(w * q, t) for q in X]))
+
+
+def _mode_report(op, pot, psi, k, kernel_tol):
+    """The SpectralReport of psi from the x-invariant part of its Hessian, or
+    None when that part cannot stand in for the Hessian.
+
+    H = K_lin + diag(M_bulk f'(psi)) differs from Hb = K_lin + diag(M_bulk
+    c), c the per-level mean of f'(psi), by a diagonal whose weighted norm
+    is delta = max over bulk nodes of |f'(psi) - c|, so by Weyl no
+    eigenvalue moves by more than delta, and tol = kernel_tol *
+    max(lambda_max, -lambda_min) by at most kernel_tol * delta.  Hb commutes
+    with x-shifts, and ``ModeSpectrum`` gives its whole spectrum.  When
+    delta <= tol and no eigenvalue of Hb lies within (1 + kernel_tol) delta
+    (plus GATE_ROUNDING of max|lambda|) of +-tol, Hb's counts below -tol
+    and within tol are H's.  The window is the union of the k lowest and
+    the k smallest-magnitude eigenvalues and the kernel, completed by every
+    mode eigenvalue within sqrt(delta * max|lambda|) of one of them; its
+    fields span an invariant subspace of Hb, and the Rayleigh-Ritz values
+    of H on it are off H's by at most delta^2 / sqrt(delta max|lambda|)
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 11).  Off a
+    clear minimum, each returned Ritz vector x gets its first-order
+    correction -(Hb - theta W)^-1 r from its residual r outside the window,
+    one banded solve at a shift within 2 delta (plus rounding) of theta,
+    which leaves a residual of order delta^2.  A window
+    whose Ritz values disagree with the counts raises RuntimeError.
+    """
+    grid = op.grid
+    nx, ny = grid.nx, grid.ny
+    w = grid.h_weights(1.0)
+    rows = level_rows(grid)
+    fp = pot.f_prime(psi)
+    levels = fp.reshape(ny, nx)
+    c = levels.mean(axis=1)
+    delta = float(np.max(np.abs(levels - c[:, None])[grid.bulk_weights[rows] > 0]))
+    K = grid.forms.k_lin(op.alpha, op.beta)
+    modes = ModeSpectrum(
+        grid, K[rows] + diag_rows(grid.forms.bulk_mass * np.repeat(c, nx), rows), w[rows])
+    if delta > kernel_tol * modes.disc_bound():  # delta > tol, before any eigenvalue
+        return None
+    mu, mult = modes.values, modes.multiplicity[:, None]
+    scale = max(float(mu.max()), -float(mu.min()))
+    tol = kernel_tol * scale
+    margin = (1.0 + kernel_tol) * delta + GATE_ROUNDING * scale
+    if delta > tol or np.any(np.abs(np.abs(mu) - tol) <= margin):
+        return None
+    n_negative = int(np.sum(mult * (mu < -tol)))
+    kernel_dim = int(np.sum(mult * (np.abs(mu) <= tol)))
+    # the window: the k lowest, the k smallest in magnitude (counted with
+    # multiplicity) and the kernel, then every eigenvalue near one of them
+    flat = mu.ravel()
+    copies = np.repeat(np.arange(flat.size), np.broadcast_to(mult, mu.shape).ravel())
+    chosen = np.abs(flat) <= tol
+    chosen[copies[np.argsort(flat[copies], kind="stable")[:k]]] = True
+    chosen[copies[np.argsort(np.abs(flat[copies]), kind="stable")[:k]]] = True
+    picked = np.sort(flat[chosen])
+    after = np.minimum(np.searchsorted(picked, flat), picked.size - 1)
+    near = np.minimum(np.abs(flat - picked[after]), np.abs(flat - picked[np.maximum(after - 1, 0)]))
+    chosen = (near <= math.sqrt(delta * scale)).reshape(mu.shape)
+    fields = []
+    for m in np.flatnonzero(chosen.any(axis=1)):
+        index = np.flatnonzero(chosen[m])
+        chosen[m, index[0]:index[-1] + 1] = True
+        fields.append(modes.vectors(m, index[0], index[-1]))
+    curvature = grid.forms.bulk_mass * fp
+    theta, X = _ritz(K, curvature, w, np.vstack(fields))
+    neg, ker = theta < -tol, np.abs(theta) <= tol
+    window_negative = int(np.sum(mult * (chosen & (mu < -tol))))
+    if np.count_nonzero(neg) != window_negative or np.count_nonzero(ker) != kernel_dim:
+        raise RuntimeError(
+            f"Ritz window ({np.count_nonzero(neg)} negative, {np.count_nonzero(ker)} kernel) "
+            f"disagrees with the mode counts ({window_negative} negative, {kernel_dim} kernel)")
+    basis, lowest = np.empty((0, grid.n_nodes)), None
+    if n_negative or kernel_dim:
+        nudge = 2.0 * delta + GATE_ROUNDING * scale
+        corrected = {i: _corrected(modes, K, curvature, w, theta, X, i, nudge)
+                     for i in {0, *np.flatnonzero(ker)}}
+        lowest = _w_orthonormal([corrected[0]], w)[0]
+        if kernel_dim:
+            basis = _w_orthonormal([corrected[i] for i in np.flatnonzero(ker)], w)
+    return SpectralReport(
+        eigenvalues=_reported(theta, k),
+        kernel_dim=kernel_dim,
+        kernel_basis=basis,
+        lowest_vector=lowest,
+        n_negative=n_negative,
+        kernel_tol=kernel_tol,
+    )
+
+
 def classify(op, pot, psi, kernel_tol):
-    """Spectrum of the energy Hessian at psi, and its kind: minimum, saddle or degenerate."""
-    H = energy_hessian(op.grid, pot, psi, op.alpha, op.beta)
-    rep = spectrum(op.grid, H, k=min(6, op.grid.n_nodes), kernel_tol=kernel_tol)
+    """Spectrum of the energy Hessian at psi, and its kind: minimum, saddle or degenerate.
+
+    An x-invariant state, up to a variation of f'(psi) below the counts'
+    tolerance, is classified mode by mode (``_mode_report``), with no sparse
+    factorization or Lanczos run; any other, or one with an eigenvalue at
+    the gate, by ``spectrum``.
+    """
+    k = min(6, op.grid.n_nodes)
+    rep = _mode_report(op, pot, psi, k, kernel_tol)
+    if rep is None:
+        H = energy_hessian(op.grid, pot, psi, op.alpha, op.beta)
+        rep = spectrum(op.grid, H, k=k, kernel_tol=kernel_tol)
     if rep.kernel_dim > 0:
         return rep, "degenerate"
     return rep, "saddle" if rep.n_negative > 0 else "minimum"

@@ -346,8 +346,9 @@ def save_field(grid, u, path):
 
 
 def load_field(path, grid=None):
-    """Read a snapshot as a PairField; rebuilds the grid from the header
-    unless one is given, and refuses a file of any other grid.
+    """Read a snapshot as a PairField; builds the grid from the header
+    unless one is given, and refuses a file whose header names any other
+    grid (mode, Lx, Ly, nx, ny) than the one given.
 
     Raises ValueError unless the body lists every node of the grid exactly
     once (a truncated or duplicated file is refused, not half-filled) with
@@ -369,12 +370,13 @@ def load_field(path, grid=None):
                 f"{path}: grid of {node_count(mode, nx, ny)} nodes: at most "
                 f"{MAX_NODES} nodes are allowed"
             )
-        file_grid = build_grid(mode, Lx=Lx if Lx > 0 else None, Ly=Ly, nx=nx, ny=ny)
-        if grid is not None and grid != file_grid:
+        if grid is None:
+            grid = build_grid(mode, Lx=Lx if Lx > 0 else None, Ly=Ly, nx=nx, ny=ny)
+        elif (mode.lower(), Lx, Ly, nx, ny) != (grid.mode.value, grid.Lx, grid.Ly, grid.nx, grid.ny):
             raise ValueError(
-                f"{path}: snapshot grid {file_grid!r} does not match {grid!r}"
+                f"{path}: snapshot grid ({mode}, Lx={Lx}, Ly={Ly}, nx={nx}, ny={ny}) "
+                f"does not match {grid!r}"
             )
-        g = grid or file_grid
         fh.readline()  # column header
         try:
             body = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 4), ndmin=2)
@@ -382,12 +384,12 @@ def load_field(path, grid=None):
             raise ValueError(f"{path}: unreadable snapshot row: {exc}")
     i, j = body[:, 0], body[:, 1]
     valid = ((i % 1 == 0) & (j % 1 == 0)
-             & (0 <= i) & (i < g.nx) & (0 <= j) & (j < g.ny))
-    k = (j[valid] * g.nx + i[valid]).astype(int)
-    counts = np.bincount(k, minlength=g.n_nodes)
-    if len(body) != g.n_nodes or np.any(counts != 1):
+             & (0 <= i) & (i < grid.nx) & (0 <= j) & (j < grid.ny))
+    k = (j[valid] * grid.nx + i[valid]).astype(int)
+    counts = np.bincount(k, minlength=grid.n_nodes)
+    if len(body) != grid.n_nodes or np.any(counts != 1):
         raise ValueError(
-            f"{path}: {np.count_nonzero(counts == 0)} of {g.n_nodes} nodes missing, "
+            f"{path}: {np.count_nonzero(counts == 0)} of {grid.n_nodes} nodes missing, "
             f"{np.count_nonzero(counts > 1)} repeated, "
             f"{np.count_nonzero(~valid)} rows off the grid; every node must "
             "appear exactly once"
@@ -395,6 +397,6 @@ def load_field(path, grid=None):
     not_finite = np.count_nonzero(~np.isfinite(body[:, 2]))
     if not_finite:
         raise ValueError(f"{path}: {not_finite} values of u are not finite")
-    vals = np.empty(g.n_nodes)
+    vals = np.empty(grid.n_nodes)
     vals[k] = body[:, 2]
-    return PairField(g, vals)
+    return PairField(grid, vals)

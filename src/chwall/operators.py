@@ -16,9 +16,10 @@ Matrices that commute with x-shifts of the periodic strip (K_A and the
 semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
 in x splits them into one pentadiagonal system in y per Fourier mode.  It
 reads only their ny level rows (``level_rows``), which is all a caller
-assembles.  A Newton Jacobian varies in x through f'(u); ``newton``, the
-one Newton loop of the package, solves it by ``minres``, preconditioned
-with such band factors.
+assembles, through ``level_symbols``, which ``analysis.ModeSpectrum``
+also uses to read such a matrix's spectrum mode by mode.  A Newton
+Jacobian varies in x through f'(u); ``newton``, the one Newton loop of the
+package, solves it by ``minres``, preconditioned with such band factors.
 """
 
 import math
@@ -83,20 +84,19 @@ def diag_rows(d, rows):
     return sp.csr_matrix((d[rows], (np.arange(rows.size), rows)), shape=(rows.size, d.size))
 
 
-def factor_x_invariant(grid, rows):
-    """Factorize a sparse matrix on the grid that commutes with x-shifts.
+def level_symbols(grid, rows):
+    """The real Fourier symbols of a sparse matrix on the grid that commutes
+    with x-shifts: an array of shape (ny, 5, nx//2 + 1).
 
     rows is the (ny x n_nodes) sparse block of the matrix's level rows,
     M[level_rows(grid)]: row j holds the stencil of level j, an x-stencil
     for each of the levels j - 2 .. j + 2 it couples to, and by x-invariance
-    determines every other row of level j.  Only these rows are read, so
-    callers assemble only them.  The stencils must be symmetric in x, so
-    their Fourier symbols are real and each x-mode is one real
-    pentadiagonal system in y; a symbol whose imaginary part exceeds
-    rounding raises ValueError.  All nx//2 + 1 systems are stacked into one
-    band matrix (kl = ku = 2) and factorized with one LAPACK dgbtrf call;
-    the interval (nx = 1) is the single mode.  Raises RuntimeError when a
-    mode system is singular.
+    determines every other row of level j.  Entry [j, dj + 2, k] is the
+    symbol of the stencil from level j to level j + dj at the x-mode k, so
+    mode k of the matrix is the ny x ny pentadiagonal matrix with these
+    entries.  The stencils must be symmetric in x, so their symbols are
+    real; a symbol whose imaginary part exceeds rounding raises ValueError,
+    and so does a matrix that couples levels more than two apart.
     """
     nx, ny = grid.nx, grid.ny
     if rows.shape != (ny, grid.n_nodes):
@@ -109,10 +109,25 @@ def factor_x_invariant(grid, rows):
     stencil = np.zeros((ny, 5, nx))
     np.add.at(stencil, (rows.row, dj + 2, rows.col - level * nx), rows.data)
     symbol = np.fft.rfft(stencil, axis=2)
-    del stencil  # the temporaries go before the band factor and its copy
+    del stencil
     if np.max(np.abs(symbol.imag)) > SYMBOL_IMAG_TOL * np.max(np.abs(symbol.real)):
         raise ValueError("matrix is not symmetric in x: its Fourier symbol is not real")
-    symbol = symbol.real
+    return symbol.real
+
+
+def factor_x_invariant(grid, rows):
+    """Factorize a sparse matrix on the grid that commutes with x-shifts.
+
+    rows = M[level_rows(grid)] are the level rows that ``level_symbols``
+    reads; only these are read, so callers assemble only them.  Each x-mode
+    is one real pentadiagonal system in y.  All nx//2 + 1 systems are
+    stacked into one band matrix (kl = ku = 2) and factorized with one
+    LAPACK dgbtrf call; the interval (nx = 1) is the single mode.  Raises
+    ValueError as ``level_symbols`` does, and RuntimeError when a mode
+    system is singular.
+    """
+    ny = grid.ny
+    symbol = level_symbols(grid, rows)
     n = symbol.shape[2] * ny
     ab = np.zeros((7, n), order="F")  # LAPACK band storage, kl rows kept free
     for d in range(-2, 3):
@@ -122,11 +137,11 @@ def factor_x_invariant(grid, rows):
             ab[4 - d, d:] = diag[: n - d]
         else:
             ab[4 - d, : n + d] = diag[-d:]
-    del symbol, diag
+    del symbol, diag  # the temporaries go before the band factor and its copy
     lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
     if info != 0:
         raise RuntimeError(f"singular x-invariant system: LAPACK dgbtrf info={info}")
-    return XInvariantFactor(nx, ny, lu, piv)
+    return XInvariantFactor(grid.nx, ny, lu, piv)
 
 
 def minres(apply_H, solve_P, b, rtol):

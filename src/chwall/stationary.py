@@ -11,11 +11,12 @@ the loop kick along the lowest eigenvector that the classification already
 computed and descend again, since an exactly critical start has zero
 gradient and plain descent would sit still.  Newton solves each step by
 MINRES preconditioned with the same band factor, made once per solve, and
-makes no sparse factorization, so a solve that ends at a clear minimum
-makes one: the classification's LDL^T inertia count, whose factor is also
-its Lanczos operator.  Every solver takes the
-``operators.WentzellOperator`` of the problem and reads the surface
-constants alpha, beta from it.
+makes no sparse factorization.  The classification of an x-invariant psi,
+the wall profiles that the strip's solves end at, makes none either: it is
+read one Fourier mode at a time.  Only a psi that varies along x is
+classified through a sparse LDL^T inertia count, one at a clear minimum.
+Every solver takes the ``operators.WentzellOperator`` of the problem and
+reads the surface constants alpha, beta from it.
 """
 
 import math
@@ -221,8 +222,10 @@ def find_equilibrium(op, pot, u_init, tol=1e-8, kernel_tol=1e-8):
     (``SpectralReport.lowest_vector``) kick psi to a lower state, from which
     the next pass descends with the kick's (E, g), so an exactly critical
     saddle start (zero gradient, negative curvature) escapes instead of
-    being reported as the equilibrium.  A clear minimum never kicks, and its
-    classification makes the one LDL^T factorization of the solve.  L-BFGS
+    being reported as the equilibrium.  A clear minimum never kicks.  The
+    classification of an x-invariant psi is read mode by mode and makes no
+    sparse factorization; that of an x-dependent clear minimum makes the
+    one LDL^T factorization of the solve.  L-BFGS
     steps and kicks share the MAX_STEPS budget; a kick that finds no lower
     state ends the loop at the saddle.  The band preconditioner is made once
     and serves every descent and Newton solve.  Returns the last pass's

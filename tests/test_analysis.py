@@ -362,9 +362,136 @@ def test_clear_minimum_asks_lanczos_for_eigenvalues_only(pot, monkeypatch):
         assert rep.kernel_basis.shape == (0, g.n_nodes)
 
 
+def _w_residual(g, H, lam, v):
+    """|W^-1/2 (H v - lam W v)| for a W-normalized field v."""
+    w = g.h_weights()
+    return float(np.linalg.norm((H @ v - lam * w * v) / np.sqrt(w)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    interval=st.booleans(),
+    nx=st.integers(4, 16),
+    ny=st.integers(4, 16),
+    Lx=st.floats(1.0, 8.0),
+    Ly=st.floats(1.0, 8.0),
+    constants=st.tuples(*[st.floats(0.3, 3.0)] * 4),
+    mean=st.floats(-1.2, 1.2),
+    amplitude=st.floats(0.0, 1.0),
+    wobble=st.floats(0.0, 1e-9),
+    kernel_tol=st.sampled_from([1e-8, 0.05, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+# a saddle on a tall strip, where f'' = 6 psi spreads the wobble over f'
+@example(interval=False, nx=12, ny=12, Lx=8.0, Ly=8.0, constants=(2.0, 0.5, 0.7, 1.5),
+         mean=0.0, amplitude=1.0, wobble=1e-9, kernel_tol=1e-8, seed=1)
+# a lowest vector in the k = 0 mode, whose Ritz value equals its mode
+# eigenvalue to rounding
+@example(interval=False, nx=4, ny=7, Lx=4.0, Ly=1.5, constants=(1.0, 1.0, 2.0, 2.0),
+         mean=1.1953125, amplitude=0.5, wobble=9.178315657523462e-10, kernel_tol=0.05, seed=0)
+# the zero saddle, where the sparse window misses one copy of 15.184
+@example(interval=False, nx=9, ny=4, Lx=1.5, Ly=2.0078125, constants=(1.0, 1.0, 0.8125, 1.0),
+         mean=0.0, amplitude=0.0, wobble=0.0, kernel_tol=1e-8, seed=0)
+def test_mode_classification_matches_spectrum(interval, nx, ny, Lx, Ly, constants, mean,
+                                              amplitude, wobble, kernel_tol, seed):
+    # an x-invariant state plus an x-dependent wobble of at most 1e-9 is
+    # classified mode by mode, and agrees with the sparse path on the counts
+    # and the kernel space, with the dense spectrum on the eigenvalues (the
+    # sparse window can miss one copy of a double eigenvalue at its edge),
+    # and gives an eigenpair for the lowest vector
+    import chwall.analysis as an
+
+    g = (cw.build_grid("interval1d", Ly=Ly, ny=ny) if interval
+         else cw.build_grid("strip2d", Lx=Lx, Ly=Ly, nx=nx, ny=ny))
+    b, c, alpha, beta = constants
+    op = cw.WentzellOperator(g, b=b, c=c, alpha=alpha, beta=beta)
+    pot = cw.double_well()
+    rng = np.random.default_rng(seed)
+    profile = mean + amplitude * np.cos(np.pi * rng.integers(0, 3) * g.y / Ly + rng.uniform())
+    psi = profile + wobble * rng.uniform(-1.0, 1.0, g.n_nodes)
+    k = min(6, g.n_nodes)
+    rep = an._mode_report(op, pot, psi, k, kernel_tol)
+    assert rep is not None
+    H = energy_hessian(g, pot, psi, alpha, beta)
+    ref = spectrum(g, H, k=k, kernel_tol=kernel_tol)
+    assert (rep.n_negative, rep.kernel_dim) == (ref.n_negative, ref.kernel_dim)
+    eigs = _dense_report(g, H, k, kernel_tol)[0]
+    assert rep.eigenvalues.shape == eigs.shape
+    assert np.all(np.abs(rep.eigenvalues - eigs) <= 1e-10 * np.maximum(np.abs(eigs), 1.0))
+    if rep.kernel_dim:
+        # the same space: each basis lies in the span of the other's
+        w = g.h_weights()
+        kb, rb = rep.kernel_basis, ref.kernel_basis
+        assert np.max(np.abs(rb - (rb * w) @ kb.T @ kb)) <= 1e-7
+    if rep.n_negative or rep.kernel_dim:
+        v = rep.lowest_vector
+        assert abs(np.sum(g.h_weights() * v * v) - 1.0) <= 1e-12
+        assert _w_residual(g, H, rep.eigenvalues[0], v) <= 1e-10
+    else:
+        assert rep.lowest_vector is None and rep.kernel_basis.shape == (0, g.n_nodes)
+
+
+def _count_spectrum_calls(monkeypatch):
+    import chwall.analysis as an
+
+    calls, true = [], an.spectrum
+    monkeypatch.setattr(an, "spectrum", lambda *a, **kw: calls.append(1) or true(*a, **kw))
+    return calls
+
+
+def test_eigenvalue_at_the_gate_takes_the_sparse_path(grid12, pot, monkeypatch):
+    # with kernel_tol set so that tol = kernel_tol max|lambda| is an
+    # eigenvalue of the x-invariant Hessian, the modes cannot decide its side
+    from chwall.analysis import classify
+
+    op = cw.WentzellOperator(grid12, b=2.0, c=0.5, alpha=0.7, beta=1.5)
+    psi = np.full(grid12.n_nodes, 0.05)
+    H = energy_hessian(grid12, pot, psi, op.alpha, op.beta)
+    rw = 1.0 / np.sqrt(grid12.h_weights())
+    lam = la.eigvalsh((sp.diags(rw) @ H @ sp.diags(rw)).toarray())
+    calls = _count_spectrum_calls(monkeypatch)
+    classify(op, pot, psi, kernel_tol=1e-8)
+    assert calls == []
+    classify(op, pot, psi, kernel_tol=lam[2] / max(lam[-1], -lam[0]))
+    assert calls == [1]
+
+
+def test_x_dependent_state_takes_the_sparse_path(pot, monkeypatch):
+    # f'(u) varies along x by far more than the counts' tolerance: one LDL^T
+    # and one shift-invert run, as ``spectrum`` at a clear minimum makes
+    from chwall.analysis import classify
+
+    g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
+    op = cw.WentzellOperator(g, alpha=0.7, beta=1.5)
+    u = 0.05 + 0.3 * np.cos(2 * np.pi * g.x) * np.cos(np.pi * g.y)
+    counts = _count_spectral_calls(monkeypatch)
+    rep, kind = classify(op, pot, u, kernel_tol=1e-8)
+    assert kind == "minimum"
+    assert counts == {"LA": 0, "ldl": 1, "lowest": 1}
+
+
+def test_mode_spectrum_is_the_dense_spectrum():
+    # K_A's pencil on a strip with an odd and an even nx, and on the interval:
+    # each mode's eigenvalues with their multiplicity are the whole spectrum
+    from chwall.analysis import ModeSpectrum
+    from chwall.operators import level_rows
+
+    for g in (cw.build_grid("strip2d", Lx=2.0, Ly=1.0, nx=7, ny=6),
+              cw.build_grid("strip2d", Lx=2.0, Ly=1.0, nx=8, ny=6),
+              cw.build_grid("interval1d", Ly=1.0, ny=9)):
+        op = cw.WentzellOperator(g, b=2.0, c=0.5, alpha=0.7, beta=1.5)
+        rows = level_rows(g)
+        modes = ModeSpectrum(g, op.K_A[rows], op.mass_weights[rows])
+        lam = np.sort(np.repeat(modes.values, modes.multiplicity, axis=0).ravel())
+        rw = 1.0 / np.sqrt(op.mass_weights)
+        dense = la.eigvalsh((sp.diags(rw) @ op.K_A @ sp.diags(rw)).toarray())
+        assert np.max(np.abs(lam - dense)) <= 1e-12 * np.max(dense)
+        assert lam[0] > 0
+
+
 def test_minimizer_at_a_minimum_runs_no_eigensolve(pot, monkeypatch):
-    # the minimizer makes no LDL^T; a clear-minimum solve makes one, the
-    # classification's, whose factor serves its one shift-invert run
+    # the minimizer makes no LDL^T; a clear-minimum solve that ends at an
+    # x-invariant state is classified mode by mode, with none either
     g = cw.build_grid("strip2d", Lx=1.0, Ly=1.0, nx=16, ny=16)
     op = cw.WentzellOperator(g)
     counts = _count_spectral_calls(monkeypatch)
@@ -373,7 +500,7 @@ def test_minimizer_at_a_minimum_runs_no_eigensolve(pot, monkeypatch):
     assert counts == {"LA": 0, "ldl": 0, "lowest": 0}
     sol = find_equilibrium(op, pot, np.zeros(g.n_nodes))
     assert sol.kind == "minimum" and sol.kicks == 0
-    assert counts == {"LA": 0, "ldl": 1, "lowest": 1}
+    assert counts == {"LA": 0, "ldl": 0, "lowest": 0}
 
 
 def test_spectrum_converges_to_the_continuum_wentzell_eigenvalues():

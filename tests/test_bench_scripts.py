@@ -28,7 +28,7 @@ def test_every_bench_script_loads():
         assert callable(_load(name).main)
 
 
-@pytest.mark.parametrize("name", ["bench_step", "bench_spectrum"])
+@pytest.mark.parametrize("name", ["bench_step", "bench_spectrum", "bench_scale"])
 def test_quartile_scripts_refuse_one_repeat(name, tmp_path, capsys):
     # quartiles need two samples, so one is refused before any timing runs
     out = tmp_path / "bench.json"

@@ -129,6 +129,21 @@ def test_field_snapshot_roundtrip(tmp_path, rng):
         load_field(path, grid=other)
 
 
+def test_load_field_on_a_given_grid_builds_no_grid(tmp_path, rng, monkeypatch):
+    # the header is compared with the given grid's parameters; no grid is
+    # built per file, and an interval's header (Lx = 0, nx = 1) matches too
+    for g in (cw.build_grid("strip2d", Lx=2.0, Ly=1.5, nx=8, ny=6),
+              cw.build_grid("interval1d", Ly=1.5, ny=6)):
+        f = rng.standard_normal(g.n_nodes)
+        path = tmp_path / "field.csv"
+        save_field(g, f, path)
+        built = []
+        monkeypatch.setattr(grid_module, "build_grid", lambda *a, **k: built.append(a))
+        assert np.array_equal(load_field(path, grid=g).values, f)
+        assert built == []
+        monkeypatch.undo()
+
+
 STRIP_SNAPSHOT = """\
 # mode,Lx,Ly,nx,ny
 # strip2d,1,1,4,4

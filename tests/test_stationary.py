@@ -355,7 +355,9 @@ def test_cli_equilibrium_meta_and_classification_agree_on_kernel(tmp_path, monke
     line = (out / "classification.txt").read_text()
     assert "kernel_dim" not in meta
     assert "kernel_dim=2," in line
-    assert len(top_pairs) == 1  # one spectrum past the clear-minimum test
+    # the interval's Hessian is x-invariant: it is classified mode by mode,
+    # with no lambda_max Lanczos run
+    assert len(top_pairs) == 0
 
 
 @pytest.fixture(scope="module")
@@ -389,8 +391,9 @@ def test_newton_refine_makes_no_sparse_lu(workload48, tall_strip, pot, monkeypat
 
 
 def test_clear_minimum_equilibrium_factorizes_once(workload48, tmp_path, monkeypatch):
-    # the classification's inertia count is the one sparse factorization, and
-    # the band preconditioner is made once for the descent and Newton
+    # the band preconditioner, made once for the descent and Newton, is the
+    # one factorization: the x-invariant minimum is classified mode by mode,
+    # with no sparse factorization
     import scipy.sparse.linalg as spla
 
     import chwall.stationary as stationary
@@ -414,22 +417,19 @@ def test_clear_minimum_equilibrium_factorizes_once(workload48, tmp_path, monkeyp
                                "--init", str(init))
     assert rc == 0
     assert (out / "classification.txt").read_text().startswith("classification: minimum")
-    assert calls == {"splu": 1, "band": 1}
+    assert calls == {"splu": 0, "band": 1}
 
 
 def test_classification_error_exits_before_the_equilibrium_is_written(tmp_path, monkeypatch,
                                                                      capsys):
     # a classification that raises ends the solve: exit 4 with an error line,
-    # and no equilibrium files or manifest
+    # and no equilibrium files or manifest.  The run ends at an x-invariant
+    # minimum, classified mode by mode; mode eigenvalues shifted below zero
+    # disagree with the Ritz values of the Hessian itself
     import chwall.analysis as an
 
-    true_count = an.count_below
-
-    def miscounted(At, s):
-        below, factor = true_count(At, s)
-        return below + 1, factor
-
-    monkeypatch.setattr(an, "count_below", miscounted)
+    true_values = an.eigvalsh_tridiagonal
+    monkeypatch.setattr(an, "eigvalsh_tridiagonal", lambda d, e: true_values(d, e) - 10.0)
     rc, out = _cli_equilibrium(tmp_path, "[grid]\nnx = 12\nny = 12\n")
     assert rc == 4
     assert "error:" in capsys.readouterr().err
