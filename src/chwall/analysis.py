@@ -14,10 +14,12 @@ tolerance, as at the x-invariant wall profiles that the strip's solves end
 at, the Hessian is its x-invariant part plus a perturbation of norm delta:
 ``ModeSpectrum`` splits that part into one tridiagonal problem per x-mode,
 Weyl's inequality carries its counts over to the Hessian, and Rayleigh-
-Ritz on the mode fields gives the Hessian's own eigenpairs, with no sparse
+Ritz on the mode fields gives the Hessian's own eigenpairs, corrected by
+one ``operators.factor_x_invariant`` solve each, with no sparse
 factorization.  Otherwise, or when an eigenvalue lies within the gate
 around the tolerance, ``spectrum`` counts by the Sylvester inertia of a
-sparse LDL^T and computes eigenpairs by shift-invert Lanczos.
+sparse LDL^T and computes eigenpairs by shift-invert Lanczos.  Both paths
+turn their window into the report by one rule, ``_window_report``.
 
 The probe fits the exponent theta in  residual >= |E(u) - E(psi)|^(1-theta)
 from trajectory samples by regressing log(residual) on log(gap); near a
@@ -26,16 +28,16 @@ nondegenerate minimum the slope is 1/2, i.e. theta = 1/2.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .energy import energy_and_gradient, energy_hessian, energy_value, residual_norms
 from .grid import dot
-from .operators import diag_rows, level_rows, level_symbols, v_norm
+from .operators import diag_rows, factor_x_invariant, level_rows, level_symbols, v_norm
 
 
 # ls_probe: the fewest samples it fits, and the energy gap (relative to
@@ -61,10 +63,11 @@ class SpectralReport:
     the full spectrum at every size: eigenvalues below -tol, and those
     within tol of zero, where tol = kernel_tol * max(lambda_max,
     -lambda_min) is relative to max|lambda|.  kernel_basis rows are
-    H-orthonormal fields spanning the numerical kernel.  lowest_vector is
-    the H-normalized eigenvector of the lowest eigenvalue, read from the
-    window's Ritz vectors; it is None at a clear minimum, whose run
-    computes eigenvalues only.
+    W-orthonormal fields spanning the numerical kernel.  lowest_vector is
+    the W-normalized eigenvector of the lowest eigenvalue.  Both are read
+    from the window's vectors (Lanczos, or the corrected Ritz vectors of
+    the mode path) and orthonormalized with ``grid.dot`` inner products;
+    lowest_vector is None at a clear minimum, which computes no vectors.
     """
 
     eigenvalues: np.ndarray
@@ -174,6 +177,49 @@ def _reported(lam, k):
     return np.sort(lam[keep])
 
 
+def _w_orthonormal(fields, w):
+    """Gram-Schmidt in the W inner product, twice over."""
+    out = []
+    for v in fields:
+        for _ in range(2):
+            for q in out:
+                v = v - dot(w * q, v) * q
+        out.append(v / math.sqrt(dot(w * v, v)))
+    return np.array(out).reshape(-1, w.size)
+
+
+def _window_report(lam, field, w, k, counts, window_negative, tol, kernel_tol, counted_by):
+    """The SpectralReport of a window of eigenvalues lam, ascending.
+
+    counts = (n_negative, kernel_dim) of the whole spectrum at tol.  A
+    window without window_negative eigenvalues below -tol and kernel_dim
+    within tol raises RuntimeError naming counted_by, the counts' source.
+    field(i) is the field of lam[i]; field is None at a clear minimum,
+    whose report holds no vectors.  The lowest vector and the kernel basis
+    are W-orthonormalized by ``_w_orthonormal``, through ``grid.dot``.
+    """
+    n_negative, kernel_dim = counts
+    ker = np.flatnonzero(np.abs(lam) <= tol)
+    found = (int(np.count_nonzero(lam < -tol)), ker.size)
+    if found != (window_negative, kernel_dim):
+        raise RuntimeError(f"eigenvalue window ({found[0]} negative, {found[1]} kernel) "
+                           f"disagrees with the {counted_by} ({window_negative} negative, "
+                           f"{kernel_dim} kernel)")
+    basis, lowest = np.empty((0, w.size)), None
+    if field is not None:
+        fields = {i: field(i) for i in {0, *ker}}
+        lowest = _w_orthonormal([fields[0]], w)[0]
+        basis = _w_orthonormal([fields[i] for i in ker], w)
+    return SpectralReport(
+        eigenvalues=_reported(lam, k),
+        kernel_dim=kernel_dim,
+        kernel_basis=basis,
+        lowest_vector=lowest,
+        n_negative=n_negative,
+        kernel_tol=kernel_tol,
+    )
+
+
 def _top_pair(At):
     """The largest eigenpair of At: plain Lanczos, no shift."""
     return spla.eigsh(At, k=1, which="LA", v0=_start_vector(At.shape[0]))
@@ -201,8 +247,8 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
     counts are made at tol: four factorizations.  The reported eigenvalues,
     the kernel basis and, off a clear minimum, the lowest eigenvector (the
     direction of ``stationary.find_equilibrium``'s saddle kick) come from
-    the window, and a window whose counts disagree with the inertia raises
-    RuntimeError.
+    the window by ``_window_report``, and a window whose counts disagree
+    with the inertia raises RuntimeError.
     """
     n = grid.n_nodes
     if k > n:
@@ -231,32 +277,9 @@ def spectrum(grid, H, k=6, kernel_tol=1e-8):
         lam = np.append(lam, lam_top)
         if vec is not None:
             vec = np.hstack([vec, vec_top])
-    neg = lam < -tol
-    ker = np.abs(lam) <= tol
-    if np.count_nonzero(neg) != n_negative or np.count_nonzero(ker) != kernel_dim:
-        raise RuntimeError(
-            f"Lanczos window ({np.count_nonzero(neg)} negative, "
-            f"{np.count_nonzero(ker)} kernel) disagrees with the inertia "
-            f"({n_negative} negative, {kernel_dim} kernel)"
-        )
-    if vec is None:
-        basis, lowest = np.empty((0, n)), None
-    else:
-        basis = (rw[None, :] * vec[:, ker].T).copy()
-        lowest = rw * vec[:, 0]
-        lowest /= np.sqrt(float(np.sum(w * lowest * lowest)))
-    if kernel_dim > 1:
-        # multiple kernel vectors: enforce H-orthonormality exactly
-        q, _ = np.linalg.qr((np.sqrt(w)[None, :] * basis).T)
-        basis = (q.T * rw[None, :]).copy()
-    return SpectralReport(
-        eigenvalues=_reported(lam, k),
-        kernel_dim=kernel_dim,
-        kernel_basis=basis,
-        lowest_vector=lowest,
-        n_negative=n_negative,
-        kernel_tol=kernel_tol,
-    )
+    field = None if vec is None else (lambda i: rw * vec[:, i])
+    return _window_report(lam, field, w, k, (n_negative, kernel_dim), n_negative, tol,
+                          kernel_tol, "inertia")
 
 
 class ModeSpectrum:
@@ -313,19 +336,6 @@ class ModeSpectrum:
         levels = self.rw[:, None] * phi
         return np.array([np.outer(p, wave).ravel() for p in levels.T for wave in waves])
 
-    def solve(self, theta, r):
-        """The field t with (M - theta W) t = r: every mode's tridiagonal
-        system in one banded solve.  LinAlgError when one is singular."""
-        nx, ny = self.grid.nx, self.grid.ny
-        off = np.zeros(self.d.shape)
-        off[:, :-1] = self.e
-        off = off.ravel()[:-1]  # no coupling between modes
-        ab = np.zeros((3, self.d.size))
-        ab[0, 1:], ab[1], ab[2, :-1] = off, (self.d - theta).ravel(), off
-        modes = np.fft.rfft(np.reshape(r, (ny, nx)), axis=1).T * self.rw
-        t = solve_banded((1, 1), ab, modes.ravel()).reshape(modes.shape) * self.rw
-        return np.fft.irfft(t.T, n=nx, axis=1).ravel()
-
 
 def _ritz(K, curvature, w, basis):
     """Rayleigh-Ritz pairs of the pencil (K + diag(curvature), W) on the span
@@ -341,30 +351,21 @@ def _ritz(K, curvature, w, basis):
     return theta, C.T @ basis
 
 
-def _w_orthonormal(fields, w):
-    """Gram-Schmidt in the W inner product, twice over."""
-    out = []
-    for v in fields:
-        for _ in range(2):
-            for q in out:
-                v = v - dot(w * q, v) * q
-        out.append(v / math.sqrt(dot(w * v, v)))
-    return np.array(out)
-
-
-def _corrected(modes, K, curvature, w, theta, X, i, nudge):
+def _corrected(grid, Hb, K, curvature, w, theta, X, nudge, i):
     """Ritz vector X[i] plus its first-order correction -(Hb - theta_i W)^-1 r,
     r its residual outside the window, with the window's part of the
-    solution taken out.  The solve ``modes.solve`` is made at theta_i -
-    nudge: a Ritz value can equal a window eigenvalue of Hb to rounding (a
-    k = 0 mode moves only at second order), where Hb - theta_i W is
-    singular.  X[i] itself when the solve fails."""
+    solution taken out.  Hb is the x-invariant Hessian's level rows, and the
+    solve is ``factor_x_invariant``'s at theta_i - nudge: a Ritz value can
+    equal a window eigenvalue of Hb to rounding (a k = 0 mode moves only at
+    second order), where Hb - theta_i W is singular.  X[i] itself when the
+    solve fails."""
     x = X[i]
     r = K @ x + (curvature - theta[i] * w) * x
     r -= w * (X.T @ np.array([dot(q, r) for q in X]))
+    rows = level_rows(grid)
     try:
-        t = modes.solve(theta[i] - nudge, r)
-    except LinAlgError:
+        t = factor_x_invariant(grid, Hb - (theta[i] - nudge) * diag_rows(w, rows)).solve(r)
+    except RuntimeError:
         return x
     if not np.all(np.isfinite(t)):
         return x
@@ -391,9 +392,9 @@ def _mode_report(op, pot, psi, k, kernel_tol):
     (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 11).  Off a
     clear minimum, each returned Ritz vector x gets its first-order
     correction -(Hb - theta W)^-1 r from its residual r outside the window,
-    one banded solve at a shift within 2 delta (plus rounding) of theta,
-    which leaves a residual of order delta^2.  A window
-    whose Ritz values disagree with the counts raises RuntimeError.
+    one ``factor_x_invariant`` solve at a shift within 2 delta (plus
+    rounding) of theta, which leaves a residual of order delta^2.  The
+    report is ``_window_report``'s, as in ``spectrum``.
     """
     grid = op.grid
     nx, ny = grid.nx, grid.ny
@@ -404,8 +405,8 @@ def _mode_report(op, pot, psi, k, kernel_tol):
     c = levels.mean(axis=1)
     delta = float(np.max(np.abs(levels - c[:, None])[grid.bulk_weights[rows] > 0]))
     K = grid.forms.k_lin(op.alpha, op.beta)
-    modes = ModeSpectrum(
-        grid, K[rows] + diag_rows(grid.forms.bulk_mass * np.repeat(c, nx), rows), w[rows])
+    Hb = K[rows] + diag_rows(grid.forms.bulk_mass * np.repeat(c, nx), rows)
+    modes = ModeSpectrum(grid, Hb, w[rows])
     if delta > kernel_tol * modes.disc_bound():  # delta > tol, before any eigenvalue
         return None
     mu, mult = modes.values, modes.multiplicity[:, None]
@@ -434,28 +435,11 @@ def _mode_report(op, pot, psi, k, kernel_tol):
         fields.append(modes.vectors(m, index[0], index[-1]))
     curvature = grid.forms.bulk_mass * fp
     theta, X = _ritz(K, curvature, w, np.vstack(fields))
-    neg, ker = theta < -tol, np.abs(theta) <= tol
     window_negative = int(np.sum(mult * (chosen & (mu < -tol))))
-    if np.count_nonzero(neg) != window_negative or np.count_nonzero(ker) != kernel_dim:
-        raise RuntimeError(
-            f"Ritz window ({np.count_nonzero(neg)} negative, {np.count_nonzero(ker)} kernel) "
-            f"disagrees with the mode counts ({window_negative} negative, {kernel_dim} kernel)")
-    basis, lowest = np.empty((0, grid.n_nodes)), None
-    if n_negative or kernel_dim:
-        nudge = 2.0 * delta + GATE_ROUNDING * scale
-        corrected = {i: _corrected(modes, K, curvature, w, theta, X, i, nudge)
-                     for i in {0, *np.flatnonzero(ker)}}
-        lowest = _w_orthonormal([corrected[0]], w)[0]
-        if kernel_dim:
-            basis = _w_orthonormal([corrected[i] for i in np.flatnonzero(ker)], w)
-    return SpectralReport(
-        eigenvalues=_reported(theta, k),
-        kernel_dim=kernel_dim,
-        kernel_basis=basis,
-        lowest_vector=lowest,
-        n_negative=n_negative,
-        kernel_tol=kernel_tol,
-    )
+    nudge = 2.0 * delta + GATE_ROUNDING * scale
+    field = partial(_corrected, grid, Hb, K, curvature, w, theta, X, nudge)
+    return _window_report(theta, field if n_negative or kernel_dim else None, w, k,
+                          (n_negative, kernel_dim), window_negative, tol, kernel_tol, "mode counts")
 
 
 def classify(op, pot, psi, kernel_tol):

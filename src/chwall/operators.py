@@ -17,7 +17,9 @@ semi-implicit step matrix) are solved by ``factor_x_invariant``: a real FFT
 in x splits them into one pentadiagonal system in y per Fourier mode.  It
 reads only their ny level rows (``level_rows``), which is all a caller
 assembles, through ``level_symbols``, which ``analysis.ModeSpectrum``
-also uses to read such a matrix's spectrum mode by mode.  A Newton
+also uses to read such a matrix's spectrum mode by mode; the
+classification's correction of its Ritz vectors solves the shifted
+x-invariant Hessian through ``factor_x_invariant`` as well.  A Newton
 Jacobian varies in x through f'(u); ``newton``, the one Newton loop of the
 package, solves it by ``minres``, preconditioned with such band factors.
 """

@@ -171,7 +171,7 @@ def newton_refine(op, pot, u_init, tol=1e-8, basin_threshold=BASIN_THRESHOLD, *,
     alone is .converged, or when an update is small (at the residual's
     rounding floor).  A MINRES miss (a singular or near-singular H), a
     non-finite update or a diverging residual stops it unconverged at the
-    last iterate; the caller's ``analysis.spectrum`` counts the kernel.
+    last iterate; the caller's ``analysis.classify`` counts the kernel.
     The residual history and the MINRES iterations of each update are
     recorded.  evaluation is the (E, g) of u_init when the caller holds it.
     Returns an EquilibriumSolution whose .psi is the last iterate, an array.

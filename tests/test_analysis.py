@@ -419,16 +419,42 @@ def test_mode_classification_matches_spectrum(interval, nx, ny, Lx, Ly, constant
     assert rep.eigenvalues.shape == eigs.shape
     assert np.all(np.abs(rep.eigenvalues - eigs) <= 1e-10 * np.maximum(np.abs(eigs), 1.0))
     if rep.kernel_dim:
-        # the same space: each basis lies in the span of the other's
+        # the same space: each basis lies in the span of the other's, and
+        # both bases are W-orthonormal
         w = g.h_weights()
         kb, rb = rep.kernel_basis, ref.kernel_basis
         assert np.max(np.abs(rb - (rb * w) @ kb.T @ kb)) <= 1e-7
+        for basis in (kb, rb):
+            gram = (basis * w) @ basis.T
+            assert np.max(np.abs(gram - np.eye(rep.kernel_dim))) <= 1e-12
     if rep.n_negative or rep.kernel_dim:
         v = rep.lowest_vector
         assert abs(np.sum(g.h_weights() * v * v) - 1.0) <= 1e-12
         assert _w_residual(g, H, rep.eigenvalues[0], v) <= 1e-10
     else:
         assert rep.lowest_vector is None and rep.kernel_basis.shape == (0, g.n_nodes)
+
+
+def test_mode_correction_falls_back_when_the_band_solve_is_singular(pot, monkeypatch):
+    # a singular band factor leaves each Ritz vector uncorrected: the
+    # classification still ends, with the Ritz vector as the lowest vector
+    import chwall.analysis as an
+    from chwall.analysis import classify
+
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("singular x-invariant system: LAPACK dgbtrf info=1")
+
+    monkeypatch.setattr(an, "factor_x_invariant", singular)
+    g = cw.build_grid("strip2d", Lx=8.0, Ly=8.0, nx=12, ny=12)
+    op = cw.WentzellOperator(g)
+    rep, kind = classify(op, pot, np.zeros(g.n_nodes), kernel_tol=1e-8)
+    assert kind == "saddle" and calls
+    v = rep.lowest_vector
+    assert np.all(np.isfinite(v))
+    assert abs(np.sum(g.h_weights() * v * v) - 1.0) <= 1e-12
 
 
 def _count_spectrum_calls(monkeypatch):
