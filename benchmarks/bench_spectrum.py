@@ -16,9 +16,8 @@ Five states, each paired with the metric W = h_weights(1) of the Hessian:
   the other four.
 
 For each state it times ``lowest_eigenpairs`` at k = 1 and k = 6,
-``spectrum`` at k = 6 and ``analysis.classify`` at kernel_tol 1e-8, each
-as the median and quartiles of ``--repeat`` calls after one warm-up call
-(``--repeat`` at least 2), and counts the LDL^T factorizations and Lanczos
+``spectrum`` at k = 6 and ``analysis.classify`` at kernel_tol 1e-8, one
+timing group per state, and counts the LDL^T factorizations and Lanczos
 runs (plain and shift-invert) of one ``spectrum`` call and of one
 ``classify`` call.  For ``equilibrium48`` it also times the
 ``find_equilibrium`` call that finds the state and counts its sparse LU
@@ -28,23 +27,15 @@ runs (plain and shift-invert) of one ``spectrum`` call and of one
 at, and its LDL^T factorizations and Lanczos runs.  ``newton128`` times
 ``newton_refine`` on the same data at 128x128, from the minimizer's result
 at tol 1e-3, with its Newton and MINRES iterations.  It writes the figures
-with lambda_min and the platform to ``BENCH_spectrum.json`` at the repo
-root.  Only public names and ``analysis._shifted_ldl`` are used, so the
-script also runs against an older checkout's ``src`` for a before/after
-pair.
+with lambda_min to ``BENCH_spectrum.json`` at the repo root; ``timing.py``
+states the timing rule.  Only public names and ``analysis._shifted_ldl``
+are used, so the script also runs against an older checkout's ``src`` for a
+before/after pair.
 
     PYTHONPATH=src python3 benchmarks/bench_spectrum.py [--repeat 15] [--out PATH]
 """
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import time
-
 import numpy as np
-import scipy
 import scipy.sparse.linalg as spla
 
 import chwall.analysis as analysis
@@ -53,8 +44,7 @@ from chwall.cli import build_problem, make_initial
 from chwall.config import RunConfig
 from chwall.energy import energy_hessian
 from chwall.stationary import find_equilibrium, minimize_energy, newton_refine
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from timing import run, timed
 
 
 def _states(repeat):
@@ -63,7 +53,7 @@ def _states(repeat):
     counts = _CallCounter(spla, "splu")
     psi = find_equilibrium(op, pot, u0).psi
     extra = {"find_equilibrium_splu_calls": counts.pop(),
-             "find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
+             **timed(repeat, {"find_equilibrium_s": lambda: find_equilibrium(op, pot, u0)})}
     yield "equilibrium48", op, pot, psi, extra
     for n in (32, 128):
         grid, pot, op = build_problem(RunConfig(nx=n, ny=n))
@@ -108,7 +98,7 @@ def _newton(repeat, n=128):
     return {"n_nodes": grid.n_nodes, "converged": sol.converged,
             "newton_iters": sol.newton_iters,
             "krylov_iters": getattr(sol, "krylov_iters", None),
-            "newton_refine_s": _quartiles(repeat, lambda: newton_refine(op, pot, start))}
+            **timed(repeat, {"newton_refine_s": lambda: newton_refine(op, pot, start)})}
 
 
 def _saddle_start(repeat):
@@ -118,7 +108,7 @@ def _saddle_start(repeat):
     sol, counts = _spectral_calls(lambda: find_equilibrium(op, pot, u0))
     return {"n_nodes": grid.n_nodes, "converged": sol.converged,
             "kicks": getattr(sol, "kicks", None), "energy": sol.energy, **counts,
-            "find_equilibrium_s": _quartiles(repeat, lambda: find_equilibrium(op, pot, u0))}
+            **timed(repeat, {"find_equilibrium_s": lambda: find_equilibrium(op, pot, u0)})}
 
 
 def _spectral_calls(call):
@@ -131,26 +121,7 @@ def _spectral_calls(call):
     return result, counts
 
 
-def _quartiles(repeat, call):
-    """Median and quartiles of the times of repeat calls, after one warm-up call."""
-    call()
-    samples = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        call()
-        samples.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=15)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_spectrum.json"))
-    args = parser.parse_args(argv)
-    if args.repeat < 2:
-        parser.error("--repeat must be at least 2: the quartiles need two samples")
-    cases = {}
+def _cases(args):
     for name, op, pot, psi, extra in _states(args.repeat):
         grid = op.grid
         H = energy_hessian(grid, pot, psi, op.alpha, op.beta)
@@ -158,32 +129,26 @@ def main(argv=None):
         lam, _ = lowest_eigenpairs(At, rw, 1)
         _, spectrum_calls = _spectral_calls(lambda: spectrum(grid, H, k=6))
         (_, kind), classify_calls = _spectral_calls(lambda: classify(op, pot, psi, 1e-8))
-        cases[name] = {
+        yield name, {
             "n_nodes": grid.n_nodes,
             "lambda_min": float(lam[0]),
-            "lowest_eigenpairs_k1_s": _quartiles(args.repeat, lambda: lowest_eigenpairs(At, rw, 1)),
-            "lowest_eigenpairs_k6_s": _quartiles(args.repeat, lambda: lowest_eigenpairs(At, rw, 6)),
-            "spectrum_k6_s": _quartiles(args.repeat, lambda: spectrum(grid, H, k=6)),
+            **timed(args.repeat, {
+                "lowest_eigenpairs_k1_s": lambda: lowest_eigenpairs(At, rw, 1),
+                "lowest_eigenpairs_k6_s": lambda: lowest_eigenpairs(At, rw, 6),
+                "spectrum_k6_s": lambda: spectrum(grid, H, k=6),
+                "classify_s": lambda: classify(op, pot, psi, 1e-8),
+            }),
             **spectrum_calls,
-            "classify_s": _quartiles(args.repeat, lambda: classify(op, pot, psi, 1e-8)),
             "classify_kind": kind,
             **{f"classify_{key}": count for key, count in classify_calls.items()},
             **extra,
         }
-        print(name, json.dumps(cases[name]))
-    for name, case in (("saddle_start24", _saddle_start), ("newton128", _newton)):
-        cases[name] = case(args.repeat)
-        print(name, json.dumps(cases[name]))
-    result = {
-        "timing": f"median and quartiles of {args.repeat} calls after one warm-up, seconds",
-        "platform": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__, "machine": platform.machine(),
-                     "cpus": os.cpu_count()},
-        "cases": cases,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    yield "saddle_start24", _saddle_start(args.repeat)
+    yield "newton128", _newton(args.repeat)
+
+
+def main(argv=None):
+    run(argv, __doc__, "BENCH_spectrum.json", _cases)
 
 
 if __name__ == "__main__":

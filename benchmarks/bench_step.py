@@ -18,55 +18,26 @@ thing a step of ``evolve`` does:
   row per step, no snapshots), divided by the step count; 256x256 runs a
   tenth of them.
 
-Each figure is the median and quartiles of ``--repeat`` samples (at least
-2), a sample being the mean over a loop of calls long enough to take about
-a millisecond, after one warm-up loop.  It writes them with the platform to
-``BENCH_step.json`` at the repo root.
+``shift_s`` is timed in a group of its own, since the widened call replaces
+the remembered rung.  It writes the figures to ``BENCH_step.json`` at the
+repo root; ``timing.py`` states the timing rule.
 
-    PYTHONPATH=src python3 benchmarks/bench_step.py [--repeat 15] [--out PATH]
+    PYTHONPATH=src python3 benchmarks/bench_step.py [--repeat 15] [--out PATH] [--rows 2000] [--steps 500]
 """
 
-import argparse
 import itertools
-import json
 import os
-import platform
-import statistics
 import tempfile
-import time
 from dataclasses import replace
-
-import numpy as np
-import scipy
 
 from chwall import cli, evolution
 from chwall.cli import build_problem, make_initial
 from chwall.config import RunConfig
 from chwall.energy import energy_and_gradient, state_report
+from timing import run, timed
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (32, 48, 256)
 CONFIG = RunConfig(dt=1e-3, initial_kind="cosine", initial_amplitude=0.1, initial_mean=0.05)
-
-
-def _quartiles(samples):
-    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
-def _per_call(repeat, call, number=None):
-    """Median and quartiles over repeat samples of the mean time of one call."""
-    if number is None:
-        t0 = time.perf_counter()
-        call()
-        number = max(1, int(1e-3 / max(time.perf_counter() - t0, 1e-9)))
-    samples = []
-    for _ in range(repeat + 1):  # the first loop warms up
-        t0 = time.perf_counter()
-        for _ in range(number):
-            call()
-        samples.append((time.perf_counter() - t0) / number)
-    return _quartiles(samples[1:])
 
 
 def _case(n, args, path):
@@ -92,50 +63,38 @@ def _case(n, args, path):
         cli._write_diagnostics(path, rec)
 
     steps = args.steps if n < 256 else max(1, args.steps // 10)
-    run = replace(cfg, t_end=steps * cfg.dt)
-    step_repeat = max(3, args.repeat // 3)
-    return {
+    step_run = replace(cfg, t_end=steps * cfg.dt)
+    case = {
         "n_nodes": grid.n_nodes,
-        "shift_s": _per_call(args.repeat, lambda: evolution.auto_stabilization(pot, lo, hi)),
-        "shift_widened_s": _per_call(args.repeat, widened),
-        "band_solve_s": _per_call(args.repeat, lambda: lu.solve(kmu)),
-        "evaluation_s": _per_call(args.repeat, lambda: energy_and_gradient(
-            grid, pot, u, op.alpha, op.beta)),
-        "ledger_row_s": _per_call(args.repeat, lambda: state_report(op, u, ev)),
-        "series_row_s": {k: v / rows for k, v in _per_call(args.repeat, series_rows).items()},
-        "evolve_step_s": {k: v / steps for k, v in _per_call(
-            step_repeat, lambda: evolution.evolve(op, pot, u, run), number=1).items()},
+        **timed(args.repeat, {"shift_s": lambda: evolution.auto_stabilization(pot, lo, hi)}),
+        **timed(args.repeat, {
+            "shift_widened_s": widened,
+            "band_solve_s": lambda: lu.solve(kmu),
+            "evaluation_s": lambda: energy_and_gradient(grid, pot, u, op.alpha, op.beta),
+            "ledger_row_s": lambda: state_report(op, u, ev),
+            "series_row_s": series_rows,
+            "evolve_step_s": lambda: evolution.evolve(op, pot, u, step_run),
+        }),
         "evolve_steps": steps,
-        "evolve_repeat": step_repeat,
     }
+    for name, count in (("series_row_s", rows), ("evolve_step_s", steps)):
+        case[name] = {k: v / count for k, v in case[name].items()}
+    return case
+
+
+def _cases(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in SIZES:
+            yield f"{n}x{n}", _case(n, args, os.path.join(tmp, "rows.csv"))
+
+
+def _add_arguments(parser):
+    parser.add_argument("--rows", type=int, default=2000)
+    parser.add_argument("--steps", type=int, default=500)
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=15)
-    parser.add_argument("--rows", type=int, default=2000)
-    parser.add_argument("--steps", type=int, default=500)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_step.json"))
-    args = parser.parse_args(argv)
-    if args.repeat < 2:
-        parser.error("--repeat must be at least 2: the quartiles need two samples")
-    cases = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for n in SIZES:
-            cases[f"{n}x{n}"] = _case(n, args, os.path.join(tmp, "rows.csv"))
-            print(f"{n}x{n}", json.dumps(cases[f"{n}x{n}"]))
-    result = {
-        "timing": (f"median and quartiles of {args.repeat} samples (evolve_step_s: "
-                   "evolve_repeat samples), each the mean of a loop of calls after "
-                   "one warm-up loop, seconds per call"),
-        "platform": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__, "machine": platform.machine(),
-                     "cpus": os.cpu_count()},
-        "cases": cases,
-    }
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    run(argv, __doc__, "BENCH_step.json", _cases, _add_arguments)
 
 
 if __name__ == "__main__":

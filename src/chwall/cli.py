@@ -448,10 +448,10 @@ def cmd_analyze(run_dir, psi_prefix):
                 lhss = [s[2] for s in probe.samples]
                 svgplot.scatter_plot(
                     at("ls_scatter.svg"), gaps, lhss,
+                    (1.0 - probe.fitted_theta,
+                     math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
                     title=f"residual vs energy gap (theta={probe.fitted_theta:.3f})",
-                    xlabel="log10 gap", ylabel="log10 residual", xlog=True, ylog=True,
-                    fit=(1.0 - probe.fitted_theta,
-                         math.log10(probe.calibration_c) if probe.calibration_c > 0 else 0.0),
+                    xlabel="log10 gap", ylabel="log10 residual",
                 )
 
         times = [t for t, _ in rec.snapshots]

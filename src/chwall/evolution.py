@@ -54,10 +54,6 @@ class GuardAbort(RuntimeError):
     """Energy guard exhausted: dt fell below dt_min without a decaying step."""
 
 
-class _RetryHalved(Exception):
-    """Internal: the step wants to be retried at half the time step."""
-
-
 class EvolutionAbort(RuntimeError):
     """Carries the partial trajectory of an aborted run.
 
@@ -197,7 +193,7 @@ def _newton_step_once(op, pot, u_old, ev_old, dt, S, factors):
     """The implicit step's state and its evaluation (E, g), from the
     evaluation ev_old of u_old: ``operators.newton`` on R = W (u - u_old)
     + dt K_A W^-1 g(u) to |R|_{W^-1} <= STEP_RESIDUAL_TOL or a small update,
-    counting every Jacobian solve.  Raises _RetryHalved when it fails."""
+    counting every Jacobian solve.  The evaluation is None when it fails."""
     W, K_A = op.mass_weights, op.K_A
 
     def residual(u, evaluation):
@@ -217,9 +213,7 @@ def _newton_step_once(op, pot, u_old, ev_old, dt, S, factors):
                                               STEP_RESIDUAL_TOL)
     factors.newton_iters += len(krylov)
     factors.krylov_iters += sum(krylov)
-    if not converged:
-        raise _RetryHalved
-    return u, evaluation
+    return u, evaluation if converged else None
 
 
 def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
@@ -230,16 +224,13 @@ def _advance(op, pot, u_vals, dt, cfg, S, ev_old, kmu_old, factors):
     its evaluation, shared by guard, row and the next step.
     """
     e_old = ev_old[0]
-    try:
-        if cfg.scheme == "semi_implicit":
-            u_new = _semi_step_once(op, u_vals, ev_old[1], kmu_old, dt, S, factors)
-            evaluation = energy_and_gradient(op.grid, pot, u_new, op.alpha, op.beta)
-        elif cfg.scheme == "newton":
-            u_new, evaluation = _newton_step_once(op, pot, u_vals, ev_old, dt, S, factors)
-        else:
-            raise ValueError(f"unknown scheme {cfg.scheme!r}")
-    except _RetryHalved:
-        evaluation = None
+    if cfg.scheme == "semi_implicit":
+        u_new = _semi_step_once(op, u_vals, ev_old[1], kmu_old, dt, S, factors)
+        evaluation = energy_and_gradient(op.grid, pot, u_new, op.alpha, op.beta)
+    elif cfg.scheme == "newton":
+        u_new, evaluation = _newton_step_once(op, pot, u_vals, ev_old, dt, S, factors)
+    else:
+        raise ValueError(f"unknown scheme {cfg.scheme!r}")
     if evaluation is not None and evaluation[0] <= e_old + ENERGY_RISE_TOL * (1.0 + abs(e_old)):
         return u_new, evaluation
     # reject: redo as two guarded half steps

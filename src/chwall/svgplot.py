@@ -1,7 +1,7 @@
 """Tiny dependency-free SVG emitter for run diagnostics.
 
-Polyline plots (optionally log-scaled axes) and scatter plots with an
-optional fitted line.  Purposely minimal: enough for energy histories,
+Polyline plots (optionally with a log-scaled y axis) and log-log scatter
+plots with a fitted line.  Purposely minimal: enough for energy histories,
 decay curves and the exponent-probe scatter, nothing more.
 """
 
@@ -146,11 +146,10 @@ class _Canvas:
             fh.write("\n".join(self.parts))
 
 
-def line_plot(path, xs, series, title="", xlabel="", ylabel="",
-              xlog=False, ylog=False):
+def line_plot(path, xs, series, title="", xlabel="", ylabel="", ylog=False):
     """series: mapping label -> y values (shared x)."""
-    cv = _Canvas(title, xlabel, ylabel, xlog, ylog)
-    txs = _transform(xs, xlog)
+    cv = _Canvas(title, xlabel, ylabel, False, ylog)
+    txs = _transform(xs, False)
     tseries = {k: _transform(v, ylog) for k, v in series.items()}
     for ys in tseries.values():
         cv.set_bounds(txs, ys)
@@ -160,22 +159,20 @@ def line_plot(path, xs, series, title="", xlabel="", ylabel="",
     cv.save(path)
 
 
-def scatter_plot(path, xs, ys, title="", xlabel="", ylabel="",
-                 xlog=False, ylog=False, fit=None):
-    """Scatter with an optional fitted line given as (slope, intercept)
-    in the transformed coordinates."""
-    cv = _Canvas(title, xlabel, ylabel, xlog, ylog)
-    txs = _transform(xs, xlog)
-    tys = _transform(ys, ylog)
+def scatter_plot(path, xs, ys, fit, title="", xlabel="", ylabel=""):
+    """Log-log scatter with the fitted line fit = (slope, intercept) in
+    log10 coordinates."""
+    cv = _Canvas(title, xlabel, ylabel, True, True)
+    txs = _transform(xs, True)
+    tys = _transform(ys, True)
     cv.set_bounds(txs, tys)
     cv.axes()
     cv.dots(txs, tys, _COLORS[0])
-    if fit is not None:
-        slope, intercept = fit
-        pts = [p for p in txs if math.isfinite(p)]
-        if pts:
-            x0, x1 = min(pts), max(pts)
-            cv.polyline([x0, x1],
-                        [intercept + slope * x0, intercept + slope * x1],
-                        _COLORS[1], label=f"slope {slope:.3f}", idx=0)
+    slope, intercept = fit
+    pts = [p for p in txs if math.isfinite(p)]
+    if pts:
+        x0, x1 = min(pts), max(pts)
+        cv.polyline([x0, x1],
+                    [intercept + slope * x0, intercept + slope * x1],
+                    _COLORS[1], label=f"slope {slope:.3f}", idx=0)
     cv.save(path)

@@ -8,6 +8,7 @@ that no longer exists fails here rather than on the next benchmark run.
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -15,6 +16,9 @@ BENCH_DIR = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _load(name):
+    # the scripts import their shared timing module from benchmarks/
+    if str(BENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(BENCH_DIR))
     spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -46,4 +50,12 @@ def test_every_bench_script_runs(name, tmp_path, monkeypatch):
         monkeypatch.setattr(module, "SIZES", (min(module.SIZES),))
     out = tmp_path / "bench.json"
     module.main(["--repeat", "2", "--out", str(out)])
-    assert json.loads(out.read_text())["cases"]
+    result = json.loads(out.read_text())
+    assert result["cases"]
+    # every time is a median and quartiles by the one rule in timing.py
+    for case in result["cases"].values():
+        for key, figure in case.items():
+            if key.endswith("_s"):
+                assert set(figure) == {"median", "q1", "q3"}, key
+                assert figure["q1"] <= figure["median"] <= figure["q3"], key
+    assert result["timing"] == _load("timing").TIMING.format(repeat=2)
